@@ -108,13 +108,7 @@ def gram_matrix(decomp: RankOneDecomp) -> np.ndarray:
     """Gram matrix of the scaled vectors sqrt(xi_j) v_j over all terms,
     zero-weight ones included."""
     terms = decomp.terms
-    n = len(terms)
-    G = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j, n):
-            val = math.sqrt(terms[j].weight * terms[k].weight) * complex(
-                np.vdot(terms[j].vector, terms[k].vector)
-            )
-            G[j, k] = val
-            G[k, j] = val.conjugate()
-    return G
+    if not terms:
+        return np.zeros((0, 0), dtype=complex)
+    B = np.array([math.sqrt(t.weight) * t.vector.conj() for t in terms], dtype=complex)
+    return B @ B.conj().T

@@ -7,7 +7,13 @@ a finite Horn placement against a majorant of the form (1, ..., 1, s..., r),
 where fractional weights carry one boundary vector from stage to stage, or a
 single 2x2 mix in the tail recursion.  Which staging applies is decided by how
 the small entries mu (at most 1/2) and the defects lam = 1 - (large entries)
-sum up; truncating at a stage budget leaves an explicit remainder term."""
+sum up; truncating at a stage budget leaves an explicit remainder term.
+
+Every stage runs in its own coordinates: the k stream vectors it touches
+become the standard basis of C^k, the placement and its certificate are
+computed there, and only the emitted terms are mapped back to the stream as
+E c for the dim x k matrix E of those stream vectors.  No stage builds an
+operator on the ambient space."""
 
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from .errors import (
     TraceMismatchError,
 )
 from .horn import horn_decompose, mix_two
-from .operators import RankOneDecomp, RankOneTerm, frame_operator
+from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import (
     INT_SNAP,
     MajorizationVerdict,
@@ -46,6 +52,7 @@ CASE_M_FINITE = "mu-finite"
 TRACE_MATCH_TOL = 1e-10
 DEFAULT_STAGES = 10
 DEFAULT_EXTEND_LIMIT = 10_000
+_CARRY_LOCAL = np.array([1.0, 0.0], dtype=complex)  # the carry in span{carry, fresh}
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,13 @@ class BlockPlan:
 class StageCertificate:
     """Per-stage evidence: what was consumed, the majorization that licensed
     the placement, and the reconstruction residual of the stage identity.
-    2x2 steps also record their mixing coefficient and its proven cap."""
+    2x2 steps also record their mixing coefficient and its proven cap.
+
+    ``residual`` is the Frobenius norm of the stage identity's residual in
+    the stage's local coordinates: sum_j x_j c_j c_j* - diag(consumed) on C^k
+    for a block stage, the coefficient bound of ``MixResult.residual`` for a
+    2x2 step.  The stream vectors map C^k isometrically into the ambient
+    space, so it bounds every entry of the ambient residual."""
 
     stage: int
     consumed: tuple[tuple[int, float], ...]
@@ -89,6 +102,22 @@ class StageCertificate:
     residual: float
     sigma: float | None = None
     sigma_cap: float | None = None
+
+
+def _local_residual(local_terms, consumed) -> float:
+    """Frobenius norm of sum_j x_j c_j c_j* - diag(consumed) on C^k."""
+    k = len(consumed)
+    R = frame_operator(local_terms, dim=k) - np.diag(np.asarray(consumed, dtype=complex))
+    return float(np.linalg.norm(R))
+
+
+def _embed(local_terms, rows: np.ndarray) -> list[RankOneTerm]:
+    """Terms on C^k mapped to the stream: c becomes sum_i c_i E_i, where
+    ``rows`` holds the stream vectors E_i as its rows."""
+    if not local_terms:
+        return []
+    dense = np.array([t.vector for t in local_terms]) @ rows
+    return [RankOneTerm(t.weight, v) for t, v in zip(local_terms, dense)]
 
 
 def _snap_int(x: float, tol: float = INT_SNAP) -> int:
@@ -155,7 +184,8 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
     if n == 0:
         raise TraceMismatchError("cannot decompose against an empty stream")
     dim = stream.min_dim(n - 1)
-    vectors = [stream.vector(j, dim) for j in range(n)]
+    rows = np.array([stream.vector(j, dim) for j in range(n)])
+    eye = np.eye(n, dtype=complex)
 
     acc = 0.0
     m = 0
@@ -167,24 +197,20 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
             break
     r = acc - (n - 1)  # in [0, 1) by maximality of m
 
-    pool = [RankOneTerm(1.0, vectors[i]) for i in range(n - 1)]
+    pool = [RankOneTerm(1.0, eye[i]) for i in range(n - 1)]
     if r > tol:
-        pool.append(RankOneTerm(r, vectors[n - 1]))
-    head = horn_decompose(pool, vals[:m], tol=tol) if m else None
-    terms = list(head.terms) if head else []
-    terms += [RankOneTerm(v, vectors[n - 1]) for v in vals[m:]]
+        pool.append(RankOneTerm(r, eye[n - 1]))
+    local = list(horn_decompose(pool, vals[:m], tol=tol).terms) if m else []
+    local += [RankOneTerm(v, eye[n - 1]) for v in vals[m:]]
 
-    consumed = tuple((stream.base_index(j), 1.0) for j in range(n))
-    target_op = frame_operator([RankOneTerm(1.0, v) for v in vectors], dim=dim)
-    residual = float(np.max(np.abs(frame_operator(terms, dim=dim) - target_op)))
     cert = StageCertificate(
         stage=0,
-        consumed=consumed,
+        consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
         targets=tuple(vals),
         majorization=majorizes(vals, [1.0] * n),
-        residual=residual,
+        residual=_local_residual(local, [1.0] * n),
     )
-    return tuple(terms), (cert,)
+    return tuple(_embed(local, rows)), (cert,)
 
 
 # -- staged planners ---------------------------------------------------
@@ -395,7 +421,12 @@ def realize_block_plans(
     tol: float = 1e-12,
 ):
     """Carry out Horn placements for each plan, returning terms and
-    certificates.  All vectors are materialized in a common dimension."""
+    certificates.
+
+    A stage's k consumed stream positions (sources and colinear ones) are the
+    standard basis of C^k: the placement runs there and the stage identity is
+    checked once, against diag(consumed), as a k x k residual.  Only the
+    emitted terms are materialized in the common dimension ``dim``."""
     plans = list(plans)
     if not plans:
         return (), ()
@@ -404,37 +435,26 @@ def realize_block_plans(
     terms: list[RankOneTerm] = []
     certs: list[StageCertificate] = []
     for i, plan in enumerate(plans):
-        pool = [RankOneTerm(c, stream.vector(pos, dim)) for pos, c in plan.sources]
-        stage_terms: list[RankOneTerm] = []
-        if plan.targets:
-            placed = horn_decompose(pool, plan.targets, tol=tol)
-            stage_terms += list(placed.terms)
-        stage_terms += [
-            RankOneTerm(w, stream.vector(pos, dim)) for pos, w in plan.colinear
-        ]
         consumed: dict[int, float] = {}
-        for pos, c in plan.sources:
+        for pos, c in plan.sources + plan.colinear:
             consumed[pos] = consumed.get(pos, 0.0) + c
-        for pos, w in plan.colinear:
-            consumed[pos] = consumed.get(pos, 0.0) + w
-        stage_op = frame_operator(stage_terms, dim=dim) if stage_terms else np.zeros((dim, dim))
-        source_op = frame_operator(
-            [RankOneTerm(c, stream.vector(pos, dim)) for pos, c in consumed.items()],
-            dim=dim,
-        ) if consumed else np.zeros((dim, dim))
-        residual = float(np.max(np.abs(stage_op - source_op)))
+        positions = sorted(consumed)
+        basis = dict(zip(positions, np.eye(len(positions), dtype=complex)))
+        local: list[RankOneTerm] = []
+        if plan.targets:
+            pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
+            local += horn_decompose(pool, plan.targets, tol=tol).terms
+        local += [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
         certs.append(
             StageCertificate(
                 stage=first_stage + i,
-                consumed=tuple(
-                    (stream.base_index(pos), c) for pos, c in sorted(consumed.items())
-                ),
+                consumed=tuple((stream.base_index(pos), consumed[pos]) for pos in positions),
                 targets=plan.targets + tuple(w for _, w in plan.colinear),
                 majorization=majorizes(plan.targets, [c for _, c in plan.sources]),
-                residual=residual,
+                residual=_local_residual(local, [consumed[pos] for pos in positions]),
             )
         )
-        terms.extend(stage_terms)
+        terms += _embed(local, np.array([stream.vector(pos, dim) for pos in positions]))
     return tuple(terms), tuple(certs)
 
 
@@ -466,6 +486,7 @@ def keycase_recursion(
     carry = stream.vector(0, dim) if carry_vector is None else np.asarray(carry_vector, dtype=complex)
     if len(carry) != dim:
         raise DimensionError("carry vector does not match the working dimension")
+    carry = unit_vector(carry)
     terms: list[RankOneTerm] = []
     certs: list[StageCertificate] = []
     lam_it = _padded(lam)
@@ -473,16 +494,17 @@ def keycase_recursion(
         lam_t = next(lam_it)
         s_next = lam.tail_sum(t + 1)
         fresh = stream.vector(t + 1, dim)
+        # one 2x2 mix in span{carry, fresh}, where carry is (1, 0) and fresh
+        # (g, sqrt(1 - |g|^2)) in an orthonormal basis; the dense w and w'
+        # are then formed once from the mixing coefficients
+        g = complex(np.vdot(carry, fresh))
+        fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
         res = mix_two(
-            1.0 - s_prev, 1.0, carry, fresh, 1.0 - s_next, 1.0 - lam_t, tol=tol
+            1.0 - s_prev, 1.0, _CARRY_LOCAL, fresh_local, 1.0 - s_next, 1.0 - lam_t, tol=tol
         )
-        step_op = (1.0 - lam_t) * np.outer(res.w_prime, res.w_prime.conj()) + (
-            1.0 - s_next
-        ) * np.outer(res.w, res.w.conj())
-        source_op = (1.0 - s_prev) * np.outer(carry, carry.conj()) + np.outer(
-            fresh, fresh.conj()
-        )
-        residual = float(np.max(np.abs(step_op - source_op)))
+        phase = np.exp(-1j * np.angle(g)) if g else 1.0
+        w = res.sigma * carry + (res.tau * phase) * fresh
+        w_prime = res.sigma_prime * carry + (res.tau_prime * phase) * fresh
         cap = None
         if s_prev > 0.0 and s_next < 1.0:
             cap = (1.0 - s_prev) * s_next / (s_prev * (1.0 - s_next))
@@ -494,14 +516,14 @@ def keycase_recursion(
                 majorization=majorizes(
                     [1.0 - s_next, 1.0 - lam_t], [1.0 - s_prev, 1.0]
                 ),
-                residual=residual,
+                residual=res.residual,
                 sigma=res.sigma,
                 sigma_cap=None if cap is None else math.sqrt(max(cap, 0.0)),
             )
         )
-        terms.append(RankOneTerm(1.0 - lam_t, res.w_prime))
-        nrm = float(np.linalg.norm(res.w))
-        carry = res.w / nrm if nrm > 0 else res.w
+        terms.append(RankOneTerm(1.0 - lam_t, w_prime))
+        nrm = float(np.linalg.norm(w))
+        carry = w / nrm if nrm > 0 else w
         s_prev = s_next
     return tuple(terms), tuple(certs), RankOneTerm(1.0 - s_prev, carry)
 

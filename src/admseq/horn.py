@@ -28,7 +28,11 @@ class MixResult:
     The coefficients express w = sigma u + tau u'' and w' = sigma' u + tau' u''
     where u'' is u' with its phase rotated to make gamma = <u, u'> real and
     nonnegative.  sigma^2 = z_minus, the stable root of the mixing quadratic,
-    and z_minus <= z_o always.
+    and z_minus <= z_o always.  ``residual`` bounds the mixing identity: it is
+    (1 + gamma) ||x1 c c^T + x2 c' c'^T - diag(e1, e2)||_F for the coefficient
+    columns c = (sigma, tau), c' = (sigma', tau'), and since the Gram matrix of
+    {u, u''} has norm 1 + gamma it caps every entry of the dense residual
+    x1 w w* + x2 w' w'* - e1 u u* - e2 u' u'*.
     """
 
     w: np.ndarray
@@ -42,6 +46,7 @@ class MixResult:
     h: float
     alpha_coef: float
     gamma: float
+    residual: float
 
 
 def _sqrt_clamped(x: float, guard: float = 1e-9) -> float:
@@ -77,7 +82,9 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = 1e-12, check: bool = 
 
     overlap = complex(np.vdot(u, up))
     gamma = min(abs(overlap), 1.0)
-    up_rot = up * (overlap.conjugate() / abs(overlap)) if abs(overlap) > 0.0 else up
+    # u'' = u' turned so that <u, u''> = gamma; the factor comes from the
+    # angle, so it has modulus 1 even when the overlap is subnormal
+    up_rot = up * np.exp(-1j * np.angle(overlap)) if overlap else up
 
     if abs(x1 - e1) <= tol or abs(e1 - e2) <= tol:
         # targets coincide with sources (up to relabeling nothing moves)
@@ -115,21 +122,21 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = 1e-12, check: bool = 
         w = sigma * u + tau * up_rot
         wp = sigma_p * u + tau_p * up_rot
 
+    # the identity lives in span{u, u''}: check it on the coefficients, with
+    # the Gram matrix [[1, gamma], [gamma, 1]] of that pair
+    residual = (1.0 + gamma) * math.hypot(
+        x1 * sigma * sigma + x2 * sigma_p * sigma_p - e1,
+        math.sqrt(2.0) * (x1 * sigma * tau + x2 * sigma_p * tau_p),
+        x1 * tau * tau + x2 * tau_p * tau_p - e2,
+    )
     if check:
-        for vec in (w, wp):
-            drift = abs(float(np.linalg.norm(vec)) - 1.0)
+        for a, b in ((sigma, tau), (sigma_p, tau_p)):
+            drift = abs(math.sqrt(max(a * a + b * b + 2.0 * gamma * a * b, 0.0)) - 1.0)
             if drift > MIX_RESIDUAL_TOL:
                 raise ValueError(f"mixed vector norm drifted by {drift:.3e}")
-        R = (
-            x1 * np.outer(w, w.conj())
-            + x2 * np.outer(wp, wp.conj())
-            - e1 * np.outer(u, u.conj())
-            - e2 * np.outer(up, up.conj())
-        )
-        dev = float(np.max(np.abs(R)))
-        if dev > MIX_RESIDUAL_TOL:
-            raise ValueError(f"mixing identity residual {dev:.3e} exceeds tolerance")
-    return MixResult(w, wp, sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, gamma)
+        if residual > MIX_RESIDUAL_TOL:
+            raise ValueError(f"mixing identity residual {residual:.3e} exceeds tolerance")
+    return MixResult(w, wp, sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, gamma, residual)
 
 
 def _coerce_terms(source_terms) -> list[RankOneTerm]:

@@ -149,12 +149,14 @@ def frame_operator(terms, dim: int | None = None) -> np.ndarray:
         if not terms:
             raise DimensionError("cannot infer the dimension of an empty sum")
         dim = len(terms[0].vector)
-    S = np.zeros((dim, dim), dtype=complex)
     for t in terms:
         if len(t.vector) != dim:
             raise DimensionError(f"term vector has length {len(t.vector)}, expected {dim}")
-        S += t.weight * np.outer(t.vector, t.vector.conj())
-    return S
+    if not terms:
+        return np.zeros((dim, dim), dtype=complex)
+    V = np.array([t.vector for t in terms], dtype=complex)
+    w = np.array([t.weight for t in terms], dtype=float)
+    return (V.T * w) @ V.conj()
 
 
 def residual_norm(A, B) -> float:

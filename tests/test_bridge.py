@@ -94,3 +94,13 @@ def test_gram_matrix_spectrum_matches_frame_operator():
     eig_A = np.sort(np.linalg.eigvalsh(A))[::-1]
     assert np.allclose(eig_G[:4], eig_A, atol=1e-9)
     assert np.allclose(eig_G[4:], 0.0, atol=1e-9)
+
+
+def test_gram_matrix_matches_pairwise_inner_products():
+    decomp, _ = random_decomp(6, 4)
+    terms = decomp.terms
+    want = np.array([
+        [np.sqrt(a.weight * b.weight) * np.vdot(a.vector, b.vector) for b in terms]
+        for a in terms
+    ])
+    assert np.max(np.abs(gram_matrix(decomp) - want)) <= 1e-14
