@@ -27,13 +27,14 @@ from .errors import (
     SequenceError,
     TraceMismatchError,
 )
+from .jsonio import write_json
 from .operators import (
+    _decomp_doc,
+    _op_doc,
     decomp_from_json,
     decomp_residual,
-    decomp_to_json,
     frame_operator,
     op_from_json,
-    op_to_json,
 )
 from .seqkit import kadison_check, majorizes, seq_from_json
 from .streams import VectorStream, stream_from_json
@@ -76,12 +77,6 @@ def _report(args, command: str, digests: dict, **fields) -> dict:
     rep = {"command": command, "seed": args.seed, "inputs": digests}
     rep.update({k: _jsonable(v) for k, v in fields.items()})
     return rep
-
-
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _cmd_check_kadison(args) -> int:
@@ -152,12 +147,12 @@ def _cmd_decompose(args) -> int:
         return 1
     written = []
     if args.out:
-        _write_json(args.out, decomp_to_json(decomp))
+        write_json(args.out, _decomp_doc(decomp, np.asarray))
         target = frame_operator(
             list(decomp.terms) + list(decomp.remainder), dim=decomp.dim
         )
         tpath = _target_path(args.out)
-        _write_json(tpath, op_to_json(target))
+        write_json(tpath, _op_doc(target, np.asarray))
         written = [args.out, tpath]
     _emit(
         _report(
@@ -216,19 +211,10 @@ def _cmd_check_sums(args) -> int:
     if witness is not None:
         fields["witness_residual"] = decomp_residual(a, witness)
         if args.out:
-            _write_json(args.out, decomp_to_json(witness))
+            write_json(args.out, _decomp_doc(witness, np.asarray))
             fields["written"] = [args.out]
     _emit(_report(args, "check-sums", {"operator": digest}, **fields))
     return 0 if rep.decomposable else 1
-
-
-def _matrix_to_json(m: np.ndarray) -> dict:
-    rows, cols = m.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
 
 
 def _cmd_bridge(args) -> int:
@@ -239,15 +225,12 @@ def _cmd_bridge(args) -> int:
         np.max(np.abs(record.diagonal - np.asarray(record.weights)))
     ) if record.weights else 0.0
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "isometry": _matrix_to_json(record.isometry),
-                "sqrt_gram": _matrix_to_json(record.sqrt_gram),
-                "kept_indices": list(record.kept_indices),
-                "weights": list(record.weights),
-            },
-        )
+        doc = {
+            name: {"rows": m.shape[0], "cols": m.shape[1], "entries": m}
+            for name, m in (("isometry", record.isometry), ("sqrt_gram", record.sqrt_gram))
+        }
+        doc.update(kept_indices=list(record.kept_indices), weights=list(record.weights))
+        write_json(args.out, doc)
     _emit(
         _report(
             args,

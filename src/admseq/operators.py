@@ -4,12 +4,13 @@ and JSON forms for operators and rank-one decompositions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionError, SequenceError
+from .seqkit import _real_from_json
 
 EIG_CLAMP = 1e-10       # eigenvalues in [-EIG_CLAMP, EIG_CLAMP] count as zero
 HERM_TOL = 1e-12        # per-dimension Hermitian symmetry tolerance
@@ -169,17 +170,6 @@ def residual_norm(A, B) -> float:
 
 # -- JSON forms --------------------------------------------------------
 
-def _real_from_json(x) -> float:
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError as exc:
-            raise SequenceError(f"bad decimal string {x!r}") from exc
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
-    raise SequenceError(f"expected a number or decimal string, got {x!r}")
-
-
 def _complex_from_json(x) -> complex:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
@@ -188,10 +178,29 @@ def _complex_from_json(x) -> complex:
     return complex(_real_from_json(x), 0.0)
 
 
-def op_to_json(A) -> dict:
+def _complex_array_from_json(entries) -> np.ndarray:
+    """1-d complex array of JSON entries: [re, im] pairs or reals.  A list of
+    float pairs, the form written files take, is converted in one call."""
+    if (
+        type(entries) is list
+        and set(map(type, entries)) == {list}
+        and set(map(len, entries)) == {2}
+        and set(map(type, chain.from_iterable(entries))) == {float}
+    ):
+        return np.array(entries, dtype=np.float64).view(complex).reshape(-1)
+    return np.asarray([_complex_from_json(e) for e in entries], dtype=complex)
+
+
+def _op_doc(A, entries) -> dict:
+    """Operator JSON object with the row-major entries mapped by ``entries``:
+    ``_vec_to_json`` gives plain lists, ``np.asarray`` keeps the array for
+    ``jsonio.write_json``."""
     M = as_operator(A)
-    entries = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
-    return {"dim": M.shape[0], "entries": entries}
+    return {"dim": M.shape[0], "entries": entries(M.reshape(-1))}
+
+
+def op_to_json(A) -> dict:
+    return _op_doc(A, _vec_to_json)
 
 
 def op_from_json(obj) -> np.ndarray:
@@ -207,8 +216,7 @@ def op_from_json(obj) -> np.ndarray:
         raise SequenceError(f"operator JSON missing field {exc}") from exc
     if len(entries) != n * n:
         raise SequenceError(f"operator claims dim {n} but has {len(entries)} entries")
-    flat = [_complex_from_json(e) for e in entries]
-    return np.asarray(flat, dtype=complex).reshape(n, n)
+    return _complex_array_from_json(entries).reshape(n, n)
 
 
 def _vec_to_json(v: np.ndarray) -> list:
@@ -218,16 +226,23 @@ def _vec_to_json(v: np.ndarray) -> list:
 def _vec_from_json(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)):
         raise SequenceError("vector JSON must be a list of [re, im] pairs")
-    return np.asarray([_complex_from_json(e) for e in obj], dtype=complex)
+    return _complex_array_from_json(obj)
+
+
+def _decomp_doc(decomp: RankOneDecomp, vector) -> dict:
+    """Decomposition JSON object with each term vector mapped by ``vector``,
+    as in ``_op_doc``."""
+    def terms(ts):
+        return [{"weight": t.weight, "vector": vector(t.vector)} for t in ts]
+
+    out = {"terms": terms(decomp.terms)}
+    if decomp.remainder:
+        out["remainder_terms"] = terms(decomp.remainder)
+    return out
 
 
 def decomp_to_json(decomp: RankOneDecomp) -> dict:
-    out = {"terms": [{"weight": t.weight, "vector": _vec_to_json(t.vector)} for t in decomp.terms]}
-    if decomp.remainder:
-        out["remainder_terms"] = [
-            {"weight": t.weight, "vector": _vec_to_json(t.vector)} for t in decomp.remainder
-        ]
-    return out
+    return _decomp_doc(decomp, _vec_to_json)
 
 
 def _terms_from_json(items) -> tuple[RankOneTerm, ...]:

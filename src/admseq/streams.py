@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,13 +25,16 @@ KIND_BLOCK = "block-overlap"
 ORTHO_TOL = 1e-9
 
 
+@lru_cache(maxsize=16)
 def _cosine_block(b: int) -> np.ndarray:
-    """Orthonormal b x b cosine matrix; column i mixes a block of b directions."""
+    """Orthonormal b x b cosine matrix; column i mixes a block of b directions.
+    Cached per block size and read-only, since every caller shares it."""
     t = np.arange(b).reshape(-1, 1)
     i = np.arange(b).reshape(1, -1)
     M = np.cos(np.pi * (2 * t + 1) * i / (2 * b))
     M[:, 0] *= math.sqrt(1.0 / b)
     M[:, 1:] *= math.sqrt(2.0 / b)
+    M.flags.writeable = False
     return M
 
 

@@ -1,0 +1,289 @@
+"""Written JSON files and the readers' fast path.
+
+Every file the CLI writes must be the bytes of
+``json.dump(obj, fh, sort_keys=True, indent=2)`` plus a newline, with ``obj``
+built from plain lists.  That call stays here as the reference for
+``jsonio.write_json``.  The readers convert lists of float pairs in one numpy
+call; the per-entry conversion stays here as their reference.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from admseq import jsonio
+from admseq.bridge import decomp_to_isometry
+from admseq.carpenter import carpenter_decompose
+from admseq.checkers import sum_of_projections_check
+from admseq.cli import main
+from admseq.errors import SequenceError
+from admseq.operators import (
+    _complex_from_json,
+    _vec_from_json,
+    decomp_from_json,
+    decomp_to_json,
+    frame_operator,
+    op_from_json,
+    op_to_json,
+)
+from admseq.seqkit import seq_from_json
+from admseq.streams import stream_from_json
+
+
+def reference_bytes(obj) -> bytes:
+    """What the CLI wrote before ``jsonio``: the standard library encoder."""
+    fh = io.StringIO()
+    json.dump(obj, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+    return fh.getvalue().encode("utf-8")
+
+
+def pairs(arr) -> list:
+    """A complex array as the plain ``[[re, im], ...]`` list, row-major."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(arr).reshape(-1)]
+
+
+def plain(obj):
+    """``obj`` with every ndarray replaced by its list of pairs."""
+    if isinstance(obj, np.ndarray):
+        return pairs(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def per_entry(entries) -> np.ndarray:
+    """The readers' conversion before the fast path."""
+    return np.asarray([_complex_from_json(e) for e in entries], dtype=complex)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PERIODIC = {"kind": "periodic-tail", "values": [0.4, 0.9], "tail_block": [0.4, 0.9]}
+LAMBDA = {"kind": "periodic-tail", "values": [0.6, 0.5], "tail_block": [0.75]}
+BOTH_SUMMABLE = {
+    "kind": "interleave",
+    "parts": [
+        {"kind": "geometric-tail", "values": [], "tail_first": 0.125, "tail_ratio": 0.5},
+        {"kind": "one-minus", "of": {"kind": "geometric-tail", "values": [],
+                                     "tail_first": 0.125, "tail_ratio": 0.5}},
+    ],
+}
+BASIS = {"kind": "orthonormal-basis"}
+BLOCK4 = {"kind": "block-overlap", "block": 4}
+
+
+# -- the CLI's written files --------------------------------------------
+
+@pytest.mark.parametrize(
+    "weights, stream, stages, has_remainder",
+    [
+        (PERIODIC, BASIS, 12, True),
+        (PERIODIC, BLOCK4, 8, True),
+        (LAMBDA, BLOCK4, 6, True),
+        (BOTH_SUMMABLE, BASIS, 8, False),
+    ],
+    ids=["mu-divergent-basis", "mu-divergent-block4", "lambda-divergent-block4",
+         "both-summable-basis"],
+)
+def test_decompose_files_match_json_dump(tmp_path, capsys, weights, stream, stages,
+                                         has_remainder):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"weights": weights, "stream": stream}))
+    out = tmp_path / "dec.json"
+    assert main(["decompose", str(inp), "--stages", str(stages), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    decomp, _, _ = carpenter_decompose(seq_from_json(weights), stream_from_json(stream),
+                                       stages=stages)
+    assert bool(decomp.remainder) == has_remainder
+    assert out.read_bytes() == reference_bytes(decomp_to_json(decomp))
+    target = frame_operator(list(decomp.terms) + list(decomp.remainder), dim=decomp.dim)
+    assert (tmp_path / "dec.target.json").read_bytes() == reference_bytes(op_to_json(target))
+
+
+def test_bridge_record_matches_json_dump(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"weights": PERIODIC, "stream": BLOCK4}))
+    dec, out = tmp_path / "dec.json", tmp_path / "br.json"
+    assert main(["decompose", str(inp), "--stages", "8", "--out", str(dec)]) == 0
+    assert main(["bridge", str(dec), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    record = decomp_to_isometry(decomp_from_json(json.loads(dec.read_text())))
+    expected = {
+        "isometry": {"rows": record.isometry.shape[0], "cols": record.isometry.shape[1],
+                     "entries": pairs(record.isometry)},
+        "sqrt_gram": {"rows": record.sqrt_gram.shape[0], "cols": record.sqrt_gram.shape[1],
+                      "entries": pairs(record.sqrt_gram)},
+        "kept_indices": list(record.kept_indices),
+        "weights": list(record.weights),
+    }
+    assert out.read_bytes() == reference_bytes(expected)
+
+
+def test_check_sums_witness_matches_json_dump(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    n = 6
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.concatenate([rng.uniform(0.2, 0.9, n - 1), [0.0]])
+    w[-1] = n + 1 - w[:-1].sum()
+    a = (q * w) @ q.conj().T
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"dim": n, "entries": pairs(a)}))
+    out = tmp_path / "wit.json"
+    assert main(["check-sums", str(op), "--witness", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    _, witness = sum_of_projections_check(op_from_json(json.loads(op.read_text())),
+                                          witness=True)
+    assert out.read_bytes() == reference_bytes(decomp_to_json(witness))
+
+
+# -- the writer on its own ----------------------------------------------
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.0, -2.5,
+           math.nan, math.inf, -math.inf, 1.7976931348623157e308]
+reals = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def complex_arrays(draw):
+    n = draw(st.sampled_from([0, 1, 2, 3, 7]))
+    flat = draw(st.lists(reals, min_size=2 * n, max_size=2 * n))
+    arr = np.array(flat, dtype=np.float64).view(complex)
+    if n and draw(st.booleans()):
+        return arr.reshape(1, n)
+    return arr
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), reals,
+                    st.text(max_size=4))
+
+
+def nested(leaf):
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=nested(st.one_of(complex_arrays(), scalars)), chunk=st.sampled_from([1, 2, 4096]))
+def test_writer_matches_json_dump(tmp_path_factory, obj, chunk):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    with mock.patch.object(jsonio, "CHUNK_PAIRS", chunk):
+        jsonio.write_json(str(path), obj)
+    assert path.read_bytes() == reference_bytes(plain(obj))
+
+
+def test_writer_writes_bounded_chunks():
+    arr = np.arange(3 * jsonio.CHUNK_PAIRS + 5, dtype=float) * (0.1 + 0.3j)
+    doc = {"entries": arr, "dim": 1}
+    writes = []
+    jsonio._write(writes.append, doc, 0)
+    assert "".join(writes) + "\n" == reference_bytes(plain(doc)).decode()
+    chunks = [w for w in writes if len(w) > 100]
+    assert len(chunks) == 4
+    assert max(map(len, chunks)) < 40 * 2 * jsonio.CHUNK_PAIRS
+
+
+def test_writer_refuses_what_json_refuses(tmp_path):
+    with pytest.raises(TypeError):
+        jsonio.write_json(str(tmp_path / "x.json"), {"a": np.int64(3)})
+
+
+# -- the readers' fast path ---------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(reals, reals), max_size=9))
+def test_float_pairs_convert_bit_for_bit(raw):
+    entries = [list(p) for p in raw]
+    assert same_bits(_vec_from_json(entries), per_entry(entries))
+    parsed = json.loads(json.dumps(entries))
+    assert same_bits(_vec_from_json(parsed), per_entry(parsed))
+
+
+def test_written_files_read_back_bit_for_bit():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a[0, 0] = complex(-0.0, 5e-324)
+    buf = io.StringIO()
+    jsonio._write(buf.write, {"dim": 5, "entries": a}, 0)
+    obj = json.loads(buf.getvalue())
+    assert same_bits(op_from_json(obj), a)
+    assert same_bits(op_from_json(obj), per_entry(obj["entries"]).reshape(5, 5))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [["0.5", "-0.25"], [1.0, 0.0]],
+        [[1, 0], [0.0, 1.0]],
+        [0.5, [1.0, 0.0]],
+        [0.5, 2],
+        [["1e-3", 0.0]],
+        [(0.5, 0.5), [0.0, 1.0]],
+    ],
+    ids=["decimal-strings", "ints", "scalar-entry", "scalars", "string-and-float", "tuple"],
+)
+def test_other_accepted_entries_unchanged(entries):
+    assert same_bits(_vec_from_json(entries), per_entry(entries))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[True, 0.0], [0.0, 1.0]], "expected a number or decimal string, got True"),
+        ([[0.0, False]], "expected a number or decimal string, got False"),
+        ([[0.5], [0.0, 1.0]], "complex entries are [re, im] pairs, got [0.5]"),
+        ([[0.5, 0.5, 0.5]], "complex entries are [re, im] pairs, got [0.5, 0.5, 0.5]"),
+        ([[0.5, None]], "expected a number or decimal string, got None"),
+        ([["x", 0.0]], "bad decimal string 'x'"),
+        ([True], "expected a number or decimal string, got True"),
+    ],
+)
+def test_rejected_entries_unchanged(entries, message):
+    with pytest.raises(SequenceError) as fast:
+        _vec_from_json(entries)
+    with pytest.raises(SequenceError) as slow:
+        per_entry(entries)
+    with pytest.raises(SequenceError) as op:
+        op_from_json({"dim": 1, "entries": entries[:1]})
+    assert str(fast.value) == str(slow.value) == str(op.value) == message
+
+
+@pytest.mark.parametrize(
+    "operator, message",
+    [
+        ({"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+         "operator claims dim 2 but has 3 entries"),
+        ({"dim": 1, "entries": [[1.0, 0.0], [0.0, 0.0]]},
+         "operator claims dim 1 but has 2 entries"),
+        ({"dim": 1, "entries": [[True, 0.0]]},
+         "expected a number or decimal string, got True"),
+    ],
+)
+def test_verify_malformed_operator_exits_two(tmp_path, capsys, operator, message):
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps({"terms": [{"weight": 1.0, "vector": [[1.0, 0.0]]}]}))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator))
+    assert main(["verify", str(dec), str(op)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from admseq.errors import DimensionError, SequenceError
-from admseq.streams import VectorStream, stream_from_json, stream_to_json
+from admseq.streams import VectorStream, _cosine_block, stream_from_json, stream_to_json
 
 
 def gram(vectors):
@@ -28,6 +28,19 @@ def test_block_overlap_is_orthonormal_and_spreads():
     # vectors within one block genuinely mix coordinates
     assert np.count_nonzero(np.abs(vs[0]) > 1e-12) == 3
     assert np.count_nonzero(np.abs(vs[2]) > 1e-12) == 3
+
+
+def test_block_overlap_cosines_cached_read_only():
+    m = _cosine_block(5)
+    assert _cosine_block(5) is m
+    assert not m.flags.writeable
+    assert m.tobytes() == _cosine_block.__wrapped__(5).tobytes()
+    s = VectorStream.block_overlap(5)
+    v = s.vector(7, dim=12)
+    assert v.flags.writeable
+    expected = np.zeros(12, dtype=complex)
+    expected[5:10] = _cosine_block.__wrapped__(5)[:, 2]
+    assert v.tobytes() == expected.tobytes()
 
 
 def test_block_overlap_completeness_per_block():
