@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat, zip_longest
 from typing import Iterator
 
 from .errors import KadisonError, SequenceError
@@ -29,6 +31,16 @@ KIND_INTERLEAVE = "interleave"
 
 _LEAF_KINDS = (KIND_FINITE, KIND_FINITELY_SUPPORTED, KIND_GEOMETRIC, KIND_PERIODIC)
 
+# Finite lists and heads of at least _ARRAY_MIN entries are validated, judged,
+# split and majorized in numpy passes; shorter ones take the per-entry loops,
+# which are faster there (majorizes breaks even at 100 to 160 entries).  Both
+# paths add left to right from 0.0 -- np.add.accumulate with the running total
+# added into each block's first entry -- so they return the same floats bit for
+# bit.  Passes run over blocks of _BLOCK entries to keep temporaries small.
+# numpy is imported only on this path.
+_ARRAY_MIN = 128
+_BLOCK = 1 << 16
+
 
 def _as_value(x) -> float:
     v = float(x)
@@ -37,6 +49,55 @@ def _as_value(x) -> float:
     if v < 0.0:
         raise SequenceError(f"sequence entries must be nonnegative, got {x!r}")
     return 0.0 if v == 0.0 else v
+
+
+def _values(values) -> tuple[float, ...]:
+    """Validated entries: finite nonnegative floats, with -0.0 read as 0.0."""
+    if (isinstance(values, (list, tuple)) and len(values) >= _ARRAY_MIN
+            and set(map(type, values)) == {float}):
+        return _float_values(values)
+    return tuple(map(_as_value, values))
+
+
+def _float_values(values) -> tuple[float, ...]:
+    """_values for a long list of floats; keeps the caller's float objects."""
+    import numpy as np
+
+    neg_zeros = []
+    it = iter(values)
+    for i in range(0, len(values), _BLOCK):
+        x = np.fromiter(it, np.float64, min(_BLOCK, len(values) - i))
+        ok = (x >= 0.0) & np.isfinite(x)
+        if np.count_nonzero(ok) < len(x):
+            _as_value(values[i + int(ok.argmin())])  # raises the loop's error
+        neg = np.signbit(x)
+        if np.count_nonzero(neg):
+            neg_zeros.extend((np.flatnonzero(neg) + i).tolist())
+    if not neg_zeros:
+        return tuple(values)
+    out = list(values)
+    for i in neg_zeros:
+        out[i] = 0.0
+    return tuple(out)
+
+
+def _add_left_to_right(total: float, x) -> float:
+    """total + x[0] + x[1] + ..., in that order; x is overwritten."""
+    import numpy as np
+
+    if not x.size:
+        return total
+    x[0] += total
+    np.add.accumulate(x, out=x)
+    return float(x[-1])
+
+
+def _head_at_most(seq: WeightSeq, lim: float) -> bool:
+    if len(seq.values) < _ARRAY_MIN:
+        return all(v <= lim for v in seq.values)
+    import numpy as np
+
+    return np.count_nonzero(seq._head <= lim) == len(seq.values)
 
 
 def _first_k_leq(first: float, ratio: float, x: float) -> int | None:
@@ -95,17 +156,17 @@ class WeightSeq:
 
     @classmethod
     def finite(cls, values) -> "WeightSeq":
-        return cls(KIND_FINITE, values=tuple(_as_value(v) for v in values))
+        return cls(KIND_FINITE, values=_values(values))
 
     @classmethod
     def finitely_supported(cls, values) -> "WeightSeq":
         """Infinite sequence equal to ``values`` then identically zero."""
-        return cls(KIND_FINITELY_SUPPORTED, values=tuple(_as_value(v) for v in values))
+        return cls(KIND_FINITELY_SUPPORTED, values=_values(values))
 
     @classmethod
     def geometric(cls, values, tail_first, tail_ratio) -> "WeightSeq":
         """Explicit head followed by the tail first, first*ratio, first*ratio^2, ..."""
-        head = tuple(_as_value(v) for v in values)
+        head = _values(values)
         f = _as_value(tail_first)
         q = float(tail_ratio)
         if not 0.0 <= q < 1.0:
@@ -119,8 +180,8 @@ class WeightSeq:
     @classmethod
     def periodic(cls, values, tail_block) -> "WeightSeq":
         """Explicit head followed by the block repeated forever."""
-        head = tuple(_as_value(v) for v in values)
-        block = tuple(_as_value(v) for v in tail_block)
+        head = _values(values)
+        block = _values(tail_block)
         if not block:
             raise SequenceError("periodic tail needs a nonempty block")
         if all(v == 0.0 for v in block):
@@ -156,17 +217,21 @@ class WeightSeq:
         if len(kept) == 1:
             return kept[0]
         if all(p.kind == KIND_FINITE for p in kept):
-            out: list[float] = []
-            iters = [list(p.values) for p in kept]
-            while iters:
-                nxt = []
-                for chunk in iters:
-                    out.append(chunk.pop(0))
-                    if chunk:
-                        nxt.append(chunk)
-                iters = nxt
-            return cls.finite(out)
+            gap = object()
+            rounds = zip_longest(*(p.values for p in kept), fillvalue=gap)
+            return cls.finite([v for v in chain.from_iterable(rounds) if v is not gap])
         return cls(KIND_INTERLEAVE, parts=tuple(kept))
+
+    @cached_property
+    def _head(self):
+        """values as a float64 array, built on first use by the array path.
+
+        Read it only for heads of at least _ARRAY_MIN entries: caching it
+        gives the instance a materialized __dict__, which slows attribute
+        access on the many short sequences the planners build."""
+        import numpy as np
+
+        return np.fromiter(self.values, np.float64, len(self.values))
 
     # -- basic structure ----------------------------------------------
 
@@ -305,11 +370,11 @@ class WeightSeq:
         """Whether every entry is <= 1 + tol (entries are nonnegative by construction)."""
         lim = 1.0 + tol
         if self.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-            return all(v <= lim for v in self.values)
+            return _head_at_most(self, lim)
         if self.kind == KIND_GEOMETRIC:
-            return all(v <= lim for v in self.values) and self.tail_first <= lim
+            return _head_at_most(self, lim) and self.tail_first <= lim
         if self.kind == KIND_PERIODIC:
-            return all(v <= lim for v in self.values) and all(v <= lim for v in self.tail_block)
+            return _head_at_most(self, lim) and all(v <= lim for v in self.tail_block)
         return all(p.entries_within_unit(tol) for p in self.parts)
 
 
@@ -324,6 +389,13 @@ def _real_from_json(x) -> float:
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return float(x)
     raise SequenceError(f"expected a number or decimal string, got {x!r}")
+
+
+def _reals_from_json(xs):
+    """A JSON list of floats as it is; anything else entry by entry."""
+    if isinstance(xs, list) and set(map(type, xs)) <= {float}:
+        return xs
+    return (_real_from_json(v) for v in xs)
 
 
 def seq_to_json(seq: WeightSeq) -> dict:
@@ -349,9 +421,9 @@ def seq_from_json(obj) -> WeightSeq:
     kind = obj.get("kind")
     try:
         if kind == KIND_FINITE:
-            return WeightSeq.finite(_real_from_json(v) for v in obj["values"])
+            return WeightSeq.finite(_reals_from_json(obj["values"]))
         if kind == KIND_FINITELY_SUPPORTED:
-            return WeightSeq.finitely_supported(_real_from_json(v) for v in obj["values"])
+            return WeightSeq.finitely_supported(_reals_from_json(obj["values"]))
         if kind == KIND_GEOMETRIC:
             return WeightSeq.geometric(
                 tuple(_real_from_json(v) for v in obj.get("values", [])),
@@ -374,12 +446,12 @@ def seq_from_json(obj) -> WeightSeq:
 
 # -- rearrangement and majorization ----------------------------------
 
-def _finite_values(xi) -> list[float]:
+def _finite_values(xi) -> tuple[float, ...]:
     if isinstance(xi, WeightSeq):
         if not xi.is_finite:
             raise SequenceError("operation requires a finite sequence")
-        return list(xi.values)
-    return [_as_value(v) for v in xi]
+        return xi.values
+    return _values(xi)
 
 
 def rearrange_desc(xi) -> WeightSeq:
@@ -411,8 +483,10 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
     a = _finite_values(xi)
     b = _finite_values(eta)
     n = max(len(a), len(b))
-    a = sorted(a + [0.0] * (n - len(a)), reverse=True)
-    b = sorted(b + [0.0] * (n - len(b)), reverse=True)
+    if n >= _ARRAY_MIN:
+        return _majorizes_arrays(a, b, n, tol)
+    a = sorted(a + (0.0,) * (n - len(a)), reverse=True)
+    b = sorted(b + (0.0,) * (n - len(b)), reverse=True)
     sum_gap = math.fsum(a) - math.fsum(b)
     ca = 0.0
     cb = 0.0
@@ -426,14 +500,44 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
     return MajorizationVerdict(True, None, sum_gap)
 
 
+def _sorted_desc(values, n: int):
+    """values zero-padded to n entries, as a float64 array sorted downwards."""
+    import numpy as np
+
+    out = np.fromiter(chain(values, repeat(0.0, n - len(values))), np.float64, n)
+    out.sort()
+    return out[::-1]
+
+
+def _majorizes_arrays(a, b, n: int, tol: float) -> MajorizationVerdict:
+    """majorizes for n >= _ARRAY_MIN: the same partial sums, block by block."""
+    sum_gap = math.fsum(a) - math.fsum(b)
+    sa = _sorted_desc(a, n)
+    sb = _sorted_desc(b, n)
+    ca = 0.0
+    cb = 0.0
+    for i in range(0, n, _BLOCK):
+        pa = sa[i:i + _BLOCK]
+        pb = sb[i:i + _BLOCK]
+        ca = _add_left_to_right(ca, pa)
+        cb = _add_left_to_right(cb, pb)
+        pb += tol
+        k = int((pa > pb).argmax())
+        if pa[k] > pb[k]:
+            return MajorizationVerdict(False, i + k + 1, sum_gap)
+    if abs(sum_gap) > tol:
+        return MajorizationVerdict(False, None, sum_gap)
+    return MajorizationVerdict(True, None, sum_gap)
+
+
 # -- the Kadison integrality test ------------------------------------
 
 @dataclass(frozen=True)
 class KadisonReport:
     """Sub-threshold mass ``a``, super-threshold defect ``b``, and the verdict.
 
-    ``a`` and ``b`` are exact (closed form) or certified infinite.  The
-    condition holds when a + b is infinite or a - b is an integer;
+    Closed-form tails enter ``a`` and ``b`` exactly (or certified infinite);
+    finite heads are added in float64, left to right.  The condition holds when a + b is infinite or a - b is an integer;
     ``integer_gap`` carries that integer when it exists.
     """
 
@@ -449,25 +553,43 @@ def _require_unit_entries(seq: WeightSeq) -> None:
         raise SequenceError("entries must lie in [0, 1]")
 
 
-def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
-    """Exact (a, b) at threshold alpha: a = sum of entries <= alpha,
-    b = sum of (1 - entry) over entries > alpha."""
+def _head_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
+    """(a, b) over the head of a leaf, each summed left to right from 0.0."""
     a = 0.0
     b = 0.0
-
-    def head(values):
-        nonlocal a, b
-        for v in values:
+    if len(seq.values) < _ARRAY_MIN:
+        for v in seq.values:
             if v <= alpha:
                 a += v
             else:
                 b += 1.0 - v
-
-    if seq.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-        head(seq.values)
         return a, b
+    x = seq._head
+    for i in range(0, len(x), _BLOCK):
+        block = x[i:i + _BLOCK]
+        small = block <= alpha
+        a = _add_left_to_right(a, block[small])
+        b = _add_left_to_right(b, 1.0 - block[~small])
+    return a, b
+
+
+def _complement_head(seq: WeightSeq) -> WeightSeq:
+    """A leaf whose head holds 1 - v for each head entry v of seq.
+
+    Only heads are read from it, so an empty head is returned as seq itself.
+    Head entries lie in [0, 1], so the complements need no validation."""
+    if not seq.values:
+        return seq
+    return WeightSeq(KIND_FINITE, values=tuple([1.0 - v for v in seq.values]))
+
+
+def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
+    """(a, b) at threshold alpha: a = sum of entries <= alpha,
+    b = sum of (1 - entry) over entries > alpha."""
+    if seq.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
+        return _head_ab(seq, alpha)
     if seq.kind == KIND_GEOMETRIC:
-        head(seq.values)
+        a, b = _head_ab(seq, alpha)
         f, q = seq.tail_first, seq.tail_ratio
         k0 = _first_k_leq(f, q, alpha)
         if k0 is None:  # alpha <= 0: every tail entry exceeds it and b diverges
@@ -477,7 +599,7 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
         return a, b
     if seq.kind == KIND_ONE_MINUS:
         inner = seq.parts[0]  # geometric leaf; entries here are 1 - f*q^k -> 1
-        head(1.0 - v for v in inner.values)
+        a, b = _head_ab(_complement_head(inner), alpha)
         f, q = inner.tail_first, inner.tail_ratio
         k1 = _first_k_lt(f, q, 1.0 - alpha)  # beyond k1 the entries exceed alpha
         if k1 is None:  # alpha >= 1: infinitely many entries <= alpha
@@ -486,7 +608,7 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
         b += _geom_sum(f * q**k1, q)
         return a, b
     if seq.kind == KIND_PERIODIC:
-        head(seq.values)
+        a, b = _head_ab(seq, alpha)
         for v in seq.tail_block:
             if v == 0.0:
                 continue
@@ -495,6 +617,8 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
             elif v < 1.0:
                 b = INF
         return a, b
+    a = 0.0
+    b = 0.0
     for p in seq.parts:
         pa, pb = _kadison_ab(p, alpha)
         a += pa
@@ -561,18 +685,35 @@ class _SplitAcc:
         else:
             self.lam_values.append(1.0 - v)
 
+    def add_head(self, seq: WeightSeq) -> None:
+        """add_value for each head entry of a leaf, in order."""
+        if len(seq.values) < _ARRAY_MIN:
+            for v in seq.values:
+                self.add_value(v)
+            return
+        import numpy as np
+
+        x = seq._head
+        for i in range(0, len(x), _BLOCK):
+            block = x[i:i + _BLOCK]
+            small = block <= 0.5
+            zero = block == 0.0
+            one = block == 1.0
+            self.zeros += int(np.count_nonzero(zero))
+            self.ones += int(np.count_nonzero(one))
+            mu = (small & ~zero).tolist()
+            self.mu_values.extend(compress(seq.values[i:i + len(block)], mu))
+            self.lam_values.extend((1.0 - block[~(small | one)]).tolist())
+
 
 def _split_into(seq: WeightSeq, acc: _SplitAcc) -> None:
     if seq.kind == KIND_FINITE:
-        for v in seq.values:
-            acc.add_value(v)
+        acc.add_head(seq)
     elif seq.kind == KIND_FINITELY_SUPPORTED:
-        for v in seq.values:
-            acc.add_value(v)
+        acc.add_head(seq)
         acc.zeros = INF
     elif seq.kind == KIND_GEOMETRIC:
-        for v in seq.values:
-            acc.add_value(v)
+        acc.add_head(seq)
         f, q = seq.tail_first, seq.tail_ratio
         k0 = _first_k_leq(f, q, 0.5)  # exists: tail decays to 0
         for k in range(k0):
@@ -580,16 +721,14 @@ def _split_into(seq: WeightSeq, acc: _SplitAcc) -> None:
         acc.mu_segs.append(WeightSeq.geometric((), f * q**k0, q))
     elif seq.kind == KIND_ONE_MINUS:
         inner = seq.parts[0]
-        for v in inner.values:
-            acc.add_value(1.0 - v)
+        acc.add_head(_complement_head(inner))
         f, q = inner.tail_first, inner.tail_ratio
         k1 = _first_k_lt(f, q, 0.5)  # from k1 on, 1 - f*q^k > 1/2
         for k in range(k1):
             acc.add_value(1.0 - f * q**k)
         acc.lam_segs.append(WeightSeq.geometric((), f * q**k1, q))
     elif seq.kind == KIND_PERIODIC:
-        for v in seq.values:
-            acc.add_value(v)
+        acc.add_head(seq)
         mu_block = []
         lam_block = []
         for v in seq.tail_block:
@@ -612,7 +751,9 @@ def _split_into(seq: WeightSeq, acc: _SplitAcc) -> None:
 
 def _combine(head: list[float], segs: list[WeightSeq]) -> WeightSeq:
     if not segs:
-        return WeightSeq.finite(head)
+        # head entries lie in (0, 1/2] and come from a validated sequence, so
+        # validating them again would return them unchanged
+        return WeightSeq(KIND_FINITE, values=tuple(head))
     if len(segs) == 1:
         s = segs[0]
         if s.kind == KIND_GEOMETRIC and not s.values:
@@ -648,6 +789,19 @@ def split_mu_lambda(xi) -> SplitSeq:
     )
 
 
+def _strip_head(seq: WeightSeq) -> tuple[list[float], int, int]:
+    """Head entries of a leaf strictly inside (0, 1) in order, and the counts
+    of head entries 0.0 and 1.0."""
+    values = seq.values
+    if len(values) < _ARRAY_MIN:
+        return [v for v in values if 0.0 < v < 1.0], values.count(0.0), values.count(1.0)
+    import numpy as np
+
+    x = seq._head
+    kept = list(compress(values, ((x > 0.0) & (x < 1.0)).tolist()))
+    return kept, int(np.count_nonzero(x == 0.0)), int(np.count_nonzero(x == 1.0))
+
+
 def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
     """Remove entries exactly 0 or 1, returning (core, zero count, one count).
 
@@ -657,16 +811,12 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
     _require_unit_entries(seq)
     if seq.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-        kept = tuple(v for v in seq.values if 0.0 < v < 1.0)
-        zeros = seq.values.count(0.0) + (INF if seq.kind == KIND_FINITELY_SUPPORTED else 0)
-        ones = seq.values.count(1.0)
+        kept, zeros, ones = _strip_head(seq)
         if seq.kind == KIND_FINITE:
             return WeightSeq.finite(kept), zeros, ones
         return WeightSeq.finite(kept), INF, ones
     if seq.kind == KIND_GEOMETRIC:
-        kept = tuple(v for v in seq.values if 0.0 < v < 1.0)
-        zeros = seq.values.count(0.0)
-        ones = seq.values.count(1.0)
+        kept, zeros, ones = _strip_head(seq)
         f, q = seq.tail_first, seq.tail_ratio
         if f == 1.0:  # only the leading tail entry can hit 1
             ones += 1
@@ -676,9 +826,7 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
         core, zeros, ones = strip_zeros_ones(seq.parts[0])
         return WeightSeq.one_minus(core), ones, zeros
     if seq.kind == KIND_PERIODIC:
-        kept = tuple(v for v in seq.values if 0.0 < v < 1.0)
-        zeros = seq.values.count(0.0)
-        ones = seq.values.count(1.0)
+        kept, zeros, ones = _strip_head(seq)
         block = tuple(v for v in seq.tail_block if 0.0 < v < 1.0)
         if 0.0 in seq.tail_block:
             zeros = INF
