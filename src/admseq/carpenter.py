@@ -33,6 +33,7 @@ from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import (
     INT_SNAP,
     MajorizationVerdict,
+    SplitSeq,
     WeightSeq,
     kadison_check,
     majorizes,
@@ -127,19 +128,8 @@ def _snap_int(x: float, tol: float = INT_SNAP) -> int:
     return int(n)
 
 
-def _core_total(sp) -> float:
-    if sp.N == INF or sp.mu.total() == INF:
-        return INF
-    return sp.mu.total() + sp.N - sp.lam.total()
-
-
-def classify_case(xi) -> CaseTag:
-    """Decide which construction handles xi (0 and 1 entries set aside).
-
-    Requires the integrality condition; the order of tests is: finite total
-    core weight, divergent mu, divergent lam, both summable with infinitely
-    many entries of each kind, and finally finitely many mu entries."""
-    seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
+def _classify(seq: WeightSeq) -> tuple[CaseTag, SplitSeq]:
+    """Gate seq and split it once: the case tag and the split it was read from."""
     rep = kadison_check(seq)
     if not rep.satisfied:
         raise KadisonError(
@@ -149,18 +139,38 @@ def classify_case(xi) -> CaseTag:
     mu_sum = sp.mu.total()
     lam_sum = sp.lam.total()
     k = _snap_int(lam_sum - mu_sum) if mu_sum < INF and lam_sum < INF else None
-    if _core_total(sp) < INF:
-        return CaseTag(CASE_FINITE_RANK, k, sp.M, sp.N)
+    if sp.N < INF and mu_sum < INF:  # finite total core weight
+        return CaseTag(CASE_FINITE_RANK, k, sp.M, sp.N), sp
     if mu_sum == INF:
-        return CaseTag(CASE_MU_DIVERGES, None, sp.M, sp.N)
+        return CaseTag(CASE_MU_DIVERGES, None, sp.M, sp.N), sp
     if lam_sum == INF:
-        return CaseTag(CASE_LAMBDA_DIVERGES, None, sp.M, sp.N)
+        return CaseTag(CASE_LAMBDA_DIVERGES, None, sp.M, sp.N), sp
     if sp.M == INF and sp.N == INF:
-        return CaseTag(CASE_BOTH_SUMMABLE, k, sp.M, sp.N)
-    return CaseTag(CASE_M_FINITE, k, sp.M, sp.N)
+        return CaseTag(CASE_BOTH_SUMMABLE, k, sp.M, sp.N), sp
+    return CaseTag(CASE_M_FINITE, k, sp.M, sp.N), sp
+
+
+def classify_case(xi) -> CaseTag:
+    """Decide which construction handles xi (0 and 1 entries set aside).
+
+    Requires the integrality condition; the order of tests is: finite total
+    core weight, divergent mu, divergent lam, both summable with infinitely
+    many entries of each kind, and finally finitely many mu entries."""
+    return _classify(xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi))[0]
 
 
 # -- the finite construction ------------------------------------------
+
+def _trace_count(vals) -> int:
+    """The integer n = sum(vals): how many stream vectors the weights fill."""
+    total = math.fsum(vals)
+    n = round(total)
+    if abs(total - n) > TRACE_MATCH_TOL:
+        raise TraceMismatchError(
+            f"total weight {total!r} is not an integer, so no projection matches"
+        )
+    return n
+
 
 def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
     """Write a finite [0,1] weight list against exactly n = sum(values)
@@ -169,12 +179,7 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
     vals = [float(v) for v in values]
     if any(v < 0.0 or v > 1.0 for v in vals):
         raise PlanningError("finite-rank weights must lie in [0, 1]")
-    total = math.fsum(vals)
-    n = round(total)
-    if abs(total - n) > TRACE_MATCH_TOL:
-        raise TraceMismatchError(
-            f"total weight {total!r} is not an integer, so no projection matches"
-        )
+    n = _trace_count(vals)
     if stream.count is None:
         raise TraceMismatchError("finite total weight needs a finite stream")
     if stream.count != n:
@@ -183,7 +188,12 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
         )
     if n == 0:
         raise TraceMismatchError("cannot decompose against an empty stream")
-    dim = stream.min_dim(n - 1)
+    return _finite_rank_stage(vals, stream, n, stream.min_dim(n - 1), tol)
+
+
+def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, tol: float):
+    """The finite-rank placement of ``vals`` (summing to n) on stream vectors
+    0..n-1, with the emitted terms in C^dim."""
     rows = np.array([stream.vector(j, dim) for j in range(n)])
     eye = np.eye(n, dtype=complex)
 
@@ -345,26 +355,19 @@ def plan_both_summable(
     lam-tail(n_j+1) dominates mu-tail(m_j+1), making each carried fraction
     r_j = lam-tail - mu-tail land in [0, 1/2)."""
     k = _snap_int(lam.total() - mu.total())
-
-    def lam_tail(n: int) -> float:  # entries counted from 1
-        return lam.tail_sum(n)
-
-    def mu_tail(m: int) -> float:
-        return mu.tail_sum(m)
-
     n_j = max(k + 1, 1)
     guard = 0
-    while lam_tail(n_j) >= 0.5:
+    while lam.tail_sum(n_j) >= 0.5:
         n_j += 1
         guard += 1
         if guard > extend_limit:
             raise PlanningError("could not find a starting boundary")
     m_j = 0
-    while mu_tail(m_j) > lam_tail(n_j):
+    while mu.tail_sum(m_j) > lam.tail_sum(n_j):
         m_j += 1
         if m_j > extend_limit:
             raise PlanningError("could not align the small-entry boundary")
-    r_j = lam_tail(n_j) - mu_tail(m_j)
+    r_j = lam.tail_sum(n_j) - mu.tail_sum(m_j)
     targets = tuple(mu.head(m_j)) + tuple(1.0 - v for v in lam.head(n_j))
     sources = [(i, 1.0) for i in range(n_j - k)]
     if r_j > 0.0:
@@ -375,19 +378,19 @@ def plan_both_summable(
     while True:
         n_next = n_j + 2
         guard = 0
-        while lam_tail(n_next) > mu_tail(m_j):
+        while lam.tail_sum(n_next) > mu.tail_sum(m_j):
             n_next += 1
             guard += 1
             if guard > extend_limit:
                 raise PlanningError("could not advance the large-entry boundary")
         m_next = m_j + 1
         guard = 0
-        while mu_tail(m_next) > lam_tail(n_next):
+        while mu.tail_sum(m_next) > lam.tail_sum(n_next):
             m_next += 1
             guard += 1
             if guard > extend_limit:
                 raise PlanningError("could not advance the small-entry boundary")
-        r_next = lam_tail(n_next) - mu_tail(m_next)
+        r_next = lam.tail_sum(n_next) - mu.tail_sum(m_next)
         targets = tuple(mu.head(m_next)[m_j:]) + tuple(
             1.0 - v for v in lam.head(n_next)[n_j:]
         )
@@ -607,17 +610,23 @@ def carpenter_decompose(
     ordinary terms carry exactly the requested weights; remainder terms
     record partially consumed boundary vectors of the truncated staging, so
     terms plus remainder reproduce the compression onto everything touched.
+
+    With infinite total weight the staged construction sees only the core,
+    the entries strictly inside (0, 1).  Each entry 1 takes a whole stream
+    vector; each entry 0 takes none and is emitted first, with weight 0 on
+    the first vector used.  The ones are laid out in one of three ways:
+    finitely many ones take the first stream vectors and the core the rest;
+    infinitely many ones beside an infinite core take the even vectors
+    (``thin(0, 2)``) and the core the odd ones (``thin(1, 2)``); infinitely
+    many ones after a finite core take the vectors after the core's.  An
+    infinite count of ones or zeros is truncated to ``stages`` terms.
     """
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
-    tag = classify_case(seq)  # raises KadisonError when the test fails
+    tag, sp = _classify(seq)  # raises KadisonError when the test fails
     if stages < 1:
         raise PlanningError("need at least one stage")
-    core, zeros, ones = strip_zeros_ones(seq)
-    sp = split_mu_lambda(seq)
-    core_total = _core_total(sp)
-    finite_trace = core_total < INF and ones < INF
 
-    if finite_trace:
+    if tag.tag == CASE_FINITE_RANK and sp.ones_count < INF:
         if seq.kind not in ("finite", "finitely-supported"):
             raise PlanningError(
                 "finite total weight with infinite support is out of scope here"
@@ -628,73 +637,40 @@ def carpenter_decompose(
     if stream.count is not None:
         raise TraceMismatchError("infinite total weight needs an infinite stream")
 
-    zero_terms: list[RankOneTerm] = []
-    n_zero = int(zeros) if zeros < INF else stages
-    ones_budget = stages if ones == INF else int(ones)
-
-    terms: list[RankOneTerm] = []
-    remainder: tuple[RankOneTerm, ...] = ()
-    certs: tuple[StageCertificate, ...] = ()
-
-    if ones == INF and core_total < INF:
-        # finite core placed first, then ones sweep the rest of the stream
+    # where the ones go: (ones stream, core stream, ones first)
+    n_ones = int(sp.ones_count) if sp.ones_count < INF else stages
+    if sp.ones_count < INF:
+        ones_stream, core_stream, ones_first = stream, stream.drop(n_ones), True
+    elif tag.tag != CASE_FINITE_RANK:
+        ones_stream, core_stream, ones_first = stream.thin(0, 2), stream.thin(1, 2), True
+    else:
+        core = strip_zeros_ones(seq)[0]
         if not core.is_finite:
             raise PlanningError(
                 "finite core weight with infinite support is out of scope here"
             )
-        m0 = _snap_int(core_total)
-        ones_stream = stream.drop(m0)
-        dim = ones_stream.min_dim(max(ones_budget - 1, 0))
-        if m0:
-            prefix = VectorStream.explicit(
-                [stream.vector(j, dim) for j in range(m0)]
-            )
-            core_terms, certs = decompose_finite_rank(core.values, prefix, tol=tol)
-            terms += list(core_terms)
-        terms += [
-            RankOneTerm(1.0, ones_stream.vector(j, dim)) for j in range(ones_budget)
-        ]
-    elif ones == INF:
-        ones_stream = stream.thin(0, 2)
-        core_stream = stream.thin(1, 2)
+        m0 = _trace_count(core.values)
+        ones_stream, core_stream, ones_first = stream.drop(m0), stream, False
+
+    if ones_first:
         core_terms, certs, remainder = _decompose_core(
             tag, sp, core_stream, stages, extend_limit, tol
         )
-        dim = len(core_terms[0].vector) if core_terms else stream.min_dim(0)
-        dim = max(dim, ones_stream.min_dim(max(ones_budget - 1, 0)))
-        terms += [
-            RankOneTerm(1.0, _pad(ones_stream.vector(j), dim)) for j in range(ones_budget)
-        ]
-        terms += [_pad_term(t, dim) for t in core_terms]
-        remainder = tuple(_pad_term(t, dim) for t in remainder)
-    else:
-        core_stream = stream.drop(int(ones))
-        core_terms, certs, remainder = _decompose_core(
-            tag, sp, core_stream, stages, extend_limit, tol
+        # a staged core takes a fresh stream vector in every stage, so its
+        # dimension already holds the ones before or beside it
+        dim = len(core_terms[0].vector)
+    else:  # a finite core is placed in the dimension the ones after it need
+        dim = ones_stream.min_dim(n_ones - 1)
+        core_terms, certs = (
+            _finite_rank_stage(core.values, core_stream, m0, dim, tol) if m0 else ((), ())
         )
-        dim = len(core_terms[0].vector) if core_terms else stream.min_dim(0)
-        if ones:
-            dim = max(dim, stream.min_dim(int(ones) - 1))
-        terms += [RankOneTerm(1.0, stream.vector(j, dim)) for j in range(int(ones))]
-        terms += [_pad_term(t, dim) for t in core_terms]
-        remainder = tuple(_pad_term(t, dim) for t in remainder)
+        remainder = ()
+    ones = tuple(RankOneTerm(1.0, ones_stream.vector(j, dim)) for j in range(n_ones))
+    terms = ones + core_terms if ones_first else core_terms + ones
 
-    if n_zero:
-        anchor = terms[0].vector if terms else stream.vector(0, stream.min_dim(0))
-        zero_terms = [RankOneTerm(0.0, anchor) for _ in range(n_zero)]
-    return RankOneDecomp(tuple(zero_terms) + tuple(terms), remainder), certs, tag
-
-
-def _pad(v: np.ndarray, dim: int) -> np.ndarray:
-    if len(v) == dim:
-        return v
-    out = np.zeros(dim, dtype=complex)
-    out[: len(v)] = v
-    return out
-
-
-def _pad_term(t: RankOneTerm, dim: int) -> RankOneTerm:
-    return t if len(t.vector) == dim else RankOneTerm(t.weight, _pad(t.vector, dim))
+    n_zero = int(sp.zeros_count) if sp.zeros_count < INF else stages
+    zero_terms = tuple(RankOneTerm(0.0, terms[0].vector) for _ in range(n_zero))
+    return RankOneDecomp(zero_terms + terms, remainder), certs, tag
 
 
 def _decompose_core(tag, sp, stream, stages, extend_limit, tol):

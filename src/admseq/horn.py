@@ -150,7 +150,7 @@ def _coerce_terms(source_terms) -> list[RankOneTerm]:
     return out
 
 
-def horn_decompose(source_terms, target_weights, tol: float = 1e-12, check: bool = True) -> RankOneDecomp:
+def horn_decompose(source_terms, target_weights, tol: float = 1e-12) -> RankOneDecomp:
     """Rewrite sum eta_i u_i u_i* with the prescribed weights.
 
     ``target_weights`` must be majorized by the source weights (zero-padding
@@ -206,7 +206,7 @@ def horn_decompose(source_terms, target_weights, tol: float = 1e-12, check: bool
         kb = max(below, key=lambda k: work[k][0])
         a, ua = work[ka]
         b, ub = work[kb]
-        res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol, check=check)
+        res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
         placed[idx] = RankOneTerm(t, res.w)
         for k in sorted((ka, kb), reverse=True):
             del work[k]
@@ -218,12 +218,11 @@ def horn_decompose(source_terms, target_weights, tol: float = 1e-12, check: bool
         raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
 
     decomp = RankOneDecomp(tuple(placed))
-    if check:
-        S = frame_operator(decomp.terms, dim=dim)
-        A = frame_operator(pool, dim=dim)
-        dev = float(np.max(np.abs(S - A)))
-        if dev > HORN_RESIDUAL_TOL * max(1, dim):
-            raise ValueError(f"reconstruction residual {dev:.3e} exceeds tolerance")
+    S = frame_operator(decomp.terms, dim=dim)
+    A = frame_operator(pool, dim=dim)
+    dev = float(np.max(np.abs(S - A)))
+    if dev > HORN_RESIDUAL_TOL * max(1, dim):
+        raise ValueError(f"reconstruction residual {dev:.3e} exceeds tolerance")
     return decomp
 
 

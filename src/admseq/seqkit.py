@@ -883,10 +883,3 @@ def elem_check_ii(xi, r1: float, r2: float, tol: float = PARTIAL_SLACK) -> bool:
     top = sorted(vals, reverse=True)[: n + 1]
     return math.fsum(top) <= n + r1 + tol
 
-
-def tail_sum(xi: WeightSeq, n: int) -> float:
-    """Sum of the entries from the n-th term on, counting entries from 1."""
-    if n < 1:
-        raise SequenceError("tail index counts entries from 1")
-    seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
-    return seq.tail_sum(n - 1)

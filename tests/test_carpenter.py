@@ -45,6 +45,31 @@ def assert_projection_onto_consumed(decomp, tol=1e-10):
     assert np.max(np.abs(op - np.diag(d))) <= tol
 
 
+ONES_STREAMS = [
+    pytest.param(BASIS, id="basis"),
+    pytest.param(VectorStream.block_overlap(3), id="block3"),
+]
+
+
+def consumed_positions(certs) -> set[int]:
+    return {i for c in certs for i, _ in c.consumed}
+
+
+def assert_on_stream(terms, stream, positions):
+    """Each term's vector is exactly the stream vector at that base index."""
+    assert len(terms) == len(positions)
+    for t, i in zip(terms, positions):
+        assert np.array_equal(t.vector, stream.vector(i, len(t.vector)))
+
+
+def assert_covers(decomp, stream, positions, tol=1e-9):
+    """Terms plus remainder sum to the projection onto the stream vectors at
+    the given base indices."""
+    dim = decomp.dim
+    want = frame_operator([RankOneTerm(1.0, stream.vector(i, dim)) for i in positions], dim=dim)
+    assert np.max(np.abs(total_operator(decomp) - want)) <= tol
+
+
 class TestClassify:
     def test_finite_rank(self):
         tag = classify_case(WeightSeq.finite([0.5, 0.5, 0.5, 0.5]))
@@ -316,34 +341,99 @@ class TestCarpenter:
         )
         assert np.max(np.abs(op - want)) <= 1e-9
 
-    def test_finite_ones_and_zeros_prefix(self):
+    @pytest.mark.parametrize("stream", ONES_STREAMS)
+    def test_finite_ones_and_zeros_prefix(self, stream):
         xi = WeightSeq.periodic([1.0, 0.0, 1.0, 0.4], (0.4, 0.9))
-        decomp, certs, tag = carpenter_decompose(xi, BASIS, stages=3)
+        decomp, certs, tag = carpenter_decompose(xi, stream, stages=3)
         assert tag.tag == CASE_MU_DIVERGES
         weights = [t.weight for t in decomp.terms]
         assert weights[0] == 0.0
         assert weights[1:3] == [1.0, 1.0]
-        assert_projection_onto_consumed(decomp)
+        # the ones take stream vectors 0 and 1, the zero sits on the first
+        assert_on_stream(decomp.terms[1:3], stream, [0, 1])
+        assert np.array_equal(decomp.terms[0].vector, decomp.terms[1].vector)
         # staged certificates reference vectors after the ones prefix
-        assert min(i for c in certs for i, _ in c.consumed) >= 2
+        consumed = consumed_positions(certs)
+        assert min(consumed) >= 2
+        assert_covers(decomp, stream, {0, 1} | consumed)
 
-    def test_infinite_ones_split_even_odd(self):
+    @pytest.mark.parametrize("stream", ONES_STREAMS)
+    def test_infinite_ones_split_even_odd(self, stream):
         xi = WeightSeq.periodic([], (1.0, 0.4, 0.9))
-        decomp, certs, tag = carpenter_decompose(xi, BASIS, stages=4)
+        decomp, certs, tag = carpenter_decompose(xi, stream, stages=4)
         assert tag.tag == CASE_MU_DIVERGES
-        ones_positions = [
-            int(np.argmax(np.abs(t.vector))) for t in decomp.terms if t.weight == 1.0
-        ]
-        assert ones_positions == [0, 2, 4, 6]
-        assert all(i % 2 == 1 for c in certs for i, _ in c.consumed)
+        ones = [t for t in decomp.terms if t.weight == 1.0]
+        evens = [stream.thin(0, 2).base_index(j) for j in range(4)]
+        assert evens == [0, 2, 4, 6]
+        assert_on_stream(ones, stream, evens)
+        consumed = consumed_positions(certs)
+        assert all(i % 2 == 1 for i in consumed)
+        assert_covers(decomp, stream, set(evens) | consumed)
+
+    @pytest.mark.parametrize("stream", ONES_STREAMS)
+    def test_infinite_ones_finite_core(self, stream):
+        xi = WeightSeq.periodic([0.5, 0.5], (1.0,))
+        decomp, certs, tag = carpenter_decompose(xi, stream, stages=5)
+        assert tag.tag == CASE_FINITE_RANK
+        # the core fills stream vector 0, the ones come after it
+        assert [c.consumed for c in certs] == [((0, 1.0),)]
+        assert [t.weight for t in decomp.terms] == [0.5, 0.5] + [1.0] * 5
+        assert_on_stream(decomp.terms[2:], stream, [1, 2, 3, 4, 5])
+        assert decomp.remainder == ()
+        assert_covers(decomp, stream, set(range(6)))
+
+    @pytest.mark.parametrize("stream", ONES_STREAMS)
+    def test_infinite_ones_mu_finite_core(self, stream):
+        # the keycase carry runs on the odd vectors, beside the ones
+        xi = WeightSeq.interleave(
+            WeightSeq.periodic([], (1.0,)), WeightSeq.one_minus(WeightSeq.geometric([], 0.4, 0.6))
+        )
+        decomp, certs, tag = carpenter_decompose(xi, stream, stages=4)
+        assert tag.tag == CASE_M_FINITE
+        ones = [t for t in decomp.terms if t.weight == 1.0]
+        evens = [stream.thin(0, 2).base_index(j) for j in range(4)]
+        assert_on_stream(ones, stream, evens)
+        consumed = consumed_positions(certs)
+        assert all(i % 2 == 1 for i in consumed)
+        assert [c.sigma is not None for c in certs] == [False, True, True, True]
+        (carry,) = decomp.remainder
+        assert 0.0 < carry.weight < 1.0
+        assert_covers(decomp, stream, set(evens) | consumed)
+
+    def test_entry_rounding_to_one_takes_a_vector(self):
+        # 1 - 1e-20 is 1.0 in float64: the split counts it as a one, so it
+        # must get a stream vector of its own rather than vanish
+        xi = WeightSeq.one_minus(WeightSeq.geometric([1e-20], 0.4, 0.6))
+        decomp, certs, tag = carpenter_decompose(xi, BASIS, stages=3)
+        assert tag.tag == CASE_M_FINITE
+        assert [t.weight for t in decomp.terms] == xi.head(len(decomp.terms))
+        assert_on_stream(decomp.terms[:1], BASIS, [0])
+        assert min(consumed_positions(certs)) == 1
         assert_projection_onto_consumed(decomp)
 
-    def test_infinite_ones_finite_core(self):
-        xi = WeightSeq.periodic([0.5, 0.5], (1.0,))
-        decomp, certs, tag = carpenter_decompose(xi, BASIS, stages=5)
-        assert tag.tag == CASE_FINITE_RANK
-        assert_projection_onto_consumed(decomp)
-        assert sum(1 for t in decomp.terms if t.weight == 1.0) == 5
+    @pytest.mark.parametrize(
+        "xi,stream",
+        [
+            (WeightSeq.periodic([1.0, 0.0, 1.0, 0.4], (0.4, 0.9)), BASIS),
+            (WeightSeq.periodic([], (1.0, 0.4, 0.9)), BASIS),
+            (WeightSeq.periodic([0.5, 0.5], (1.0,)), BASIS),
+            (WeightSeq.one_minus(WeightSeq.geometric([], 0.4, 0.6)), BASIS),
+            (WeightSeq.finite([0.5] * 4), VectorStream.explicit([np.eye(2)[0], np.eye(2)[1]])),
+        ],
+        ids=["ones-prefix", "ones-beside-core", "ones-after-core", "mu-finite", "finite-rank"],
+    )
+    def test_splits_input_once(self, monkeypatch, xi, stream):
+        import admseq.carpenter as carpenter_mod
+
+        calls = []
+
+        def counting_split(seq):
+            calls.append(seq)
+            return split_mu_lambda(seq)
+
+        monkeypatch.setattr(carpenter_mod, "split_mu_lambda", counting_split)
+        carpenter_decompose(xi, stream, stages=3)
+        assert len(calls) == 1
 
     def test_remainder_completes_boundary(self):
         decomp, certs, _ = carpenter_decompose(

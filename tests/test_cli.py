@@ -141,6 +141,24 @@ class TestDecompose:
         assert vrep["num_terms"] == rep["num_terms"]
         assert vrep["num_remainder"] == rep["num_remainder"]
 
+    def test_ones_on_block_overlap_stream(self, tmp_path, capsys):
+        weights = {"kind": "periodic-tail", "values": [], "tail_block": [1.0, 0.4, 0.9]}
+        inp = write_json(
+            tmp_path / "in.json",
+            {"weights": weights, "stream": {"kind": "block-overlap", "block": 3}},
+        )
+        out = tmp_path / "dec.json"
+        code, rep = run(capsys, "decompose", inp, "--stages", "4", "--out", str(out))
+        assert code == 0
+        assert rep["case"]["tag"] == "mu-divergent"
+        dec = json.loads(out.read_text())
+        assert [t["weight"] for t in dec["terms"]].count(1.0) == 4
+        code, vrep = run(
+            capsys, "verify", str(out), str(tmp_path / "dec.target.json")
+        )
+        assert code == 0
+        assert vrep["ok"] is True
+
     def test_finite_rank_explicit_stream(self, tmp_path, capsys):
         inp = write_json(
             tmp_path / "in.json",

@@ -17,7 +17,6 @@ from admseq.seqkit import (
     seq_to_json,
     split_mu_lambda,
     strip_zeros_ones,
-    tail_sum,
 )
 
 INF = math.inf
@@ -55,16 +54,16 @@ def test_geometric_total_closed_form():
     assert s.total() == pytest.approx(0.5, abs=1e-15)
 
 
-def test_tail_sum_counts_entries_from_one():
-    # sum from the 2nd entry on
-    assert tail_sum(WeightSeq.finite([0.2, 0.3]), 2) == pytest.approx(0.3)
+def test_tail_sum_counts_entries_from_zero():
+    # sum from the entry at index 1 (the 2nd entry) on
+    assert WeightSeq.finite([0.2, 0.3]).tail_sum(1) == pytest.approx(0.3)
 
 
 def test_tail_sum_geometric_exact():
-    s = WeightSeq.geometric([], 0.25, 0.5)  # entries 2^-(j+1) for j = 1, 2, ...
-    assert tail_sum(s, 1) == pytest.approx(0.5, abs=1e-15)
-    assert tail_sum(s, 2) == pytest.approx(0.25, abs=1e-15)
-    assert tail_sum(s, 5) == pytest.approx(2.0**-5, abs=1e-18)
+    s = WeightSeq.geometric([], 0.25, 0.5)  # entries 2^-(j+2) for j = 0, 1, ...
+    assert s.tail_sum(0) == pytest.approx(0.5, abs=1e-15)
+    assert s.tail_sum(1) == pytest.approx(0.25, abs=1e-15)
+    assert s.tail_sum(4) == pytest.approx(2.0**-5, abs=1e-18)
 
 
 def test_tail_sum_periodic_diverges():
