@@ -9,16 +9,17 @@ single 2x2 mix in the tail recursion.  Which staging applies is decided by how
 the small entries mu (at most 1/2) and the defects lam = 1 - (large entries)
 sum up; truncating at a stage budget leaves an explicit remainder term.
 
-Every stage runs in its own coordinates: the k stream vectors it touches
-become the standard basis of C^k, the placement and its certificate are
-computed there, and only the emitted terms are mapped back to the stream as
-E c for the dim x k matrix E of those stream vectors.  No stage builds an
-operator on the ambient space."""
+Each case is a planner feeding one stage driver, which runs every stage in
+its own coordinates (C^k for the k stream vectors of a block stage, span{carry,
+fresh} for a tail step) and checks its identity there once.  Only the emitted
+terms reach the stream, a block stage's as E c for the dim x k matrix E of
+those stream vectors.  No stage builds an operator on the ambient space."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     PlanningError,
     TraceMismatchError,
 )
-from .horn import horn_decompose, mix_two
+from .horn import _checked, _horn_place, mix_two
 from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import (
     INT_SNAP,
@@ -53,6 +54,7 @@ CASE_M_FINITE = "mu-finite"
 TRACE_MATCH_TOL = 1e-10
 DEFAULT_STAGES = 10
 DEFAULT_EXTEND_LIMIT = 10_000
+CARRY = -1  # source position of the carry handed on by the previous stage
 _CARRY_LOCAL = np.array([1.0, 0.0], dtype=complex)  # the carry in span{carry, fresh}
 
 
@@ -77,11 +79,19 @@ class BlockPlan:
     ``sources`` lists (stream position, coefficient) pairs; coefficient 1
     consumes the vector outright, fractions carry boundary vectors between
     stages.  ``colinear`` terms are emitted directly along a single stream
-    vector and bypass the Horn step."""
+    vector and bypass the Horn step.  A source at position ``CARRY`` is the
+    carry of the previous stage; only tail steps have one."""
 
     targets: tuple[float, ...]
     sources: tuple[tuple[int, float], ...]
     colinear: tuple[tuple[int, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class _TailStep(BlockPlan):
+    """A tail step of ``_plan_tail``, with the cap on its mixing coefficient."""
+
+    sigma_cap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,18 +115,19 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _local_residual(local_terms, consumed) -> float:
-    """Frobenius norm of sum_j x_j c_j c_j* - diag(consumed) on C^k."""
+def _stage_residual(local_terms, consumed) -> float:
+    """Frobenius norm of sum_j x_j c_j c_j* - diag(consumed) on C^k, ``_checked``."""
     k = len(consumed)
     R = frame_operator(local_terms, dim=k) - np.diag(np.asarray(consumed, dtype=complex))
-    return float(np.linalg.norm(R))
+    return float(np.linalg.norm(_checked(R)))
 
 
-def _embed(local_terms, rows: np.ndarray) -> list[RankOneTerm]:
-    """Terms on C^k mapped to the stream: c becomes sum_i c_i E_i, where
-    ``rows`` holds the stream vectors E_i as its rows."""
+def _embed(local_terms, stream: VectorStream, positions, dim: int) -> list[RankOneTerm]:
+    """Terms on C^k mapped to the stream: c becomes sum_i c_i E_i for the
+    stream vectors E_i at ``positions``, in C^dim."""
     if not local_terms:
         return []
+    rows = np.array([stream.vector(pos, dim) for pos in positions])
     dense = np.array([t.vector for t in local_terms]) @ rows
     return [RankOneTerm(t.weight, v) for t, v in zip(local_terms, dense)]
 
@@ -193,10 +204,7 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
 
 def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, tol: float):
     """The finite-rank placement of ``vals`` (summing to n) on stream vectors
-    0..n-1, with the emitted terms in C^dim."""
-    rows = np.array([stream.vector(j, dim) for j in range(n)])
-    eye = np.eye(n, dtype=complex)
-
+    0..n-1 as one block stage, certified as taking all n vectors whole."""
     acc = 0.0
     m = 0
     for i, v in enumerate(vals):
@@ -207,20 +215,19 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, tol: float)
             break
     r = acc - (n - 1)  # in [0, 1) by maximality of m
 
-    pool = [RankOneTerm(1.0, eye[i]) for i in range(n - 1)]
+    sources = [(i, 1.0) for i in range(n - 1)]
     if r > tol:
-        pool.append(RankOneTerm(r, eye[n - 1]))
-    local = list(horn_decompose(pool, vals[:m], tol=tol).terms) if m else []
-    local += [RankOneTerm(v, eye[n - 1]) for v in vals[m:]]
-
+        sources.append((n - 1, r))
+    plan = BlockPlan(tuple(vals[:m]), tuple(sources), tuple((n - 1, v) for v in vals[m:]))
+    local = _place(plan, range(n), tol)
     cert = StageCertificate(
         stage=0,
         consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
         targets=tuple(vals),
         majorization=majorizes(vals, [1.0] * n),
-        residual=_local_residual(local, [1.0] * n),
+        residual=_stage_residual(local, [1.0] * n),
     )
-    return tuple(_embed(local, rows)), (cert,)
+    return tuple(_embed(local, stream, range(n), dim)), (cert,)
 
 
 # -- staged planners ---------------------------------------------------
@@ -404,16 +411,16 @@ def plan_both_summable(
         n_j, m_j, r_j, boundary = n_next, m_next, r_next, new_boundary
 
 
-# -- realizing plans against a stream ----------------------------------
+# -- the stage driver --------------------------------------------------
 
-def _max_position(plans) -> int:
-    top = 0
-    for p in plans:
-        for pos, _ in p.sources:
-            top = max(top, pos)
-        for pos, _ in p.colinear:
-            top = max(top, pos)
-    return top
+def _place(plan: BlockPlan, positions, tol: float) -> list[RankOneTerm]:
+    """A block stage's terms on C^k, its k sorted positions as the standard basis."""
+    basis = dict(zip(positions, np.eye(len(positions), dtype=complex)))
+    local: list[RankOneTerm] = []
+    if plan.targets:
+        pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
+        local += _horn_place(pool, plan.targets, tol)
+    return local + [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
 
 
 def realize_block_plans(
@@ -424,41 +431,72 @@ def realize_block_plans(
     tol: float = 1e-12,
 ):
     """Carry out Horn placements for each plan, returning terms and
-    certificates.
+    certificates (the stage driver, without its remainder)."""
+    return _realize(plans, stream, dim, first_stage, tol)[:2]
 
-    A stage's k consumed stream positions (sources and colinear ones) are the
+
+def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, carry=None):
+    """The stage driver.  A block stage's k consumed stream positions are the
     standard basis of C^k: the placement runs there and the stage identity is
-    checked once, against diag(consumed), as a k x k residual.  Only the
-    emitted terms are materialized in the common dimension ``dim``."""
+    checked once, against diag(consumed), as a k x k residual.  A tail step
+    mixes the carry (``carry``, or the last block's boundary vector) with one
+    fresh vector.  Returns the terms in C^dim, the certificates and the
+    remainder: the last carry, or what is left of the last boundary vector."""
     plans = list(plans)
-    if not plans:
-        return (), ()
     if dim is None:
-        dim = stream.min_dim(_max_position(plans))
+        top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
+        dim = stream.min_dim(top)
     terms: list[RankOneTerm] = []
     certs: list[StageCertificate] = []
+    boundary = None  # (position, weight consumed so far) of the last block's boundary
     for i, plan in enumerate(plans):
         consumed: dict[int, float] = {}
         for pos, c in plan.sources + plan.colinear:
-            consumed[pos] = consumed.get(pos, 0.0) + c
+            if pos != CARRY:
+                consumed[pos] = consumed.get(pos, 0.0) + c
         positions = sorted(consumed)
-        basis = dict(zip(positions, np.eye(len(positions), dtype=complex)))
-        local: list[RankOneTerm] = []
-        if plan.targets:
-            pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
-            local += horn_decompose(pool, plan.targets, tol=tol).terms
-        local += [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
+        sigma = sigma_cap = None
+        if isinstance(plan, _TailStep):
+            u = carry.vector if boundary is None else unit_vector(stream.vector(boundary[0], dim))
+            fresh = stream.vector(positions[0], dim)
+            # one 2x2 mix in span{carry, fresh}, where carry is (1, 0) and fresh
+            # (g, sqrt(1 - |g|^2)) in an orthonormal basis; the dense w and w'
+            # are then formed once from the mixing coefficients
+            g = complex(np.vdot(u, fresh))
+            fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
+            (_, e1), (_, e2) = plan.sources
+            res = mix_two(e1, e2, _CARRY_LOCAL, fresh_local, *plan.targets, tol=tol)
+            phase = np.exp(-1j * np.angle(g)) if g else 1.0
+            w = res.sigma * u + (res.tau * phase) * fresh
+            w_prime = res.sigma_prime * u + (res.tau_prime * phase) * fresh
+            terms.append(RankOneTerm(plan.targets[1], w_prime))
+            nrm = float(np.linalg.norm(w))
+            carry, boundary = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w), None
+            targets, residual = plan.targets[1:], res.residual
+            sigma, sigma_cap = res.sigma, plan.sigma_cap
+        else:
+            local = _place(plan, positions, tol)
+            residual = _stage_residual(local, [consumed[pos] for pos in positions])
+            terms += _embed(local, stream, positions, dim)
+            top = positions[-1]
+            shared = boundary[1] if boundary is not None and boundary[0] == top else 0.0
+            boundary = (top, shared + consumed[top])
+            targets = plan.targets + tuple(w for _, w in plan.colinear)
         certs.append(
             StageCertificate(
                 stage=first_stage + i,
                 consumed=tuple((stream.base_index(pos), consumed[pos]) for pos in positions),
-                targets=plan.targets + tuple(w for _, w in plan.colinear),
+                targets=targets,
                 majorization=majorizes(plan.targets, [c for _, c in plan.sources]),
-                residual=_local_residual(local, [consumed[pos] for pos in positions]),
+                residual=residual,
+                sigma=sigma,
+                sigma_cap=sigma_cap,
             )
         )
-        terms += _embed(local, np.array([stream.vector(pos, dim) for pos in positions]))
-    return tuple(terms), tuple(certs)
+    if boundary is not None:
+        short = 1.0 - boundary[1]
+        carry = RankOneTerm(short, stream.vector(boundary[0], dim)) if short > 1e-15 else None
+    return tuple(terms), tuple(certs), () if carry is None else (carry,)
 
 
 # -- the tail recursion -------------------------------------------------
@@ -489,46 +527,29 @@ def keycase_recursion(
     carry = stream.vector(0, dim) if carry_vector is None else np.asarray(carry_vector, dtype=complex)
     if len(carry) != dim:
         raise DimensionError("carry vector does not match the working dimension")
-    carry = unit_vector(carry)
-    terms: list[RankOneTerm] = []
-    certs: list[StageCertificate] = []
-    lam_it = _padded(lam)
-    for t in range(steps):
+    carry = RankOneTerm(1.0 - s_prev, unit_vector(carry))
+    steps_ = islice(_plan_tail(_padded(lam), lam, 1), steps)
+    terms, certs, (carry,) = _realize(steps_, stream, dim, first_stage, tol, carry)
+    return terms, certs, carry
+
+
+def _plan_tail(lam_it, lam: WeightSeq, fresh: int):
+    """Tail steps with S(t) = lam.tail_sum(t) in closed form: step t mixes the
+    carry, weight 1 - S(t), with the stream vector at position fresh + t into
+    the carry 1 - S(t+1) and the emitted 1 - lam_t, lam_t read from lam_it."""
+    s_prev = lam.total()
+    for t in count():
         lam_t = next(lam_it)
         s_next = lam.tail_sum(t + 1)
-        fresh = stream.vector(t + 1, dim)
-        # one 2x2 mix in span{carry, fresh}, where carry is (1, 0) and fresh
-        # (g, sqrt(1 - |g|^2)) in an orthonormal basis; the dense w and w'
-        # are then formed once from the mixing coefficients
-        g = complex(np.vdot(carry, fresh))
-        fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
-        res = mix_two(
-            1.0 - s_prev, 1.0, _CARRY_LOCAL, fresh_local, 1.0 - s_next, 1.0 - lam_t, tol=tol
-        )
-        phase = np.exp(-1j * np.angle(g)) if g else 1.0
-        w = res.sigma * carry + (res.tau * phase) * fresh
-        w_prime = res.sigma_prime * carry + (res.tau_prime * phase) * fresh
         cap = None
         if s_prev > 0.0 and s_next < 1.0:
             cap = (1.0 - s_prev) * s_next / (s_prev * (1.0 - s_next))
-        certs.append(
-            StageCertificate(
-                stage=first_stage + t,
-                consumed=((stream.base_index(t + 1), 1.0),),
-                targets=(1.0 - lam_t,),
-                majorization=majorizes(
-                    [1.0 - s_next, 1.0 - lam_t], [1.0 - s_prev, 1.0]
-                ),
-                residual=res.residual,
-                sigma=res.sigma,
-                sigma_cap=None if cap is None else math.sqrt(max(cap, 0.0)),
-            )
+        yield _TailStep(
+            (1.0 - s_next, 1.0 - lam_t),
+            ((CARRY, 1.0 - s_prev), (fresh + t, 1.0)),
+            sigma_cap=None if cap is None else math.sqrt(max(cap, 0.0)),
         )
-        terms.append(RankOneTerm(1.0 - lam_t, w_prime))
-        nrm = float(np.linalg.norm(w))
-        carry = w / nrm if nrm > 0 else w
         s_prev = s_next
-    return tuple(terms), tuple(certs), RankOneTerm(1.0 - s_prev, carry)
 
 
 def decompose_m_finite(
@@ -541,7 +562,15 @@ def decompose_m_finite(
 ):
     """Finitely many small entries, summable defects, infinitely many large
     entries: one Horn head block against (1,...,1, r), then the tail
-    recursion on the dropped defect sequence starting from the boundary."""
+    recursion starting from the boundary vector."""
+    plans = islice(_plan_m_finite(mu, lam, extend_limit), max(stages, 1))
+    terms, certs, (carry,) = _realize(plans, stream, tol=tol)
+    return terms, certs, carry
+
+
+def _plan_m_finite(mu: WeightSeq, lam: WeightSeq, extend_limit: int):
+    """The stages of decompose_m_finite.  The emitted weights come from one
+    pass over lam, so each is its input entry bit for bit."""
     if not mu.is_finite:
         raise PlanningError("this staging needs finitely many small entries")
     k = _snap_int(lam.total() - mu.total())
@@ -554,48 +583,16 @@ def decompose_m_finite(
             raise PlanningError("could not find a head boundary with a small tail")
     r = lam.tail_sum(n)
 
-    head_targets = tuple(mu.values) + tuple(1.0 - v for v in lam.head(n))
+    lam_it = _padded(lam)
+    head_targets = tuple(mu.values) + tuple(1.0 - next(lam_it) for _ in range(n))
     sources = [(i, 1.0) for i in range(n - k)]
     if r > 0.0:
         sources.append((n - k, r))
-    head_plan = BlockPlan(head_targets, tuple(sources))
-
-    key_steps = max(stages - 1, 0)
-    tail_stream = stream.drop(n - k)
-    dim = max(
-        stream.min_dim(n - k),
-        tail_stream.min_dim(key_steps) if key_steps else tail_stream.min_dim(0),
-    )
-    head_terms, head_certs = realize_block_plans([head_plan], stream, dim=dim, tol=tol)
-    tail_terms, tail_certs, carry = keycase_recursion(
-        lam.drop(n),
-        tail_stream,
-        key_steps,
-        dim=dim,
-        first_stage=1,
-        tol=tol,
-    )
-    return head_terms + tail_terms, head_certs + tail_certs, carry
+    yield BlockPlan(head_targets, tuple(sources))
+    yield from _plan_tail(lam_it, lam.drop(n), n - k + 1)
 
 
 # -- the orchestrator ---------------------------------------------------
-
-def _boundary_remainder(plans, stream: VectorStream, dim: int):
-    """After the last realized stage, the boundary vector still owes its
-    unconsumed fraction; return it as a remainder term (empty when the
-    boundary was consumed exactly)."""
-    consumed: dict[int, float] = {}
-    for p in plans:
-        for pos, c in list(p.sources) + list(p.colinear):
-            consumed[pos] = consumed.get(pos, 0.0) + c
-    if not consumed:
-        return ()
-    top = max(consumed)
-    short = 1.0 - consumed[top]
-    if short <= 1e-15:
-        return ()
-    return (RankOneTerm(short, stream.vector(top, dim)),)
-
 
 def carpenter_decompose(
     xi,
@@ -674,7 +671,7 @@ def carpenter_decompose(
 
 
 def _decompose_core(tag, sp, stream, stages, extend_limit, tol):
-    """Dispatch the stripped core to its staged construction."""
+    """Plan the stripped core's first ``stages`` stages and realize them."""
     if tag.tag == CASE_MU_DIVERGES:
         gen = plan_mu_diverges(sp.mu, sp.lam, extend_limit=extend_limit)
     elif tag.tag == CASE_LAMBDA_DIVERGES:
@@ -682,17 +679,7 @@ def _decompose_core(tag, sp, stream, stages, extend_limit, tol):
     elif tag.tag == CASE_BOTH_SUMMABLE:
         gen = plan_both_summable(sp.mu, sp.lam, extend_limit=extend_limit)
     elif tag.tag == CASE_M_FINITE:
-        terms, certs, carry = decompose_m_finite(
-            sp.mu, sp.lam, stream, stages, extend_limit=extend_limit, tol=tol
-        )
-        return terms, certs, (carry,)
+        gen = _plan_m_finite(sp.mu, sp.lam, extend_limit=extend_limit)
     else:
         raise PlanningError(f"no staged construction for case {tag.tag!r}")
-    plans = []
-    for plan in gen:
-        plans.append(plan)
-        if len(plans) >= stages:
-            break
-    dim = stream.min_dim(_max_position(plans))
-    terms, certs = realize_block_plans(plans, stream, dim=dim, tol=tol)
-    return terms, certs, _boundary_remainder(plans, stream, dim)
+    return _realize(islice(gen, stages), stream, tol=tol)

@@ -155,9 +155,26 @@ def horn_decompose(source_terms, target_weights, tol: float = 1e-12) -> RankOneD
 
     ``target_weights`` must be majorized by the source weights (zero-padding
     the shorter list); the result's terms carry exactly the given weights, in
-    the given order, and sum to the same operator.
+    the given order, and sum to the same operator, which is checked here.
     """
     pool = _coerce_terms(source_terms)
+    decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights, tol)))
+    dim = len(pool[0].vector)
+    _checked(frame_operator(decomp.terms, dim=dim) - frame_operator(pool, dim=dim))
+    return decomp
+
+
+def _checked(R: np.ndarray) -> np.ndarray:
+    """R, a k x k residual, once no entry exceeds HORN_RESIDUAL_TOL * max(1, k)."""
+    dev = float(np.max(np.abs(R)))
+    if dev > HORN_RESIDUAL_TOL * max(1, R.shape[0]):
+        raise ValueError(f"reconstruction residual {dev:.3e} exceeds tolerance")
+    return R
+
+
+def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[RankOneTerm]:
+    """horn_decompose's placement of unit-vector pool terms, without its
+    reconstruction check: the caller checks the identity."""
     targets = [float(t) for t in target_weights]
     if any(t < 0.0 for t in targets):
         raise MajorizationError("target weights must be nonnegative")
@@ -216,14 +233,7 @@ def horn_decompose(source_terms, target_weights, tol: float = 1e-12) -> RankOneD
     leftover = math.fsum(w for w, _ in work)
     if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
         raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
-
-    decomp = RankOneDecomp(tuple(placed))
-    S = frame_operator(decomp.terms, dim=dim)
-    A = frame_operator(pool, dim=dim)
-    dev = float(np.max(np.abs(S - A)))
-    if dev > HORN_RESIDUAL_TOL * max(1, dim):
-        raise ValueError(f"reconstruction residual {dev:.3e} exceeds tolerance")
-    return decomp
+    return placed
 
 
 def schur_horn_matrix(eigenvalues, diagonal, tol: float = 1e-12) -> np.ndarray:

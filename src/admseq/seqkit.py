@@ -19,7 +19,6 @@ from .errors import KadisonError, SequenceError
 INF = math.inf
 
 SUM_TOL = 1e-12        # absolute tolerance for equality of finite sums
-PARTIAL_SLACK = 1e-12  # slack added to partial-sum inequalities
 INT_SNAP = 1e-9        # window for snapping a near-integer to an integer
 
 KIND_FINITE = "finite"
@@ -454,13 +453,6 @@ def _finite_values(xi) -> tuple[float, ...]:
     return _values(xi)
 
 
-def rearrange_desc(xi) -> WeightSeq:
-    """Non-increasing rearrangement of a finite sequence (stable on ties)."""
-    vals = _finite_values(xi)
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
-    return WeightSeq.finite(vals[i] for i in order)
-
-
 @dataclass(frozen=True)
 class MajorizationVerdict:
     """Outcome of a majorization test.
@@ -789,15 +781,18 @@ def split_mu_lambda(xi) -> SplitSeq:
     )
 
 
-def _strip_head(seq: WeightSeq) -> tuple[list[float], int, int]:
-    """Head entries of a leaf strictly inside (0, 1) in order, and the counts
-    of head entries 0.0 and 1.0."""
+def _strip_head(seq: WeightSeq, complement: bool = False) -> tuple[list[float], int, int]:
+    """Head entries v of a leaf whose value x -- v, or 1 - v with
+    ``complement`` -- lies strictly inside (0, 1), in order, and the counts
+    of head values x equal to 0.0 and 1.0."""
     values = seq.values
     if len(values) < _ARRAY_MIN:
-        return [v for v in values if 0.0 < v < 1.0], values.count(0.0), values.count(1.0)
+        seen = [1.0 - v for v in values] if complement else values
+        kept = [v for v, x in zip(values, seen) if 0.0 < x < 1.0]
+        return kept, seen.count(0.0), seen.count(1.0)
     import numpy as np
 
-    x = seq._head
+    x = 1.0 - seq._head if complement else seq._head
     kept = list(compress(values, ((x > 0.0) & (x < 1.0)).tolist()))
     return kept, int(np.count_nonzero(x == 0.0)), int(np.count_nonzero(x == 1.0))
 
@@ -823,8 +818,15 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
             f = f * q
         return WeightSeq.geometric(kept, f, q), zeros, ones
     if seq.kind == KIND_ONE_MINUS:
-        core, zeros, ones = strip_zeros_ones(seq.parts[0])
-        return WeightSeq.one_minus(core), ones, zeros
+        # the head is read through its complements, as split_mu_lambda reads
+        # it, so an inner entry v with 1 - v == 1.0 counts as a one
+        inner = seq.parts[0]  # geometric leaf
+        kept, zeros, ones = _strip_head(inner, complement=True)
+        f, q = inner.tail_first, inner.tail_ratio
+        if f == 1.0:  # only the leading tail entry can hit 1, giving 1 - 1 = 0
+            zeros += 1
+            f = f * q
+        return WeightSeq.one_minus(WeightSeq.geometric(kept, f, q)), zeros, ones
     if seq.kind == KIND_PERIODIC:
         kept, zeros, ones = _strip_head(seq)
         block = tuple(v for v in seq.tail_block if 0.0 < v < 1.0)
@@ -844,42 +846,3 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
         ones += o
         cores.append(c)
     return WeightSeq.interleave(*cores), zeros, ones
-
-
-# -- the two elementary majorization facts ----------------------------
-
-def elem_eta_i(xi) -> WeightSeq:
-    """The canonical majorant (1, ..., 1, r) of a finite [0,1]-sequence.
-
-    With total N + r, 0 <= r < 1, returns N ones followed by r (omitted
-    when r = 0); the input is always majorized by it.
-    """
-    vals = _finite_values(xi)
-    if any(v > 1.0 for v in vals):
-        raise SequenceError("entries must lie in [0, 1]")
-    s = math.fsum(vals)
-    n = int(math.floor(s))
-    r = s - n  # exact: n <= s < n + 1
-    eta = (1.0,) * n + ((r,) if r > 0.0 else ())
-    return WeightSeq.finite(eta)
-
-
-def elem_check_ii(xi, r1: float, r2: float, tol: float = PARTIAL_SLACK) -> bool:
-    """Exact test for xi majorized by (1, ..., 1, r1, r2).
-
-    Requires 0 < r2 <= r1 <= 1 and total(xi) = N + r1 + r2 for an integer
-    N >= 0; the relation reduces to a single partial-sum inequality at N+1.
-    """
-    vals = _finite_values(xi)
-    if any(v > 1.0 for v in vals):
-        raise SequenceError("entries must lie in [0, 1]")
-    if not 0.0 < r2 <= r1 <= 1.0:
-        raise SequenceError(f"need 0 < r2 <= r1 <= 1, got r1={r1!r} r2={r2!r}")
-    s = math.fsum(vals)
-    n_float = s - r1 - r2
-    n = round(n_float)
-    if n < 0 or abs(n_float - n) > INT_SNAP:
-        raise SequenceError(f"total {s!r} minus r1+r2 is not a nonnegative integer")
-    top = sorted(vals, reverse=True)[: n + 1]
-    return math.fsum(top) <= n + r1 + tol
-

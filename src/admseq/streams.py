@@ -62,7 +62,8 @@ class VectorStream:
             raise DimensionError("explicit stream vectors must share a dimension")
         if len(vecs) > d:
             raise DimensionError("more vectors than the dimension can hold orthonormally")
-        G = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
+        M = np.array(vecs)
+        G = M.conj() @ M.T  # G[a, b] = <vecs[a], vecs[b]>
         if float(np.max(np.abs(G - np.eye(len(vecs))))) > tol:
             raise SequenceError("explicit stream vectors are not orthonormal")
         return cls(KIND_EXPLICIT, vectors=vecs)

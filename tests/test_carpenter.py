@@ -293,6 +293,16 @@ class TestMFinite:
         assert np.max(np.abs(op - np.diag(d))) <= 1e-9
 
 
+    @pytest.mark.parametrize("stream", [BASIS, VectorStream.block_overlap(4)], ids=["basis", "block4"])
+    def test_emitted_weights_are_the_input_entries(self, stream):
+        # the tail weights come from the same pass over lam as the head, not
+        # from lam.drop(n), whose entries are (f q^n) q^j
+        xi = WeightSeq.one_minus(WeightSeq.geometric([], 0.38, 0.62))
+        dec, _, _ = carpenter_decompose(xi, stream, stages=10)
+        assert dec.terms[4].weight.hex() == "0x1.e3404c10f3c4fp-1"
+        assert [t.weight for t in dec.terms] == xi.head(len(dec.terms))
+
+
 class TestCarpenter:
     def test_finite_rank_end_to_end(self):
         stream = VectorStream.explicit([np.eye(4)[0], np.eye(4)[1]])

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from admseq.errors import SequenceError
 from admseq.seqkit import (
     WeightSeq,
-    elem_check_ii,
-    elem_eta_i,
     kadison_check,
     majorizes,
-    rearrange_desc,
     seq_from_json,
     seq_to_json,
     split_mu_lambda,
@@ -197,11 +194,6 @@ def test_majorizes_zero_pads_shorter_side():
     assert majorizes([0.4, 0.3, 0.3], [0.5, 0.5]).holds
 
 
-def test_rearrange_desc_sorts_and_keeps_multiset():
-    s = rearrange_desc([0.2, 0.9, 0.2, 0.5])
-    assert list(s.values) == [0.9, 0.5, 0.2, 0.2]
-
-
 @given(unit_lists)
 def test_majorization_is_reflexive(vals):
     assert majorizes(vals, vals).holds
@@ -210,43 +202,10 @@ def test_majorization_is_reflexive(vals):
 @given(unit_lists)
 def test_canonical_flat_majorant(vals):
     """Any [0,1] list is majorized by ones followed by the fractional rest."""
-    eta = elem_eta_i(vals)
+    total = math.fsum(vals)
+    n = int(math.floor(total))
+    eta = [1.0] * n + ([total - n] if total > n else [])
     assert majorizes(vals, eta).holds
-    assert math.fsum(eta.values) == pytest.approx(math.fsum(vals), abs=1e-9)
-
-
-def test_elem_eta_i_frozen_example():
-    eta = elem_eta_i([0.6, 0.6, 0.3])
-    assert list(eta.values) == pytest.approx([1.0, 0.5])
-
-
-def test_elem_eta_i_integer_total_has_no_fraction():
-    assert list(elem_eta_i([0.5, 0.5, 1.0]).values) == [1.0, 1.0]
-
-
-def test_elem_check_ii_single_partial_sum():
-    # total 1.4 = 0 + 0.8 + 0.6, check reduces to xi_1* <= 0.8
-    assert elem_check_ii([0.7, 0.4, 0.3], 0.8, 0.6)
-    assert not elem_check_ii([0.9, 0.3, 0.2], 0.8, 0.6)
-
-
-def test_elem_check_ii_allows_leading_ones():
-    assert elem_check_ii([1.0, 0.5, 0.3], 1.0, 0.8)
-
-
-@given(unit_lists, st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=0.01, max_value=1.0))
-def test_elem_check_ii_agrees_with_majorizes(vals, x, y):
-    r1, r2 = max(x, y), min(x, y)
-    n = 2
-    target = n + r1 + r2
-    s = math.fsum(vals)
-    if s <= 0:
-        return
-    scaled = [v * target / s for v in vals]
-    if any(v > 1.0 for v in scaled):
-        return
-    eta = [1.0] * n + [r1, r2]
-    assert elem_check_ii(scaled, r1, r2) == majorizes(scaled, eta).holds
 
 
 # -- the Kadison test --------------------------------------------------
@@ -382,6 +341,15 @@ def test_strip_one_minus_swaps_counts():
     core, zeros, ones = strip_zeros_ones(WeightSeq.one_minus(inner))
     assert zeros == 1  # from the inner entry exactly 1
     assert ones == 1   # from the inner entry exactly 0
+    assert core.head(2) == pytest.approx([0.6, 0.76])
+
+
+def test_strip_one_minus_counts_an_entry_rounding_to_one():
+    # 1 - 1e-20 is 1.0 in float64, so the entry is a one, as the split says
+    xi = WeightSeq.one_minus(WeightSeq.geometric([1e-20], 0.4, 0.6))
+    core, zeros, ones = strip_zeros_ones(xi)
+    assert (zeros, ones) == (0, 1)
+    assert ones == split_mu_lambda(xi).ones_count
     assert core.head(2) == pytest.approx([0.6, 0.76])
 
 
