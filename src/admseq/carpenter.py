@@ -116,7 +116,7 @@ class StageCertificate:
 
 
 def _stage_residual(local_terms, consumed) -> float:
-    """Frobenius norm of sum_j x_j c_j c_j* - diag(consumed) on C^k, ``_checked``."""
+    """Check sum_j x_j c_j c_j* - diag(consumed) on C^k once; its Frobenius norm."""
     k = len(consumed)
     R = frame_operator(local_terms, dim=k) - np.diag(np.asarray(consumed, dtype=complex))
     return float(np.linalg.norm(_checked(R)))
