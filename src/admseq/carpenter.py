@@ -54,7 +54,7 @@ CASE_M_FINITE = "mu-finite"
 TRACE_MATCH_TOL = 1e-10
 DEFAULT_STAGES = 10
 DEFAULT_EXTEND_LIMIT = 10_000
-CARRY = -1  # source position of the carry handed on by the previous stage
+CARRY = -1  # source position of the tail steps' running carry
 _CARRY_LOCAL = np.array([1.0, 0.0], dtype=complex)  # the carry in span{carry, fresh}
 
 
@@ -80,7 +80,7 @@ class BlockPlan:
     consumes the vector outright, fractions carry boundary vectors between
     stages.  ``colinear`` terms are emitted directly along a single stream
     vector and bypass the Horn step.  A source at position ``CARRY`` is the
-    carry of the previous stage; only tail steps have one."""
+    running carry of the tail steps; only tail steps have one."""
 
     targets: tuple[float, ...]
     sources: tuple[tuple[int, float], ...]
@@ -439,48 +439,46 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
     """The stage driver.  A block stage's k consumed stream positions are the
     standard basis of C^k: the placement runs there and the stage identity is
     checked once, against diag(consumed), as a k x k residual.  A tail step
-    mixes the carry (``carry``, or the last block's boundary vector) with one
-    fresh vector.  Returns the terms in C^dim, the certificates and the
-    remainder: the last carry, or what is left of the last boundary vector."""
+    mixes the carry with one fresh vector and hands the new carry on; the
+    first carry is ``carry``, which block stages leave alone.  Returns the
+    terms in C^dim, the certificates and the remainder: the last carry, or
+    for block stages alone what is left of their last boundary vector."""
     plans = list(plans)
     if dim is None:
         top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
         dim = stream.min_dim(top)
     terms: list[RankOneTerm] = []
     certs: list[StageCertificate] = []
-    boundary = None  # (position, weight consumed so far) of the last block's boundary
+    used: dict[int, float] = {}  # each position's share over all stages
     for i, plan in enumerate(plans):
         consumed: dict[int, float] = {}
         for pos, c in plan.sources + plan.colinear:
             if pos != CARRY:
                 consumed[pos] = consumed.get(pos, 0.0) + c
+                used[pos] = used.get(pos, 0.0) + c
         positions = sorted(consumed)
         sigma = sigma_cap = None
         if isinstance(plan, _TailStep):
-            u = carry.vector if boundary is None else unit_vector(stream.vector(boundary[0], dim))
             fresh = stream.vector(positions[0], dim)
             # one 2x2 mix in span{carry, fresh}, where carry is (1, 0) and fresh
             # (g, sqrt(1 - |g|^2)) in an orthonormal basis; the dense w and w'
             # are then formed once from the mixing coefficients
-            g = complex(np.vdot(u, fresh))
+            g = complex(np.vdot(carry.vector, fresh))
             fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
             (_, e1), (_, e2) = plan.sources
             res = mix_two(e1, e2, _CARRY_LOCAL, fresh_local, *plan.targets, tol=tol)
             phase = np.exp(-1j * np.angle(g)) if g else 1.0
-            w = res.sigma * u + (res.tau * phase) * fresh
-            w_prime = res.sigma_prime * u + (res.tau_prime * phase) * fresh
+            w = res.sigma * carry.vector + (res.tau * phase) * fresh
+            w_prime = res.sigma_prime * carry.vector + (res.tau_prime * phase) * fresh
             terms.append(RankOneTerm(plan.targets[1], w_prime))
             nrm = float(np.linalg.norm(w))
-            carry, boundary = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w), None
+            carry = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w)
             targets, residual = plan.targets[1:], res.residual
             sigma, sigma_cap = res.sigma, plan.sigma_cap
         else:
             local = _place(plan, positions, tol)
             residual = _stage_residual(local, [consumed[pos] for pos in positions])
             terms += _embed(local, stream, positions, dim)
-            top = positions[-1]
-            shared = boundary[1] if boundary is not None and boundary[0] == top else 0.0
-            boundary = (top, shared + consumed[top])
             targets = plan.targets + tuple(w for _, w in plan.colinear)
         certs.append(
             StageCertificate(
@@ -493,9 +491,10 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
                 sigma_cap=sigma_cap,
             )
         )
-    if boundary is not None:
-        short = 1.0 - boundary[1]
-        carry = RankOneTerm(short, stream.vector(boundary[0], dim)) if short > 1e-15 else None
+    if carry is None and used:  # block stages alone: the rest of their top position
+        top = max(used)
+        if 1.0 - used[top] > 1e-15:
+            carry = RankOneTerm(1.0 - used[top], stream.vector(top, dim))
     return tuple(terms), tuple(certs), () if carry is None else (carry,)
 
 
@@ -562,15 +561,9 @@ def decompose_m_finite(
 ):
     """Finitely many small entries, summable defects, infinitely many large
     entries: one Horn head block against (1,...,1, r), then the tail
-    recursion starting from the boundary vector."""
-    plans = islice(_plan_m_finite(mu, lam, extend_limit), max(stages, 1))
-    terms, certs, (carry,) = _realize(plans, stream, tol=tol)
-    return terms, certs, carry
-
-
-def _plan_m_finite(mu: WeightSeq, lam: WeightSeq, extend_limit: int):
-    """The stages of decompose_m_finite.  The emitted weights come from one
-    pass over lam, so each is its input entry bit for bit."""
+    recursion, whose first carry is the boundary vector n - k with weight
+    1 - r (all of it when r is 0 and the head leaves it untouched).  The
+    emitted weights come from one pass over lam, each its input entry."""
     if not mu.is_finite:
         raise PlanningError("this staging needs finitely many small entries")
     k = _snap_int(lam.total() - mu.total())
@@ -588,8 +581,13 @@ def _plan_m_finite(mu: WeightSeq, lam: WeightSeq, extend_limit: int):
     sources = [(i, 1.0) for i in range(n - k)]
     if r > 0.0:
         sources.append((n - k, r))
-    yield BlockPlan(head_targets, tuple(sources))
-    yield from _plan_tail(lam_it, lam.drop(n), n - k + 1)
+    tail = lam.drop(n)
+    plans = [BlockPlan(head_targets, tuple(sources))]
+    plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
+    dim = stream.min_dim(n - k + len(plans) - 1)
+    carry = RankOneTerm(1.0 - tail.total(), unit_vector(stream.vector(n - k, dim)))
+    terms, certs, (carry,) = _realize(plans, stream, dim, tol=tol, carry=carry)
+    return terms, certs, carry
 
 
 # -- the orchestrator ---------------------------------------------------
@@ -679,7 +677,8 @@ def _decompose_core(tag, sp, stream, stages, extend_limit, tol):
     elif tag.tag == CASE_BOTH_SUMMABLE:
         gen = plan_both_summable(sp.mu, sp.lam, extend_limit=extend_limit)
     elif tag.tag == CASE_M_FINITE:
-        gen = _plan_m_finite(sp.mu, sp.lam, extend_limit=extend_limit)
+        terms, certs, carry = decompose_m_finite(sp.mu, sp.lam, stream, stages, extend_limit, tol)
+        return terms, certs, (carry,)
     else:
         raise PlanningError(f"no staged construction for case {tag.tag!r}")
     return _realize(islice(gen, stages), stream, tol=tol)

@@ -29,9 +29,9 @@ import numpy as np
 import pytest
 
 from admseq import carpenter, horn
-from admseq.carpenter import carpenter_decompose
-from admseq.operators import RankOneTerm
-from admseq.seqkit import WeightSeq
+from admseq.carpenter import carpenter_decompose, decompose_m_finite
+from admseq.operators import RankOneTerm, frame_operator
+from admseq.seqkit import WeightSeq, split_mu_lambda
 from admseq.streams import VectorStream
 
 STREAMS = {
@@ -93,7 +93,7 @@ def finite_rank_input(seed: int, n: int):
     return WeightSeq.finite(vals), VectorStream.explicit([q[:, j] for j in range(n)])
 
 
-def runs(name: str):
+def runs(name: str, stage_counts=STAGES):
     """Every (decomposition, certificates) of one comparison-set input."""
     if name.startswith("finite-rank"):
         _, n, seed = name.split("-")[1:]
@@ -101,17 +101,17 @@ def runs(name: str):
         dec, certs, _ = carpenter_decompose(xi, stream)
         yield dec, certs
         return
-    xi = staged_inputs()[name]
+    xi = staged_inputs()[name] if name in staged_inputs() else ZERO_SHARE[name]
     for sname in sorted(STREAMS):
-        for stages in STAGES:
+        for stages in stage_counts:
             dec, certs, _ = carpenter_decompose(xi, STREAMS[sname](), stages=stages)
             yield dec, certs
 
 
-def digests(name: str) -> tuple[str, str]:
+def digests(name: str, stage_counts=STAGES) -> tuple[str, str]:
     values = hashlib.sha256()
     raw = hashlib.sha256()
-    for dec, certs in runs(name):
+    for dec, certs in runs(name, stage_counts):
         values.update(repr((
             [t.weight.hex() for t in dec.terms],
             dec.dim,
@@ -123,6 +123,18 @@ def digests(name: str) -> tuple[str, str]:
         raw.update(repr(certs).encode())
     return values.hexdigest(), raw.hexdigest()
 
+
+# mu-finite inputs whose head boundary share r = lam.tail_sum(n) is exactly
+# 0.0 (the geometric defect tail underflows): the head leaves its boundary
+# vector untouched, and the tail still starts from that whole vector
+_TINY = WeightSeq.one_minus(WeightSeq.geometric([], 0.25, 1e-20))
+ZERO_SHARE = {
+    "zero-share": WeightSeq.interleave(WeightSeq.finite([0.25, 0.25]), _TINY, _TINY),
+    "zero-share-ones": WeightSeq.interleave(
+        WeightSeq.periodic([], (1.0,)), WeightSeq.finite([0.25, 0.25]), _TINY, _TINY
+    ),
+}
+ZERO_SHARE_STAGES = (1, 2, 10)
 
 FINITE_RANK = [f"finite-rank-n{n}-s{seed}" for n in (25, 100) for seed in range(3)]
 
@@ -230,6 +242,47 @@ def test_comparison_set_matches_recorded_digests(name):
     assert values == want_values
     if (platform.machine(), np.__version__) == RECORDED_ON:
         assert raw == want_raw
+
+
+# recorded before the stage driver, at ZERO_SHARE_STAGES
+ZERO_SHARE_RECORDED = {
+    "zero-share": (
+        "6bfd829fce41be675e9067826c1ef37a683d19b5ffef21998656c419dec6ec19",
+        "0cf3bcf2d6913318a477135c7328b4aaaf958175292ef0c82557a18128c39969",
+    ),
+    "zero-share-ones": (
+        "2bae08128f29d2a26f715cf0aae3484c9a8387acd8ba796584d56f7e64b51871",
+        "6cea2c7edd629c8f4b74d6752d370a1b3e9ec2b578842a8a7f57c68c265011fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SHARE))
+def test_zero_boundary_share_matches_recorded_digests(name):
+    values, raw = digests(name, ZERO_SHARE_STAGES)
+    want_values, want_raw = ZERO_SHARE_RECORDED[name]
+    assert values == want_values
+    if (platform.machine(), np.__version__) == RECORDED_ON:
+        assert raw == want_raw
+
+
+@pytest.mark.parametrize("stages", ZERO_SHARE_STAGES)
+def test_zero_boundary_share_covers_the_touched_vectors(stages):
+    xi = ZERO_SHARE["zero-share"]
+    sp = split_mu_lambda(xi)
+    assert sp.lam.tail_sum(2) == 0.0  # k = 0 and n = 2: the head takes E_0, E_1 whole
+    dec, certs, _ = carpenter_decompose(xi, VectorStream.basis(), stages=stages)
+    # the carry starts as all of E_2 and tail step t takes E_{3+t}
+    assert [c.consumed for c in certs[1:]] == [((3 + t, 1.0),) for t in range(stages - 1)]
+    assert dec.dim == stages + 2
+    op = frame_operator(list(dec.terms) + list(dec.remainder), dim=dec.dim)
+    assert np.max(np.abs(op - np.eye(dec.dim))) <= 1e-12
+    if stages == 1:  # the whole of E_2 is left, also from decompose_m_finite at 0 stages
+        (rem,) = dec.remainder
+        _, _, carry = decompose_m_finite(sp.mu, sp.lam, VectorStream.basis(), 0)
+        assert carry.weight == rem.weight == 1.0
+        assert np.array_equal(carry.vector, rem.vector)
+        assert np.array_equal(carry.vector, VectorStream.basis().vector(2, 3))
 
 
 def test_one_frame_operator_per_block_stage(monkeypatch):
