@@ -8,6 +8,8 @@ existed, when four separate routes realized the stages:
   parameter draws, mu-finite and both-summable), a mu-only input and inputs
   with 0 and 1 entries, each on the basis, block-3 and block-4 streams at 3
   and 10 stages;
+- two mu-finite inputs whose head leaves its boundary vector untouched, on
+  the same streams at 1, 2 and 10 stages;
 - the finite-rank case at n = 25 and 100 for three seeds.
 
 Each input has two digests.  ``values`` covers what plain float arithmetic
@@ -93,7 +95,7 @@ def finite_rank_input(seed: int, n: int):
     return WeightSeq.finite(vals), VectorStream.explicit([q[:, j] for j in range(n)])
 
 
-def runs(name: str, stage_counts=STAGES):
+def runs(name: str):
     """Every (decomposition, certificates) of one comparison-set input."""
     if name.startswith("finite-rank"):
         _, n, seed = name.split("-")[1:]
@@ -101,17 +103,20 @@ def runs(name: str, stage_counts=STAGES):
         dec, certs, _ = carpenter_decompose(xi, stream)
         yield dec, certs
         return
-    xi = staged_inputs()[name] if name in staged_inputs() else ZERO_SHARE[name]
+    if name in ZERO_SHARE:
+        xi, stage_counts = ZERO_SHARE[name], ZERO_SHARE_STAGES
+    else:
+        xi, stage_counts = staged_inputs()[name], STAGES
     for sname in sorted(STREAMS):
         for stages in stage_counts:
             dec, certs, _ = carpenter_decompose(xi, STREAMS[sname](), stages=stages)
             yield dec, certs
 
 
-def digests(name: str, stage_counts=STAGES) -> tuple[str, str]:
+def digests(name: str) -> tuple[str, str]:
     values = hashlib.sha256()
     raw = hashlib.sha256()
-    for dec, certs in runs(name, stage_counts):
+    for dec, certs in runs(name):
         values.update(repr((
             [t.weight.hex() for t in dec.terms],
             dec.dim,
@@ -204,6 +209,14 @@ RECORDED = {
         "e548e3cf1792485124e38bbd9b77564ea4bc01468dabb4ba0ac81b1dfb9913fb",
         "1f39c72b3ef73130e31b4c5fe7dfa7c487afbd8df686e215a0d1ed08a277d005",
     ),
+    "zero-share": (
+        "6bfd829fce41be675e9067826c1ef37a683d19b5ffef21998656c419dec6ec19",
+        "0cf3bcf2d6913318a477135c7328b4aaaf958175292ef0c82557a18128c39969",
+    ),
+    "zero-share-ones": (
+        "2bae08128f29d2a26f715cf0aae3484c9a8387acd8ba796584d56f7e64b51871",
+        "6cea2c7edd629c8f4b74d6752d370a1b3e9ec2b578842a8a7f57c68c265011fc",
+    ),
     "zero-then-ones": (
         "4ec1bcd8b58907c32d88af7c9d7cd74dfe52d3cad5a79afadd5deb57b9a92e03",
         "434ecffc025eb4b237e6416e755d53123f92b6c67d46064eec16873d47015a08",
@@ -235,32 +248,10 @@ RECORDED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(staged_inputs()) + FINITE_RANK)
+@pytest.mark.parametrize("name", sorted(staged_inputs()) + sorted(ZERO_SHARE) + FINITE_RANK)
 def test_comparison_set_matches_recorded_digests(name):
     values, raw = digests(name)
     want_values, want_raw = RECORDED[name]
-    assert values == want_values
-    if (platform.machine(), np.__version__) == RECORDED_ON:
-        assert raw == want_raw
-
-
-# recorded before the stage driver, at ZERO_SHARE_STAGES
-ZERO_SHARE_RECORDED = {
-    "zero-share": (
-        "6bfd829fce41be675e9067826c1ef37a683d19b5ffef21998656c419dec6ec19",
-        "0cf3bcf2d6913318a477135c7328b4aaaf958175292ef0c82557a18128c39969",
-    ),
-    "zero-share-ones": (
-        "2bae08128f29d2a26f715cf0aae3484c9a8387acd8ba796584d56f7e64b51871",
-        "6cea2c7edd629c8f4b74d6752d370a1b3e9ec2b578842a8a7f57c68c265011fc",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ZERO_SHARE))
-def test_zero_boundary_share_matches_recorded_digests(name):
-    values, raw = digests(name, ZERO_SHARE_STAGES)
-    want_values, want_raw = ZERO_SHARE_RECORDED[name]
     assert values == want_values
     if (platform.machine(), np.__version__) == RECORDED_ON:
         assert raw == want_raw
