@@ -4,10 +4,12 @@
 ``json.dump(obj, fh, sort_keys=True, indent=2)`` followed by a newline.
 CPython's C encoder is off whenever ``indent`` is set, so ``json.dump`` walks
 dense operators entry by entry in pure Python.  Here a complex ndarray stands
-for its row-major ``[[re, im], ...]`` list: the writer formats a chunk of its
-float64 view at a time with ``float.__repr__`` and joins the strings with
-fixed indent separators.  It builds neither the per-entry lists nor the whole
-document as one string."""
+for its row-major ``[[re, im], ...]`` list, written a chunk of pairs at a
+time with fixed indent separators.  The arrays the CLI writes are mostly
+zero, so a pair whose two float64 values have all bits clear is written as
+one shared text, a run of them at once; only the other pairs go through
+``float.__repr__``.  The writer builds neither the per-entry lists nor the
+whole document as one string."""
 
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ def _write_items(write, brackets: str, items, level: int) -> None:
 
 def _write_pairs(write, arr: np.ndarray, level: int) -> None:
     """The complex array ``arr``, flattened row-major, as a list of pairs."""
-    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1).view(np.float64)
+    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1)
     if not flat.size:
         write("[]")
         return
@@ -80,12 +82,37 @@ def _write_pairs(write, arr: np.ndarray, level: int) -> None:
     part = "\n" + INDENT * (level + 2)
     inner = "," + part
     outer = item + "]," + item + "[" + part
+    zero = "0.0" + inner + "0.0"
     write("[" + item + "[" + part)
-    step = 2 * CHUNK_PAIRS
-    for start in range(0, flat.size, step):
+    for start in range(0, flat.size, CHUNK_PAIRS):
         if start:
             write(outer)
-        reprs = list(map(float.__repr__, flat[start : start + step].tolist()))
-        texts = map(_NONFINITE.get, reprs, reprs)
-        write(outer.join(map(inner.join, zip(texts, texts))))
+        chunk = flat[start : start + CHUNK_PAIRS]
+        write(outer.join(_pair_texts(chunk, inner, outer, zero)))
     write(item + "]\n" + INDENT * level + "]")
+
+
+def _pair_texts(chunk: np.ndarray, inner: str, outer: str, zero: str) -> list:
+    """Texts that, joined by ``outer``, spell the complex array ``chunk`` as
+    pairs: one per non-zero pair, and one per run of zero pairs, ``zero``
+    repeated.  A zero pair has both float64 values with all bits clear, so
+    ``-0.0`` goes through ``float.__repr__`` like any other value."""
+    bits = chunk.view(np.uint64)
+    nonzero = (bits[0::2] | bits[1::2]) != 0
+    values = chunk[nonzero].view(np.float64)
+    reprs = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        reprs[i] = _NONFINITE[reprs[i]]
+    floats = iter(reprs)
+    pairs = list(map(inner.join, zip(floats, floats)))
+    # runs of non-zero and of zero pairs alternate; a run starts at each edge
+    edges = (np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1).tolist()
+    texts, done, busy = [], 0, bool(nonzero[0])
+    for lo, hi in zip([0] + edges, edges + [nonzero.size]):
+        if busy:
+            texts += pairs[done : done + hi - lo]
+            done += hi - lo
+        else:
+            texts.append(outer.join([zero] * (hi - lo)))
+        busy = not busy
+    return texts

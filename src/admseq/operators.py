@@ -180,14 +180,16 @@ def _complex_from_json(x) -> complex:
 
 def _complex_array_from_json(entries) -> np.ndarray:
     """1-d complex array of JSON entries: [re, im] pairs or reals.  A list of
-    float pairs, the form written files take, is converted in one call."""
+    float pairs, the form written files take, is flattened once and
+    converted in one call."""
     if (
         type(entries) is list
         and set(map(type, entries)) == {list}
         and set(map(len, entries)) == {2}
-        and set(map(type, chain.from_iterable(entries))) == {float}
     ):
-        return np.array(entries, dtype=np.float64).view(complex).reshape(-1)
+        flat = list(chain.from_iterable(entries))
+        if set(map(type, flat)) == {float}:
+            return np.array(flat, dtype=np.float64).view(complex)
     return np.asarray([_complex_from_json(e) for e in entries], dtype=complex)
 
 

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admseq import jsonio
@@ -81,6 +81,8 @@ BOTH_SUMMABLE = {
                                      "tail_first": 0.125, "tail_ratio": 0.5}},
     ],
 }
+MU_FINITE = {"kind": "one-minus", "of": {"kind": "geometric-tail", "values": [],
+                                         "tail_first": 0.4, "tail_ratio": 0.6}}
 BASIS = {"kind": "orthonormal-basis"}
 BLOCK4 = {"kind": "block-overlap", "block": 4}
 
@@ -94,9 +96,10 @@ BLOCK4 = {"kind": "block-overlap", "block": 4}
         (PERIODIC, BLOCK4, 8, True),
         (LAMBDA, BLOCK4, 6, True),
         (BOTH_SUMMABLE, BASIS, 8, False),
+        (MU_FINITE, BASIS, 40, True),
     ],
     ids=["mu-divergent-basis", "mu-divergent-block4", "lambda-divergent-block4",
-         "both-summable-basis"],
+         "both-summable-basis", "mu-finite-basis"],
 )
 def test_decompose_files_match_json_dump(tmp_path, capsys, weights, stream, stages,
                                          has_remainder):
@@ -169,6 +172,29 @@ def complex_arrays(draw):
     return arr
 
 
+@st.composite
+def zero_heavy_arrays(draw):
+    """Runs of +0.0 pairs, possibly empty, around pairs drawn from ``reals``
+    with extra weight on signed zeros, so most pairs are (+0.0, +0.0) and
+    some differ from it in the sign bit alone."""
+    signed_zeros = st.sampled_from([-0.0, 0.0])
+    pair = st.tuples(st.one_of(signed_zeros, reals), st.one_of(signed_zeros, reals))
+    runs = draw(st.lists(st.tuples(st.integers(0, 9), pair), max_size=6))
+    flat = []
+    for zeros, (re, im) in runs:
+        flat += [0.0, 0.0] * zeros + [re, im]
+    flat += [0.0, 0.0] * draw(st.integers(0, 9))
+    return np.array(flat, dtype=np.float64).view(complex)
+
+
+def mostly_zero(n: int, pairs: dict) -> np.ndarray:
+    """n pairs of +0.0, except ``pairs``: {index: complex value}."""
+    arr = np.zeros(n, dtype=complex)
+    for i, z in pairs.items():
+        arr[i] = z
+    return arr
+
+
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), reals,
                     st.text(max_size=4))
 
@@ -185,7 +211,17 @@ def nested(leaf):
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=nested(st.one_of(complex_arrays(), scalars)), chunk=st.sampled_from([1, 2, 4096]))
+@given(obj=nested(st.one_of(complex_arrays(), zero_heavy_arrays(), scalars)),
+       chunk=st.sampled_from([1, 2, 4096]))
+@example(obj=np.zeros(3 * 4096 + 5, dtype=complex), chunk=4096)
+@example(obj=[np.zeros((2, 3), dtype=complex), np.zeros(1, dtype=complex)], chunk=2)
+@example(obj={"a": mostly_zero(9000, {0: 1.0, 4096: 0.5j, 8999: -1.0})}, chunk=4096)
+@example(obj=mostly_zero(5000, {4095: complex(-0.0, 0.0), 4097: complex(0.0, -0.0)}),
+         chunk=4096)
+@example(obj=mostly_zero(9, {2: complex(-0.0, 0.0), 3: complex(0.0, -0.0),
+                             7: complex(-0.0, -0.0)}), chunk=1)
+@example(obj=mostly_zero(9, {0: complex(0.0, -0.0), 4: complex(math.nan, 0.0),
+                             5: complex(0.0, -math.inf)}), chunk=2)
 def test_writer_matches_json_dump(tmp_path_factory, obj, chunk):
     path = tmp_path_factory.getbasetemp() / "writer.json"
     with mock.patch.object(jsonio, "CHUNK_PAIRS", chunk):

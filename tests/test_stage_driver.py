@@ -309,3 +309,26 @@ def test_corrupted_placement_is_refused(monkeypatch, name):
     monkeypatch.setattr(carpenter, "_horn_place", corrupt)
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
         carpenter_decompose(staged_inputs()[name], VectorStream.basis(), stages=3)
+
+
+@pytest.mark.parametrize("shortfall, left", [(2.0**-53, False), (2.0**-49, True)],
+                         ids=["within-1e-15", "beyond-1e-15"])
+def test_boundary_shortfall_threshold(shortfall, left):
+    # two block stages share E_1 and leave 1 - shortfall of it used: a
+    # shortfall of at most 1e-15 is rounding and leaves no remainder term,
+    # anything more is left as the remainder on E_1
+    plans = [
+        carpenter.BlockPlan((0.75, 0.75), ((0, 1.0), (1, 0.5))),
+        carpenter.BlockPlan((0.25, 0.25 - shortfall), ((1, 0.5 - shortfall),)),
+    ]
+    terms, certs, remainder = carpenter._realize(plans, VectorStream.basis())
+    assert [c.consumed for c in certs] == [((0, 1.0), (1, 0.5)), ((1, 0.5 - shortfall),)]
+    assert 1.0 - (0.5 + (0.5 - shortfall)) == shortfall
+    if left:
+        (rem,) = remainder
+        assert rem.weight == shortfall
+        assert np.array_equal(rem.vector, VectorStream.basis().vector(1, 2))
+    else:
+        assert remainder == ()
+    op = frame_operator(list(terms) + list(remainder), dim=2)
+    assert np.max(np.abs(op - np.eye(2))) <= 1e-12
