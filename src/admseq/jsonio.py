@@ -82,37 +82,37 @@ def _write_pairs(write, arr: np.ndarray, level: int) -> None:
     part = "\n" + INDENT * (level + 2)
     inner = "," + part
     outer = item + "]," + item + "[" + part
-    zero = "0.0" + inner + "0.0"
     write("[" + item + "[" + part)
     for start in range(0, flat.size, CHUNK_PAIRS):
         if start:
             write(outer)
         chunk = flat[start : start + CHUNK_PAIRS]
-        write(outer.join(_pair_texts(chunk, inner, outer, zero)))
+        write(outer.join(_pair_texts(chunk, inner, outer)))
     write(item + "]\n" + INDENT * level + "]")
 
 
-def _pair_texts(chunk: np.ndarray, inner: str, outer: str, zero: str) -> list:
+def _pair_texts(chunk: np.ndarray, inner: str, outer: str) -> list:
     """Texts that, joined by ``outer``, spell the complex array ``chunk`` as
-    pairs: one per non-zero pair, and one per run of zero pairs, ``zero``
-    repeated.  A zero pair has both float64 values with all bits clear, so
-    ``-0.0`` goes through ``float.__repr__`` like any other value."""
+    pairs: one per non-zero pair, and one per run of zero pairs, the shared
+    zero text repeated.  A zero pair has both float64 values with all bits
+    clear, so ``-0.0`` goes through ``float.__repr__`` like any other value."""
+    zero = "0.0" + inner + "0.0"
     bits = chunk.view(np.uint64)
-    nonzero = (bits[0::2] | bits[1::2]) != 0
+    nonzero = np.logical_or(bits[0::2], bits[1::2])
     values = chunk[nonzero].view(np.float64)
     reprs = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+    for i in (~np.isfinite(values)).nonzero()[0].tolist():
         reprs[i] = _NONFINITE[reprs[i]]
     floats = iter(reprs)
     pairs = list(map(inner.join, zip(floats, floats)))
     # runs of non-zero and of zero pairs alternate; a run starts at each edge
-    edges = (np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1).tolist()
-    texts, done, busy = [], 0, bool(nonzero[0])
+    edges = ((nonzero[1:] != nonzero[:-1]).nonzero()[0] + 1).tolist()
+    texts, done, in_nonzero = [], 0, bool(nonzero[0])
     for lo, hi in zip([0] + edges, edges + [nonzero.size]):
-        if busy:
+        if in_nonzero:
             texts += pairs[done : done + hi - lo]
             done += hi - lo
         else:
             texts.append(outer.join([zero] * (hi - lo)))
-        busy = not busy
+        in_nonzero = not in_nonzero
     return texts
