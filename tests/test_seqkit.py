@@ -353,7 +353,6 @@ def test_strip_one_minus_counts_an_entry_rounding_to_one():
     assert core.head(2) == pytest.approx([0.6, 0.76])
 
 
-
 def test_closed_form_tail_splits_on_exact_defects():
     # the tail entries 1 - 0.25 * 1e-20**j are 1.0 in float64, but a
     # closed-form tail is split on its exact defects: no ones, and lam is
@@ -366,11 +365,11 @@ def test_closed_form_tail_splits_on_exact_defects():
     assert (sp.ones_count, sp.zeros_count) == (0, 0)
     assert sp.lam == tail
     assert sp.lam.head(3) == [0.25, 0.25 * 1e-20, 0.25 * 1e-20 * 1e-20]
-    assert all(v > 0.0 for v in sp.lam.head(3))
     assert strip_zeros_ones(xi)[1:] == (0, 0)
     listed = split_mu_lambda(xi.head(3))
     assert listed.ones_count == 2
     assert list(listed.lam.values) == [0.25]
+
 
 @given(unit_lists)
 def test_split_parts_recombine_total(vals):
