@@ -360,7 +360,8 @@ def plan_both_summable(
 
     Stage boundaries n_j, m_j are chosen so the tail sums interlock:
     lam-tail(n_j+1) dominates mu-tail(m_j+1), making each carried fraction
-    r_j = lam-tail - mu-tail land in [0, 1/2)."""
+    r_j = lam-tail - mu-tail land in [0, 1/2).  The targets are read from one
+    iterator over mu and one over lam, each entry once."""
     k = _snap_int(lam.total() - mu.total())
     n_j = max(k + 1, 1)
     guard = 0
@@ -375,7 +376,8 @@ def plan_both_summable(
         if m_j > extend_limit:
             raise PlanningError("could not align the small-entry boundary")
     r_j = lam.tail_sum(n_j) - mu.tail_sum(m_j)
-    targets = tuple(mu.head(m_j)) + tuple(1.0 - v for v in lam.head(n_j))
+    mu_it, lam_it = iter(mu), iter(lam)
+    targets = tuple(islice(mu_it, m_j)) + tuple(1.0 - v for v in islice(lam_it, n_j))
     sources = [(i, 1.0) for i in range(n_j - k)]
     if r_j > 0.0:
         sources.append((n_j - k, r_j))
@@ -398,8 +400,8 @@ def plan_both_summable(
             if guard > extend_limit:
                 raise PlanningError("could not advance the small-entry boundary")
         r_next = lam.tail_sum(n_next) - mu.tail_sum(m_next)
-        targets = tuple(mu.head(m_next)[m_j:]) + tuple(
-            1.0 - v for v in lam.head(n_next)[n_j:]
+        targets = tuple(islice(mu_it, m_next - m_j)) + tuple(
+            1.0 - v for v in islice(lam_it, n_next - n_j)
         )
         fresh = n_next - n_j - 1
         sources = [(boundary, 1.0 - r_j)] if r_j > 0.0 else [(boundary, 1.0)]

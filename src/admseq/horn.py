@@ -8,7 +8,9 @@ Hermitian matrices with prescribed spectrum and diagonal."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -174,7 +176,16 @@ def _checked(R: np.ndarray) -> np.ndarray:
 
 def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[RankOneTerm]:
     """horn_decompose's placement of unit-vector pool terms, without its
-    reconstruction check: the caller checks the identity."""
+    reconstruction check: the caller checks the identity.
+
+    Targets are placed largest first.  A target within ``tol`` of a pool
+    weight takes that entry's vector; otherwise it is mixed from the nearest
+    weights above (``>= t``) and below (``< t``), or peeled off the smallest
+    entry when nothing lies below.  The pool is a list sorted by (weight,
+    arrival), where arrival numbers the source terms in order and each mixed
+    remainder after them, so every choice is a bisection and ties go to the
+    earliest arrival: O(log k) comparisons per target, plus the list's
+    inserts and deletes."""
     targets = [float(t) for t in target_weights]
     if any(t < 0.0 for t in targets):
         raise MajorizationError("target weights must be nonnegative")
@@ -191,7 +202,9 @@ def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[Ran
         )
 
     anchor = pool[0].vector
-    work = [[p.weight, p.vector] for p in pool if p.weight > tol]
+    # (weight, arrival, vector); arrivals are distinct, so vectors are never compared
+    work = sorted((p.weight, i, p.vector) for i, p in enumerate(pool) if p.weight > tol)
+    arrivals = count(len(pool))
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
     placed: list[RankOneTerm | None] = [None] * len(targets)
 
@@ -200,40 +213,54 @@ def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[Ran
         if t <= tol:
             placed[idx] = RankOneTerm(t, anchor)
             continue
-        hit = next((k for k, (w, _) in enumerate(work) if abs(w - t) <= tol), None)
+        hit = _earliest_hit(work, t, tol)
         if hit is not None:
-            placed[idx] = RankOneTerm(t, work[hit][1])
-            del work[hit]
+            placed[idx] = RankOneTerm(t, work.pop(hit)[2])
             continue
-        above = [k for k, (w, _) in enumerate(work) if w >= t]
-        below = [k for k, (w, _) in enumerate(work) if w < t]
-        if not above:
+        ka = bisect_left(work, (t,))  # the smallest weight >= t
+        if ka == len(work):
             raise MajorizationError(
                 f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
             )
-        ka = min(above, key=lambda k: work[k][0])
-        if not below:
+        a, arrival, ua = work[ka]
+        if ka == 0:
             # every pool weight exceeds the largest remaining target: peel
-            # the target off the smallest entry along its own direction
-            placed[idx] = RankOneTerm(t, work[ka][1])
-            work[ka][0] -= t
-            if work[ka][0] <= tol:
-                del work[ka]
+            # the target off the smallest entry along its own direction; what
+            # is left is still the smallest, so it keeps its place
+            placed[idx] = RankOneTerm(t, ua)
+            if a - t <= tol:
+                del work[0]
+            else:
+                work[0] = (a - t, arrival, ua)
             continue
-        kb = max(below, key=lambda k: work[k][0])
-        a, ua = work[ka]
-        b, ub = work[kb]
+        kb = bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
+        b, _, ub = work[kb]
         res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
         placed[idx] = RankOneTerm(t, res.w)
-        for k in sorted((ka, kb), reverse=True):
-            del work[k]
+        del work[ka], work[kb]
         if a + b - t > tol:
-            work.append([a + b - t, res.w_prime])
+            insort(work, (a + b - t, next(arrivals), res.w_prime))
 
-    leftover = math.fsum(w for w, _ in work)
+    leftover = math.fsum(w for w, _, _ in work)
     if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
         raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
     return placed
+
+
+def _earliest_hit(work, t: float, tol: float) -> int | None:
+    """Index in the sorted pool of the earliest-arriving entry with
+    abs(w - t) <= tol, or None.  Every such w lies within 2 tol of t, even
+    when w - t rounds, so only that window is searched, one weight at a time:
+    the first entry of each weight arrived earliest."""
+    end = bisect_right(work, (t + 2.0 * tol, math.inf))
+    i = bisect_left(work, (t - 2.0 * tol,))
+    best = None
+    while i < end:
+        w, arrival, _ = work[i]
+        if abs(w - t) <= tol and (best is None or arrival < work[best][1]):
+            best = i
+        i = bisect_right(work, (w, math.inf), i, end)
+    return best
 
 
 def schur_horn_matrix(eigenvalues, diagonal, tol: float = 1e-12) -> np.ndarray:

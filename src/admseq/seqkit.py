@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat, zip_longest
+from itertools import chain, compress, islice, repeat, zip_longest
 from typing import Iterator
 
 from .errors import KadisonError, SequenceError
@@ -277,12 +277,7 @@ class WeightSeq:
                 alive = nxt
 
     def head(self, n: int) -> list[float]:
-        out = []
-        for v in self:
-            if len(out) >= n:
-                break
-            out.append(v)
-        return out
+        return list(islice(self, max(n, 0)))
 
     def head_sum(self, n: int) -> float:
         return math.fsum(self.head(n))

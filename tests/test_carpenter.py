@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -200,6 +202,23 @@ class TestLambdaDivergesPlan:
         assert all(c == 1.0 for _, c in p1.sources[:-1])
 
 
+_G4 = WeightSeq.geometric([], 0.25, 0.5)
+_INTERLEAVED = split_mu_lambda(
+    WeightSeq.interleave(_G4, GEO8, WeightSeq.one_minus(_G4), WeightSeq.one_minus(GEO8))
+)
+PLAN_INPUTS = {
+    "geo8": (GEO8, GEO8),
+    "heads": (WeightSeq.geometric([0.3, 0.2], 0.125, 0.5), WeightSeq.geometric([0.5], 0.0625, 0.75)),
+    "interleaved": (_INTERLEAVED.mu, _INTERLEAVED.lam),
+}
+# sha256 of the first 160 plans' targets and sources, by float.hex
+PLAN_DIGESTS = {
+    "geo8": "b74345a68ad2d21cf457af161a238c7c65f5297afbe4e24905d65cd9f509ad81",
+    "heads": "6d4c6c64dc4d07c175a978cb3fc281b19044d39951c9b0088e5a4f107bf3aae4",
+    "interleaved": "e103d57d80d8dc1f0faf4a86a72e0ac42fdeeb7e020d9a1fd5db3d349f782089",
+}
+
+
 class TestBothSummablePlan:
     def test_frozen_three_stage_trace(self):
         b1, b2, b3 = take(plan_both_summable(GEO8, GEO8), 3)
@@ -220,6 +239,39 @@ class TestBothSummablePlan:
             assert sum(w for w in plan.targets) == pytest.approx(
                 math.fsum(c for _, c in plan.sources)
             )
+
+
+    def test_reads_each_entry_once(self, monkeypatch):
+        # one iterator over mu and one over lam: 640 stages draw exactly the
+        # entries they place, where re-reading heads from index 0 would draw
+        # about S^2 of them
+        draws = {}
+        real_iter = WeightSeq.__iter__
+
+        def counting(seq):
+            for v in real_iter(seq):
+                draws[id(seq)] = draws.get(id(seq), 0) + 1
+                yield v
+
+        monkeypatch.setattr(WeightSeq, "__iter__", counting)
+        mu = WeightSeq.geometric([], 0.125, 0.5)
+        lam = WeightSeq.geometric([], 0.125, 0.5)
+        plans = list(islice(plan_both_summable(mu, lam), 640))
+        assert set(draws) <= {id(mu), id(lam)}
+        assert sum(draws.values()) == sum(len(p.targets) for p in plans)
+
+    @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+    def test_plans_match_recorded_digest(self, name):
+        # recorded when each stage re-read the heads of mu and lam
+        mu, lam = PLAN_INPUTS[name]
+        h = hashlib.sha256()
+        for p in islice(plan_both_summable(mu, lam), 160):
+            h.update(repr((
+                [t.hex() for t in p.targets],
+                [(i, c.hex()) for i, c in p.sources],
+                p.colinear,
+            )).encode())
+        assert h.hexdigest() == PLAN_DIGESTS[name]
 
 
 class TestKeycase:

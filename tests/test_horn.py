@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from admseq.errors import MajorizationError
-from admseq.horn import horn_decompose, mix_two, schur_horn_matrix
-from admseq.operators import eigh_desc, frame_operator, make_term
+from admseq.errors import DimensionError, MajorizationError
+from admseq.horn import HORN_RESIDUAL_TOL, _horn_place, horn_decompose, mix_two, schur_horn_matrix
+from admseq.operators import RankOneTerm, eigh_desc, frame_operator, make_term
+from admseq.seqkit import majorizes
 
 RNG = np.random.default_rng(11)
 
@@ -233,3 +236,146 @@ def test_eigh_of_constructed_matrix_feeds_back():
     S = frame_operator(again.terms, dim=3)
     assert np.allclose(S, G, atol=1e-9)
     assert [abs(t.vector @ t.vector.conj()) for t in again.terms] == pytest.approx([1, 1, 1])
+
+
+# -- placement against the list-scan reference ----------------------------
+
+def _scan_place(pool, target_weights, tol):
+    """The placement as it was before the pool was kept sorted: three scans
+    of the pool, in arrival order, for each target.  The reference."""
+    targets = [float(t) for t in target_weights]
+    if any(t < 0.0 for t in targets):
+        raise MajorizationError("target weights must be nonnegative")
+    if not pool:
+        raise DimensionError("need at least one source term")
+    dim = len(pool[0].vector)
+    verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, 1e-11))
+    if not verdict.holds:
+        raise MajorizationError(
+            "source weights do not majorize the targets"
+            + (f" (partial sums cross at position {verdict.failing_index})"
+               if verdict.failing_index else f" (totals differ by {verdict.sum_gap:.3e})"),
+            failing_index=verdict.failing_index,
+        )
+
+    anchor = pool[0].vector
+    work = [[p.weight, p.vector] for p in pool if p.weight > tol]
+    order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
+    placed = [None] * len(targets)
+
+    for idx in order:
+        t = targets[idx]
+        if t <= tol:
+            placed[idx] = RankOneTerm(t, anchor)
+            continue
+        hit = next((k for k, (w, _) in enumerate(work) if abs(w - t) <= tol), None)
+        if hit is not None:
+            placed[idx] = RankOneTerm(t, work[hit][1])
+            del work[hit]
+            continue
+        above = [k for k, (w, _) in enumerate(work) if w >= t]
+        below = [k for k, (w, _) in enumerate(work) if w < t]
+        if not above:
+            raise MajorizationError(
+                f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
+            )
+        ka = min(above, key=lambda k: work[k][0])
+        if not below:
+            placed[idx] = RankOneTerm(t, work[ka][1])
+            work[ka][0] -= t
+            if work[ka][0] <= tol:
+                del work[ka]
+            continue
+        kb = max(below, key=lambda k: work[k][0])
+        a, ua = work[ka]
+        b, ub = work[kb]
+        res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
+        placed[idx] = RankOneTerm(t, res.w)
+        for k in sorted((ka, kb), reverse=True):
+            del work[k]
+        if a + b - t > tol:
+            work.append([a + b - t, res.w_prime])
+
+    leftover = math.fsum(w for w, _ in work)
+    if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
+        raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
+    return placed
+
+
+def _outcome(place, weights, targets, tol):
+    """Placed weights and vector bytes, or the error's type and text."""
+    eye = np.eye(max(len(weights), 1), dtype=complex)
+    pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
+    try:
+        placed = place(pool, targets, tol)
+    except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
+        return type(exc), str(exc)
+    return [(t.weight.hex(), t.vector.tobytes()) for t in placed]
+
+
+POOL_WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 0.75, 0.5, 0.25, 1.0 - 2.0**-40, 2e-12, 1e-13, 1e-300, 5e-324]),
+    st.floats(0.0, 1.0),
+)
+FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+# a negative tol admits pool weights equal to a target, so the strict
+# "< t" side of the bracket matters
+TOLS = st.sampled_from([1e-12, 0.0, 1e-9, -1e-12])
+
+
+@st.composite
+def placements(draw):
+    """A pool (many 1.0 entries among them) and targets drawn from it by
+    splits and T-transforms, which keep the majorization, then perhaps
+    nudged by up to 2e-11: near-ties, exact ties, zero and tiny targets,
+    and, past the placement's own tolerance, its refusals."""
+    pool = [1.0] * draw(st.integers(0, 6)) + draw(st.lists(POOL_WEIGHTS, max_size=8))
+    if not pool:
+        pool = [draw(POOL_WEIGHTS)]
+    pool = draw(st.permutations(pool))
+    targets = list(pool)
+    for _ in range(draw(st.integers(0, 10))):
+        i = draw(st.integers(0, len(targets) - 1))
+        c = draw(FRACTIONS)
+        if draw(st.booleans()):  # split one target in two
+            x = targets[i]
+            targets[i] = c * x
+            targets.append(x - targets[i])
+        else:  # move two targets towards each other
+            j = draw(st.integers(0, len(targets) - 1))
+            x, y = targets[i], targets[j]
+            targets[i] = c * x + (1.0 - c) * y
+            if j != i:
+                targets[j] = x + y - targets[i]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(targets) - 1))
+        j = draw(st.integers(0, len(targets) - 1))
+        d = draw(st.sampled_from([1e-13, 5e-13, 1e-12, 2e-12, 5e-12, 2e-11]))
+        targets[i] += d
+        targets[j] = max(targets[j] - d, 0.0)
+    return pool, draw(st.permutations(targets)), draw(TOLS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(placements())
+@example(([1.0, 0.5, 0.5, 0.5], [0.5, 0.5, 1.0, 0.5], 1e-12))  # exact ties: earliest first
+@example(([1.0] * 6 + [2e-12], [1.0] * 6 + [2e-12], 0.0))  # exact ties at tol 0
+@example(([1.0] * 5 + [0.5, 0.5], [0.75] + [1.0] * 4 + [0.5, 0.5, 0.25], 1e-12))  # many 1.0 entries
+@example(([0.6, 0.6 + 4e-13, 0.6 - 4e-13, 0.3], [0.6 + 1e-13, 0.6, 0.6, 0.3], 1e-12))  # near-ties
+@example(([1.0, 1.0], [0.25] * 8, 1e-12))  # the peel branch
+@example(([0.5, 2e-12, 1e-13, 5e-324], [0.25, 0.25, 2e-12, 1e-13, 0.0], 1e-12))  # tiny weights
+@example(([1.0], [0.0, 1.0], 0.0))  # a zero target at tol 0
+@example(([1.0, 0.5], [1.0 + 5e-12, 0.5 - 5e-12], 1e-12))  # no source weight reaches
+@example(([0.9, 0.5, 0.1], [0.5, 0.5, 0.5], -1e-12))  # a weight equal to t is not below it
+# the remainder 4.5 - (0.5 + 2**-53) rounds to 4.0, tying the untouched 4.0: it arrived later
+@example(([0.5, 4.0, 4.0], [0.5 + 2.0**-53] + [0.5] * 16, 0.0))
+def test_sorted_pool_places_as_the_scans_did(case):
+    weights, targets, tol = case
+    assert _outcome(_horn_place, weights, targets, tol) == _outcome(_scan_place, weights, targets, tol)
+
+
+def test_unreachable_target_is_refused():
+    weights, targets = [1.0, 0.5], [1.0 + 5e-12, 0.5 - 5e-12]
+    want = (MajorizationError, f"no source weight reaches the target {targets[0]!r}; "
+            "majorization bookkeeping broke")
+    assert _outcome(_horn_place, weights, targets, 1e-12) == want

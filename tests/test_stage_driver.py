@@ -10,7 +10,10 @@ existed, when four separate routes realized the stages:
   and 10 stages;
 - two mu-finite inputs whose head leaves its boundary vector untouched, on
   the same streams at 1, 2 and 10 stages;
-- the finite-rank case at n = 25 and 100 for three seeds.
+- the finite-rank case at n = 25, 100 and 200 for three seeds (n = 200
+  gives the largest placement pools);
+- the both-summable case at 13 stages on the block-4 stream, the most
+  stages it reaches before the known mixing defect.
 
 Each input has two digests.  ``values`` covers what plain float arithmetic
 decides: the weights by ``float.hex``, term order, ``dim``, the remainder
@@ -103,6 +106,11 @@ def runs(name: str):
         dec, certs, _ = carpenter_decompose(xi, stream)
         yield dec, certs
         return
+    if name in SINGLE_RUNS:
+        base, sname, stages = SINGLE_RUNS[name]
+        dec, certs, _ = carpenter_decompose(staged_inputs()[base], STREAMS[sname](), stages=stages)
+        yield dec, certs
+        return
     if name in ZERO_SHARE:
         xi, stage_counts = ZERO_SHARE[name], ZERO_SHARE_STAGES
     else:
@@ -141,13 +149,20 @@ ZERO_SHARE = {
 }
 ZERO_SHARE_STAGES = (1, 2, 10)
 
-FINITE_RANK = [f"finite-rank-n{n}-s{seed}" for n in (25, 100) for seed in range(3)]
+FINITE_RANK = [f"finite-rank-n{n}-s{seed}" for n in (25, 100, 200) for seed in range(3)]
+
+# name -> (staged input, stream, stages) of one run
+SINGLE_RUNS = {"both-summable-block4-S13": ("both-summable", "block4", 13)}
 
 # name -> (values digest, bytes digest)
 RECORDED = {
     "both-summable": (
         "a552b0ca4e645d4e96588a8c91b49741a43b61a4932d44c3aa07057bc8bd86f8",
         "0fc71c65a622acf6f034b50c7e40399c7d5f311e7a8558863a2822436d43756f",
+    ),
+    "both-summable-block4-S13": (
+        "fc06a0629423c76d70bd6ecddc8925d5dfaace7707dd9ecafda2b20ff9322985",
+        "a3325de2558f1392c4685832dc8ce26d8ee92d46ec08962ba1a887527e81e840",
     ),
     "finite-ones-both-summable": (
         "52766ad97b2412eb28ae2e5b83afd4079dbc68dced62c2244c65ce420b879ea6",
@@ -233,6 +248,18 @@ RECORDED = {
         "88563aea0c7648b7b58ac670d2bfcf7e2696a9a829e9f59049a3fef15518fa8e",
         "d225612d9f8e1bf3c6a24f6a6dae5e15e6ec4a838b214883ca39ff59308ff7ca",
     ),
+    "finite-rank-n200-s0": (
+        "81df0c8769a0fdeef1724d7ff47298af1cfcd9b9746ff3857e6bd584c218fd0a",
+        "9a5c701d2282ca404ed8d2152695541d9e99413d368d05ff4f746d222d108272",
+    ),
+    "finite-rank-n200-s1": (
+        "d41eb65b1db68ef4a92030cbd333f7ddd70d98b8ec137e732c59f4b3b28dbaa0",
+        "1f6599a3a991047e6c74002e991190cba1b905ea2b01aca490b284b5b5a92b9e",
+    ),
+    "finite-rank-n200-s2": (
+        "42a815ff31299f8f713f5f4eacd3c1e570ac68ba045fde14b45eb9d729704719",
+        "1aedebf82f1f380466194334566f31f8a5654abf8a0a4a85e53003b736b0ca35",
+    ),
     "finite-rank-n25-s0": (
         "f8a73d81c171f8c6595b1c09fff0be7d4a960a8a620b62d4f4d582583a9da3fb",
         "cfcb76ebfc7479918ef422c0c7657197a830ed9fa740f50d1bc3c7ba88a72318",
@@ -248,7 +275,9 @@ RECORDED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(staged_inputs()) + sorted(ZERO_SHARE) + FINITE_RANK)
+@pytest.mark.parametrize(
+    "name", sorted(staged_inputs()) + sorted(ZERO_SHARE) + sorted(SINGLE_RUNS) + FINITE_RANK
+)
 def test_comparison_set_matches_recorded_digests(name):
     values, raw = digests(name)
     want_values, want_raw = RECORDED[name]
