@@ -237,7 +237,7 @@ def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[Ran
         b, _, ub = work[kb]
         res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
         placed[idx] = RankOneTerm(t, res.w)
-        del work[ka], work[kb]
+        del work[ka], work[kb]  # kb < ka, so kb's index survives the first deletion
         if a + b - t > tol:
             insort(work, (a + b - t, next(arrivals), res.w_prime))
 
