@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import DimensionError
 from .operators import (
     RankOneDecomp,

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import count, islice
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     DimensionError,
     KadisonError,
@@ -55,7 +54,6 @@ TRACE_MATCH_TOL = 1e-10
 DEFAULT_STAGES = 10
 DEFAULT_EXTEND_LIMIT = 10_000
 CARRY = -1  # source position of the tail steps' running carry
-_CARRY_LOCAL = np.array([1.0, 0.0], dtype=complex)  # the carry in span{carry, fresh}
 
 
 @dataclass(frozen=True)
@@ -415,13 +413,14 @@ def plan_both_summable(
 
 # -- the stage driver --------------------------------------------------
 
-def _place(plan: BlockPlan, positions, tol: float) -> list[RankOneTerm]:
-    """A block stage's terms on C^k, its k sorted positions as the standard basis."""
+def _place(plan: BlockPlan, positions, tol: float, verdict=None) -> list[RankOneTerm]:
+    """A block stage's terms on C^k, its k sorted positions as the standard
+    basis; ``verdict`` is the stage's majorization test, if already made."""
     basis = dict(zip(positions, np.eye(len(positions), dtype=complex)))
     local: list[RankOneTerm] = []
     if plan.targets:
         pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
-        local += _horn_place(pool, plan.targets, tol)
+        local += _horn_place(pool, plan.targets, tol, verdict=verdict)
     return local + [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
 
 
@@ -459,6 +458,9 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
                 consumed[pos] = consumed.get(pos, 0.0) + c
                 used[pos] = used.get(pos, 0.0) + c
         positions = sorted(consumed)
+        # the certificate's verdict, at SUM_TOL; it also licenses the placement,
+        # whose own tolerance max(tol, 1e-11) is looser
+        majorization = majorizes(plan.targets, [c for _, c in plan.sources])
         sigma = sigma_cap = None
         if isinstance(plan, _TailStep):
             fresh = stream.vector(positions[0], dim)
@@ -466,9 +468,10 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
             # (g, sqrt(1 - |g|^2)) in an orthonormal basis; the dense w and w'
             # are then formed once from the mixing coefficients
             g = complex(np.vdot(carry.vector, fresh))
+            carry_local = np.array([1.0, 0.0], dtype=complex)
             fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
             (_, e1), (_, e2) = plan.sources
-            res = mix_two(e1, e2, _CARRY_LOCAL, fresh_local, *plan.targets, tol=tol)
+            res = mix_two(e1, e2, carry_local, fresh_local, *plan.targets, tol=tol)
             phase = np.exp(-1j * np.angle(g)) if g else 1.0
             w = res.sigma * carry.vector + (res.tau * phase) * fresh
             w_prime = res.sigma_prime * carry.vector + (res.tau_prime * phase) * fresh
@@ -478,7 +481,7 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
             targets, residual = plan.targets[1:], res.residual
             sigma, sigma_cap = res.sigma, plan.sigma_cap
         else:
-            local = _place(plan, positions, tol)
+            local = _place(plan, positions, tol, majorization)
             residual = _stage_residual(local, [consumed[pos] for pos in positions])
             terms += _embed(local, stream, positions, dim)
             targets = plan.targets + tuple(w for _, w in plan.colinear)
@@ -487,7 +490,7 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
                 stage=first_stage + i,
                 consumed=tuple((stream.base_index(pos), consumed[pos]) for pos in positions),
                 targets=targets,
-                majorization=majorizes(plan.targets, [c for _, c in plan.sources]),
+                majorization=majorization,
                 residual=residual,
                 sigma=sigma,
                 sigma_cap=sigma_cap,

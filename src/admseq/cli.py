@@ -14,8 +14,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
+from ._np import np
 from .bridge import decomp_to_isometry
 from .carpenter import carpenter_decompose
 from .checkers import sum_of_projections_check

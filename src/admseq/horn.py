@@ -12,8 +12,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import count
 
-import numpy as np
-
+from ._np import np
 from .errors import DimensionError, MajorizationError
 from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import majorizes
@@ -174,9 +173,14 @@ def _checked(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[RankOneTerm]:
+def _horn_place(
+    pool: list[RankOneTerm], target_weights, tol: float, *, verdict=None
+) -> list[RankOneTerm]:
     """horn_decompose's placement of unit-vector pool terms, without its
-    reconstruction check: the caller checks the identity.
+    reconstruction check: the caller checks the identity.  A caller that has
+    already tested the majorization of these targets by these pool weights at
+    a tolerance of at most ``max(tol, 1e-11)`` passes its ``verdict``; a
+    holding one is not tested again.
 
     Targets are placed largest first.  A target within ``tol`` of a pool
     weight takes that entry's vector; otherwise it is mixed from the nearest
@@ -192,7 +196,8 @@ def _horn_place(pool: list[RankOneTerm], target_weights, tol: float) -> list[Ran
     if not pool:
         raise DimensionError("need at least one source term")
     dim = len(pool[0].vector)
-    verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, 1e-11))
+    if verdict is None or not verdict.holds:
+        verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, 1e-11))
     if not verdict.holds:
         raise MajorizationError(
             "source weights do not majorize the targets"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
+from ._np import np
 
 INDENT = "  "
 CHUNK_PAIRS = 4096  # [re, im] pairs formatted per write

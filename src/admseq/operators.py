@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-import numpy as np
-
+from ._np import np
 from .errors import DimensionError, SequenceError
 from .seqkit import _real_from_json
 

@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import chain, compress, islice, repeat, zip_longest
 from typing import Iterator
 
+from ._np import np
 from .errors import KadisonError, SequenceError
 
 INF = math.inf
@@ -36,7 +37,8 @@ _LEAF_KINDS = (KIND_FINITE, KIND_FINITELY_SUPPORTED, KIND_GEOMETRIC, KIND_PERIOD
 # paths add left to right from 0.0 -- np.add.accumulate with the running total
 # added into each block's first entry -- so they return the same floats bit for
 # bit.  Passes run over blocks of _BLOCK entries to keep temporaries small.
-# numpy is imported only on this path.
+# Only this path reads numpy, so a gate on short lists never loads it
+# (``np`` is loaded on first use, see ``_np``).
 _ARRAY_MIN = 128
 _BLOCK = 1 << 16
 
@@ -60,8 +62,6 @@ def _values(values) -> tuple[float, ...]:
 
 def _float_values(values) -> tuple[float, ...]:
     """_values for a long list of floats; keeps the caller's float objects."""
-    import numpy as np
-
     neg_zeros = []
     it = iter(values)
     for i in range(0, len(values), _BLOCK):
@@ -82,8 +82,6 @@ def _float_values(values) -> tuple[float, ...]:
 
 def _add_left_to_right(total: float, x) -> float:
     """total + x[0] + x[1] + ..., in that order; x is overwritten."""
-    import numpy as np
-
     if not x.size:
         return total
     x[0] += total
@@ -94,8 +92,6 @@ def _add_left_to_right(total: float, x) -> float:
 def _head_at_most(seq: WeightSeq, lim: float) -> bool:
     if len(seq.values) < _ARRAY_MIN:
         return all(v <= lim for v in seq.values)
-    import numpy as np
-
     return np.count_nonzero(seq._head <= lim) == len(seq.values)
 
 
@@ -228,8 +224,6 @@ class WeightSeq:
         Read it only for heads of at least _ARRAY_MIN entries: caching it
         gives the instance a materialized __dict__, which slows attribute
         access on the many short sequences the planners build."""
-        import numpy as np
-
         return np.fromiter(self.values, np.float64, len(self.values))
 
     # -- basic structure ----------------------------------------------
@@ -489,8 +483,6 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
 
 def _sorted_desc(values, n: int):
     """values zero-padded to n entries, as a float64 array sorted downwards."""
-    import numpy as np
-
     out = np.fromiter(chain(values, repeat(0.0, n - len(values))), np.float64, n)
     out.sort()
     return out[::-1]
@@ -678,8 +670,6 @@ class _SplitAcc:
             for v in seq.values:
                 self.add_value(v)
             return
-        import numpy as np
-
         x = seq._head
         for i in range(0, len(x), _BLOCK):
             block = x[i:i + _BLOCK]
@@ -785,8 +775,6 @@ def _strip_head(seq: WeightSeq, complement: bool = False) -> tuple[list[float], 
         seen = [1.0 - v for v in values] if complement else values
         kept = [v for v, x in zip(values, seen) if 0.0 < x < 1.0]
         return kept, seen.count(0.0), seen.count(1.0)
-    import numpy as np
-
     x = 1.0 - seq._head if complement else seq._head
     kept = list(compress(values, ((x > 0.0) & (x < 1.0)).tolist()))
     return kept, int(np.count_nonzero(x == 0.0)), int(np.count_nonzero(x == 1.0))

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._np import np
 from .errors import DimensionError, SequenceError
 from .operators import _vec_from_json, _vec_to_json
 

@@ -36,7 +36,7 @@ import pytest
 from admseq import carpenter, horn
 from admseq.carpenter import carpenter_decompose, decompose_m_finite
 from admseq.operators import RankOneTerm, frame_operator
-from admseq.seqkit import WeightSeq, split_mu_lambda
+from admseq.seqkit import SUM_TOL, WeightSeq, split_mu_lambda
 from admseq.streams import VectorStream
 
 STREAMS = {
@@ -322,14 +322,33 @@ def test_one_frame_operator_per_block_stage(monkeypatch):
     assert calls == {"carpenter": len(certs), "horn": 0}
 
 
+@pytest.mark.parametrize("name", ["mu-divergent-s0", "lambda-divergent-s0"])
+def test_one_majorization_per_block_stage(monkeypatch, name):
+    # the certificate's verdict also licenses the placement, so horn does not
+    # sort and test the same targets and sources a second time
+    calls = {"carpenter": 0, "horn": 0}
+    for mod_name in calls:
+        mod = carpenter if mod_name == "carpenter" else horn
+        real = mod.majorizes
+
+        def counting(xi, eta, tol=SUM_TOL, _name=mod_name, _real=real):
+            calls[_name] += 1
+            return _real(xi, eta, tol=tol)
+
+        monkeypatch.setattr(mod, "majorizes", counting)
+    _, certs, _ = carpenter_decompose(staged_inputs()[name], STREAMS["block4"](), stages=40)
+    assert all(c.sigma is None for c in certs)  # block stages only
+    assert calls == {"carpenter": len(certs), "horn": 0}
+
+
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "mu-finite"])
 def test_corrupted_placement_is_refused(monkeypatch, name):
     # one placed term turned a little off its vector: mix_two's checks never
     # see it, so only the driver's stage check can refuse the stage
     real = carpenter._horn_place
 
-    def corrupt(pool, targets, tol):
-        placed = real(pool, targets, tol)
+    def corrupt(pool, targets, tol, *, verdict=None):
+        placed = real(pool, targets, tol, verdict=verdict)
         t = placed[0]
         v = t.vector + 1e-6 * np.roll(t.vector, 1)
         placed[0] = RankOneTerm(t.weight, v / np.linalg.norm(v))
