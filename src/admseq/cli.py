@@ -103,7 +103,7 @@ def _cmd_check_majorize(args) -> int:
     eta = seq_from_json(eta_obj)
     if not (xi.is_finite and eta.is_finite):
         raise SequenceError("majorization compares finite sequences")
-    verdict = majorizes(xi.values, eta.values, tol=args.tol)
+    verdict = majorizes(xi, eta, tol=args.tol)
     _emit(
         _report(
             args,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import chain, compress, islice, zip_longest
+from operator import countOf
 from typing import Iterator
 
 from ._np import np
@@ -36,9 +37,14 @@ _LEAF_KINDS = (KIND_FINITE, KIND_FINITELY_SUPPORTED, KIND_GEOMETRIC, KIND_PERIOD
 # which are faster there (majorizes breaks even at 100 to 160 entries).  Both
 # paths add left to right from 0.0 -- np.add.accumulate with the running total
 # added into each block's first entry -- so they return the same floats bit for
-# bit.  Passes run over blocks of _BLOCK entries to keep temporaries small.
-# Only this path reads numpy, so a gate on short lists never loads it
-# (``np`` is loaded on first use, see ``_np``).
+# bit.  A long list of floats is converted to float64 once, by its validation:
+# the leaf built from it keeps that array as ``_head``, and majorizes sorts a
+# list's array in place (a sequence's ``_head``, a copy of it).  The gate
+# results of a long head -- (a, b) per alpha and the split -- are kept on the
+# sequence (``_gate``), so they are computed once per sequence.  Passes run
+# over blocks of _BLOCK entries to keep temporaries small.  Only this path
+# reads numpy, so a gate on short lists never loads it (``np`` is loaded on
+# first use, see ``_np``).
 _ARRAY_MIN = 128
 _BLOCK = 1 << 16
 
@@ -52,32 +58,37 @@ def _as_value(x) -> float:
     return 0.0 if v == 0.0 else v
 
 
-def _values(values) -> tuple[float, ...]:
-    """Validated entries: finite nonnegative floats, with -0.0 read as 0.0."""
+def _validated(values, floats: bool = False):
+    """Validated entries -- finite nonnegative floats, with -0.0 read as 0.0 --
+    and their float64 array when validation built one (a long list or tuple
+    of floats), else None.  ``floats`` says the caller has checked that every
+    entry is a float."""
     if (isinstance(values, (list, tuple)) and len(values) >= _ARRAY_MIN
-            and set(map(type, values)) == {float}):
+            and (floats or countOf(map(type, values), float) == len(values))):
         return _float_values(values)
-    return tuple(map(_as_value, values))
+    return tuple(map(_as_value, values)), None
 
 
-def _float_values(values) -> tuple[float, ...]:
-    """_values for a long list of floats; keeps the caller's float objects."""
+def _float_values(values):
+    """_validated for a long list of floats: one conversion, checked block by
+    block.  The tuple keeps the caller's float objects."""
+    x = np.fromiter(values, np.float64, len(values))
     neg_zeros = []
-    it = iter(values)
-    for i in range(0, len(values), _BLOCK):
-        x = np.fromiter(it, np.float64, min(_BLOCK, len(values) - i))
-        ok = (x >= 0.0) & np.isfinite(x)
-        if np.count_nonzero(ok) < len(x):
+    for i in range(0, len(x), _BLOCK):
+        block = x[i:i + _BLOCK]
+        ok = (block >= 0.0) & np.isfinite(block)
+        if np.count_nonzero(ok) < len(block):
             _as_value(values[i + int(ok.argmin())])  # raises the loop's error
-        neg = np.signbit(x)
+        neg = np.signbit(block)
         if np.count_nonzero(neg):
             neg_zeros.extend((np.flatnonzero(neg) + i).tolist())
     if not neg_zeros:
-        return tuple(values)
+        return tuple(values), x
+    x[neg_zeros] = 0.0
     out = list(values)
     for i in neg_zeros:
         out[i] = 0.0
-    return tuple(out)
+    return tuple(out), x
 
 
 def _add_left_to_right(total: float, x) -> float:
@@ -151,37 +162,37 @@ class WeightSeq:
 
     @classmethod
     def finite(cls, values) -> "WeightSeq":
-        return cls(KIND_FINITE, values=_values(values))
+        return _leaf(KIND_FINITE, _validated(values))
 
     @classmethod
     def finitely_supported(cls, values) -> "WeightSeq":
         """Infinite sequence equal to ``values`` then identically zero."""
-        return cls(KIND_FINITELY_SUPPORTED, values=_values(values))
+        return _leaf(KIND_FINITELY_SUPPORTED, _validated(values))
 
     @classmethod
     def geometric(cls, values, tail_first, tail_ratio) -> "WeightSeq":
         """Explicit head followed by the tail first, first*ratio, first*ratio^2, ..."""
-        head = _values(values)
+        head = _validated(values)
         f = _as_value(tail_first)
         q = float(tail_ratio)
         if not 0.0 <= q < 1.0:
             raise SequenceError(f"geometric tail ratio must lie in [0, 1), got {q!r}")
         if f == 0.0:
-            return cls.finitely_supported(head)
+            return _leaf(KIND_FINITELY_SUPPORTED, head)
         if q == 0.0:
-            return cls.finitely_supported(head + (f,))
-        return cls(KIND_GEOMETRIC, values=head, tail_first=f, tail_ratio=q)
+            return cls.finitely_supported(head[0] + (f,))
+        return _leaf(KIND_GEOMETRIC, head, tail_first=f, tail_ratio=q)
 
     @classmethod
     def periodic(cls, values, tail_block) -> "WeightSeq":
         """Explicit head followed by the block repeated forever."""
-        head = _values(values)
-        block = _values(tail_block)
+        head = _validated(values)
+        block = _validated(tail_block)[0]
         if not block:
             raise SequenceError("periodic tail needs a nonempty block")
         if all(v == 0.0 for v in block):
-            return cls.finitely_supported(head)
-        return cls(KIND_PERIODIC, values=head, tail_block=block)
+            return _leaf(KIND_FINITELY_SUPPORTED, head)
+        return _leaf(KIND_PERIODIC, head, tail_block=block)
 
     @classmethod
     def one_minus(cls, seq: "WeightSeq") -> "WeightSeq":
@@ -219,12 +230,22 @@ class WeightSeq:
 
     @cached_property
     def _head(self):
-        """values as a float64 array, built on first use by the array path.
+        """values as a float64 array, for the array path; never written to.
 
-        Read it only for heads of at least _ARRAY_MIN entries: caching it
+        A leaf built from a long list of floats holds the array its
+        validation built (``_leaf``); heads that the split or the complement
+        build convert their values here, on first use.  Read it, and
+        ``_gate``, only for heads of at least _ARRAY_MIN entries: caching
         gives the instance a materialized __dict__, which slows attribute
         access on the many short sequences the planners build."""
         return np.fromiter(self.values, np.float64, len(self.values))
+
+    @cached_property
+    def _gate(self) -> dict:
+        """Gate results of a long head, kept so each is computed once:
+        (a, b) under each alpha the Kadison test ran at, the SplitSeq under
+        ``"split"`` (see ``_gated``)."""
+        return {}
 
     # -- basic structure ----------------------------------------------
 
@@ -366,6 +387,15 @@ class WeightSeq:
         return all(p.entries_within_unit(tol) for p in self.parts)
 
 
+def _leaf(kind: str, checked, **tail) -> WeightSeq:
+    """A leaf on a head validated by _validated; a long head keeps its array."""
+    values, head = checked
+    seq = WeightSeq(kind, values=values, **tail)
+    if head is not None:
+        seq.__dict__["_head"] = head
+    return seq
+
+
 # -- serialization ----------------------------------------------------
 
 def _real_from_json(x) -> float:
@@ -380,10 +410,20 @@ def _real_from_json(x) -> float:
 
 
 def _reals_from_json(xs):
-    """A JSON list of floats as it is; anything else entry by entry."""
-    if isinstance(xs, list) and set(map(type, xs)) <= {float}:
-        return xs
-    return (_real_from_json(v) for v in xs)
+    """The entries of a JSON list, validated (see _validated).  A list of
+    floats is taken as it is and an all-string list converted at once; any
+    other list, or a string list with a bad entry, goes entry by entry, so
+    the first bad entry is the one named."""
+    if isinstance(xs, list):
+        types = set(map(type, xs))
+        if types <= {float}:
+            return _validated(xs, floats=True)
+        if types == {str}:
+            try:
+                return _validated(list(map(float, xs)), floats=True)
+            except ValueError:
+                pass
+    return _validated(_real_from_json(v) for v in xs)
 
 
 def seq_to_json(seq: WeightSeq) -> dict:
@@ -409,9 +449,9 @@ def seq_from_json(obj) -> WeightSeq:
     kind = obj.get("kind")
     try:
         if kind == KIND_FINITE:
-            return WeightSeq.finite(_reals_from_json(obj["values"]))
+            return _leaf(KIND_FINITE, _reals_from_json(obj["values"]))
         if kind == KIND_FINITELY_SUPPORTED:
-            return WeightSeq.finitely_supported(_reals_from_json(obj["values"]))
+            return _leaf(KIND_FINITELY_SUPPORTED, _reals_from_json(obj["values"]))
         if kind == KIND_GEOMETRIC:
             return WeightSeq.geometric(
                 tuple(_real_from_json(v) for v in obj.get("values", [])),
@@ -434,12 +474,14 @@ def seq_from_json(obj) -> WeightSeq:
 
 # -- rearrangement and majorization ----------------------------------
 
-def _finite_values(xi) -> tuple[float, ...]:
+def _finite_values(xi):
+    """Validated entries of a finite sequence or list, and a float64 array of
+    them that the caller may sort in place (None when validation built none)."""
     if isinstance(xi, WeightSeq):
         if not xi.is_finite:
             raise SequenceError("operation requires a finite sequence")
-        return xi.values
-    return _values(xi)
+        return xi.values, (xi._head.copy() if len(xi.values) >= _ARRAY_MIN else None)
+    return _validated(xi)
 
 
 @dataclass(frozen=True)
@@ -461,14 +503,20 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
     Partial sums of the non-increasing rearrangements are compared with
     ``tol`` slack, and the totals must match within ``tol``.
     """
-    a = _finite_values(xi)
-    b = _finite_values(eta)
+    a, xa = _finite_values(xi)
+    b, xb = _finite_values(eta)
+    side = "xi"
+    try:
+        total = math.fsum(a)
+        side = "eta"
+        sum_gap = total - math.fsum(b)
+    except OverflowError:
+        raise SequenceError(f"the entries of {side} sum beyond the float64 range") from None
     n = max(len(a), len(b))
     if n >= _ARRAY_MIN:
-        return _majorizes_arrays(a, b, n, tol)
+        return _majorizes_arrays(_sorted_desc(a, xa, n), _sorted_desc(b, xb, n), sum_gap, tol)
     a = sorted(a + (0.0,) * (n - len(a)), reverse=True)
     b = sorted(b + (0.0,) * (n - len(b)), reverse=True)
-    sum_gap = math.fsum(a) - math.fsum(b)
     ca = 0.0
     cb = 0.0
     for k in range(n):
@@ -481,21 +529,23 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
     return MajorizationVerdict(True, None, sum_gap)
 
 
-def _sorted_desc(values, n: int):
-    """values zero-padded to n entries, as a float64 array sorted downwards."""
-    out = np.fromiter(chain(values, repeat(0.0, n - len(values))), np.float64, n)
-    out.sort()
-    return out[::-1]
+def _sorted_desc(values, x, n: int):
+    """values zero-padded to n entries, as a float64 array sorted downwards.
+    x, the values' own array or None, is sorted in place."""
+    if x is None:
+        x = np.fromiter(values, np.float64, len(values))
+    x.sort()
+    if len(x) < n:
+        x = np.concatenate((np.zeros(n - len(x)), x))
+    return x[::-1]
 
 
-def _majorizes_arrays(a, b, n: int, tol: float) -> MajorizationVerdict:
-    """majorizes for n >= _ARRAY_MIN: the same partial sums, block by block."""
-    sum_gap = math.fsum(a) - math.fsum(b)
-    sa = _sorted_desc(a, n)
-    sb = _sorted_desc(b, n)
+def _majorizes_arrays(sa, sb, sum_gap: float, tol: float) -> MajorizationVerdict:
+    """majorizes for n >= _ARRAY_MIN entries, on the sorted arrays: the same
+    partial sums, block by block."""
     ca = 0.0
     cb = 0.0
-    for i in range(0, n, _BLOCK):
+    for i in range(0, len(sa), _BLOCK):
         pa = sa[i:i + _BLOCK]
         pb = sb[i:i + _BLOCK]
         ca = _add_left_to_right(ca, pa)
@@ -530,6 +580,20 @@ class KadisonReport:
 def _require_unit_entries(seq: WeightSeq) -> None:
     if not seq.entries_within_unit():
         raise SequenceError("entries must lie in [0, 1]")
+
+
+def _gated(seq: WeightSeq, key, compute):
+    """compute(seq) once seq's entries are checked to lie in [0, 1].  For a
+    head on the array path the result is kept in ``seq._gate`` under key, so
+    asking again (classify_case after kadison_check) repeats no pass."""
+    if len(seq.values) < _ARRAY_MIN:
+        _require_unit_entries(seq)
+        return compute(seq)
+    memo = seq._gate
+    if key not in memo:
+        _require_unit_entries(seq)
+        memo[key] = compute(seq)
+    return memo[key]
 
 
 def _head_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
@@ -617,8 +681,7 @@ def kadison_check(xi, alpha: float = 0.5, tol: float = INT_SNAP) -> KadisonRepor
         seq = WeightSeq.finite(xi)
     if not 0.0 < alpha < 1.0:
         raise SequenceError(f"threshold must lie in (0, 1), got {alpha!r}")
-    _require_unit_entries(seq)
-    a, b = _kadison_ab(seq, alpha)
+    a, b = _gated(seq, ("ab", alpha), lambda s: _kadison_ab(s, alpha))
     if math.isinf(a) or math.isinf(b):
         return KadisonReport(a, b, alpha, True, None)
     gap = a - b
@@ -749,7 +812,10 @@ def split_mu_lambda(xi) -> SplitSeq:
     is all downstream planners depend on.
     """
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
-    _require_unit_entries(seq)
+    return _gated(seq, "split", _split)
+
+
+def _split(seq: WeightSeq) -> SplitSeq:
     acc = _SplitAcc()
     _split_into(seq, acc)
     mu = _combine(acc.mu_values, acc.mu_segs)

@@ -113,6 +113,18 @@ class TestCheckMajorize:
         eta = write_json(tmp_path / "eta.json", {"kind": "finite", "values": [1.0]})
         assert main(["check-majorize", xi, eta]) == 2
 
+    @pytest.mark.parametrize("n", [2, 128])
+    @pytest.mark.parametrize("side", ["xi", "eta"])
+    def test_overflowing_sum_exits_two_naming_the_side(self, tmp_path, capsys, n, side):
+        files = {"xi": [0.5] * n, "eta": [1.0] * n}
+        files[side] = [1e308] * n
+        xi, eta = (write_json(tmp_path / f"{k}.json", {"kind": "finite", "values": v})
+                   for k, v in files.items())
+        assert main(["check-majorize", xi, eta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the entries of {side} sum beyond the float64 range\n"
+
 
 class TestDecompose:
     def test_mu_divergent_pipeline(self, tmp_path, capsys):

@@ -3,7 +3,9 @@
 Lists of at least ``seqkit._ARRAY_MIN`` entries are validated, judged, split
 and majorized in numpy passes.  The reference functions below are the
 per-entry loops those passes must reproduce; every comparison is bit for
-bit (``float.hex``), so -0.0 and 0.0 count as different.
+bit (``float.hex``), so -0.0 and 0.0 count as different.  A long list is
+converted to float64 once, and the gate results of a long head are kept on
+the sequence; those kept results must match a fresh sequence's.
 """
 
 import ast
@@ -14,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +204,28 @@ def test_non_float_entries_take_the_per_entry_path(other):
     assert bits(WeightSeq.finite(gen).values) == bits(ref_values(values))
 
 
+def test_a_long_list_keeps_the_array_its_validation_built():
+    values = [random.Random(4).random() for _ in range(2 * _ARRAY_MIN)]
+    for seq in (WeightSeq.finite(values), WeightSeq.geometric(values, 0.25, 0.5),
+                seq_from_json({"kind": "finite", "values": values}),
+                seq_from_json({"kind": "finite", "values": [repr(v) for v in values]})):
+        assert "_head" in vars(seq)
+        assert bits(tuple(seq._head.tolist())) == bits(seq.values)
+    short = WeightSeq.finite(values[: _ARRAY_MIN - 1])
+    assert "_head" not in vars(short)
+
+
+@pytest.mark.parametrize("n", [_ARRAY_MIN - 1, _ARRAY_MIN, _BLOCK + 5])
+def test_negative_zeros_read_as_zero_in_values_and_head(n):
+    values = [0.25] * n
+    for i in (0, n // 2, _BLOCK if n > _BLOCK else 1, n - 1):
+        values[i] = -0.0
+    seq = WeightSeq.finite(values)
+    assert bits(seq.values) == bits(ref_values(values))
+    assert bits(tuple(seq._head.tolist())) == bits(seq.values)
+    assert not np.signbit(seq._head).any()
+
+
 # -- gate, split and strip ------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -248,6 +273,61 @@ def test_heads_of_closed_forms_match_loop(values, alpha):
     assert bits(got) == bits(want)
 
 
+# -- the kept gate results ---------------------------------------------------
+
+def long_heads(values):
+    return [WeightSeq.finite(values), WeightSeq.finitely_supported(values),
+            WeightSeq.geometric(values, 0.3, 0.5), WeightSeq.periodic(values, [0.0, 0.75])]
+
+
+@settings(max_examples=20, deadline=None)
+@given(unit_lists(LENGTHS[1:-1]), st.sampled_from((0.5, 0.1, HALF_UP)))
+def test_kept_gate_results_match_a_fresh_sequence(values, alpha):
+    for seq, fresh, again, snap in zip(*(long_heads(values) for _ in range(4))):
+        first = (kadison_check(seq, alpha=alpha), split_mu_lambda(seq))
+        kept = (kadison_check(seq, alpha=alpha), split_mu_lambda(seq))
+        assert set(seq._gate) == {("ab", alpha), "split"}
+        assert kept[1] is first[1]
+        assert bits(kept) == bits(first)
+        assert bits(kept) == bits((kadison_check(fresh, alpha=alpha), split_mu_lambda(fresh)))
+        # the split first, then the test, in the order classify_case asks
+        assert bits((split_mu_lambda(again), kadison_check(again, alpha=alpha))) \
+            == bits(kept[::-1])
+        # the snapping tolerance is applied afresh to the kept sums
+        assert bits(kadison_check(seq, alpha=alpha, tol=0.0)) \
+            == bits(kadison_check(snap, alpha=alpha, tol=0.0))
+
+
+def test_kept_gate_results_are_per_instance_and_per_alpha():
+    values = [random.Random(7).random() for _ in range(2 * _ARRAY_MIN)]
+    seq, twin = WeightSeq.finite(values), WeightSeq.finite(values)
+    before = hash(seq)
+    for alpha in (0.5, 0.1, 0.5):
+        assert bits(kadison_check(seq, alpha=alpha)) == bits(ref_kadison(values, alpha))
+    split_mu_lambda(seq)
+    assert set(seq._gate) == {("ab", 0.5), ("ab", 0.1), "split"}
+    assert "_gate" not in vars(twin)
+    assert seq == twin and hash(seq) == hash(twin) == before
+    assert {twin: 1}[seq] == 1
+    assert kadison_check(twin, alpha=0.1) == kadison_check(seq, alpha=0.1)
+    assert set(twin._gate) == {("ab", 0.1)}
+
+
+def test_short_sequences_keep_no_gate_results():
+    seq = WeightSeq.finite([0.25, 0.75] * (_ARRAY_MIN // 2 - 1))
+    kadison_check(seq)
+    split_mu_lambda(seq)
+    assert "_gate" not in vars(seq) and "_head" not in vars(seq)
+
+
+def test_entries_outside_the_unit_interval_are_refused_every_time():
+    seq = WeightSeq.finite([0.25] * _ARRAY_MIN + [1.5])
+    for check in (kadison_check, split_mu_lambda, kadison_check):
+        with pytest.raises(SequenceError, match=r"entries must lie in \[0, 1\]"):
+            check(seq)
+    assert seq._gate == {}
+
+
 # -- majorization ---------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -258,6 +338,39 @@ def test_majorizes_matches_loop(xi, other, tol):
         assert bits(majorizes(eta, xi, tol)) == bits(ref_majorizes(eta, xi, tol))
     seq = WeightSeq.finite(xi)
     assert bits(majorizes(seq, WeightSeq.finite(other))) == bits(ref_majorizes(xi, other))
+
+
+@settings(max_examples=25, deadline=None)
+@given(unit_lists(), unit_lists(), st.sampled_from((SUM_TOL, 0.0)))
+def test_majorizes_reads_lists_tuples_and_sequences_alike(xi, other, tol):
+    for eta in (canonical_majorant(xi), other[: len(other) // 2]):
+        want = bits(ref_majorizes(xi, eta, tol))
+        for left in (list, tuple, WeightSeq.finite):
+            for right in (list, tuple, WeightSeq.finite):
+                assert bits(majorizes(left(xi), right(eta), tol)) == want
+
+
+def test_majorizes_leaves_the_inputs_as_they_were():
+    xi = [random.Random(9).random() for _ in range(3 * _ARRAY_MIN)]
+    seq = WeightSeq.finite(xi)
+    listed = list(xi)
+    want = bits(ref_majorizes(xi, xi))
+    assert bits(majorizes(seq, seq)) == bits(majorizes(seq, seq)) == want
+    assert bits(majorizes(listed, seq)) == want
+    assert listed == xi
+    assert bits(tuple(seq._head.tolist())) == bits(seq.values)
+
+
+@pytest.mark.parametrize("n", [2, _ARRAY_MIN])
+def test_majorizes_names_the_side_whose_sum_overflows(n):
+    big, small = [1e308] * n, [1.0] * n
+    for make in (list, WeightSeq.finite):
+        with pytest.raises(SequenceError) as exc:
+            majorizes(make(big), make(small))
+        assert str(exc.value) == "the entries of xi sum beyond the float64 range"
+        with pytest.raises(SequenceError) as exc:
+            majorizes(make(small), make(big))
+        assert str(exc.value) == "the entries of eta sum beyond the float64 range"
 
 
 def test_majorizes_finds_a_failure_in_a_later_block():
@@ -311,6 +424,19 @@ def test_json_float_lists_match_the_per_entry_path():
 ])
 def test_json_other_entries_keep_their_errors(entry, text):
     values = [0.25] * (2 * _ARRAY_MIN) + [entry]
+    with pytest.raises(SequenceError) as exc:
+        seq_from_json({"kind": "finite", "values": values})
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("tail", [0, 2 * _ARRAY_MIN])
+@pytest.mark.parametrize("bad, text", [
+    (["x", "-1"], "bad decimal string 'x'"),
+    (["-1", "x"], "sequence entries must be nonnegative, got -1.0"),
+    (["nan", "-1"], "sequence entries must be finite reals, got nan"),
+])
+def test_json_string_lists_name_the_first_bad_entry(bad, text, tail):
+    values = ["0.25"] * 3 + bad + ["0.5"] * tail
     with pytest.raises(SequenceError) as exc:
         seq_from_json({"kind": "finite", "values": values})
     assert str(exc.value) == text
