@@ -145,8 +145,7 @@ def _classify(seq: WeightSeq) -> tuple[CaseTag, SplitSeq]:
             f"weights fail the integrality test (a={rep.a!r}, b={rep.b!r})"
         )
     sp = split_mu_lambda(seq)
-    mu_sum = sp.mu.total()
-    lam_sum = sp.lam.total()
+    mu_sum, lam_sum = sp.totals
     k = _snap_int(lam_sum - mu_sum) if mu_sum < INF and lam_sum < INF else None
     if sp.N < INF and mu_sum < INF:  # finite total core weight
         return CaseTag(CASE_FINITE_RANK, k, sp.M, sp.N), sp

@@ -4,6 +4,12 @@ Sequences are nonnegative and either finite or given in closed form (geometric
 tail, periodic tail, complements and interleavings of those), so totals and
 tail sums are computed exactly -- finite ones in closed form, divergent ones
 certified as ``inf``.  Nothing here estimates a tail by partial summation.
+
+Every kind but the interleaving is a leaf: a head (``values``), read in one
+place per operation, then its kind's tail -- none, zeros, f*q^k, a repeated
+block, or 1 - f*q^k.  A one-minus leaf holds its inner head's complements and
+keeps the inner sequence in ``parts`` for JSON, drop and strip.  Iteration and
+drop of an interleaving share one round-robin walk (``_round_robin``).
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, zip_longest
+from itertools import chain, compress, count, cycle, islice, repeat, zip_longest
 from operator import countOf
 from typing import Iterator
 
@@ -29,8 +35,6 @@ KIND_GEOMETRIC = "geometric-tail"
 KIND_PERIODIC = "periodic-tail"
 KIND_ONE_MINUS = "one-minus"
 KIND_INTERLEAVE = "interleave"
-
-_LEAF_KINDS = (KIND_FINITE, KIND_FINITELY_SUPPORTED, KIND_GEOMETRIC, KIND_PERIODIC)
 
 # Finite lists and heads of at least _ARRAY_MIN entries are validated, judged,
 # split and majorized in numpy passes; shorter ones take the per-entry loops,
@@ -100,12 +104,6 @@ def _add_left_to_right(total: float, x) -> float:
     return float(x[-1])
 
 
-def _head_at_most(seq: WeightSeq, lim: float) -> bool:
-    if len(seq.values) < _ARRAY_MIN:
-        return all(v <= lim for v in seq.values)
-    return np.count_nonzero(seq._head <= lim) == len(seq.values)
-
-
 def _first_k_leq(first: float, ratio: float, x: float) -> int | None:
     """Smallest k >= 0 with first*ratio**k <= x, or None if no such k."""
     if first <= x:
@@ -121,17 +119,9 @@ def _first_k_leq(first: float, ratio: float, x: float) -> int | None:
 
 
 def _first_k_lt(first: float, ratio: float, x: float) -> int | None:
-    """Smallest k >= 0 with first*ratio**k < x, or None if no such k."""
-    if first < x:
-        return 0
-    if x <= 0.0:
-        return None
-    k = max(0, math.ceil(math.log(x / first) / math.log(ratio)))
-    while first * ratio**k >= x:
-        k += 1
-    while k > 0 and first * ratio ** (k - 1) < x:
-        k -= 1
-    return k
+    """Smallest k >= 0 with first*ratio**k < x, for x above the least
+    subnormal: no float lies strictly between x and the float below it."""
+    return _first_k_leq(first, ratio, math.nextafter(x, 0.0))
 
 
 def _geom_sum(first: float, ratio: float, count: int | None = None) -> float:
@@ -197,22 +187,22 @@ class WeightSeq:
     @classmethod
     def one_minus(cls, seq: "WeightSeq") -> "WeightSeq":
         """Entrywise complement 1 - s of a sequence with entries in [0, 1]."""
+        if seq.kind == KIND_ONE_MINUS:  # its inner entries were checked
+            return seq.parts[0]
         if not seq.entries_within_unit():
             raise SequenceError("one-minus needs entries in [0, 1]")
-        if seq.kind == KIND_FINITE:
-            return cls.finite(tuple(1.0 - v for v in seq.values))
-        if seq.kind == KIND_FINITELY_SUPPORTED:
-            return cls.periodic(tuple(1.0 - v for v in seq.values), (1.0,))
-        if seq.kind == KIND_PERIODIC:
-            return cls.periodic(
-                tuple(1.0 - v for v in seq.values),
-                tuple(1.0 - v for v in seq.tail_block),
-            )
-        if seq.kind == KIND_ONE_MINUS:
-            return seq.parts[0]
         if seq.kind == KIND_INTERLEAVE:
             return cls.interleave(*(cls.one_minus(p) for p in seq.parts))
-        return cls(KIND_ONE_MINUS, parts=(seq,))
+        head = tuple([1.0 - v for v in seq.values])
+        if seq.kind == KIND_FINITE:
+            return cls.finite(head)
+        if seq.kind == KIND_FINITELY_SUPPORTED:
+            return cls.periodic(head, (1.0,))
+        if seq.kind == KIND_PERIODIC:
+            return cls.periodic(head, tuple(1.0 - v for v in seq.tail_block))
+        # a geometric leaf: its head entries lie in [0, 1], so the complements
+        # need no validation
+        return cls(KIND_ONE_MINUS, head, seq.tail_first, seq.tail_ratio, parts=(seq,))
 
     @classmethod
     def interleave(cls, *parts: "WeightSeq") -> "WeightSeq":
@@ -258,38 +248,23 @@ class WeightSeq:
         return len(self.values) if self.kind == KIND_FINITE else None
 
     def __iter__(self) -> Iterator[float]:
-        if self.kind == KIND_FINITE:
-            yield from self.values
-        elif self.kind == KIND_FINITELY_SUPPORTED:
-            yield from self.values
-            while True:
-                yield 0.0
-        elif self.kind == KIND_GEOMETRIC:
-            yield from self.values
-            k = 0
-            while True:
-                yield self.tail_first * self.tail_ratio**k
-                k += 1
-        elif self.kind == KIND_PERIODIC:
-            yield from self.values
-            while True:
-                yield from self.tail_block
-        elif self.kind == KIND_ONE_MINUS:
-            for v in self.parts[0]:
-                yield 1.0 - v
-        else:
+        if self.kind == KIND_INTERLEAVE:
             iters = [iter(p) for p in self.parts]
-            lengths = [p.length() for p in self.parts]
-            taken = [0] * len(iters)
-            alive = list(range(len(iters)))
-            while alive:
-                nxt = []
-                for i in alive:
-                    yield next(iters[i])
-                    taken[i] += 1
-                    if lengths[i] is None or taken[i] < lengths[i]:
-                        nxt.append(i)
-                alive = nxt
+            for i in _round_robin(self.parts):
+                yield next(iters[i])
+            return
+        yield from self.values
+        f, q = self.tail_first, self.tail_ratio
+        if self.kind == KIND_FINITELY_SUPPORTED:
+            yield from repeat(0.0)
+        elif self.kind == KIND_GEOMETRIC:
+            for k in count():
+                yield f * q**k
+        elif self.kind == KIND_ONE_MINUS:
+            for k in count():
+                yield 1.0 - f * q**k
+        elif self.kind == KIND_PERIODIC:
+            yield from cycle(self.tail_block)
 
     def head(self, n: int) -> list[float]:
         return list(islice(self, max(n, 0)))
@@ -299,14 +274,8 @@ class WeightSeq:
 
     def total(self) -> float:
         """Exact total: a float, or inf for a certified divergent sequence."""
-        if self.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-            return math.fsum(self.values)
-        if self.kind == KIND_GEOMETRIC:
-            return math.fsum(self.values) + _geom_sum(self.tail_first, self.tail_ratio)
-        if self.kind == KIND_PERIODIC:
-            return INF  # nonzero block repeats forever
-        if self.kind == KIND_ONE_MINUS:
-            return INF  # inner entries decay to 0, so 1 - inner does not
+        if self.kind != KIND_INTERLEAVE:
+            return self._sum_from(0)
         tot = 0.0
         for p in self.parts:
             t = p.total()
@@ -319,72 +288,78 @@ class WeightSeq:
         """Exact sum of the entries with 0-based index >= start."""
         if start < 0:
             raise SequenceError("tail start must be nonnegative")
-        if self.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-            return math.fsum(self.values[start:])
-        if self.kind == KIND_GEOMETRIC:
-            n_head = len(self.values)
-            if start <= n_head:
-                return math.fsum(self.values[start:]) + _geom_sum(self.tail_first, self.tail_ratio)
-            k = start - n_head
-            return _geom_sum(self.tail_first * self.tail_ratio**k, self.tail_ratio)
-        if self.kind == KIND_PERIODIC:
-            return INF
-        if self.kind == KIND_ONE_MINUS:
-            return INF
+        if self.kind != KIND_INTERLEAVE:
+            return self._sum_from(start)
         tot = self.total()
         if tot == INF:
             return INF
         return max(0.0, tot - self.head_sum(start))
 
+    def _sum_from(self, start: int) -> float:
+        """tail_sum(start) of a leaf: its head from start on, then its tail."""
+        if self.kind in (KIND_PERIODIC, KIND_ONE_MINUS):
+            return INF  # the tail's entries do not decay to 0
+        k = start - len(self.values)  # tail entries before start, when positive
+        tail = 0.0
+        if self.kind == KIND_GEOMETRIC:
+            f = self.tail_first * self.tail_ratio**k if k > 0 else self.tail_first
+            tail = _geom_sum(f, self.tail_ratio)
+        if k >= 0:  # no head entries from start on
+            return tail
+        return math.fsum(self.values[start:]) + tail
+
     def drop(self, n: int) -> "WeightSeq":
         """The sequence with its first n entries removed."""
         if n <= 0:
             return self
-        if self.kind == KIND_FINITE:
-            return WeightSeq.finite(self.values[n:])
-        if self.kind == KIND_FINITELY_SUPPORTED:
-            return WeightSeq.finitely_supported(self.values[n:])
-        if self.kind == KIND_GEOMETRIC:
-            n_head = len(self.values)
-            if n <= n_head:
-                return WeightSeq.geometric(self.values[n:], self.tail_first, self.tail_ratio)
-            k = n - n_head
-            return WeightSeq.geometric((), self.tail_first * self.tail_ratio**k, self.tail_ratio)
-        if self.kind == KIND_PERIODIC:
-            n_head = len(self.values)
-            if n <= n_head:
-                return WeightSeq.periodic(self.values[n:], self.tail_block)
-            off = (n - n_head) % len(self.tail_block)
-            return WeightSeq.periodic((), self.tail_block[off:] + self.tail_block[:off])
+        if self.kind == KIND_INTERLEAVE:
+            # walk n round-robin steps counting pops per part; the rest goes
+            # on with the cycle from the part the next entry comes from
+            walk = _round_robin(self.parts)
+            taken = [0] * len(self.parts)
+            for i in islice(walk, n):
+                taken[i] += 1
+            nxt = next(walk, 0)
+            rest = [p.drop(t) for p, t in zip(self.parts, taken)]
+            return WeightSeq.interleave(*rest[nxt:], *rest[:nxt])
         if self.kind == KIND_ONE_MINUS:
             return WeightSeq.one_minus(self.parts[0].drop(n))
-        # interleave: walk n round-robin steps counting pops per part, then
-        # restart the cycle on the reduced parts (a valid reordering of the rest)
-        lengths = [p.length() for p in self.parts]
-        taken = [0] * len(self.parts)
-        alive = list(range(len(self.parts)))
-        seen = 0
-        while alive and seen < n:
-            nxt = []
-            for i in alive:
-                if seen < n:
-                    taken[i] += 1
-                    seen += 1
-                if lengths[i] is None or taken[i] < lengths[i]:
-                    nxt.append(i)
-            alive = nxt
-        return WeightSeq.interleave(*(p.drop(t) for p, t in zip(self.parts, taken)))
-
-    def entries_within_unit(self, tol: float = 0.0) -> bool:
-        """Whether every entry is <= 1 + tol (entries are nonnegative by construction)."""
-        lim = 1.0 + tol
-        if self.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-            return _head_at_most(self, lim)
+        head = self.values[n:]
+        k = max(n - len(self.values), 0)  # tail entries dropped
         if self.kind == KIND_GEOMETRIC:
-            return _head_at_most(self, lim) and self.tail_first <= lim
+            return WeightSeq.geometric(head, self.tail_first * self.tail_ratio**k, self.tail_ratio)
         if self.kind == KIND_PERIODIC:
-            return _head_at_most(self, lim) and all(v <= lim for v in self.tail_block)
-        return all(p.entries_within_unit(tol) for p in self.parts)
+            off = k % len(self.tail_block)
+            return WeightSeq.periodic(head, self.tail_block[off:] + self.tail_block[:off])
+        return _leaf(self.kind, _validated(head))
+
+    def entries_within_unit(self) -> bool:
+        """Whether every entry is <= 1 (entries are nonnegative by construction)."""
+        if self.kind == KIND_INTERLEAVE:
+            return all(p.entries_within_unit() for p in self.parts)
+        if len(self.values) < _ARRAY_MIN:
+            if not all(v <= 1.0 for v in self.values):
+                return False
+        elif np.count_nonzero(self._head <= 1.0) < len(self.values):
+            return False
+        if self.kind == KIND_GEOMETRIC:  # the first tail entry is the largest
+            return self.tail_first <= 1.0
+        return all(v <= 1.0 for v in self.tail_block)  # no block unless periodic
+
+
+def _round_robin(parts) -> Iterator[int]:
+    """The index of the part each entry of an interleaving is read from, in
+    order: a round takes one entry from each live part, and a finite part
+    leaves the cycle after its last entry."""
+    alive = list(range(len(parts)))
+    left = {i: p.length() for i, p in enumerate(parts) if p.is_finite}  # entries to read
+    while left:
+        rounds = min(left.values())  # full rounds before a finite part runs out
+        for _ in range(rounds):
+            yield from alive
+        left = {i: m - rounds for i, m in left.items() if m > rounds}
+        alive = [i for i in alive if i in left or not parts[i].is_finite]
+    yield from cycle(alive)
 
 
 def _leaf(kind: str, checked, **tail) -> WeightSeq:
@@ -427,20 +402,17 @@ def _reals_from_json(xs):
 
 
 def seq_to_json(seq: WeightSeq) -> dict:
-    if seq.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-        return {"kind": seq.kind, "values": list(seq.values)}
-    if seq.kind == KIND_GEOMETRIC:
-        return {
-            "kind": seq.kind,
-            "values": list(seq.values),
-            "tail_first": seq.tail_first,
-            "tail_ratio": seq.tail_ratio,
-        }
-    if seq.kind == KIND_PERIODIC:
-        return {"kind": seq.kind, "values": list(seq.values), "tail_block": list(seq.tail_block)}
     if seq.kind == KIND_ONE_MINUS:
         return {"kind": seq.kind, "of": seq_to_json(seq.parts[0])}
-    return {"kind": seq.kind, "parts": [seq_to_json(p) for p in seq.parts]}
+    if seq.kind == KIND_INTERLEAVE:
+        return {"kind": seq.kind, "parts": [seq_to_json(p) for p in seq.parts]}
+    obj = {"kind": seq.kind, "values": list(seq.values)}
+    if seq.kind == KIND_GEOMETRIC:
+        obj["tail_first"] = seq.tail_first
+        obj["tail_ratio"] = seq.tail_ratio
+    elif seq.kind == KIND_PERIODIC:
+        obj["tail_block"] = list(seq.tail_block)
+    return obj
 
 
 def seq_from_json(obj) -> WeightSeq:
@@ -448,10 +420,8 @@ def seq_from_json(obj) -> WeightSeq:
         raise SequenceError(f"sequence JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     try:
-        if kind == KIND_FINITE:
-            return _leaf(KIND_FINITE, _reals_from_json(obj["values"]))
-        if kind == KIND_FINITELY_SUPPORTED:
-            return _leaf(KIND_FINITELY_SUPPORTED, _reals_from_json(obj["values"]))
+        if kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
+            return _leaf(kind, _reals_from_json(obj["values"]))
         if kind == KIND_GEOMETRIC:
             return WeightSeq.geometric(
                 tuple(_real_from_json(v) for v in obj.get("values", [])),
@@ -616,42 +586,32 @@ def _head_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
     return a, b
 
 
-def _complement_head(seq: WeightSeq) -> WeightSeq:
-    """A leaf whose head holds 1 - v for each head entry v of seq.
-
-    Only heads are read from it, so an empty head is returned as seq itself.
-    Head entries lie in [0, 1], so the complements need no validation."""
-    if not seq.values:
-        return seq
-    return WeightSeq(KIND_FINITE, values=tuple([1.0 - v for v in seq.values]))
-
-
 def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
     """(a, b) at threshold alpha: a = sum of entries <= alpha,
     b = sum of (1 - entry) over entries > alpha."""
-    if seq.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-        return _head_ab(seq, alpha)
+    if seq.kind == KIND_INTERLEAVE:
+        a = 0.0
+        b = 0.0
+        for p in seq.parts:
+            pa, pb = _kadison_ab(p, alpha)
+            a += pa
+            b += pb
+        return a, b
+    a, b = _head_ab(seq, alpha)
+    f, q = seq.tail_first, seq.tail_ratio
     if seq.kind == KIND_GEOMETRIC:
-        a, b = _head_ab(seq, alpha)
-        f, q = seq.tail_first, seq.tail_ratio
         k0 = _first_k_leq(f, q, alpha)
         if k0 is None:  # alpha <= 0: every tail entry exceeds it and b diverges
             return a, INF
         b += k0 - _geom_sum(f, q, k0)
         a += _geom_sum(f * q**k0, q)
-        return a, b
-    if seq.kind == KIND_ONE_MINUS:
-        inner = seq.parts[0]  # geometric leaf; entries here are 1 - f*q^k -> 1
-        a, b = _head_ab(_complement_head(inner), alpha)
-        f, q = inner.tail_first, inner.tail_ratio
+    elif seq.kind == KIND_ONE_MINUS:  # tail entries 1 - f*q^k -> 1
         k1 = _first_k_lt(f, q, 1.0 - alpha)  # beyond k1 the entries exceed alpha
         if k1 is None:  # alpha >= 1: infinitely many entries <= alpha
             return INF, b
         a += k1 - _geom_sum(f, q, k1)
         b += _geom_sum(f * q**k1, q)
-        return a, b
-    if seq.kind == KIND_PERIODIC:
-        a, b = _head_ab(seq, alpha)
+    elif seq.kind == KIND_PERIODIC:
         for v in seq.tail_block:
             if v == 0.0:
                 continue
@@ -659,13 +619,6 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
                 a = INF
             elif v < 1.0:
                 b = INF
-        return a, b
-    a = 0.0
-    b = 0.0
-    for p in seq.parts:
-        pa, pb = _kadison_ab(p, alpha)
-        a += pa
-        b += pb
     return a, b
 
 
@@ -707,6 +660,12 @@ class SplitSeq:
     M: float
     N: float
 
+    @cached_property
+    def totals(self) -> tuple[float, float]:
+        """(mu.total(), lam.total()), summed once per split -- so once per
+        sequence where the split is kept (see ``_gated``)."""
+        return self.mu.total(), self.lam.total()
+
 
 class _SplitAcc:
     def __init__(self):
@@ -747,46 +706,36 @@ class _SplitAcc:
 
 
 def _split_into(seq: WeightSeq, acc: _SplitAcc) -> None:
-    if seq.kind == KIND_FINITE:
-        acc.add_head(seq)
-    elif seq.kind == KIND_FINITELY_SUPPORTED:
-        acc.add_head(seq)
+    if seq.kind == KIND_INTERLEAVE:
+        for p in seq.parts:
+            _split_into(p, acc)
+        return
+    acc.add_head(seq)
+    f, q = seq.tail_first, seq.tail_ratio
+    if seq.kind == KIND_FINITELY_SUPPORTED:
         acc.zeros = INF
     elif seq.kind == KIND_GEOMETRIC:
-        acc.add_head(seq)
-        f, q = seq.tail_first, seq.tail_ratio
         k0 = _first_k_leq(f, q, 0.5)  # exists: tail decays to 0
         for k in range(k0):
             acc.add_value(f * q**k)
         acc.mu_segs.append(WeightSeq.geometric((), f * q**k0, q))
     elif seq.kind == KIND_ONE_MINUS:
-        inner = seq.parts[0]
-        acc.add_head(_complement_head(inner))
-        f, q = inner.tail_first, inner.tail_ratio
         k1 = _first_k_lt(f, q, 0.5)  # from k1 on, 1 - f*q^k > 1/2
         for k in range(k1):
             acc.add_value(1.0 - f * q**k)
         acc.lam_segs.append(WeightSeq.geometric((), f * q**k1, q))
-    elif seq.kind == KIND_PERIODIC:
-        acc.add_head(seq)
-        mu_block = []
-        lam_block = []
+    elif seq.kind == KIND_PERIODIC:  # each block entry repeats forever
+        block = _SplitAcc()
         for v in seq.tail_block:
-            if v == 0.0:
-                acc.zeros = INF
-            elif v == 1.0:
-                acc.ones = INF
-            elif v <= 0.5:
-                mu_block.append(v)
-            else:
-                lam_block.append(1.0 - v)
-        if mu_block:
-            acc.mu_segs.append(WeightSeq.periodic((), mu_block))
-        if lam_block:
-            acc.lam_segs.append(WeightSeq.periodic((), lam_block))
-    else:
-        for p in seq.parts:
-            _split_into(p, acc)
+            block.add_value(v)
+        if block.zeros:
+            acc.zeros = INF
+        if block.ones:
+            acc.ones = INF
+        if block.mu_values:
+            acc.mu_segs.append(WeightSeq.periodic((), block.mu_values))
+        if block.lam_values:
+            acc.lam_segs.append(WeightSeq.periodic((), block.lam_values))
 
 
 def _combine(head: list[float], segs: list[WeightSeq]) -> WeightSeq:
@@ -832,18 +781,15 @@ def _split(seq: WeightSeq) -> SplitSeq:
     )
 
 
-def _strip_head(seq: WeightSeq, complement: bool = False) -> tuple[list[float], int, int]:
-    """Head entries v of a leaf whose value x -- v, or 1 - v with
-    ``complement`` -- lies strictly inside (0, 1), in order, and the counts
-    of head values x equal to 0.0 and 1.0."""
+def _strip_head(seq: WeightSeq) -> tuple[list[bool], int, int]:
+    """Which head entries of a leaf lie strictly inside (0, 1), in order, and
+    how many of them equal 0.0 and 1.0."""
     values = seq.values
     if len(values) < _ARRAY_MIN:
-        seen = [1.0 - v for v in values] if complement else values
-        kept = [v for v, x in zip(values, seen) if 0.0 < x < 1.0]
-        return kept, seen.count(0.0), seen.count(1.0)
-    x = 1.0 - seq._head if complement else seq._head
-    kept = list(compress(values, ((x > 0.0) & (x < 1.0)).tolist()))
-    return kept, int(np.count_nonzero(x == 0.0)), int(np.count_nonzero(x == 1.0))
+        return [0.0 < v < 1.0 for v in values], values.count(0.0), values.count(1.0)
+    x = seq._head
+    inside = ((x > 0.0) & (x < 1.0)).tolist()
+    return inside, int(np.count_nonzero(x == 0.0)), int(np.count_nonzero(x == 1.0))
 
 
 def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
@@ -854,30 +800,35 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
     """
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
     _require_unit_entries(seq)
-    if seq.kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
-        kept, zeros, ones = _strip_head(seq)
-        if seq.kind == KIND_FINITE:
-            return WeightSeq.finite(kept), zeros, ones
-        return WeightSeq.finite(kept), INF, ones
-    if seq.kind == KIND_GEOMETRIC:
-        kept, zeros, ones = _strip_head(seq)
-        f, q = seq.tail_first, seq.tail_ratio
+    if seq.kind == KIND_INTERLEAVE:
+        cores = []
+        zeros: float = 0
+        ones: float = 0
+        for p in seq.parts:
+            c, z, o = strip_zeros_ones(p)
+            zeros += z
+            ones += o
+            cores.append(c)
+        return WeightSeq.interleave(*cores), zeros, ones
+    # a one-minus leaf is read through its complements, as split_mu_lambda
+    # reads it, and keeps the inner entries of the ones it keeps
+    inside, zeros, ones = _strip_head(seq)
+    source = seq.parts[0] if seq.kind == KIND_ONE_MINUS else seq
+    kept = list(compress(source.values, inside))
+    f, q = seq.tail_first, seq.tail_ratio
+    if seq.kind == KIND_FINITELY_SUPPORTED:
+        zeros = INF
+    elif seq.kind == KIND_GEOMETRIC:
         if f == 1.0:  # only the leading tail entry can hit 1
             ones += 1
             f = f * q
         return WeightSeq.geometric(kept, f, q), zeros, ones
-    if seq.kind == KIND_ONE_MINUS:
-        # the head is read through its complements, as split_mu_lambda reads
-        # it, so an inner entry v with 1 - v == 1.0 counts as a one
-        inner = seq.parts[0]  # geometric leaf
-        kept, zeros, ones = _strip_head(inner, complement=True)
-        f, q = inner.tail_first, inner.tail_ratio
+    elif seq.kind == KIND_ONE_MINUS:
         if f == 1.0:  # only the leading tail entry can hit 1, giving 1 - 1 = 0
             zeros += 1
             f = f * q
         return WeightSeq.one_minus(WeightSeq.geometric(kept, f, q)), zeros, ones
-    if seq.kind == KIND_PERIODIC:
-        kept, zeros, ones = _strip_head(seq)
+    elif seq.kind == KIND_PERIODIC:
         block = tuple(v for v in seq.tail_block if 0.0 < v < 1.0)
         if 0.0 in seq.tail_block:
             zeros = INF
@@ -885,13 +836,4 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
             ones = INF
         if block:
             return WeightSeq.periodic(kept, block), zeros, ones
-        return WeightSeq.finite(kept), zeros, ones
-    cores = []
-    zeros: float = 0
-    ones: float = 0
-    for p in seq.parts:
-        c, z, o = strip_zeros_ones(p)
-        zeros += z
-        ones += o
-        cores.append(c)
-    return WeightSeq.interleave(*cores), zeros, ones
+    return WeightSeq.finite(kept), zeros, ones

@@ -473,6 +473,19 @@ class TestCarpenter:
         assert min(consumed_positions(certs)) == 1
         assert_projection_onto_consumed(decomp)
 
+    @pytest.mark.parametrize("stages", [3, 10, 40])
+    def test_interleaved_lam_keeps_its_order_after_the_head(self, stages):
+        # the tail recursion reads lam.drop(n), which must go on with the
+        # round-robin where the head block left it
+        xi = WeightSeq.one_minus(WeightSeq.interleave(
+            WeightSeq.geometric([], 0.25, 0.5), WeightSeq.geometric([], 0.125, 0.75)))
+        decomp, certs, tag = carpenter_decompose(xi, BASIS, stages=stages)
+        assert tag.tag == CASE_M_FINITE
+        assert [t.weight for t in decomp.terms] == xi.head(len(decomp.terms))
+        assert all(c.majorization.holds for c in certs)
+        assert max(c.residual for c in certs) <= 1e-13
+        assert_projection_onto_consumed(decomp)
+
     @pytest.mark.parametrize(
         "xi,stream",
         [

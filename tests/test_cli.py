@@ -202,6 +202,18 @@ class TestDecompose:
         assert code == 1
         assert rep["ok"] is False
 
+    def test_interleaved_mu_finite_input_decomposes(self, tmp_path, capsys):
+        weights = {"kind": "one-minus", "of": {"kind": "interleave", "parts": [
+            {"kind": "geometric-tail", "values": [], "tail_first": 0.25, "tail_ratio": 0.5},
+            {"kind": "geometric-tail", "values": [], "tail_first": 0.125, "tail_ratio": 0.75},
+        ]}}
+        inp = write_json(tmp_path / "in.json", {"weights": weights})
+        code, rep = run(capsys, "decompose", inp, "--stages", "10")
+        assert code == 0
+        assert rep["ok"] is True
+        assert rep["case"]["tag"] == "mu-finite"
+        assert rep["max_stage_residual"] <= 1e-13
+
     def test_refusal_reports_error_and_exits_one(self, tmp_path, capsys):
         inp = write_json(
             tmp_path / "in.json",

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admseq import seqkit
+from admseq.carpenter import classify_case
 from admseq.errors import SequenceError
 from admseq.seqkit import (
     INT_SNAP,
@@ -326,6 +327,40 @@ def test_entries_outside_the_unit_interval_are_refused_every_time():
         with pytest.raises(SequenceError, match=r"entries must lie in \[0, 1\]"):
             check(seq)
     assert seq._gate == {}
+
+
+def one_minus_on(values):
+    return WeightSeq.one_minus(WeightSeq.geometric(values, 0.3, 0.5))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.1])
+def test_one_minus_sequences_keep_their_gate_results(alpha):
+    values = [random.Random(11).random() for _ in range(2 * _ARRAY_MIN)]
+    seq, fresh = one_minus_on(values), one_minus_on(values)
+    first = (kadison_check(seq, alpha=alpha), split_mu_lambda(seq))
+    assert split_mu_lambda(seq) is first[1]
+    assert bits(kadison_check(seq, alpha=alpha)) == bits(first[0])
+    assert set(seq._gate) == {("ab", alpha), "split"}
+    with patch.object(seqkit, "_ARRAY_MIN", 10**18):
+        assert bits(first) == bits((kadison_check(fresh, alpha=alpha),
+                                    split_mu_lambda(fresh)))
+
+
+def test_short_one_minus_sequences_keep_no_gate_results():
+    seq = one_minus_on([0.25, 0.75] * (_ARRAY_MIN // 2 - 1))
+    kadison_check(seq)
+    split_mu_lambda(seq)
+    assert "_gate" not in vars(seq)
+
+
+def test_classify_case_sums_a_kept_split_once(monkeypatch):
+    seq = WeightSeq.finite([0.25, 0.75, 0.5, 0.5] * _ARRAY_MIN)
+    case = classify_case(seq)
+    calls = []
+    total = WeightSeq.total
+    monkeypatch.setattr(WeightSeq, "total", lambda s: calls.append(s) or total(s))
+    assert classify_case(seq) == case
+    assert calls == []
 
 
 # -- majorization ---------------------------------------------------------

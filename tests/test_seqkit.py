@@ -376,3 +376,31 @@ def test_split_parts_recombine_total(vals):
     sp = split_mu_lambda(vals)
     rebuilt = sp.mu.total() + sum(1.0 - v for v in sp.lam.values) + sp.ones_count
     assert rebuilt == pytest.approx(math.fsum(vals), abs=1e-9)
+
+
+# -- drop on an interleaving ---------------------------------------------
+
+leaf_seqs = st.one_of(
+    unit_lists.map(WeightSeq.finite),
+    unit_lists.map(WeightSeq.finitely_supported),
+    st.builds(WeightSeq.geometric, unit_lists, st.floats(1e-3, 1.0), st.floats(0.05, 0.95)),
+    st.builds(WeightSeq.periodic, unit_lists, st.lists(unit_vals, min_size=1, max_size=3)),
+)
+interleave_trees = st.recursive(
+    leaf_seqs | leaf_seqs.map(WeightSeq.one_minus),
+    lambda kids: st.lists(kids, min_size=2, max_size=3).map(lambda ps: WeightSeq.interleave(*ps)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleave_trees, st.integers(0, 30), st.integers(0, 20))
+def test_drop_goes_on_with_the_round_robin(s, n, m):
+    # a dropped geometric tail is re-based, which rounds in the last bit
+    assert s.drop(n).head(m) == pytest.approx(s.head(n + m)[n:], rel=1e-15)
+
+
+def test_drop_of_an_interleave_keeps_its_order():
+    s = WeightSeq.interleave(WeightSeq.geometric([], 0.25, 0.5), WeightSeq.finite([0.75] * 3))
+    assert s.drop(1).head(6) == s.head(7)[1:] == [0.75, 0.125, 0.75, 0.0625, 0.75, 0.03125]
+    assert s.drop(6).kind == "geometric-tail"
