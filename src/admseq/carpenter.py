@@ -13,7 +13,13 @@ Each case is a planner feeding one stage driver, which runs every stage in
 its own coordinates (C^k for the k stream vectors of a block stage, span{carry,
 fresh} for a tail step) and checks its identity there once.  Only the emitted
 terms reach the stream, a block stage's as E c for the dim x k matrix E of
-those stream vectors.  No stage builds an operator on the ambient space."""
+those stream vectors.  No stage builds an operator on the ambient space.
+
+The planners share one vocabulary for what a stage is: ``_take_run`` draws
+the run of weights it places, ``_sources`` lays out the pool it places them
+against (the carried fraction 1 - r_prev, whole stream vectors, then r_new of
+the boundary vector), and ``_advance`` finds the boundary indices n_j, m_j
+where the tail sums interlock, asking for each tail sum once."""
 
 from __future__ import annotations
 
@@ -202,20 +208,13 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
 def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, tol: float):
     """The finite-rank placement of ``vals`` (summing to n) on stream vectors
     0..n-1 as one block stage, certified as taking all n vectors whole."""
-    acc = 0.0
-    m = 0
-    for i, v in enumerate(vals):
-        if acc + v < n - tol:
-            acc += v
-            m = i + 1
-        else:
-            break
+    acc, m = 0.0, 0
+    while m < len(vals) and acc + vals[m] < n - tol:
+        acc += vals[m]
+        m += 1
     r = acc - (n - 1)  # in [0, 1) by maximality of m
-
-    sources = [(i, 1.0) for i in range(n - 1)]
-    if r > tol:
-        sources.append((n - 1, r))
-    plan = BlockPlan(tuple(vals[:m]), tuple(sources), tuple((n - 1, v) for v in vals[m:]))
+    sources, _ = _sources(0, 0.0, n - 1, r if r > tol else 0.0)
+    plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
     local = _place(plan, range(n), tol)
     cert = StageCertificate(
         stage=0,
@@ -235,46 +234,63 @@ def _padded(seq: WeightSeq):
         yield 0.0
 
 
+def _take_run(it, need: float, extend_limit: int, stage: int, what: str) -> list[float]:
+    """Entries drawn from ``it`` until they sum to ``need`` (1e-15 of slack),
+    at most ``extend_limit`` of them."""
+    run: list[float] = []
+    run_sum = 0.0
+    while run_sum < need - 1e-15:
+        if len(run) >= extend_limit:
+            raise PlanningError(f"stage {stage} needs more than {extend_limit} {what} entries")
+        v = next(it)
+        run.append(v)
+        run_sum += v
+    return run
+
+
+def _sources(lead: int, first: float, n_full: int, r_new: float):
+    """A stage's pool from stream position ``lead`` on: ``first`` of the vector
+    at ``lead`` when positive (the carried fraction 1 - r_prev), then
+    ``n_full`` whole vectors, then ``r_new`` of the boundary vector after them
+    when positive.  Returns the pool and the boundary position."""
+    pool = [(lead, first)] if first > 0.0 else []
+    fresh = lead + len(pool)
+    pool += [(fresh + i, 1.0) for i in range(n_full)]
+    boundary = fresh + n_full
+    if r_new > 0.0:
+        pool.append((boundary, r_new))
+    return tuple(pool), boundary
+
+
+def _advance(tail, i: int, past, extend_limit: int, what: str) -> tuple[int, float]:
+    """The first index from ``i`` on whose tail sum fails ``past``, and that
+    tail sum, in at most ``extend_limit`` steps; each tail sum is asked once."""
+    start = i
+    while past(s := tail(i)):
+        if i - start >= extend_limit:
+            raise PlanningError(what)
+        i += 1
+    return i, s
+
+
 def plan_mu_diverges(mu: WeightSeq, lam: WeightSeq, extend_limit: int = DEFAULT_EXTEND_LIMIT):
     """Stages for divergent mu: each consumes a run of mu entries plus one
     large entry (while lam lasts), against (1 - r_prev, 1, r_new); after lam
     is exhausted, mu-only runs against (1 - r_prev, r_new)."""
-    mu_it = iter(mu)
-
-    def take_run(need: float, stage: int) -> tuple[list[float], float]:
-        run: list[float] = []
-        run_sum = 0.0
-        while run_sum < need - 1e-15:
-            if len(run) >= extend_limit:
-                raise PlanningError(
-                    f"stage {stage} needs more than {extend_limit} small entries"
-                )
-            v = next(mu_it)
-            run.append(v)
-            run_sum += v
-        return run, max(math.fsum(run) - need, 0.0)
-
-    next_idx = 0
+    mu_it, lam_it = iter(mu), iter(lam)
+    lead = 0
     r_prev = 0.0
-    stage = 0
-    for lam_val in lam:  # ends when the defects run out
-        run, r_new = take_run(2.0 - r_prev - (1.0 - lam_val), stage)
-        sources = [(next_idx, 1.0 - r_prev), (next_idx + 1, 1.0)]
-        if r_new > 0.0:
-            sources.append((next_idx + 2, r_new))
-        yield BlockPlan(tuple(run) + (1.0 - lam_val,), tuple(sources))
-        next_idx += 2
+    for stage in count():
+        lam_val = next(lam_it, None)
+        if lam_val is None:  # lam exhausted: a mu-only stage
+            need, large = 1.0 - r_prev, ()
+        else:
+            need, large = 2.0 - r_prev - (1.0 - lam_val), (1.0 - lam_val,)
+        run = _take_run(mu_it, need, extend_limit, stage, "small")
+        r_new = max(math.fsum(run) - need, 0.0)
+        sources, lead = _sources(lead, 1.0 - r_prev, len(large), r_new)
+        yield BlockPlan(tuple(run) + large, sources)
         r_prev = r_new
-        stage += 1
-    while True:  # lam exhausted: mu-only stages
-        run, r_new = take_run(1.0 - r_prev, stage)
-        sources = [(next_idx, 1.0 - r_prev)]
-        if r_new > 0.0:
-            sources.append((next_idx + 1, r_new))
-        yield BlockPlan(tuple(run), tuple(sources))
-        next_idx += 1
-        r_prev = r_new
-        stage += 1
 
 
 def plan_lambda_diverges(
@@ -299,55 +315,26 @@ def plan_lambda_diverges(
         else:
             bins.append([v])
             sums.append(v)
-    K = len(bins)
 
     lam_it = iter(lam)
-    stage = 0
-    next_idx = K
-    r_prev = 0.0
-    while True:
-        slacks = [1.0 - s for s in sums] if stage == 0 else ([1.0 - r_prev] if r_prev > 0.0 else [])
-        kp = K if stage == 0 else (1 if r_prev > 0.0 else 0)
-        threshold = 2.0 * kp + 1.0
-        run: list[float] = []
-        run_sum = 0.0
-        while run_sum < threshold - 1e-15:
-            if len(run) >= extend_limit:
-                raise PlanningError(
-                    f"stage {stage} needs more than {extend_limit} large entries"
-                )
-            v = next(lam_it)
-            run.append(v)
-            run_sum += v
+    slacks = [1.0 - s for s in sums]  # the fractions a stage carries in
+    slack = tuple((i, c) for i, c in enumerate(slacks) if c > 0.0)
+    colinear = tuple((i, w) for i, b in enumerate(bins) for w in b)
+    lead, first = len(bins), 0.0
+    for stage in count():
+        kp = len(slacks)
+        run = _take_run(lam_it, 2.0 * kp + 1.0, extend_limit, stage, "large")
         x = math.fsum(1.0 - v for v in run) - math.fsum(slacks)
         n_full = int(math.floor(x))
         r_new = x - n_full
         if n_full < kp + 1:
             raise PlanningError(f"stage {stage} cannot reach enough full vectors")
-        if stage == 0:
-            sources = [(k, 1.0 - sums[k]) for k in range(K) if 1.0 - sums[k] > 0.0]
-            sources += [(K + i, 1.0) for i in range(n_full)]
-            boundary = K + n_full
-            colinear = tuple(
-                (k, w) for k in range(K) for w in bins[k]
-            )
-        else:
-            start = next_idx
-            if r_prev > 0.0:
-                sources = [(start, 1.0 - r_prev)]
-                first_fresh = start + 1
-            else:  # previous boundary vector was left untouched
-                sources = []
-                first_fresh = start
-            sources += [(first_fresh + i, 1.0) for i in range(n_full)]
-            boundary = first_fresh + n_full
-            colinear = ()
-        if r_new > 0.0:
-            sources.append((boundary, r_new))
-        yield BlockPlan(tuple(1.0 - v for v in run), tuple(sources), colinear)
-        next_idx = boundary
-        r_prev = r_new
-        stage += 1
+        sources, lead = _sources(lead, first, n_full, r_new)
+        yield BlockPlan(tuple(1.0 - v for v in run), slack + sources, colinear)
+        # later stages carry only the boundary fraction; an untouched
+        # boundary vector (r_new = 0) counts among the next stage's whole ones
+        first = 1.0 - r_new if r_new > 0.0 else 0.0
+        slacks, slack, colinear = [first] if first else [], (), ()
 
 
 def plan_both_summable(
@@ -358,56 +345,38 @@ def plan_both_summable(
     Stage boundaries n_j, m_j are chosen so the tail sums interlock:
     lam-tail(n_j+1) dominates mu-tail(m_j+1), making each carried fraction
     r_j = lam-tail - mu-tail land in [0, 1/2).  The targets are read from one
-    iterator over mu and one over lam, each entry once."""
+    iterator over mu and one over lam, each entry once, and each boundary's
+    tail sum is asked for once."""
     k = _snap_int(lam.total() - mu.total())
-    n_j = max(k + 1, 1)
-    guard = 0
-    while lam.tail_sum(n_j) >= 0.5:
-        n_j += 1
-        guard += 1
-        if guard > extend_limit:
-            raise PlanningError("could not find a starting boundary")
-    m_j = 0
-    while mu.tail_sum(m_j) > lam.tail_sum(n_j):
-        m_j += 1
-        if m_j > extend_limit:
-            raise PlanningError("could not align the small-entry boundary")
-    r_j = lam.tail_sum(n_j) - mu.tail_sum(m_j)
+    n_j, lam_n = _advance(
+        lam.tail_sum, max(k + 1, 1), lambda s: s >= 0.5, extend_limit,
+        "could not find a starting boundary",
+    )
+    m_j, mu_m = _advance(
+        mu.tail_sum, 0, lambda s: s > lam_n, extend_limit,
+        "could not align the small-entry boundary",
+    )
     mu_it, lam_it = iter(mu), iter(lam)
     targets = tuple(islice(mu_it, m_j)) + tuple(1.0 - v for v in islice(lam_it, n_j))
-    sources = [(i, 1.0) for i in range(n_j - k)]
-    if r_j > 0.0:
-        sources.append((n_j - k, r_j))
-    yield BlockPlan(targets, tuple(sources))
-
-    boundary = n_j - k
+    r_j = lam_n - mu_m
+    sources, boundary = _sources(0, 0.0, n_j - k, r_j)
+    yield BlockPlan(targets, sources)
     while True:
-        n_next = n_j + 2
-        guard = 0
-        while lam.tail_sum(n_next) > mu.tail_sum(m_j):
-            n_next += 1
-            guard += 1
-            if guard > extend_limit:
-                raise PlanningError("could not advance the large-entry boundary")
-        m_next = m_j + 1
-        guard = 0
-        while mu.tail_sum(m_next) > lam.tail_sum(n_next):
-            m_next += 1
-            guard += 1
-            if guard > extend_limit:
-                raise PlanningError("could not advance the small-entry boundary")
-        r_next = lam.tail_sum(n_next) - mu.tail_sum(m_next)
+        n_next, lam_n = _advance(
+            lam.tail_sum, n_j + 2, lambda s: s > mu_m, extend_limit,
+            "could not advance the large-entry boundary",
+        )
+        m_next, mu_m = _advance(
+            mu.tail_sum, m_j + 1, lambda s: s > lam_n, extend_limit,
+            "could not advance the small-entry boundary",
+        )
         targets = tuple(islice(mu_it, m_next - m_j)) + tuple(
             1.0 - v for v in islice(lam_it, n_next - n_j)
         )
-        fresh = n_next - n_j - 1
-        sources = [(boundary, 1.0 - r_j)] if r_j > 0.0 else [(boundary, 1.0)]
-        sources += [(boundary + 1 + i, 1.0) for i in range(fresh)]
-        new_boundary = boundary + 1 + fresh
-        if r_next > 0.0:
-            sources.append((new_boundary, r_next))
-        yield BlockPlan(targets, tuple(sources))
-        n_j, m_j, r_j, boundary = n_next, m_next, r_next, new_boundary
+        r_next = lam_n - mu_m
+        sources, boundary = _sources(boundary, 1.0 - r_j, n_next - n_j - 1, r_next)
+        yield BlockPlan(targets, sources)
+        n_j, m_j, r_j = n_next, m_next, r_next
 
 
 # -- the stage driver --------------------------------------------------
@@ -423,19 +392,13 @@ def _place(plan: BlockPlan, positions, tol: float, verdict=None) -> list[RankOne
     return local + [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
 
 
-def realize_block_plans(
-    plans,
-    stream: VectorStream,
-    dim: int | None = None,
-    first_stage: int = 0,
-    tol: float = 1e-12,
-):
+def realize_block_plans(plans, stream: VectorStream, tol: float = 1e-12):
     """Carry out Horn placements for each plan, returning terms and
     certificates (the stage driver, without its remainder)."""
-    return _realize(plans, stream, dim, first_stage, tol)[:2]
+    return _realize(plans, stream, tol=tol)[:2]
 
 
-def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, carry=None):
+def _realize(plans, stream: VectorStream, dim=None, tol=1e-12, carry=None):
     """The stage driver.  A block stage's k consumed stream positions are the
     standard basis of C^k: the placement runs there and the stage identity is
     checked once, against diag(consumed), as a k x k residual.  A tail step
@@ -486,7 +449,7 @@ def _realize(plans, stream: VectorStream, dim=None, first_stage=0, tol=1e-12, ca
             targets = plan.targets + tuple(w for _, w in plan.colinear)
         certs.append(
             StageCertificate(
-                stage=first_stage + i,
+                stage=i,
                 consumed=tuple((stream.base_index(pos), consumed[pos]) for pos in positions),
                 targets=targets,
                 majorization=majorization,
@@ -509,7 +472,6 @@ def keycase_recursion(
     stream: VectorStream,
     steps: int,
     dim: int | None = None,
-    first_stage: int = 0,
     carry_vector=None,
     tol: float = 1e-12,
 ):
@@ -532,7 +494,7 @@ def keycase_recursion(
         raise DimensionError("carry vector does not match the working dimension")
     carry = RankOneTerm(1.0 - s_prev, unit_vector(carry))
     steps_ = islice(_plan_tail(_padded(lam), lam, 1), steps)
-    terms, certs, (carry,) = _realize(steps_, stream, dim, first_stage, tol, carry)
+    terms, certs, (carry,) = _realize(steps_, stream, dim, tol, carry)
     return terms, certs, carry
 
 
@@ -571,22 +533,14 @@ def decompose_m_finite(
     if not mu.is_finite:
         raise PlanningError("this staging needs finitely many small entries")
     k = _snap_int(lam.total() - mu.total())
-    n = max(k + 2, 0)
-    guard = 0
-    while lam.tail_sum(n) >= 1.0:
-        n += 1
-        guard += 1
-        if guard > extend_limit:
-            raise PlanningError("could not find a head boundary with a small tail")
-    r = lam.tail_sum(n)
-
+    n, r = _advance(
+        lam.tail_sum, max(k + 2, 0), lambda s: s >= 1.0, extend_limit,
+        "could not find a head boundary with a small tail",
+    )
     lam_it = _padded(lam)
     head_targets = tuple(mu.values) + tuple(1.0 - next(lam_it) for _ in range(n))
-    sources = [(i, 1.0) for i in range(n - k)]
-    if r > 0.0:
-        sources.append((n - k, r))
     tail = lam.drop(n)
-    plans = [BlockPlan(head_targets, tuple(sources))]
+    plans = [BlockPlan(head_targets, _sources(0, 0.0, n - k, r)[0])]
     plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
     dim = stream.min_dim(n - k + len(plans) - 1)
     carry = RankOneTerm(1.0 - tail.total(), unit_vector(stream.vector(n - k, dim)))

@@ -211,10 +211,12 @@ def op_from_json(obj) -> np.ndarray:
         d = [_real_from_json(v) for v in obj["diag"]]
         return np.diag(np.asarray(d, dtype=complex))
     try:
-        n = int(obj["dim"])
+        n = obj["dim"]
         entries = obj["entries"]
     except KeyError as exc:
         raise SequenceError(f"operator JSON missing field {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise SequenceError(f"operator dim must be a nonnegative integer, got {n!r}")
     if len(entries) != n * n:
         raise SequenceError(f"operator claims dim {n} but has {len(entries)} entries")
     return _complex_array_from_json(entries).reshape(n, n)

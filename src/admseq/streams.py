@@ -69,10 +69,9 @@ class VectorStream:
 
     @classmethod
     def block_overlap(cls, block: int) -> "VectorStream":
-        b = int(block)
-        if b < 1:
+        if not isinstance(block, int) or isinstance(block, bool) or block < 1:
             raise SequenceError(f"block size must be a positive integer, got {block!r}")
-        return cls(KIND_BLOCK, block=b)
+        return cls(KIND_BLOCK, block=block)
 
     # -- indexing ------------------------------------------------------
 

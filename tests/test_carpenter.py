@@ -168,8 +168,15 @@ class TestMuDivergesPlan:
     def test_extend_limit_guard(self):
         mu = WeightSeq.periodic([], (0.01,))
         lam = WeightSeq.periodic([], (0.25,))
-        with pytest.raises(PlanningError):
+        with pytest.raises(PlanningError, match="^stage 0 needs more than 50 small entries$"):
             next(plan_mu_diverges(mu, lam, extend_limit=50))
+
+    def test_run_slack(self):
+        # ten entries 0.1 add up to 1 - 2^-53 left to right: within the run's
+        # 1e-15 slack, so the first mu-only stage takes exactly ten
+        mu = WeightSeq.periodic([], (0.1,))
+        p = next(plan_mu_diverges(mu, WeightSeq.finite([]), extend_limit=10))
+        assert len(p.targets) == 10
 
 
 class TestLambdaDivergesPlan:
@@ -189,6 +196,13 @@ class TestLambdaDivergesPlan:
         assert q2.sources[0] == (16, pytest.approx(0.9))
         assert q2.sources[-1] == (25, pytest.approx(0.1))
 
+    def test_extend_limit_guard(self):
+        # no bins: the first run needs four defects 0.25
+        lam = WeightSeq.periodic([], (0.25,))
+        next(plan_lambda_diverges(WeightSeq.finite([]), lam, extend_limit=4))
+        with pytest.raises(PlanningError, match="^stage 0 needs more than 3 large entries$"):
+            next(plan_lambda_diverges(WeightSeq.finite([]), lam, extend_limit=3))
+
     def test_needs_finitely_many_small_entries(self):
         mu = WeightSeq.geometric([], 0.125, 0.5)
         lam = WeightSeq.periodic([], (0.25,))
@@ -206,16 +220,56 @@ _G4 = WeightSeq.geometric([], 0.25, 0.5)
 _INTERLEAVED = split_mu_lambda(
     WeightSeq.interleave(_G4, GEO8, WeightSeq.one_minus(_G4), WeightSeq.one_minus(GEO8))
 )
+_PERIODIC = split_mu_lambda(WeightSeq.periodic([], (0.4, 0.9)))
+_QUARTERS = WeightSeq.periodic([], (0.25,))
 PLAN_INPUTS = {
-    "geo8": (GEO8, GEO8),
-    "heads": (WeightSeq.geometric([0.3, 0.2], 0.125, 0.5), WeightSeq.geometric([0.5], 0.0625, 0.75)),
-    "interleaved": (_INTERLEAVED.mu, _INTERLEAVED.lam),
+    "geo8": (plan_both_summable, GEO8, GEO8),
+    "heads": (
+        plan_both_summable,
+        WeightSeq.geometric([0.3, 0.2], 0.125, 0.5),
+        WeightSeq.geometric([0.5], 0.0625, 0.75),
+    ),
+    "interleaved": (plan_both_summable, _INTERLEAVED.mu, _INTERLEAVED.lam),
+    "mu-periodic": (plan_mu_diverges, _PERIODIC.mu, _PERIODIC.lam),
+    # three defects, then mu-only stages
+    "mu-lam-runs-out": (
+        plan_mu_diverges, WeightSeq.periodic([], (0.35,)), WeightSeq.finite([0.1, 0.25, 0.4])
+    ),
+    "lam-bins": (plan_lambda_diverges, WeightSeq.finite([0.6, 0.5]), _QUARTERS),
+    # no small entries: every stage takes four defects and carries r_new = 0
+    "lam-no-small": (plan_lambda_diverges, WeightSeq.finite([]), _QUARTERS),
 }
-# sha256 of the first 160 plans' targets and sources, by float.hex
+# sha256 of the first 160 plans' targets, sources and colinear terms, by float.hex
 PLAN_DIGESTS = {
     "geo8": "b74345a68ad2d21cf457af161a238c7c65f5297afbe4e24905d65cd9f509ad81",
     "heads": "6d4c6c64dc4d07c175a978cb3fc281b19044d39951c9b0088e5a4f107bf3aae4",
     "interleaved": "e103d57d80d8dc1f0faf4a86a72e0ac42fdeeb7e020d9a1fd5db3d349f782089",
+    "mu-periodic": "91dddc8575faa045c09f3ec20e5278e2595536b390fb6e32d4ddef03337dc46b",
+    "mu-lam-runs-out": "3df59936b95ea4221a67b0ba276041a1f02c2d9541cb7af286bbee157f8abb7b",
+    "lam-bins": "aed5bf13e50e2f12e49ebc8b5ea97a6fdd5a058f092b14424952a57808e78091",
+    "lam-no-small": "78ad436d9336d8c38cfd236037cb9bde8cb7c76779c8b17e1c60165afa146b99",
+}
+
+# (mu, lam, stages drawn, increments the search takes, its error message):
+# each input makes one boundary search of plan_both_summable take more
+# increments than every search before it
+BOUNDARY_SEARCHES = {
+    "start": (
+        WeightSeq.geometric([], 0.25, 0.75), WeightSeq.geometric([], 0.125, 0.875),
+        1, 5, "could not find a starting boundary",
+    ),
+    "align": (
+        WeightSeq.geometric([], 0.125, 0.875), WeightSeq.geometric([], 0.25, 0.75),
+        1, 7, "could not align the small-entry boundary",
+    ),
+    "large": (
+        WeightSeq.geometric([], 0.25, 0.5), WeightSeq.geometric([], 0.03125, 0.9375),
+        2, 8, "could not advance the large-entry boundary",
+    ),
+    "small": (
+        WeightSeq.geometric([], 0.0625, 0.875), WeightSeq.geometric([], 0.25, 0.5),
+        2, 9, "could not advance the small-entry boundary",
+    ),
 }
 
 
@@ -260,12 +314,51 @@ class TestBothSummablePlan:
         assert set(draws) <= {id(mu), id(lam)}
         assert sum(draws.values()) == sum(len(p.targets) for p in plans)
 
+    def test_asks_each_tail_sum_once(self, monkeypatch):
+        # each boundary search starts past the last one's index and hands its
+        # last tail sum on, so no (sequence, index) pair is asked for twice
+        asked = []
+        real_tail_sum = WeightSeq.tail_sum
+
+        def counting(seq, start):
+            asked.append((id(seq), start))
+            return real_tail_sum(seq, start)
+
+        monkeypatch.setattr(WeightSeq, "tail_sum", counting)
+        mu = WeightSeq.geometric([], 0.125, 0.5)
+        lam = WeightSeq.geometric([], 0.125, 0.5)
+        for seqs in [(mu, lam), (_INTERLEAVED.mu, _INTERLEAVED.lam)]:
+            asked.clear()
+            list(islice(plan_both_summable(*seqs), 160))
+            assert len(asked) == len(set(asked))
+            assert {i for i, _ in asked} == {id(s) for s in seqs}
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_SEARCHES))
+    def test_boundary_search_guard(self, name):
+        # a search may take extend_limit increments, and no more
+        mu, lam, stages, need, message = BOUNDARY_SEARCHES[name]
+        take(plan_both_summable(mu, lam, extend_limit=need), stages)
+        with pytest.raises(PlanningError, match=f"^{message}$"):
+            take(plan_both_summable(mu, lam, extend_limit=need - 1), stages)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_guard_without_increments(self, limit):
+        # a start index that already stops the search needs no increment;
+        # any increment is refused
+        lam = WeightSeq.geometric([0.5, 0.5], 0.125, 0.5)  # k = 1, tail(2) = 0.25
+        b1 = next(plan_both_summable(GEO8, lam, extend_limit=limit))
+        assert b1.sources == ((0, 1.0),)
+        mu, lam, _, _, message = BOUNDARY_SEARCHES["start"]
+        with pytest.raises(PlanningError, match=f"^{message}$"):
+            next(plan_both_summable(mu, lam, extend_limit=limit))
+
     @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
     def test_plans_match_recorded_digest(self, name):
-        # recorded when each stage re-read the heads of mu and lam
-        mu, lam = PLAN_INPUTS[name]
+        # the both-summable digests were recorded when each stage re-read the
+        # heads of mu and lam, the others before the planners shared helpers
+        planner, mu, lam = PLAN_INPUTS[name]
         h = hashlib.sha256()
-        for p in islice(plan_both_summable(mu, lam), 160):
+        for p in islice(planner(mu, lam), 160):
             h.update(repr((
                 [t.hex() for t in p.targets],
                 [(i, c.hex()) for i, c in p.sources],
@@ -331,6 +424,22 @@ class TestMFinite:
         # keycase stages continue from the boundary vector
         assert certs[1].consumed == ((3, 1.0),)
         assert carry.weight == pytest.approx(1.0 - lam.tail_sum(6))
+
+    @pytest.mark.parametrize("limit", [2, 1, 0, -1])
+    def test_head_search_guard(self, limit):
+        # k = 2: the search starts at n = 4, where lam's tail is 1.17, and
+        # takes two increments to get below 1
+        lam = WeightSeq.geometric([], 0.25, 0.875)
+        if limit < 2:
+            with pytest.raises(
+                PlanningError, match="^could not find a head boundary with a small tail$"
+            ):
+                decompose_m_finite(WeightSeq.finite([]), lam, BASIS, 1, extend_limit=limit)
+        else:
+            decompose_m_finite(WeightSeq.finite([]), lam, BASIS, 1, extend_limit=limit)
+        if limit <= 0:  # a start index that already stops the search passes
+            lam = WeightSeq.geometric([], 0.4, 0.6)
+            decompose_m_finite(WeightSeq.finite([]), lam, BASIS, 1, extend_limit=limit)
 
     def test_small_entries_consumed_in_head(self):
         mu = WeightSeq.finite([0.5, 0.25])

@@ -231,6 +231,15 @@ class TestDecompose:
         assert rep["ok"] is False
         assert "integrality" in rep["error"]
 
+    @pytest.mark.parametrize("block", [2.5, True])
+    def test_non_integer_block_exits_two(self, tmp_path, capsys, block):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"weights": PERIODIC, "stream": {"kind": "block-overlap", "block": block}},
+        )
+        assert main(["decompose", inp]) == 2
+        assert "block size must be a positive integer" in capsys.readouterr().err
+
     def test_missing_weights_key_exits_two(self, tmp_path, capsys):
         inp = write_json(tmp_path / "in.json", {"wrong": []})
         assert main(["decompose", inp]) == 2

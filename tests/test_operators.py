@@ -147,6 +147,16 @@ def test_op_json_rejects_entry_count_mismatch():
         op_from_json({"dim": 2, "entries": [[1, 0]]})
 
 
+@pytest.mark.parametrize(
+    "dim,count", [(2.7, 4), (2.0, 4), (True, 1), ("2", 4), (None, 4), (-2, 4)]
+)
+def test_op_json_refuses_non_integer_dim(dim, count):
+    # each entry count matches what int(dim) would read, so only the type
+    # check stands between the document and a truncated operator
+    with pytest.raises(SequenceError, match="dim must be a nonnegative integer"):
+        op_from_json({"dim": dim, "entries": [[1, 0]] * count})
+
+
 def test_decomp_json_rejects_mixed_dims():
     blob = {
         "terms": [

@@ -49,6 +49,15 @@ def test_block_overlap_completeness_per_block():
     assert np.allclose(P, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("block", [2.5, 2.0, True, "3", None, 0, -1])
+def test_block_overlap_refuses_non_integer_block(block):
+    # int() would read 2.5 as 2, True as 1 and "3" as 3
+    with pytest.raises(SequenceError, match="block size must be a positive integer"):
+        VectorStream.block_overlap(block)
+    with pytest.raises(SequenceError, match="block size must be a positive integer"):
+        stream_from_json({"kind": "block-overlap", "block": block})
+
+
 def test_explicit_stream_orthonormality_enforced():
     with pytest.raises(SequenceError):
         VectorStream.explicit([[1.0, 0.0], [1.0, 0.0]])
