@@ -23,7 +23,7 @@ A = np.diag([2.0, 1.0, 1.0]).astype(complex)
 rep, wit = sum_of_projections_check(A, witness=True)
 print("diag(2, 1, 1):", rep.decomposable, "-", rep.num_projections, "projections")
 print("  excess above 1:", rep.excess, " deficiency below 1:", rep.deficiency)
-S = sum(t.matrix() for t in wit.terms)
+S = wit.frame_operator()
 print("  witness residual:", np.max(np.abs(S - A)))
 
 rep, _ = sum_of_projections_check(np.diag([0.5, 0.5]).astype(complex))

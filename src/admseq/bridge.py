@@ -51,9 +51,9 @@ class BridgeRecord:
         return np.einsum("ij,ij->i", VA, self.isometry.conj()).real
 
 
-def decomp_to_isometry(decomp: RankOneDecomp, weight_floor: float = WEIGHT_FLOOR) -> BridgeRecord:
+def decomp_to_isometry(decomp: RankOneDecomp) -> BridgeRecord:
     """Encode the nonzero-weight terms as a placement matrix and polar-factor it."""
-    kept = [(i, t) for i, t in enumerate(decomp.terms) if t.weight > weight_floor]
+    kept = [(i, t) for i, t in enumerate(decomp.terms) if t.weight > WEIGHT_FLOOR]
     if not kept:
         raise DimensionError("decomposition has no terms above the weight floor")
     dim = len(kept[0][1].vector)
@@ -77,7 +77,7 @@ def decomp_to_isometry(decomp: RankOneDecomp, weight_floor: float = WEIGHT_FLOOR
     return out
 
 
-def isometry_to_decomp(isometry, gram, weight_floor: float = WEIGHT_FLOOR) -> RankOneDecomp:
+def isometry_to_decomp(isometry, gram) -> RankOneDecomp:
     """Recover the decomposition sum_j xi_j v_j v_j* from a partial isometry
     and the PSD operator it factors: xi_j = (V A V*)_jj and
     v_j = A^{1/2} V* e_j / sqrt(xi_j); rows below the weight floor are skipped."""
@@ -97,7 +97,7 @@ def isometry_to_decomp(isometry, gram, weight_floor: float = WEIGHT_FLOOR) -> Ra
     terms = []
     for j in range(B.shape[0]):
         xi = float(np.real(np.vdot(B[j], B[j])))
-        if xi <= weight_floor:
+        if xi <= WEIGHT_FLOOR:
             continue
         terms.append(RankOneTerm(xi, B[j].conj() / math.sqrt(xi)))
     return RankOneDecomp(tuple(terms))

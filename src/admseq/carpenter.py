@@ -34,7 +34,7 @@ from .errors import (
     PlanningError,
     TraceMismatchError,
 )
-from .horn import _checked, _horn_place, mix_two
+from .horn import PLACE_TOL, _checked, _horn_place, mix_two
 from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import (
     INT_SNAP,
@@ -136,10 +136,10 @@ def _embed(local_terms, stream: VectorStream, positions, dim: int) -> list[RankO
     return [RankOneTerm(t.weight, v) for t, v in zip(local_terms, dense)]
 
 
-def _snap_int(x: float, tol: float = INT_SNAP) -> int:
+def _snap_int(x: float) -> int:
     n = round(x)
-    if abs(x - n) > tol:
-        raise PlanningError(f"expected an integer within {tol}, got {x!r}")
+    if abs(x - n) > INT_SNAP:
+        raise PlanningError(f"expected an integer within {INT_SNAP}, got {x!r}")
     return int(n)
 
 
@@ -186,7 +186,7 @@ def _trace_count(vals) -> int:
     return n
 
 
-def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
+def decompose_finite_rank(values, stream: VectorStream):
     """Write a finite [0,1] weight list against exactly n = sum(values)
     orthonormal vectors: a Horn placement of the head against (1,...,1,r)
     and the remaining weights peeled along the last vector."""
@@ -202,20 +202,20 @@ def decompose_finite_rank(values, stream: VectorStream, tol: float = 1e-12):
         )
     if n == 0:
         raise TraceMismatchError("cannot decompose against an empty stream")
-    return _finite_rank_stage(vals, stream, n, stream.min_dim(n - 1), tol)
+    return _finite_rank_stage(vals, stream, n, stream.min_dim(n - 1))
 
 
-def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, tol: float):
+def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int):
     """The finite-rank placement of ``vals`` (summing to n) on stream vectors
     0..n-1 as one block stage, certified as taking all n vectors whole."""
     acc, m = 0.0, 0
-    while m < len(vals) and acc + vals[m] < n - tol:
+    while m < len(vals) and acc + vals[m] < n - PLACE_TOL:
         acc += vals[m]
         m += 1
     r = acc - (n - 1)  # in [0, 1) by maximality of m
-    sources, _ = _sources(0, 0.0, n - 1, r if r > tol else 0.0)
+    sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    local = _place(plan, range(n), tol)
+    local = _place(plan, range(n))
     cert = StageCertificate(
         stage=0,
         consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
@@ -236,13 +236,15 @@ def _padded(seq: WeightSeq):
 
 def _take_run(it, need: float, extend_limit: int, stage: int, what: str) -> list[float]:
     """Entries drawn from ``it`` until they sum to ``need`` (1e-15 of slack),
-    at most ``extend_limit`` of them."""
+    at most ``extend_limit`` of them; a finite ``it`` may run out first."""
     run: list[float] = []
     run_sum = 0.0
     while run_sum < need - 1e-15:
         if len(run) >= extend_limit:
             raise PlanningError(f"stage {stage} needs more than {extend_limit} {what} entries")
-        v = next(it)
+        v = next(it, None)
+        if v is None:
+            raise PlanningError(f"stage {stage} ran out of {what} entries")
         run.append(v)
         run_sum += v
     return run
@@ -381,24 +383,24 @@ def plan_both_summable(
 
 # -- the stage driver --------------------------------------------------
 
-def _place(plan: BlockPlan, positions, tol: float, verdict=None) -> list[RankOneTerm]:
+def _place(plan: BlockPlan, positions, verdict=None) -> list[RankOneTerm]:
     """A block stage's terms on C^k, its k sorted positions as the standard
     basis; ``verdict`` is the stage's majorization test, if already made."""
     basis = dict(zip(positions, np.eye(len(positions), dtype=complex)))
     local: list[RankOneTerm] = []
     if plan.targets:
         pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
-        local += _horn_place(pool, plan.targets, tol, verdict=verdict)
+        local += _horn_place(pool, plan.targets, PLACE_TOL, verdict=verdict)
     return local + [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
 
 
-def realize_block_plans(plans, stream: VectorStream, tol: float = 1e-12):
+def realize_block_plans(plans, stream: VectorStream):
     """Carry out Horn placements for each plan, returning terms and
     certificates (the stage driver, without its remainder)."""
-    return _realize(plans, stream, tol=tol)[:2]
+    return _realize(plans, stream)[:2]
 
 
-def _realize(plans, stream: VectorStream, dim=None, tol=1e-12, carry=None):
+def _realize(plans, stream: VectorStream, dim=None, carry=None):
     """The stage driver.  A block stage's k consumed stream positions are the
     standard basis of C^k: the placement runs there and the stage identity is
     checked once, against diag(consumed), as a k x k residual.  A tail step
@@ -421,7 +423,7 @@ def _realize(plans, stream: VectorStream, dim=None, tol=1e-12, carry=None):
                 used[pos] = used.get(pos, 0.0) + c
         positions = sorted(consumed)
         # the certificate's verdict, at SUM_TOL; it also licenses the placement,
-        # whose own tolerance max(tol, 1e-11) is looser
+        # whose own tolerance max(PLACE_TOL, 1e-11) is looser
         majorization = majorizes(plan.targets, [c for _, c in plan.sources])
         sigma = sigma_cap = None
         if isinstance(plan, _TailStep):
@@ -433,7 +435,7 @@ def _realize(plans, stream: VectorStream, dim=None, tol=1e-12, carry=None):
             carry_local = np.array([1.0, 0.0], dtype=complex)
             fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
             (_, e1), (_, e2) = plan.sources
-            res = mix_two(e1, e2, carry_local, fresh_local, *plan.targets, tol=tol)
+            res = mix_two(e1, e2, carry_local, fresh_local, *plan.targets)
             phase = np.exp(-1j * np.angle(g)) if g else 1.0
             w = res.sigma * carry.vector + (res.tau * phase) * fresh
             w_prime = res.sigma_prime * carry.vector + (res.tau_prime * phase) * fresh
@@ -443,7 +445,7 @@ def _realize(plans, stream: VectorStream, dim=None, tol=1e-12, carry=None):
             targets, residual = plan.targets[1:], res.residual
             sigma, sigma_cap = res.sigma, plan.sigma_cap
         else:
-            local = _place(plan, positions, tol, majorization)
+            local = _place(plan, positions, majorization)
             residual = _stage_residual(local, [consumed[pos] for pos in positions])
             terms += _embed(local, stream, positions, dim)
             targets = plan.targets + tuple(w for _, w in plan.colinear)
@@ -473,7 +475,6 @@ def keycase_recursion(
     steps: int,
     dim: int | None = None,
     carry_vector=None,
-    tol: float = 1e-12,
 ):
     """Decompose (1 - S(0)) E_0 E_0* + sum_{t>=1} E_t E_t* into weights
     1 - lam_t, one 2x2 mix per step, carrying a shrinking remainder.
@@ -494,7 +495,7 @@ def keycase_recursion(
         raise DimensionError("carry vector does not match the working dimension")
     carry = RankOneTerm(1.0 - s_prev, unit_vector(carry))
     steps_ = islice(_plan_tail(_padded(lam), lam, 1), steps)
-    terms, certs, (carry,) = _realize(steps_, stream, dim, tol, carry)
+    terms, certs, (carry,) = _realize(steps_, stream, dim, carry)
     return terms, certs, carry
 
 
@@ -523,7 +524,6 @@ def decompose_m_finite(
     stream: VectorStream,
     stages: int,
     extend_limit: int = DEFAULT_EXTEND_LIMIT,
-    tol: float = 1e-12,
 ):
     """Finitely many small entries, summable defects, infinitely many large
     entries: one Horn head block against (1,...,1, r), then the tail
@@ -544,19 +544,13 @@ def decompose_m_finite(
     plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
     dim = stream.min_dim(n - k + len(plans) - 1)
     carry = RankOneTerm(1.0 - tail.total(), unit_vector(stream.vector(n - k, dim)))
-    terms, certs, (carry,) = _realize(plans, stream, dim, tol=tol, carry=carry)
+    terms, certs, (carry,) = _realize(plans, stream, dim, carry=carry)
     return terms, certs, carry
 
 
 # -- the orchestrator ---------------------------------------------------
 
-def carpenter_decompose(
-    xi,
-    stream: VectorStream,
-    stages: int = DEFAULT_STAGES,
-    extend_limit: int = DEFAULT_EXTEND_LIMIT,
-    tol: float = 1e-12,
-):
+def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
     """Decompose the stream's projection with the prescribed weights.
 
     Returns (decomposition, certificates, case tag).  The decomposition's
@@ -584,7 +578,7 @@ def carpenter_decompose(
             raise PlanningError(
                 "finite total weight with infinite support is out of scope here"
             )
-        terms, certs = decompose_finite_rank(seq.values, stream, tol=tol)
+        terms, certs = decompose_finite_rank(seq.values, stream)
         return RankOneDecomp(terms), certs, tag
 
     if stream.count is not None:
@@ -606,16 +600,14 @@ def carpenter_decompose(
         ones_stream, core_stream, ones_first = stream.drop(m0), stream, False
 
     if ones_first:
-        core_terms, certs, remainder = _decompose_core(
-            tag, sp, core_stream, stages, extend_limit, tol
-        )
+        core_terms, certs, remainder = _decompose_core(tag, sp, core_stream, stages)
         # a staged core takes a fresh stream vector in every stage, so its
         # dimension already holds the ones before or beside it
         dim = len(core_terms[0].vector)
     else:  # a finite core is placed in the dimension the ones after it need
         dim = ones_stream.min_dim(n_ones - 1)
         core_terms, certs = (
-            _finite_rank_stage(core.values, core_stream, m0, dim, tol) if m0 else ((), ())
+            _finite_rank_stage(core.values, core_stream, m0, dim) if m0 else ((), ())
         )
         remainder = ()
     ones = tuple(RankOneTerm(1.0, ones_stream.vector(j, dim)) for j in range(n_ones))
@@ -626,17 +618,17 @@ def carpenter_decompose(
     return RankOneDecomp(zero_terms + terms, remainder), certs, tag
 
 
-def _decompose_core(tag, sp, stream, stages, extend_limit, tol):
+def _decompose_core(tag, sp, stream, stages):
     """Plan the stripped core's first ``stages`` stages and realize them."""
     if tag.tag == CASE_MU_DIVERGES:
-        gen = plan_mu_diverges(sp.mu, sp.lam, extend_limit=extend_limit)
+        gen = plan_mu_diverges(sp.mu, sp.lam)
     elif tag.tag == CASE_LAMBDA_DIVERGES:
-        gen = plan_lambda_diverges(sp.mu, sp.lam, extend_limit=extend_limit)
+        gen = plan_lambda_diverges(sp.mu, sp.lam)
     elif tag.tag == CASE_BOTH_SUMMABLE:
-        gen = plan_both_summable(sp.mu, sp.lam, extend_limit=extend_limit)
+        gen = plan_both_summable(sp.mu, sp.lam)
     elif tag.tag == CASE_M_FINITE:
-        terms, certs, carry = decompose_m_finite(sp.mu, sp.lam, stream, stages, extend_limit, tol)
+        terms, certs, carry = decompose_m_finite(sp.mu, sp.lam, stream, stages)
         return terms, certs, (carry,)
     else:
         raise PlanningError(f"no staged construction for case {tag.tag!r}")
-    return _realize(islice(gen, stages), stream, tol=tol)
+    return _realize(islice(gen, stages), stream)

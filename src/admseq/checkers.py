@@ -48,7 +48,7 @@ class SumOfProjReport:
     reason: str | None = None
 
 
-def sum_of_projections_check(a, tol: float = INT_TOL, witness: bool = False):
+def sum_of_projections_check(a, witness: bool = False):
     """Check the criterion; with witness=True also return the projections.
 
     Returns (report, decomp) where decomp is None unless a witness was
@@ -63,10 +63,10 @@ def sum_of_projections_check(a, tol: float = INT_TOL, witness: bool = False):
     def report(ok, n, reason=None):
         return SumOfProjReport(ok, n, trace, rank, excess, deficiency, reason)
 
-    if vals[-1] < -tol:
+    if vals[-1] < -INT_TOL:
         return report(False, None, "operator has a negative eigenvalue"), None
     n = round(trace)
-    if abs(trace - n) > tol:
+    if abs(trace - n) > INT_TOL:
         return report(False, None, "trace is not an integer"), None
     if n < rank:
         return report(False, None, "trace falls below the rank"), None
@@ -100,23 +100,21 @@ class IneqReport:
     excess_margin: float
 
 
-def ineq_check(a, decomp: RankOneDecomp, tol: float = MARGIN_TOL, with_remainder: bool = True):
+def ineq_check(a, decomp: RankOneDecomp):
     mat = assert_hermitian(a)
     dim = mat.shape[0]
     if decomp.terms and decomp.dim != dim:
         raise DimensionError(
             f"operator dimension {dim} does not match the decomposition ({decomp.dim})"
         )
-    b = decomp.frame_operator(dim=dim, with_remainder=with_remainder)
+    b = decomp.frame_operator(dim=dim, with_remainder=True)
     pos = float(np.linalg.eigvalsh(b)[0])
     dom = float(np.linalg.eigvalsh(mat - b)[0])
     op_excess = float(math.fsum(max(v - 1.0, 0.0) for v in np.linalg.eigvalsh(mat)))
-    weights = [t.weight for t in decomp.terms]
-    if with_remainder:
-        weights += [t.weight for t in decomp.remainder]
+    weights = [t.weight for t in decomp.terms + decomp.remainder]
     w_excess = float(math.fsum(max(w - 1.0, 0.0) for w in weights))
     margin = op_excess - w_excess
-    holds = pos >= -tol and dom >= -tol and margin >= -tol
+    holds = pos >= -MARGIN_TOL and dom >= -MARGIN_TOL and margin >= -MARGIN_TOL
     return IneqReport(holds, pos, dom, op_excess, w_excess, margin)
 
 
@@ -135,7 +133,7 @@ class ProjectionDiagReport:
     reason: str | None = None
 
 
-def projection_diag_check(xi, rank: float, corank: float, tol: float = INT_TOL):
+def projection_diag_check(xi, rank: float, corank: float):
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
     for name, value in (("rank", rank), ("corank", corank)):
         if value != math.inf and (value < 0 or round(value) != value):
@@ -148,14 +146,14 @@ def projection_diag_check(xi, rank: float, corank: float, tol: float = INT_TOL):
 
     if (trace == math.inf) != (rank == math.inf):
         return report(False, reason="total weight does not match the rank")
-    if trace != math.inf and abs(trace - rank) > tol:
+    if trace != math.inf and abs(trace - rank) > INT_TOL:
         return report(False, reason="total weight does not match the rank")
     if (cotrace == math.inf) != (corank == math.inf):
         return report(False, reason="total defect does not match the corank")
-    if cotrace != math.inf and abs(cotrace - corank) > tol:
+    if cotrace != math.inf and abs(cotrace - corank) > INT_TOL:
         return report(False, reason="total defect does not match the corank")
     if rank == math.inf and corank == math.inf:
-        kad = kadison_check(seq, tol=tol)
+        kad = kadison_check(seq, tol=INT_TOL)
         if not kad.satisfied:
             return report(False, kad, "integrality test fails")
         return report(True, kad)

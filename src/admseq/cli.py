@@ -16,7 +16,7 @@ import sys
 
 from ._np import np
 from .bridge import decomp_to_isometry
-from .carpenter import carpenter_decompose
+from .carpenter import DEFAULT_STAGES, carpenter_decompose
 from .checkers import sum_of_projections_check
 from .errors import (
     DimensionError,
@@ -37,6 +37,8 @@ from .operators import (
 )
 from .seqkit import kadison_check, majorizes, seq_from_json
 from .streams import VectorStream, stream_from_json
+
+VERIFY_TOL = 1e-8  # largest residual verify accepts, in the operator 2-norm
 
 REFUSALS = (KadisonError, MajorizationError, TraceMismatchError, PlanningError)
 PARSE_ERRORS = (
@@ -61,10 +63,8 @@ def _load(path: str):
 
 
 def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return x
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
     return x
 
 
@@ -80,7 +80,7 @@ def _report(args, command: str, digests: dict, **fields) -> dict:
 
 def _cmd_check_kadison(args) -> int:
     obj, digest = _load(args.sequence)
-    rep = kadison_check(seq_from_json(obj), alpha=args.alpha, tol=args.tol)
+    rep = kadison_check(seq_from_json(obj), alpha=args.alpha)
     _emit(
         _report(
             args,
@@ -103,7 +103,7 @@ def _cmd_check_majorize(args) -> int:
     eta = seq_from_json(eta_obj)
     if not (xi.is_finite and eta.is_finite):
         raise SequenceError("majorization compares finite sequences")
-    verdict = majorizes(xi, eta, tol=args.tol)
+    verdict = majorizes(xi, eta)
     _emit(
         _report(
             args,
@@ -130,13 +130,7 @@ def _cmd_decompose(args) -> int:
         stream_from_json(obj["stream"]) if "stream" in obj else VectorStream.basis()
     )
     try:
-        decomp, certs, tag = carpenter_decompose(
-            xi,
-            stream,
-            stages=args.stages,
-            extend_limit=args.extend_limit,
-            tol=args.tol,
-        )
+        decomp, certs, tag = carpenter_decompose(xi, stream, stages=args.stages)
     except REFUSALS as exc:
         _emit(
             _report(
@@ -178,7 +172,7 @@ def _cmd_verify(args) -> int:
     decomp = decomp_from_json(dec_obj)
     target = op_from_json(op_obj)
     residual = decomp_residual(target, decomp, with_remainder=not args.no_remainder)
-    ok = residual <= args.tol
+    ok = residual <= VERIFY_TOL
     _emit(
         _report(
             args,
@@ -186,7 +180,7 @@ def _cmd_verify(args) -> int:
             {"decomposition": dec_digest, "operator": op_digest},
             ok=ok,
             residual=residual,
-            tol=args.tol,
+            tol=VERIFY_TOL,
             num_terms=len(decomp.terms),
             num_remainder=len(decomp.remainder),
         )
@@ -197,7 +191,7 @@ def _cmd_verify(args) -> int:
 def _cmd_check_sums(args) -> int:
     obj, digest = _load(args.operator)
     a = op_from_json(obj)
-    rep, witness = sum_of_projections_check(a, tol=args.tol, witness=args.witness)
+    rep, witness = sum_of_projections_check(a, witness=args.witness)
     fields = dict(
         decomposable=rep.decomposable,
         num_projections=rep.num_projections,
@@ -258,27 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-kadison", help="integrality test for a weight sequence")
     p.add_argument("sequence", help="sequence JSON (path or -)")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_check_kadison)
 
     p = sub.add_parser("check-majorize", help="majorization test xi against eta")
     p.add_argument("xi", help="finite sequence JSON (path or -)")
     p.add_argument("eta", help="finite sequence JSON (path or -)")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_check_majorize)
 
     p = sub.add_parser("decompose", help="stage a decomposition of a stream")
     p.add_argument("input", help='JSON with "weights" and optional "stream"')
-    p.add_argument("--stages", type=int, default=10)
-    p.add_argument("--extend-limit", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--stages", type=int, default=DEFAULT_STAGES)
     p.add_argument("--out", help="write the decomposition here plus <out>.target.json")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", help="residual of a decomposition against an operator")
     p.add_argument("decomposition", help="decomposition JSON (path or -)")
     p.add_argument("operator", help="operator JSON (path or -)")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument(
         "--no-remainder",
         action="store_true",
@@ -288,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-sums", help="is the operator a sum of projections?")
     p.add_argument("operator", help="operator JSON (path or -)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--witness", action="store_true", help="construct the projections")
     p.add_argument("--out", help="write the witness decomposition here")
     p.set_defaults(func=_cmd_check_sums)

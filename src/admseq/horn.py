@@ -17,7 +17,9 @@ from .errors import DimensionError, MajorizationError
 from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import majorizes
 
+PLACE_TOL = 1e-12  # a weight within it of a target or of zero counts as equal
 MIX_RESIDUAL_TOL = 1e-10
+NEG_SQUARE_TOL = 1e-9  # a mixing square above -NEG_SQUARE_TOL clamps to 0
 HORN_RESIDUAL_TOL = 1e-9  # scaled by the ambient dimension
 TRACE_TOL = 1e-9
 
@@ -50,13 +52,13 @@ class MixResult:
     residual: float
 
 
-def _sqrt_clamped(x: float, guard: float = 1e-9) -> float:
-    if x < -guard:
+def _sqrt_clamped(x: float) -> float:
+    if x < -NEG_SQUARE_TOL:
         raise ValueError(f"mixing produced a negative square ({x:.3e})")
     return math.sqrt(max(x, 0.0))
 
 
-def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = 1e-12, check: bool = True) -> MixResult:
+def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: bool = True) -> MixResult:
     """Rewrite eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'*.
 
     Requires xi1 + xi2 = eta1 + eta2 and both xis between min(eta) and
@@ -151,7 +153,7 @@ def _coerce_terms(source_terms) -> list[RankOneTerm]:
     return out
 
 
-def horn_decompose(source_terms, target_weights, tol: float = 1e-12) -> RankOneDecomp:
+def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     """Rewrite sum eta_i u_i u_i* with the prescribed weights.
 
     ``target_weights`` must be majorized by the source weights (zero-padding
@@ -159,7 +161,7 @@ def horn_decompose(source_terms, target_weights, tol: float = 1e-12) -> RankOneD
     the given order, and sum to the same operator, which is checked here.
     """
     pool = _coerce_terms(source_terms)
-    decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights, tol)))
+    decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights, PLACE_TOL)))
     dim = len(pool[0].vector)
     _checked(frame_operator(decomp.terms, dim=dim) - frame_operator(pool, dim=dim))
     return decomp
@@ -268,7 +270,7 @@ def _earliest_hit(work, t: float, tol: float) -> int | None:
     return best
 
 
-def schur_horn_matrix(eigenvalues, diagonal, tol: float = 1e-12) -> np.ndarray:
+def schur_horn_matrix(eigenvalues, diagonal) -> np.ndarray:
     """Hermitian matrix with the given spectrum and diagonal.
 
     The diagonal must be majorized by the eigenvalue list (zero-padding the
@@ -282,6 +284,6 @@ def schur_horn_matrix(eigenvalues, diagonal, tol: float = 1e-12) -> np.ndarray:
         raise DimensionError("need at least one eigenvalue and one diagonal entry")
     basis = np.eye(n, dtype=complex)
     sources = [RankOneTerm(lam[i], basis[:, i]) for i in range(n)]
-    decomp = horn_decompose(sources, xi, tol=tol)
+    decomp = horn_decompose(sources, xi)
     B = np.array([math.sqrt(max(t.weight, 0.0)) * t.vector.conj() for t in decomp.terms])
     return B @ B.conj().T

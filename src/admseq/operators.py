@@ -16,6 +16,7 @@ HERM_TOL = 1e-12        # per-dimension Hermitian symmetry tolerance
 SQRT_PSD_TOL = 1e-9     # per-dimension negative-eigenvalue allowance
 POLAR_PROJ_TOL = 1e-10  # V*V versus range projection
 POLAR_FACTOR_TOL = 1e-9  # B versus V sqrt(B*B)
+UNIT_TOL = 1e-9         # term vectors' norm versus 1; term weights' negative allowance
 
 
 def as_operator(A) -> np.ndarray:
@@ -25,11 +26,10 @@ def as_operator(A) -> np.ndarray:
     return M
 
 
-def assert_hermitian(A, tol: float | None = None) -> np.ndarray:
+def assert_hermitian(A) -> np.ndarray:
     M = as_operator(A)
-    t = HERM_TOL * max(1, M.shape[0]) if tol is None else tol
     dev = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if dev > t:
+    if dev > HERM_TOL * max(1, M.shape[0]):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
     return 0.5 * (M + M.conj().T)
 
@@ -47,11 +47,10 @@ def eigenvalues_desc(A) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(M))[::-1]
 
 
-def sqrt_psd(A, tol: float | None = None) -> np.ndarray:
+def sqrt_psd(A) -> np.ndarray:
     """Hermitian square root of a PSD matrix; tiny negative eigenvalues clamp."""
     w, V = eigh_desc(A)
-    t = SQRT_PSD_TOL * max(1, len(w)) if tol is None else tol
-    if len(w) and w[-1] < -t:
+    if len(w) and w[-1] < -SQRT_PSD_TOL * max(1, len(w)):
         raise ValueError(f"matrix is not positive semidefinite (min eig {w[-1]:.3e})")
     s = np.sqrt(np.clip(w, 0.0, None))
     return (V * s) @ V.conj().T
@@ -68,7 +67,7 @@ class PartialIsometryRec:
     rank: int
 
 
-def polar_partial_isometry(B, clamp: float = EIG_CLAMP) -> PartialIsometryRec:
+def polar_partial_isometry(B) -> PartialIsometryRec:
     """Polar decomposition B = V (B*B)^{1/2} built from the eigendecomposition
     of the Gram matrix B*B.  V is a partial isometry from the range of B*B."""
     M = np.asarray(B, dtype=complex)
@@ -76,7 +75,7 @@ def polar_partial_isometry(B, clamp: float = EIG_CLAMP) -> PartialIsometryRec:
         raise DimensionError(f"expected a matrix, got shape {M.shape}")
     gram = M.conj().T @ M
     w, U = eigh_desc(gram)
-    kept = w > clamp
+    kept = w > EIG_CLAMP
     rank = int(np.count_nonzero(kept))
     s = np.sqrt(np.clip(w, 0.0, None))
     sqrt_gram = (U * s) @ U.conj().T
@@ -94,10 +93,10 @@ def polar_partial_isometry(B, clamp: float = EIG_CLAMP) -> PartialIsometryRec:
 
 # -- rank-one decompositions ------------------------------------------
 
-def unit_vector(v, tol: float = 1e-9) -> np.ndarray:
+def unit_vector(v) -> np.ndarray:
     x = np.asarray(v, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"vector norm {nrm!r} is not 1")
     return x / nrm
 
@@ -108,9 +107,6 @@ class RankOneTerm:
 
     weight: float
     vector: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return self.weight * np.outer(self.vector, self.vector.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +131,11 @@ class RankOneDecomp:
         return frame_operator(terms, dim=dim if dim is not None else self.dim)
 
 
-def make_term(weight, vector, tol: float = 1e-9) -> RankOneTerm:
+def make_term(weight, vector) -> RankOneTerm:
     w = float(weight)
-    if w < -tol:
+    if w < -UNIT_TOL:
         raise ValueError(f"term weight must be nonnegative, got {w!r}")
-    return RankOneTerm(max(w, 0.0), unit_vector(vector, tol))
+    return RankOneTerm(max(w, 0.0), unit_vector(vector))
 
 
 def frame_operator(terms, dim: int | None = None) -> np.ndarray:

@@ -587,7 +587,7 @@ def _head_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
 
 
 def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
-    """(a, b) at threshold alpha: a = sum of entries <= alpha,
+    """(a, b) at threshold alpha in (0, 1): a = sum of entries <= alpha,
     b = sum of (1 - entry) over entries > alpha."""
     if seq.kind == KIND_INTERLEAVE:
         a = 0.0
@@ -601,14 +601,10 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
     f, q = seq.tail_first, seq.tail_ratio
     if seq.kind == KIND_GEOMETRIC:
         k0 = _first_k_leq(f, q, alpha)
-        if k0 is None:  # alpha <= 0: every tail entry exceeds it and b diverges
-            return a, INF
         b += k0 - _geom_sum(f, q, k0)
         a += _geom_sum(f * q**k0, q)
     elif seq.kind == KIND_ONE_MINUS:  # tail entries 1 - f*q^k -> 1
         k1 = _first_k_lt(f, q, 1.0 - alpha)  # beyond k1 the entries exceed alpha
-        if k1 is None:  # alpha >= 1: infinitely many entries <= alpha
-            return INF, b
         a += k1 - _geom_sum(f, q, k1)
         b += _geom_sum(f * q**k1, q)
     elif seq.kind == KIND_PERIODIC:

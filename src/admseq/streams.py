@@ -52,7 +52,7 @@ class VectorStream:
         return cls(KIND_BASIS)
 
     @classmethod
-    def explicit(cls, vectors, tol: float = ORTHO_TOL) -> "VectorStream":
+    def explicit(cls, vectors) -> "VectorStream":
         vecs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors)
         if not vecs:
             raise SequenceError("explicit stream needs at least one vector")
@@ -63,7 +63,7 @@ class VectorStream:
             raise DimensionError("more vectors than the dimension can hold orthonormally")
         M = np.array(vecs)
         G = M.conj() @ M.T  # G[a, b] = <vecs[a], vecs[b]>
-        if float(np.max(np.abs(G - np.eye(len(vecs))))) > tol:
+        if float(np.max(np.abs(G - np.eye(len(vecs))))) > ORTHO_TOL:
             raise SequenceError("explicit stream vectors are not orthonormal")
         return cls(KIND_EXPLICIT, vectors=vecs)
 

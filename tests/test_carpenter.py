@@ -178,6 +178,11 @@ class TestMuDivergesPlan:
         p = next(plan_mu_diverges(mu, WeightSeq.finite([]), extend_limit=10))
         assert len(p.targets) == 10
 
+    def test_finite_small_entries_run_out(self):
+        mu = WeightSeq.finite([0.3] * 2)
+        with pytest.raises(PlanningError, match="^stage 0 ran out of small entries$"):
+            next(plan_mu_diverges(mu, WeightSeq.finite([])))
+
 
 class TestLambdaDivergesPlan:
     def test_frozen_two_stage_trace(self):
@@ -202,6 +207,20 @@ class TestLambdaDivergesPlan:
         next(plan_lambda_diverges(WeightSeq.finite([]), lam, extend_limit=4))
         with pytest.raises(PlanningError, match="^stage 0 needs more than 3 large entries$"):
             next(plan_lambda_diverges(WeightSeq.finite([]), lam, extend_limit=3))
+
+    def test_first_fit_shares_a_bin(self):
+        # 0.5 and the second 0.25 join the first bin, which fills exactly and
+        # leaves no slack; 0.4 opens a second bin with slack 0.6
+        mu = WeightSeq.finite([0.25, 0.5, 0.25, 0.4])
+        q1 = next(plan_lambda_diverges(mu, WeightSeq.periodic([], (0.2,))))
+        assert q1.colinear == ((0, 0.25), (0, 0.5), (0, 0.25), (1, 0.4))
+        assert q1.sources[0] == (1, pytest.approx(0.6))
+        assert all(pos != 0 for pos, _ in q1.sources)
+
+    def test_finite_defects_run_out(self):
+        lam = WeightSeq.finite([0.25] * 3)
+        with pytest.raises(PlanningError, match="^stage 0 ran out of large entries$"):
+            next(plan_lambda_diverges(WeightSeq.finite([]), lam))
 
     def test_needs_finitely_many_small_entries(self):
         mu = WeightSeq.geometric([], 0.125, 0.5)
@@ -236,6 +255,11 @@ PLAN_INPUTS = {
         plan_mu_diverges, WeightSeq.periodic([], (0.35,)), WeightSeq.finite([0.1, 0.25, 0.4])
     ),
     "lam-bins": (plan_lambda_diverges, WeightSeq.finite([0.6, 0.5]), _QUARTERS),
+    # 0.5 and the second 0.25 are packed into the first bin
+    "lam-bins-shared": (
+        plan_lambda_diverges, WeightSeq.finite([0.25, 0.5, 0.25, 0.4]),
+        WeightSeq.periodic([], (0.2,)),
+    ),
     # no small entries: every stage takes four defects and carries r_new = 0
     "lam-no-small": (plan_lambda_diverges, WeightSeq.finite([]), _QUARTERS),
 }
@@ -247,6 +271,7 @@ PLAN_DIGESTS = {
     "mu-periodic": "91dddc8575faa045c09f3ec20e5278e2595536b390fb6e32d4ddef03337dc46b",
     "mu-lam-runs-out": "3df59936b95ea4221a67b0ba276041a1f02c2d9541cb7af286bbee157f8abb7b",
     "lam-bins": "aed5bf13e50e2f12e49ebc8b5ea97a6fdd5a058f092b14424952a57808e78091",
+    "lam-bins-shared": "7494fd853051d62dcb29d6f5ba9941ff0b933b6b5206bb1a1c7a85ebf940774d",
     "lam-no-small": "78ad436d9336d8c38cfd236037cb9bde8cb7c76779c8b17e1c60165afa146b99",
 }
 
@@ -488,6 +513,19 @@ class TestCarpenter:
         assert_projection_onto_consumed(decomp)
         assert all(c.majorization.holds for c in certs)
         assert max(c.residual for c in certs) <= 1e-10
+
+    @pytest.mark.parametrize("stream", ONES_STREAMS)
+    def test_lambda_divergent_shared_bin(self, stream):
+        # first-fit packs 0.25, 0.5 and 0.25 into one bin
+        xi = WeightSeq.interleave(
+            WeightSeq.finite([0.25, 0.5, 0.25, 0.4]), WeightSeq.periodic([], (0.8,))
+        )
+        decomp, certs, tag = carpenter_decompose(xi, stream, stages=5)
+        assert tag.tag == CASE_LAMBDA_DIVERGES
+        assert sorted(t.weight for t in decomp.terms if t.weight != 0.8) == [0.25, 0.25, 0.4, 0.5]
+        assert all(c.majorization.holds for c in certs)
+        assert max(c.residual for c in certs) <= 1e-10
+        assert_covers(decomp, stream, sorted(consumed_positions(certs)))
 
     def test_emitted_weights_follow_the_plan(self):
         decomp, certs, _ = carpenter_decompose(

@@ -6,12 +6,15 @@ codes and report payloads are asserted directly, without spawning shells.
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from admseq.cli import main
+from admseq.carpenter import DEFAULT_STAGES
+from admseq.cli import build_parser, main
 
 
 def run(capsys, *argv: str) -> tuple[int, dict]:
@@ -340,6 +343,83 @@ class TestBridge:
         diag = np.diag(v @ v.conj().T).real
         assert np.allclose(diag, [0.5, 0.5, 0.5, 0.5])
         assert payload["weights"] == [0.5, 0.5, 0.5, 0.5]
+
+
+# the option strings of each subcommand; no tolerance or limit is a flag
+OPTIONS = {
+    "check-kadison": ["--alpha", "--help", "-h"],
+    "check-majorize": ["--help", "-h"],
+    "decompose": ["--help", "--out", "--stages", "-h"],
+    "verify": ["--help", "--no-remainder", "-h"],
+    "check-sums": ["--help", "--out", "--witness", "-h"],
+    "bridge": ["--help", "--out", "-h"],
+}
+
+# (argv, exit code, sha256 of the report), recorded before the tolerance
+# flags were removed; each input file is json.dumps of its payload
+DEC = {
+    "terms": [{"weight": 1.0, "vector": [[1.0, 0.0], [0.0, 0.0]]}],
+    "remainder_terms": [{"weight": 1.0, "vector": [[0.0, 0.0], [1.0, 0.0]]}],
+}
+DOCS = {
+    "dec.json": DEC,
+    "full.json": {"diag": [1.0, 1.0]},
+    "part.json": {"diag": [1.0, 0.0]},
+    "sums.json": {"diag": [2.0, 1.0, 1.0]},
+    "half.json": {"diag": [1.5]},
+}
+REPORTS = [
+    (["verify", "dec.json", "full.json"], 0,
+     "f72f83812bf3bdcb9d1e9d6f9640b624ba2ed370aa098e9bbc26bf7a2ba5bec6"),
+    (["verify", "dec.json", "part.json"], 1,
+     "3ef719be457e2be2e7b67a1f73f5a06c9c9ed09c644ff02da4b1d0764b89cb9e"),
+    (["verify", "dec.json", "part.json", "--no-remainder"], 0,
+     "dcc20f5e8465b6a7dc0d47f3bdf5b62f1558fa606672f345dbf5d3ac78bd2d08"),
+    (["check-sums", "sums.json", "--witness"], 0,
+     "5084f824148c9491263ba59a1fb09ab7507ac19f4610d13da109336d6874a840"),
+    (["check-sums", "half.json"], 1,
+     "54053da4d9f64c8d6ecfecb9bfed48f3b319c3a40cc2071ebaf87ba87e5a4bf4"),
+]
+
+
+class TestOptions:
+    def test_option_sets(self):
+        parser = build_parser()
+        assert sorted(s for a in parser._actions for s in a.option_strings) == [
+            "--help", "--seed", "-h"
+        ]
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: sorted(s for a in p._actions for s in a.option_strings)
+            for name, p in sub.choices.items()
+        }
+        assert got == OPTIONS
+
+    def test_stages_default(self):
+        assert build_parser().parse_args(["decompose", "in.json"]).stages == DEFAULT_STAGES
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--extend-limit", "5"]],
+                             ids=["tol", "extend-limit"])
+    def test_removed_decompose_flags_exit_two(self, tmp_path, capsys, flag):
+        inp = write_json(tmp_path / "in.json", {"weights": PERIODIC})
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", inp, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, digest", REPORTS, ids=[
+        "verify", "verify-mismatch", "verify-no-remainder", "check-sums-witness",
+        "check-sums-non-integer",
+    ])
+    def test_report_digests(self, tmp_path, capsys, monkeypatch, argv, code, digest):
+        for name, doc in DOCS.items():
+            write_json(tmp_path / name, doc)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] == "verify":
+            assert json.loads(out)["tol"] == 1e-8
 
 
 class TestReportShape:
