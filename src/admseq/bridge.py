@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._np import np
 from .errors import DimensionError
@@ -44,9 +45,9 @@ class BridgeRecord:
     kept_indices: tuple[int, ...]
     weights: tuple[float, ...]
 
-    @property
+    @cached_property
     def diagonal(self) -> np.ndarray:
-        """diag(V A V*), which reproduces the kept weights."""
+        """diag(V A V*), which reproduces the kept weights; formed once."""
         VA = self.isometry @ self.gram
         return np.einsum("ij,ij->i", VA, self.isometry.conj()).real
 

@@ -57,6 +57,9 @@ CASE_BOTH_SUMMABLE = "both-summable"
 CASE_M_FINITE = "mu-finite"
 
 TRACE_MATCH_TOL = 1e-10
+RUN_SLACK = 1e-15  # a run's entries meet its need when they sum to need - RUN_SLACK
+BIN_SLACK = 1e-12  # a first-fit bin of small entries holds up to 1 + BIN_SLACK
+REMAINDER_FLOOR = 1e-15  # a top vector's leftover at most this leaves no remainder term
 DEFAULT_STAGES = 10
 DEFAULT_EXTEND_LIMIT = 10_000
 CARRY = -1  # source position of the tail steps' running carry
@@ -235,11 +238,11 @@ def _padded(seq: WeightSeq):
 
 
 def _take_run(it, need: float, extend_limit: int, stage: int, what: str) -> list[float]:
-    """Entries drawn from ``it`` until they sum to ``need`` (1e-15 of slack),
+    """Entries drawn from ``it`` until they sum to ``need`` (``RUN_SLACK`` short),
     at most ``extend_limit`` of them; a finite ``it`` may run out first."""
     run: list[float] = []
     run_sum = 0.0
-    while run_sum < need - 1e-15:
+    while run_sum < need - RUN_SLACK:
         if len(run) >= extend_limit:
             raise PlanningError(f"stage {stage} needs more than {extend_limit} {what} entries")
         v = next(it, None)
@@ -310,7 +313,7 @@ def plan_lambda_diverges(
     sums: list[float] = []
     for v in mu.values:
         for i, s in enumerate(sums):
-            if s + v <= 1.0 + 1e-12:
+            if s + v <= 1.0 + BIN_SLACK:
                 bins[i].append(v)
                 sums[i] += v
                 break
@@ -423,7 +426,7 @@ def _realize(plans, stream: VectorStream, dim=None, carry=None):
                 used[pos] = used.get(pos, 0.0) + c
         positions = sorted(consumed)
         # the certificate's verdict, at SUM_TOL; it also licenses the placement,
-        # whose own tolerance max(PLACE_TOL, 1e-11) is looser
+        # whose own tolerance max(PLACE_TOL, PLACE_MAJORIZE_TOL) is looser
         majorization = majorizes(plan.targets, [c for _, c in plan.sources])
         sigma = sigma_cap = None
         if isinstance(plan, _TailStep):
@@ -462,7 +465,7 @@ def _realize(plans, stream: VectorStream, dim=None, carry=None):
         )
     if carry is None and used:  # block stages alone: the rest of their top position
         top = max(used)
-        if 1.0 - used[top] > 1e-15:
+        if 1.0 - used[top] > REMAINDER_FLOOR:
             carry = RankOneTerm(1.0 - used[top], stream.vector(top, dim))
     return tuple(terms), tuple(certs), () if carry is None else (carry,)
 

@@ -26,6 +26,7 @@ from .seqkit import KadisonReport, WeightSeq, kadison_check
 INT_TOL = 1e-9
 RANK_TOL = 1e-9
 MARGIN_TOL = 1e-9
+SPLIT_SUM_TOL = 1e-12  # adm_transform's split weights sum to 1 within it
 
 
 # -- sums of projections ------------------------------------------------
@@ -209,7 +210,7 @@ def adm_transform(
         parts = [float(e) for e in eta]
         if any(e < 0.0 for e in parts):
             raise ValueError("split weights must be nonnegative")
-        if abs(math.fsum(parts) - 1.0) > 1e-12:
+        if abs(math.fsum(parts) - 1.0) > SPLIT_SUM_TOL:
             raise ValueError("split weights must sum to one")
         terms = tuple(
             RankOneTerm(x.weight * e, x.vector) for x in d1.terms for e in parts

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .jsonio import write_json
 from .operators import (
+    _array_doc,
     _decomp_doc,
     _op_doc,
     decomp_from_json,
@@ -39,6 +40,7 @@ from .seqkit import kadison_check, majorizes, seq_from_json
 from .streams import VectorStream, stream_from_json
 
 VERIFY_TOL = 1e-8  # largest residual verify accepts, in the operator 2-norm
+BRIDGE_RANK_TOL = 1e-10  # singular values of sqrt_gram above it count in bridge's rank
 
 REFUSALS = (KadisonError, MajorizationError, TraceMismatchError, PlanningError)
 PARSE_ERRORS = (
@@ -219,7 +221,7 @@ def _cmd_bridge(args) -> int:
     ) if record.weights else 0.0
     if args.out:
         doc = {
-            name: {"rows": m.shape[0], "cols": m.shape[1], "entries": m}
+            name: {"rows": m.shape[0], "cols": m.shape[1], "entries": _array_doc(m, np.asarray)}
             for name, m in (("isometry", record.isometry), ("sqrt_gram", record.sqrt_gram))
         }
         doc.update(kept_indices=list(record.kept_indices), weights=list(record.weights))
@@ -231,7 +233,7 @@ def _cmd_bridge(args) -> int:
             {"decomposition": digest},
             ok=True,
             kept_indices=list(record.kept_indices),
-            rank=int(np.linalg.matrix_rank(record.sqrt_gram, tol=1e-10)),
+            rank=int(np.linalg.matrix_rank(record.sqrt_gram, tol=BRIDGE_RANK_TOL)),
             diagonal_deviation=deviation,
             written=[args.out] if args.out else [],
         )

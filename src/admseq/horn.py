@@ -18,6 +18,7 @@ from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import majorizes
 
 PLACE_TOL = 1e-12  # a weight within it of a target or of zero counts as equal
+PLACE_MAJORIZE_TOL = 1e-11  # a placement tests majorization at max(tol, PLACE_MAJORIZE_TOL)
 MIX_RESIDUAL_TOL = 1e-10
 NEG_SQUARE_TOL = 1e-9  # a mixing square above -NEG_SQUARE_TOL clamps to 0
 HORN_RESIDUAL_TOL = 1e-9  # scaled by the ambient dimension
@@ -181,7 +182,7 @@ def _horn_place(
     """horn_decompose's placement of unit-vector pool terms, without its
     reconstruction check: the caller checks the identity.  A caller that has
     already tested the majorization of these targets by these pool weights at
-    a tolerance of at most ``max(tol, 1e-11)`` passes its ``verdict``; a
+    a tolerance of at most ``max(tol, PLACE_MAJORIZE_TOL)`` passes its ``verdict``; a
     holding one is not tested again.
 
     Targets are placed largest first.  A target within ``tol`` of a pool
@@ -199,7 +200,7 @@ def _horn_place(
         raise DimensionError("need at least one source term")
     dim = len(pool[0].vector)
     if verdict is None or not verdict.holds:
-        verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, 1e-11))
+        verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, PLACE_MAJORIZE_TOL))
     if not verdict.holds:
         raise MajorizationError(
             "source weights do not majorize the targets"

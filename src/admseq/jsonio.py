@@ -3,16 +3,15 @@
 ``write_json(path, obj)`` writes the same bytes as
 ``json.dump(obj, fh, sort_keys=True, indent=2)`` followed by a newline.
 CPython's C encoder is off whenever ``indent`` is set, so ``json.dump`` walks
-dense operators entry by entry in pure Python.  Here a complex ndarray stands
-for its row-major ``[[re, im], ...]`` list, written a chunk of pairs at a
-time with fixed indent separators.  The arrays the CLI writes are mostly
-zero, so a pair whose two float64 values have all bits clear is written as
-one shared text, a run of them at once; only the other pairs go through
-``float.__repr__``.  The writer builds neither the per-entry lists nor the
-whole document as one string."""
+long arrays entry by entry in pure Python.  Here a complex ndarray stands for
+its row-major ``[[re, im], ...]`` list, written a chunk of pairs at a time
+with fixed indent separators, and an integer ndarray for its list of ints,
+written with one join.  The writer builds neither the per-entry lists nor
+the whole document as one string."""
 
 from __future__ import annotations
 
+import math
 from json.encoder import encode_basestring_ascii
 
 from ._np import np
@@ -23,8 +22,8 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_json(path: str, obj) -> None:
-    """Write ``obj`` (dicts with str keys, lists, tuples, scalars and complex
-    ndarrays) to ``path`` as indented JSON with sorted keys."""
+    """Write ``obj`` (dicts with str keys, lists, tuples, scalars, and complex
+    or integer ndarrays) to ``path`` as indented JSON with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
         _write(fh.write, obj, 0)
         fh.write("\n")
@@ -49,7 +48,7 @@ def _scalar(x) -> str:
 
 def _write(write, obj, level: int) -> None:
     if isinstance(obj, np.ndarray):
-        _write_pairs(write, obj, level)
+        _write_array(write, obj, level)
     elif isinstance(obj, dict):
         keyed = [(encode_basestring_ascii(k) + ": ", obj[k]) for k in sorted(obj)]
         _write_items(write, "{}", keyed, level)
@@ -72,13 +71,20 @@ def _write_items(write, brackets: str, items, level: int) -> None:
     write("\n" + INDENT * level + brackets[1])
 
 
-def _write_pairs(write, arr: np.ndarray, level: int) -> None:
-    """The complex array ``arr``, flattened row-major, as a list of pairs."""
-    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1)
-    if not flat.size:
+def _write_array(write, arr: np.ndarray, level: int) -> None:
+    """The array ``arr``, flattened row-major: a list of ints for an integer
+    array, a list of [re, im] pairs for a complex one."""
+    if arr.dtype.kind not in "iuc":
+        raise TypeError(f"Object of type ndarray[{arr.dtype}] is not JSON serializable")
+    if not arr.size:
         write("[]")
         return
     item = "\n" + INDENT * (level + 1)
+    if arr.dtype.kind != "c":
+        write("[" + item + ("," + item).join(map(int.__repr__, arr.reshape(-1).tolist())))
+        write("\n" + INDENT * level + "]")
+        return
+    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1)
     part = "\n" + INDENT * (level + 2)
     inner = "," + part
     outer = item + "]," + item + "[" + part
@@ -86,33 +92,17 @@ def _write_pairs(write, arr: np.ndarray, level: int) -> None:
     for start in range(0, flat.size, CHUNK_PAIRS):
         if start:
             write(outer)
-        chunk = flat[start : start + CHUNK_PAIRS]
-        write(outer.join(_pair_texts(chunk, inner, outer)))
+        floats = iter(_float_texts(flat[start : start + CHUNK_PAIRS].view(np.float64).tolist()))
+        write(outer.join(map(inner.join, zip(floats, floats))))
     write(item + "]\n" + INDENT * level + "]")
 
 
-def _pair_texts(chunk: np.ndarray, inner: str, outer: str) -> list:
-    """Texts that, joined by ``outer``, spell the complex array ``chunk`` as
-    pairs: one per non-zero pair, and one per run of zero pairs, the shared
-    zero text repeated.  A zero pair has both float64 values with all bits
-    clear, so ``-0.0`` goes through ``float.__repr__`` like any other value."""
-    zero = "0.0" + inner + "0.0"
-    bits = chunk.view(np.uint64)
-    nonzero = np.logical_or(bits[0::2], bits[1::2])
-    values = chunk[nonzero].view(np.float64)
-    reprs = list(map(float.__repr__, values.tolist()))
-    for i in (~np.isfinite(values)).nonzero()[0].tolist():
-        reprs[i] = _NONFINITE[reprs[i]]
-    floats = iter(reprs)
-    pairs = list(map(inner.join, zip(floats, floats)))
-    # runs of non-zero and of zero pairs alternate; a run starts at each edge
-    edges = ((nonzero[1:] != nonzero[:-1]).nonzero()[0] + 1).tolist()
-    texts, done, in_nonzero = [], 0, bool(nonzero[0])
-    for lo, hi in zip([0] + edges, edges + [nonzero.size]):
-        if in_nonzero:
-            texts += pairs[done : done + hi - lo]
-            done += hi - lo
-        else:
-            texts.append(outer.join([zero] * (hi - lo)))
-        in_nonzero = not in_nonzero
-    return texts
+def _float_texts(values: list) -> list:
+    """``json`` texts of the floats ``values``: ``float.__repr__``, with
+    ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones.  Their
+    sum is finite unless one of them is not (or the sum overflows), so a
+    list of finite floats is never looked at one by one."""
+    reprs = list(map(float.__repr__, values))
+    if math.isfinite(sum(values)):
+        return reprs
+    return [_NONFINITE.get(r, r) for r in reprs]

@@ -1,6 +1,7 @@
 """Finite-dimensional operator helpers: Hermitian checks, PSD square roots,
 polar partial isometries (computed from B*B, not an SVD), frame operators,
-and JSON forms for operators and rank-one decompositions."""
+and JSON forms for operators and rank-one decompositions, whose complex
+arrays are written sparse and read in either form."""
 
 from __future__ import annotations
 
@@ -164,6 +165,12 @@ def residual_norm(A, B) -> float:
 
 
 # -- JSON forms --------------------------------------------------------
+#
+# A flat complex array is written in its sparse form,
+# {"size": N, "indices": [...], "values": [[re, im], ...]}: the pairs whose
+# two float64 values do not both have all bits clear, at strictly increasing
+# indices; every other pair is (+0.0, +0.0).  The readers take that form or
+# the dense list of N entries, and rebuild the same float64 bits from either.
 
 def _complex_from_json(x) -> complex:
     if isinstance(x, (list, tuple)):
@@ -174,9 +181,11 @@ def _complex_from_json(x) -> complex:
 
 
 def _complex_array_from_json(entries) -> np.ndarray:
-    """1-d complex array of JSON entries: [re, im] pairs or reals.  A list of
-    float pairs, the form written files take, is flattened once and
-    converted in one call."""
+    """1-d complex array of a JSON array: a sparse object, or a list of
+    [re, im] pairs or reals.  A list of float pairs, the form written files
+    take, is flattened once and converted in one call."""
+    if isinstance(entries, dict):
+        return _sparse_from_json(entries)
     if (
         type(entries) is list
         and set(map(type, entries)) == {list}
@@ -188,16 +197,62 @@ def _complex_array_from_json(entries) -> np.ndarray:
     return np.asarray([_complex_from_json(e) for e in entries], dtype=complex)
 
 
-def _op_doc(A, entries) -> dict:
-    """Operator JSON object with the row-major entries mapped by ``entries``:
-    ``_vec_to_json`` gives plain lists, ``np.asarray`` keeps the array for
-    ``jsonio.write_json``."""
+def _sparse_from_json(obj: dict) -> np.ndarray:
+    try:
+        size, indices, values = obj["size"], obj["indices"], obj["values"]
+    except KeyError as exc:
+        raise SequenceError(f"sparse array JSON missing field {exc}") from exc
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        raise SequenceError(f"sparse array size must be a nonnegative integer, got {size!r}")
+    if type(indices) is not list or not set(map(type, indices)) <= {int}:
+        raise SequenceError("sparse array indices must be a list of integers")
+    if type(values) is not list or len(values) != len(indices):
+        raise SequenceError("sparse array needs a list of values, one per index")
+    if indices and (min(indices) < 0 or max(indices) >= size):
+        raise SequenceError(f"sparse array index out of range for size {size}")
+    at = np.array(indices, dtype=np.intp)
+    if np.any(at[1:] <= at[:-1]):
+        raise SequenceError("sparse array indices must be strictly increasing")
+    out = np.zeros(size, dtype=complex)
+    out[at] = _complex_array_from_json(values)
+    return out
+
+
+def _sparse_docs(M, arrays) -> list[dict]:
+    """Sparse JSON object of each row of the complex matrix ``M``, with its
+    index and value arrays mapped by ``arrays``: ``_plain`` gives plain
+    lists, ``np.asarray`` keeps the arrays for ``jsonio.write_json``.  The
+    non-zero pairs of all rows are found in one pass over ``M``."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    bits = M.view(np.uint64)
+    nonzero = (bits[:, 0::2] | bits[:, 1::2]) != 0
+    indices, values = nonzero.nonzero()[1], M[nonzero]
+    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    return [
+        {"size": M.shape[1], "indices": arrays(indices[a:b]), "values": arrays(values[a:b])}
+        for a, b in zip([0] + ends, ends)
+    ]
+
+
+def _plain(arr: np.ndarray) -> list:
+    """An index or complex array as the plain list ``json.dump`` takes."""
+    return _vec_to_json(arr) if arr.dtype.kind == "c" else arr.tolist()
+
+
+def _array_doc(A, arrays) -> dict:
+    """Sparse JSON object of the complex array ``A`` flattened row-major,
+    the arrays mapped by ``arrays`` as in ``_sparse_docs``."""
+    return _sparse_docs(np.asarray(A).reshape(1, -1), arrays)[0]
+
+
+def _op_doc(A, arrays) -> dict:
+    """Operator JSON object with its row-major entries in sparse form."""
     M = as_operator(A)
-    return {"dim": M.shape[0], "entries": entries(M.reshape(-1))}
+    return {"dim": M.shape[0], "entries": _array_doc(M, arrays)}
 
 
 def op_to_json(A) -> dict:
-    return _op_doc(A, _vec_to_json)
+    return _op_doc(A, _plain)
 
 
 def op_from_json(obj) -> np.ndarray:
@@ -213,9 +268,10 @@ def op_from_json(obj) -> np.ndarray:
         raise SequenceError(f"operator JSON missing field {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise SequenceError(f"operator dim must be a nonnegative integer, got {n!r}")
-    if len(entries) != n * n:
-        raise SequenceError(f"operator claims dim {n} but has {len(entries)} entries")
-    return _complex_array_from_json(entries).reshape(n, n)
+    flat = _complex_array_from_json(entries)
+    if flat.size != n * n:
+        raise SequenceError(f"operator claims dim {n} but has {flat.size} entries")
+    return flat.reshape(n, n)
 
 
 def _vec_to_json(v: np.ndarray) -> list:
@@ -223,25 +279,25 @@ def _vec_to_json(v: np.ndarray) -> list:
 
 
 def _vec_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, (list, tuple)):
-        raise SequenceError("vector JSON must be a list of [re, im] pairs")
+    if not isinstance(obj, (list, tuple, dict)):
+        raise SequenceError("vector JSON must be a list of [re, im] pairs or a sparse object")
     return _complex_array_from_json(obj)
 
 
-def _decomp_doc(decomp: RankOneDecomp, vector) -> dict:
-    """Decomposition JSON object with each term vector mapped by ``vector``,
-    as in ``_op_doc``."""
-    def terms(ts):
-        return [{"weight": t.weight, "vector": vector(t.vector)} for t in ts]
-
-    out = {"terms": terms(decomp.terms)}
+def _decomp_doc(decomp: RankOneDecomp, arrays) -> dict:
+    """Decomposition JSON object with each term vector in sparse form, the
+    arrays mapped by ``arrays`` as in ``_sparse_docs``."""
+    ts = decomp.terms + decomp.remainder
+    vectors = _sparse_docs([t.vector for t in ts], arrays) if ts else []
+    docs = [{"weight": t.weight, "vector": v} for t, v in zip(ts, vectors)]
+    out = {"terms": docs[: len(decomp.terms)]}
     if decomp.remainder:
-        out["remainder_terms"] = terms(decomp.remainder)
+        out["remainder_terms"] = docs[len(decomp.terms) :]
     return out
 
 
 def decomp_to_json(decomp: RankOneDecomp) -> dict:
-    return _decomp_doc(decomp, _vec_to_json)
+    return _decomp_doc(decomp, _plain)
 
 
 def _terms_from_json(items) -> tuple[RankOneTerm, ...]:

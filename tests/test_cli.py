@@ -339,7 +339,10 @@ class TestBridge:
         payload = json.loads(out.read_text())
         iso = payload["isometry"]
         assert iso["rows"] == 4 and iso["cols"] == 2
-        v = np.array([complex(re, im) for re, im in iso["entries"]]).reshape(4, 2)
+        entries = iso["entries"]  # sparse: the non-zero pairs and their indices
+        v = np.zeros(entries["size"], dtype=complex)
+        v[entries["indices"]] = [complex(re, im) for re, im in entries["values"]]
+        v = v.reshape(4, 2)
         diag = np.diag(v @ v.conj().T).real
         assert np.allclose(diag, [0.5, 0.5, 0.5, 0.5])
         assert payload["weights"] == [0.5, 0.5, 0.5, 0.5]

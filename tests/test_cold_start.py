@@ -39,6 +39,12 @@ KADISON_REPORT = "200f4266fa7decb8a0bcc0ec177cb05ecda3a28b09b50ca82075bffd542c5a
 MAJORIZE_REPORT = "5be4dbbfa1438eb235e1be2bc3b73460953636621b6b9979859f6e09a5d3cabd"
 DECOMPOSE_REPORT = "625bc1777f94733bf8f22792756c77bc61109c02c5d5782d11b38c826578a3a5"
 DECOMPOSE_FILES = {
+    "dec.json": "f7796d529ec6edd2079ff396c63fd37aaeb5fe92f597b656b289c216750889f6",
+    "dec.target.json": "9275cd8592a7e8cb33b893dbc78d9595cadbbcaf5a9477cbe1028687135374c0",
+}
+# the same files in the dense form, every pair listed, as written before the
+# sparse form; the sparse files above re-encode to exactly these bytes
+DENSE_FILES = {
     "dec.json": "0203bf819fa459239ff3d7dee6353cb59c9b3a9a719c79a917943b999ae52f3e",
     "dec.target.json": "94e45e33612a24b1b47afcefb2d91bf75f230f37e66379bfe4ae033fd9831f4e",
 }
@@ -64,6 +70,26 @@ def imported(stderr: bytes) -> list[str]:
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def dense(obj):
+    """``obj`` with every sparse array object replaced by its full list of
+    [re, im] pairs, the zero pairs written as +0.0."""
+    if isinstance(obj, dict) and set(obj) == {"size", "indices", "values"}:
+        pairs = [[0.0, 0.0] for _ in range(obj["size"])]
+        for i, pair in zip(obj["indices"], obj["values"]):
+            pairs[i] = pair
+        return pairs
+    if isinstance(obj, dict):
+        return {k: dense(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [dense(v) for v in obj]
+    return obj
+
+
+def dense_bytes(path: Path) -> bytes:
+    return (json.dumps(dense(json.loads(path.read_bytes())), sort_keys=True, indent=2)
+            + "\n").encode()
 
 
 def test_import_loads_every_module_and_no_numpy_code():
@@ -117,6 +143,8 @@ def test_cold_decompose_writes_the_same_files(tmp_path, capsys):
     if (platform.machine(), np.__version__) == RECORDED_ON:  # the residual and vectors pass BLAS
         assert sha(proc.stdout) == DECOMPOSE_REPORT
         assert cold == DECOMPOSE_FILES
+        assert DENSE_FILES == {name: sha(dense_bytes(tmp_path / "cold" / name))
+                               for name in DENSE_FILES}
 
 
 def test_missing_numpy_fails_at_import():

@@ -1,10 +1,13 @@
-"""Written JSON files and the readers' fast path.
+"""Written JSON files, the sparse array form and the readers' fast path.
 
 Every file the CLI writes must be the bytes of
 ``json.dump(obj, fh, sort_keys=True, indent=2)`` plus a newline, with ``obj``
 built from plain lists.  That call stays here as the reference for
-``jsonio.write_json``.  The readers convert lists of float pairs in one numpy
-call; the per-entry conversion stays here as their reference.
+``jsonio.write_json``.  The CLI writes each complex array in its sparse form,
+the pairs that are not (+0.0, +0.0) with their indices; ``sparse`` below
+builds it pair by pair as the reference.  The readers take the sparse form or
+the dense list and convert lists of float pairs in one numpy call; the
+per-entry conversion stays here as their reference.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -26,7 +30,10 @@ from admseq.checkers import sum_of_projections_check
 from admseq.cli import main
 from admseq.errors import SequenceError
 from admseq.operators import (
+    _array_doc,
+    _complex_array_from_json,
     _complex_from_json,
+    _plain,
     _vec_from_json,
     decomp_from_json,
     decomp_to_json,
@@ -51,10 +58,30 @@ def pairs(arr) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr).reshape(-1)]
 
 
+def sparse(arr) -> dict:
+    """A complex array's sparse form: the pairs, row-major, with a value whose
+    bits are not all clear (``-0.0``, NaN and the infinities included)."""
+    flat = pairs(arr)
+    kept = [i for i, p in enumerate(flat)
+            if any(x != 0.0 or math.copysign(1.0, x) < 0 for x in p)]
+    return {"size": len(flat), "indices": kept, "values": [flat[i] for i in kept]}
+
+
+def dense_decomp(decomp) -> dict:
+    """A decomposition's document in the dense form written before the
+    sparse one: every term vector as its full list of pairs."""
+    out = {"terms": [{"weight": t.weight, "vector": pairs(t.vector)} for t in decomp.terms]}
+    if decomp.remainder:
+        out["remainder_terms"] = [{"weight": t.weight, "vector": pairs(t.vector)}
+                                  for t in decomp.remainder]
+    return out
+
+
 def plain(obj):
-    """``obj`` with every ndarray replaced by its list of pairs."""
+    """``obj`` with every complex ndarray replaced by its list of pairs and
+    every integer one by its list of ints."""
     if isinstance(obj, np.ndarray):
-        return pairs(obj)
+        return pairs(obj) if obj.dtype.kind == "c" else obj.tolist()
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -112,8 +139,15 @@ def test_decompose_files_match_json_dump(tmp_path, capsys, weights, stream, stag
     decomp, _, _ = carpenter_decompose(seq_from_json(weights), stream_from_json(stream),
                                        stages=stages)
     assert bool(decomp.remainder) == has_remainder
-    assert out.read_bytes() == reference_bytes(decomp_to_json(decomp))
+    expected = {"terms": [{"weight": t.weight, "vector": sparse(t.vector)}
+                          for t in decomp.terms]}
+    if has_remainder:
+        expected["remainder_terms"] = [{"weight": t.weight, "vector": sparse(t.vector)}
+                                       for t in decomp.remainder]
+    assert decomp_to_json(decomp) == expected
+    assert out.read_bytes() == reference_bytes(expected)
     target = frame_operator(list(decomp.terms) + list(decomp.remainder), dim=decomp.dim)
+    assert op_to_json(target) == {"dim": decomp.dim, "entries": sparse(target)}
     assert (tmp_path / "dec.target.json").read_bytes() == reference_bytes(op_to_json(target))
 
 
@@ -128,9 +162,9 @@ def test_bridge_record_matches_json_dump(tmp_path, capsys):
     record = decomp_to_isometry(decomp_from_json(json.loads(dec.read_text())))
     expected = {
         "isometry": {"rows": record.isometry.shape[0], "cols": record.isometry.shape[1],
-                     "entries": pairs(record.isometry)},
+                     "entries": sparse(record.isometry)},
         "sqrt_gram": {"rows": record.sqrt_gram.shape[0], "cols": record.sqrt_gram.shape[1],
-                      "entries": pairs(record.sqrt_gram)},
+                      "entries": sparse(record.sqrt_gram)},
         "kept_indices": list(record.kept_indices),
         "weights": list(record.weights),
     }
@@ -152,7 +186,9 @@ def test_check_sums_witness_matches_json_dump(tmp_path, capsys):
 
     _, witness = sum_of_projections_check(op_from_json(json.loads(op.read_text())),
                                           witness=True)
-    assert out.read_bytes() == reference_bytes(decomp_to_json(witness))
+    expected = {"terms": [{"weight": t.weight, "vector": sparse(t.vector)}
+                          for t in witness.terms]}
+    assert out.read_bytes() == reference_bytes(expected)
 
 
 # -- the writer on its own ----------------------------------------------
@@ -195,6 +231,15 @@ def mostly_zero(n: int, pairs: dict) -> np.ndarray:
     return arr
 
 
+@st.composite
+def int_arrays(draw):
+    """Index arrays as the sparse form holds them, and wider integer types."""
+    dtype = draw(st.sampled_from([np.intp, np.int32, np.uint64]))
+    info = np.iinfo(dtype)
+    ints = st.integers(int(info.min), int(info.max))
+    return np.array(draw(st.lists(ints, max_size=7)), dtype=dtype)
+
+
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), reals,
                     st.text(max_size=4))
 
@@ -211,7 +256,7 @@ def nested(leaf):
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=nested(st.one_of(complex_arrays(), zero_heavy_arrays(), scalars)),
+@given(obj=nested(st.one_of(complex_arrays(), zero_heavy_arrays(), int_arrays(), scalars)),
        chunk=st.sampled_from([1, 2, 4096]))
 @example(obj=np.zeros(3 * 4096 + 5, dtype=complex), chunk=4096)
 @example(obj=[np.zeros((2, 3), dtype=complex), np.zeros(1, dtype=complex)], chunk=2)
@@ -222,6 +267,9 @@ def nested(leaf):
                              7: complex(-0.0, -0.0)}), chunk=1)
 @example(obj=mostly_zero(9, {0: complex(0.0, -0.0), 4: complex(math.nan, 0.0),
                              5: complex(0.0, -math.inf)}), chunk=2)
+@example(obj={"indices": np.array([0, 3, 2**40], dtype=np.intp), "size": 5,
+              "values": np.array([1.0, -0.0j, math.inf])}, chunk=4096)
+@example(obj=np.zeros(0, dtype=np.intp), chunk=4096)
 def test_writer_matches_json_dump(tmp_path_factory, obj, chunk):
     path = tmp_path_factory.getbasetemp() / "writer.json"
     with mock.patch.object(jsonio, "CHUNK_PAIRS", chunk):
@@ -240,9 +288,11 @@ def test_writer_writes_bounded_chunks():
     assert max(map(len, chunks)) < 40 * 2 * jsonio.CHUNK_PAIRS
 
 
-def test_writer_refuses_what_json_refuses(tmp_path):
+@pytest.mark.parametrize("obj", [np.int64(3), np.array([0.5]), np.array([True])],
+                         ids=["int64-scalar", "float-array", "bool-array"])
+def test_writer_refuses_what_json_refuses(tmp_path, obj):
     with pytest.raises(TypeError):
-        jsonio.write_json(str(tmp_path / "x.json"), {"a": np.int64(3)})
+        jsonio.write_json(str(tmp_path / "x.json"), {"a": obj})
 
 
 # -- the readers' fast path ---------------------------------------------
@@ -323,3 +373,170 @@ def test_verify_malformed_operator_exits_two(tmp_path, capsys, operator, message
     op.write_text(json.dumps(operator))
     assert main(["verify", str(dec), str(op)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- the sparse form ------------------------------------------------------
+
+def canonical_nan(x: float) -> float:
+    """JSON has one NaN, so a NaN reads back as ``math.nan`` whatever its
+    sign and payload; the round trips below draw only that one."""
+    return math.nan if math.isnan(x) else x
+
+
+sparse_reals = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(canonical_nan),
+)
+
+
+@st.composite
+def sparse_arrays(draw, size):
+    """``size`` complex pairs, most of them (+0.0, +0.0)."""
+    flat = [0.0] * (2 * size)
+    for i in draw(st.lists(st.integers(0, 2 * size - 1), max_size=2 * size)) if size else []:
+        flat[i] = draw(sparse_reals)
+    return np.array(flat, dtype=np.float64).view(complex)
+
+
+def same_doc(a, b) -> bool:
+    """Equal documents; NaN equals NaN, which ``==`` on floats denies."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def written(obj) -> bytes:
+    buf = io.StringIO()
+    jsonio._write(buf.write, obj, 0)
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(sparse_arrays))
+@example(np.zeros(0, dtype=complex))
+@example(np.zeros(5, dtype=complex))
+@example(np.array([complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324j, complex(math.nan, 1.0),
+                   complex(-math.inf, math.inf)]))
+def test_sparse_vector_round_trip_bit_for_bit(vec):
+    doc = _array_doc(vec, _plain)
+    assert same_doc(doc, sparse(vec))
+    assert not vec.any() or doc["indices"]
+    assert written(_array_doc(vec, np.asarray)) == written(doc)
+    for text in (written(doc), json.dumps(doc).encode()):
+        assert same_bits(_complex_array_from_json(json.loads(text)), vec)
+        assert same_bits(_vec_from_json(json.loads(text)), vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: sparse_arrays(n * n).map(lambda a: a.reshape(n, n))))
+@example(np.zeros((3, 3), dtype=complex))
+@example(np.zeros((0, 0), dtype=complex))
+@example(np.array([[-0.0, math.nan], [5e-324j, -math.inf]], dtype=complex))
+def test_sparse_operator_round_trip_bit_for_bit(op):
+    doc = op_to_json(op)
+    assert same_doc(doc, {"dim": op.shape[0], "entries": sparse(op)})
+    assert same_bits(op_from_json(json.loads(written(doc))), op)
+
+
+def test_sparse_and_dense_decomposition_read_the_same():
+    decomp, _, _ = carpenter_decompose(seq_from_json(PERIODIC), stream_from_json(BLOCK4),
+                                       stages=6)
+    doc = json.loads(written(decomp_to_json(decomp)))
+    new, old = decomp_from_json(doc), decomp_from_json(dense_decomp(decomp))
+    for a, b in zip(new.terms + new.remainder, old.terms + old.remainder):
+        assert a.weight == b.weight and same_bits(a.vector, b.vector)
+    assert len(new.terms) == len(old.terms) and len(new.remainder) == len(old.remainder)
+
+
+def test_explicit_stream_reads_sparse_vectors():
+    vecs = [sparse(np.array(v, dtype=complex)) for v in ([0, 1, 0], [0.6, 0, 0.8j])]
+    stream = stream_from_json({"kind": "explicit", "vectors": vecs})
+    assert same_bits(stream.vector(1), np.array([0.6, 0, 0.8j]))
+
+
+@pytest.mark.parametrize("command", ["verify", "bridge"])
+@pytest.mark.parametrize(
+    "weights, stream, stages",
+    [(PERIODIC, BLOCK4, 8), (LAMBDA, BLOCK4, 6), (MU_FINITE, BASIS, 12)],
+    ids=["mu-divergent-block4", "lambda-divergent-block4", "mu-finite-basis"],
+)
+def test_dense_files_still_read(tmp_path, capsys, command, weights, stream, stages):
+    # files in the dense form, as written before the sparse one, give the
+    # reports their sparse re-encodings give, apart from the input digests
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"weights": weights, "stream": stream}))
+    assert main(["decompose", str(inp), "--stages", str(stages),
+                 "--out", str(tmp_path / "dec.json")]) == 0
+    decomp, _, _ = carpenter_decompose(seq_from_json(weights), stream_from_json(stream),
+                                       stages=stages)
+    target = frame_operator(list(decomp.terms) + list(decomp.remainder), dim=decomp.dim)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(dense_decomp(decomp), fh, sort_keys=True, indent=2)
+    with open(tmp_path / "old.target.json", "w") as fh:
+        json.dump({"dim": decomp.dim, "entries": pairs(target)}, fh, sort_keys=True, indent=2)
+    capsys.readouterr()
+
+    reports = {}
+    for name in ("dec", "old"):
+        argv = [command, str(tmp_path / f"{name}.json")]
+        argv += [str(tmp_path / f"{name}.target.json")] if command == "verify" else []
+        code = main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        assert rep.pop("inputs")
+        reports[name] = (code, rep)
+    assert reports["dec"] == reports["old"]
+    assert reports["dec"][0] == 0
+
+
+def malformed_vector(**fields) -> dict:
+    vec = {"size": 2, "indices": [0], "values": [[1.0, 0.0]]}
+    return {**vec, **fields}
+
+
+@pytest.mark.parametrize(
+    "vector, operator, message",
+    [
+        (malformed_vector(indices=[2]), None, "sparse array index out of range for size 2"),
+        (malformed_vector(indices=[-1]), None, "sparse array index out of range for size 2"),
+        (malformed_vector(indices=[1, 0], values=[[0.6, 0.0], [0.8, 0.0]]), None,
+         "sparse array indices must be strictly increasing"),
+        (malformed_vector(indices=[0, 0], values=[[0.6, 0.0], [0.8, 0.0]]), None,
+         "sparse array indices must be strictly increasing"),
+        (malformed_vector(indices=[True]), None,
+         "sparse array indices must be a list of integers"),
+        (malformed_vector(indices=[0.0]), None,
+         "sparse array indices must be a list of integers"),
+        (malformed_vector(values=[]), None,
+         "sparse array needs a list of values, one per index"),
+        (malformed_vector(values=[[1.0, 0.0], [0.0, 0.0]]), None,
+         "sparse array needs a list of values, one per index"),
+        (malformed_vector(size=-1), None,
+         "sparse array size must be a nonnegative integer, got -1"),
+        (malformed_vector(size=2.0), None,
+         "sparse array size must be a nonnegative integer, got 2.0"),
+        (malformed_vector(size=True), None,
+         "sparse array size must be a nonnegative integer, got True"),
+        (malformed_vector(size="2"), None,
+         "sparse array size must be a nonnegative integer, got '2'"),
+        ({"indices": [0], "values": [[1.0, 0.0]]}, None,
+         "sparse array JSON missing field 'size'"),
+        (malformed_vector(values=[[True, 0.0]]), None,
+         "expected a number or decimal string, got True"),
+        (malformed_vector(), {"dim": 2, "entries": {"size": 3, "indices": [], "values": []}},
+         "operator claims dim 2 but has 3 entries"),
+        (malformed_vector(), {"dim": 2, "entries": {"size": 2, "indices": [0, 1],
+                                                    "values": [[1.0, 0.0], [1.0, 0.0]]}},
+         "operator claims dim 2 but has 2 entries"),
+    ],
+)
+def test_verify_malformed_sparse_exits_two(tmp_path, capsys, vector, operator, message):
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps({"terms": [{"weight": 1.0, "vector": vector}]}))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator or {"diag": [1.0, 0.0]}))
+    assert main(["verify", str(dec), str(op)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(SequenceError, match=re.escape(message)):
+        if operator is None:
+            decomp_from_json(json.loads(dec.read_text()))
+        else:
+            op_from_json(operator)
