@@ -182,8 +182,8 @@ def _horn_place(
     """horn_decompose's placement of unit-vector pool terms, without its
     reconstruction check: the caller checks the identity.  A caller that has
     already tested the majorization of these targets by these pool weights at
-    a tolerance of at most ``max(tol, PLACE_MAJORIZE_TOL)`` passes its ``verdict``; a
-    holding one is not tested again.
+    a tolerance of at most ``max(tol, PLACE_MAJORIZE_TOL)`` passes its
+    ``verdict``; a holding one is not tested again.
 
     Targets are placed largest first.  A target within ``tol`` of a pool
     weight takes that entry's vector; otherwise it is mixed from the nearest

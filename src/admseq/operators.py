@@ -213,7 +213,10 @@ def _sparse_from_json(obj: dict) -> np.ndarray:
     at = np.array(indices, dtype=np.intp)
     if np.any(at[1:] <= at[:-1]):
         raise SequenceError("sparse array indices must be strictly increasing")
-    out = np.zeros(size, dtype=complex)
+    try:
+        out = np.zeros(size, dtype=complex)
+    except MemoryError as exc:  # a few bytes of sparse JSON can ask for any size
+        raise SequenceError(f"sparse array size {size} is too large to hold") from exc
     out[at] = _complex_array_from_json(values)
     return out
 

@@ -540,3 +540,19 @@ def test_verify_malformed_sparse_exits_two(tmp_path, capsys, vector, operator, m
             decomp_from_json(json.loads(dec.read_text()))
         else:
             op_from_json(operator)
+
+
+def test_verify_unallocatable_sparse_size_exits_two(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError is simulated: a real size that large fails at once
+    # where memory is not overcommitted, and may be granted lazily where it is
+    def refuse(*args, **kwargs):
+        raise MemoryError
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps({"terms": [{"weight": 1.0, "vector": malformed_vector(
+        size=10**13)}]}))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"diag": [1.0]}))
+    monkeypatch.setattr(np, "zeros", refuse)
+    assert main(["verify", str(dec), str(op)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sparse array size {10**13} is too large to hold\n")
