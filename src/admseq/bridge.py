@@ -3,7 +3,9 @@
 A decomposition sum xi_j v_j v_j* is encoded as the placement matrix B with
 rows sqrt(xi_j) v_j*.  Its Gram B*B is exactly the frame operator, and the
 polar factor V of B (computed from B*B, never an SVD) is a partial isometry
-with V A V* carrying the weights on its diagonal.  Both directions of the
+with V A V* carrying the weights on its diagonal.  V and (B*B)^{1/2} come
+with their rounding noise set to +0.0 (``operators.POLAR_NOISE_FLOOR``), and
+the diagonal is checked on those matrices.  Both directions of the
 translation are provided and are exact inverses on nonzero-weight terms."""
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class BridgeRecord:
     ``placement`` has one row per kept (nonzero-weight) term;
     ``kept_indices`` maps those rows back to positions in the source
     decomposition.  ``gram`` is placement* placement, which coincides with
-    the frame operator of the decomposition.
+    the frame operator of the decomposition.  ``rank`` is the rank of the
+    isometry: the number of eigenvalues of ``gram`` above
+    ``operators.EIG_CLAMP``.
     """
 
     placement: np.ndarray
@@ -44,6 +48,7 @@ class BridgeRecord:
     range_projection: np.ndarray
     kept_indices: tuple[int, ...]
     weights: tuple[float, ...]
+    rank: int
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -62,15 +67,15 @@ def decomp_to_isometry(decomp: RankOneDecomp) -> BridgeRecord:
     if B.shape[1] != dim:
         raise DimensionError("terms disagree on the ambient dimension")
     rec = polar_partial_isometry(B)
-    gram = assert_hermitian(B.conj().T @ B)
     out = BridgeRecord(
         placement=B,
         isometry=rec.isometry,
         sqrt_gram=rec.sqrt_gram,
-        gram=gram,
+        gram=rec.gram,
         range_projection=rec.range_projection,
         kept_indices=tuple(i for i, _ in kept),
         weights=tuple(t.weight for _, t in kept),
+        rank=rec.rank,
     )
     dev = float(np.max(np.abs(out.diagonal - np.asarray(out.weights))))
     if dev > DIAG_TOL:

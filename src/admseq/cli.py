@@ -40,7 +40,6 @@ from .seqkit import kadison_check, majorizes, seq_from_json
 from .streams import VectorStream, stream_from_json
 
 VERIFY_TOL = 1e-8  # largest residual verify accepts, in the operator 2-norm
-BRIDGE_RANK_TOL = 1e-10  # singular values of sqrt_gram above it count in bridge's rank
 
 REFUSALS = (KadisonError, MajorizationError, TraceMismatchError, PlanningError)
 PARSE_ERRORS = (
@@ -233,7 +232,7 @@ def _cmd_bridge(args) -> int:
             {"decomposition": digest},
             ok=True,
             kept_indices=list(record.kept_indices),
-            rank=int(np.linalg.matrix_rank(record.sqrt_gram, tol=BRIDGE_RANK_TOL)),
+            rank=record.rank,
             diagonal_deviation=deviation,
             written=[args.out] if args.out else [],
         )

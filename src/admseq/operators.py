@@ -1,7 +1,8 @@
 """Finite-dimensional operator helpers: Hermitian checks, PSD square roots,
-polar partial isometries (computed from B*B, not an SVD), frame operators,
-and JSON forms for operators and rank-one decompositions, whose complex
-arrays are written sparse and read in either form."""
+polar partial isometries (computed from B*B, not an SVD, with their rounding
+noise set to zero), frame operators, and JSON forms for operators and
+rank-one decompositions, whose complex arrays are written sparse and read in
+either form."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ HERM_TOL = 1e-12        # per-dimension Hermitian symmetry tolerance
 SQRT_PSD_TOL = 1e-9     # per-dimension negative-eigenvalue allowance
 POLAR_PROJ_TOL = 1e-10  # V*V versus range projection
 POLAR_FACTOR_TOL = 1e-9  # B versus V sqrt(B*B)
+POLAR_NOISE_FLOOR = 1e-13  # polar parts at most this times their matrix's scale are set to +0.0
 UNIT_TOL = 1e-9         # term vectors' norm versus 1; term weights' negative allowance
 
 
@@ -37,7 +39,11 @@ def assert_hermitian(A) -> np.ndarray:
 
 def eigh_desc(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    M = assert_hermitian(A)
+    return _eigh_desc(assert_hermitian(A))
+
+
+def _eigh_desc(M) -> tuple[np.ndarray, np.ndarray]:
+    """eigh_desc of a matrix that assert_hermitian has already symmetrized."""
     w, V = np.linalg.eigh(M)
     order = np.argsort(w)[::-1]
     return w[order].real, V[:, order]
@@ -60,28 +66,45 @@ def sqrt_psd(A) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PartialIsometryRec:
     """Polar data of a matrix B: B = isometry @ sqrt_gram with
-    isometry* @ isometry equal to the projection onto the range of B*B."""
+    isometry* @ isometry equal to the projection onto the range of B*B,
+    whose dimension is ``rank``.  ``gram`` is B*B, symmetrized."""
 
     isometry: np.ndarray
     sqrt_gram: np.ndarray
     range_projection: np.ndarray
     rank: int
+    gram: np.ndarray
+
+
+def _zero_noise(M, scale: float) -> np.ndarray:
+    """M with every real and imaginary part of magnitude at most
+    POLAR_NOISE_FLOOR * scale set to +0.0, in place."""
+    parts = M.view(np.float64)
+    parts[np.abs(parts) <= POLAR_NOISE_FLOOR * scale] = 0.0
+    return M
 
 
 def polar_partial_isometry(B) -> PartialIsometryRec:
     """Polar decomposition B = V (B*B)^{1/2} built from the eigendecomposition
-    of the Gram matrix B*B.  V is a partial isometry from the range of B*B."""
+    of the Gram matrix B*B.  V is a partial isometry from the range of B*B.
+
+    Entries that are zero in exact arithmetic come out of the eigenvectors as
+    rounding noise of about dim * eps times the matrix's scale (Higham,
+    "Computing the polar decomposition", 1986).  So every real and imaginary
+    part of V at most POLAR_NOISE_FLOOR, and of sqrt(B*B) at most
+    POLAR_NOISE_FLOOR times its largest singular value, is set to +0.0.  The
+    projection and factorization checks run on the zeroed matrices."""
     M = np.asarray(B, dtype=complex)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {M.shape}")
-    gram = M.conj().T @ M
-    w, U = eigh_desc(gram)
+    gram = assert_hermitian(M.conj().T @ M)
+    w, U = _eigh_desc(gram)
     kept = w > EIG_CLAMP
     rank = int(np.count_nonzero(kept))
     s = np.sqrt(np.clip(w, 0.0, None))
-    sqrt_gram = (U * s) @ U.conj().T
+    sqrt_gram = _zero_noise((U * s) @ U.conj().T, float(s.max(initial=0.0)))
     inv_s = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
-    V = M @ (U * inv_s) @ U.conj().T
+    V = _zero_noise(M @ (U * inv_s) @ U.conj().T, 1.0)
     R = (U * kept.astype(float)) @ U.conj().T
     dev_proj = float(np.max(np.abs(V.conj().T @ V - R))) if M.size else 0.0
     if dev_proj > POLAR_PROJ_TOL:
@@ -89,7 +112,7 @@ def polar_partial_isometry(B) -> PartialIsometryRec:
     dev_fact = float(np.max(np.abs(V @ sqrt_gram - M))) if M.size else 0.0
     if dev_fact > POLAR_FACTOR_TOL:
         raise ValueError(f"polar factorization residual too large ({dev_fact:.3e})")
-    return PartialIsometryRec(V, sqrt_gram, R, rank)
+    return PartialIsometryRec(V, sqrt_gram, R, rank, gram)
 
 
 # -- rank-one decompositions ------------------------------------------

@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from admseq.bridge import decomp_to_isometry, gram_matrix, isometry_to_decomp
+from admseq.bridge import DIAG_TOL, decomp_to_isometry, gram_matrix, isometry_to_decomp
+from admseq.carpenter import carpenter_decompose
 from admseq.errors import DimensionError
 from admseq.horn import horn_decompose
-from admseq.operators import RankOneDecomp, frame_operator, make_term
+from admseq.operators import (
+    EIG_CLAMP,
+    POLAR_FACTOR_TOL,
+    POLAR_NOISE_FLOOR,
+    POLAR_PROJ_TOL,
+    RankOneDecomp,
+    eigh_desc,
+    frame_operator,
+    make_term,
+)
+from admseq.seqkit import WeightSeq
+from admseq.streams import VectorStream
 
 RNG = np.random.default_rng(23)
 
@@ -104,3 +116,61 @@ def test_gram_matrix_matches_pairwise_inner_products():
         for a in terms
     ])
     assert np.max(np.abs(gram_matrix(decomp) - want)) <= 1e-14
+
+
+def test_rank_is_the_isometry_rank():
+    v = np.array([0.25, 0.9682458365518543], dtype=complex)
+    rec = decomp_to_isometry(RankOneDecomp((make_term(0.5, v), make_term(0.25, v))))
+    assert rec.rank == 1 == np.linalg.matrix_rank(rec.isometry)
+    decomp, _ = random_decomp(6, 4)
+    rec = decomp_to_isometry(decomp)
+    assert rec.rank == np.linalg.matrix_rank(rec.isometry) == 4
+
+
+# -- the polar factor's rounding noise --------------------------------------
+
+@pytest.fixture(scope="module")
+def block_record():
+    """Bridge record of 20 lambda-divergent stages on the block-4 stream,
+    whose polar pieces are mostly zero in exact arithmetic."""
+    decomp, _, _ = carpenter_decompose(
+        WeightSeq.periodic([0.6, 0.5], (0.75,)), VectorStream.block_overlap(4), stages=20
+    )
+    return decomp_to_isometry(decomp)
+
+
+def unzeroed(rec):
+    """The isometry and sqrt_gram of the eigh path before any part is zeroed,
+    and the largest singular value of the placement."""
+    w, U = eigh_desc(rec.gram)
+    kept = w > EIG_CLAMP
+    s = np.sqrt(np.clip(w, 0.0, None))
+    inv_s = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+    return rec.placement @ (U * inv_s) @ U.conj().T, (U * s) @ U.conj().T, float(s[0])
+
+
+def test_polar_parts_are_zero_or_above_the_floor(block_record):
+    _, _, top = unzeroed(block_record)
+    for M, scale in ((block_record.isometry, 1.0), (block_record.sqrt_gram, top)):
+        parts = M.view(np.float64)
+        zero = parts == 0.0
+        assert not np.signbit(parts[zero]).any()  # zeroed parts are +0.0
+        assert (np.abs(parts[~zero]) > POLAR_NOISE_FLOOR * scale).all()
+        assert zero.mean() > 0.9
+
+
+def test_zeroing_moves_no_part_past_the_floor(block_record):
+    V, G, top = unzeroed(block_record)
+    for M, raw, scale in ((block_record.isometry, V, 1.0), (block_record.sqrt_gram, G, top)):
+        moved = np.abs(M.view(np.float64) - raw.view(np.float64))
+        assert moved.max() <= POLAR_NOISE_FLOOR * scale
+        assert moved.max() > 0.0
+
+
+def test_zeroed_pieces_pass_every_check(block_record):
+    rec = block_record
+    V = rec.isometry
+    assert np.max(np.abs(V.conj().T @ V - rec.range_projection)) <= POLAR_PROJ_TOL
+    assert np.max(np.abs(V @ rec.sqrt_gram - rec.placement)) <= POLAR_FACTOR_TOL
+    assert np.max(np.abs(rec.diagonal - np.asarray(rec.weights))) <= DIAG_TOL
+    assert rec.rank == np.linalg.matrix_rank(V)

@@ -347,6 +347,38 @@ class TestBridge:
         assert np.allclose(diag, [0.5, 0.5, 0.5, 0.5])
         assert payload["weights"] == [0.5, 0.5, 0.5, 0.5]
 
+    def test_rank_is_the_isometry_rank(self, tmp_path, capsys):
+        # two terms along one vector: the Gram's zero eigenvalue rounds to
+        # about 1e-17, whose square root in sqrt_gram is about 4e-9
+        v = [[0.25, 0.0], [0.9682458365518543, 0.0]]
+        dec = write_json(tmp_path / "dec.json",
+                         {"terms": [{"weight": 0.5, "vector": v}, {"weight": 0.25, "vector": v}]})
+        out = tmp_path / "br.json"
+        code, rep = run(capsys, "bridge", dec, "--out", str(out))
+        assert code == 0
+        assert rep["rank"] == 1
+        entries = json.loads(out.read_text())["isometry"]["entries"]
+        iso = np.zeros(entries["size"], dtype=complex)
+        iso[entries["indices"]] = [complex(re, im) for re, im in entries["values"]]
+        assert np.linalg.matrix_rank(iso.reshape(2, 2)) == 1
+
+    def test_block_record_lists_its_signal_only(self, tmp_path, capsys):
+        # 20 lambda-divergent stages on the block-4 stream: the polar pieces'
+        # exact zeros are written as zeros, so few pairs are listed
+        inp = write_json(tmp_path / "in.json", {
+            "weights": {"kind": "periodic-tail", "values": [0.6, 0.5], "tail_block": [0.75]},
+            "stream": {"kind": "block-overlap", "block": 4},
+        })
+        dec, out = tmp_path / "dec.json", tmp_path / "br.json"
+        assert main(["decompose", inp, "--stages", "20", "--out", str(dec)]) == 0
+        capsys.readouterr()
+        code, rep = run(capsys, "bridge", str(dec), "--out", str(out))
+        assert code == 0 and rep["diagonal_deviation"] <= 1e-8
+        payload = json.loads(out.read_text())
+        for name in ("isometry", "sqrt_gram"):
+            entries = payload[name]["entries"]
+            assert len(entries["indices"]) <= 0.1 * entries["size"]
+
 
 # the option strings of each subcommand; no tolerance or limit is a flag
 OPTIONS = {
