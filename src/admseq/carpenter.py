@@ -10,10 +10,10 @@ the small entries mu (at most 1/2) and the defects lam = 1 - (large entries)
 sum up; truncating at a stage budget leaves an explicit remainder term.
 
 Each case is a planner feeding one stage driver, which runs every stage in
-its own coordinates (C^k for the k stream vectors of a block stage, span{carry,
+its own coordinates (R^k for the k stream vectors of a block stage, span{carry,
 fresh} for a tail step) and checks its identity there once.  Only the emitted
-terms reach the stream, a block stage's as E c for the dim x k matrix E of
-those stream vectors.  No stage builds an operator on the ambient space.
+terms reach the stream, a block stage's as the rows of C E for its real
+coefficient matrix C and the k x dim matrix E of those stream vectors.  No stage builds an operator on the ambient space.
 
 The planners share one vocabulary for what a stage is: ``_take_run`` draws
 the run of weights it places, ``_sources`` lays out the pool it places them
@@ -34,8 +34,8 @@ from .errors import (
     PlanningError,
     TraceMismatchError,
 )
-from .horn import PLACE_TOL, _checked, _horn_place, mix_two
-from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
+from .horn import PLACE_TOL, _checked, _horn_place, _mix_coefficients, _mix_rows
+from .operators import RankOneDecomp, RankOneTerm, unit_vector
 from .seqkit import (
     INT_SNAP,
     MajorizationVerdict,
@@ -108,9 +108,9 @@ class StageCertificate:
     2x2 steps also record their mixing coefficient and its proven cap.
 
     ``residual`` is the Frobenius norm of the stage identity's residual in
-    the stage's local coordinates: sum_j x_j c_j c_j* - diag(consumed) on C^k
+    the stage's local coordinates: C^T diag(x) C - diag(consumed) on R^k
     for a block stage, the coefficient bound of ``MixResult.residual`` for a
-    2x2 step.  The stream vectors map C^k isometrically into the ambient
+    2x2 step.  The stream vectors map R^k isometrically into the ambient
     space, so it bounds every entry of the ambient residual."""
 
     stage: int
@@ -122,21 +122,27 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _stage_residual(local_terms, consumed) -> float:
-    """Check sum_j x_j c_j c_j* - diag(consumed) on C^k once; its Frobenius norm."""
-    k = len(consumed)
-    R = frame_operator(local_terms, dim=k) - np.diag(np.asarray(consumed, dtype=complex))
-    return float(np.linalg.norm(_checked(R)))
-
-
-def _embed(local_terms, stream: VectorStream, positions, dim: int) -> list[RankOneTerm]:
-    """Terms on C^k mapped to the stream: c becomes sum_i c_i E_i for the
-    stream vectors E_i at ``positions``, in C^dim."""
-    if not local_terms:
-        return []
-    rows = np.array([stream.vector(pos, dim) for pos in positions])
-    dense = np.array([t.vector for t in local_terms]) @ rows
-    return [RankOneTerm(t.weight, v) for t, v in zip(local_terms, dense)]
+def _block_stage(plan: BlockPlan, positions, consumed, stream: VectorStream, dim: int,
+                 verdict=None) -> tuple[list[RankOneTerm], float]:
+    """A block stage in the coordinates of its k sorted ``positions``, the
+    standard basis of R^k: the placement moves real coefficient rows, which
+    form the m x k matrix C; the identity C^T diag(x) C = diag(consumed) is
+    checked once, and the terms are the rows of C E for the k x dim matrix E
+    of those stream vectors.  Returns the terms and the residual's Frobenius
+    norm; ``verdict`` is the stage's majorization test, if already made."""
+    k = len(positions)
+    basis = dict(zip(positions, np.eye(k)))
+    placed = []
+    if plan.targets:
+        pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
+        placed = _horn_place(pool, plan.targets, PLACE_TOL, verdict=verdict, mix=_mix_rows)
+    placed += [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
+    x = np.array([t.weight for t in placed])
+    C = np.array([t.vector for t in placed]).reshape(len(placed), k)
+    residual = float(np.linalg.norm(_checked((C.T * x) @ C - np.diag(consumed))))
+    E = np.array([stream.vector(pos, dim) for pos in positions])
+    dense = (C @ E.view(np.float64)).view(complex)  # one real product for both parts
+    return [RankOneTerm(t.weight, v) for t, v in zip(placed, dense)], residual
 
 
 def _snap_int(x: float) -> int:
@@ -218,15 +224,15 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int):
     r = acc - (n - 1)  # in [0, 1) by maximality of m
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    local = _place(plan, range(n))
+    terms, residual = _block_stage(plan, range(n), [1.0] * n, stream, dim)
     cert = StageCertificate(
         stage=0,
         consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
         targets=tuple(vals),
         majorization=majorizes(vals, [1.0] * n),
-        residual=_stage_residual(local, [1.0] * n),
+        residual=residual,
     )
-    return tuple(_embed(local, stream, range(n), dim)), (cert,)
+    return tuple(terms), (cert,)
 
 
 # -- staged planners ---------------------------------------------------
@@ -386,17 +392,6 @@ def plan_both_summable(
 
 # -- the stage driver --------------------------------------------------
 
-def _place(plan: BlockPlan, positions, verdict=None) -> list[RankOneTerm]:
-    """A block stage's terms on C^k, its k sorted positions as the standard
-    basis; ``verdict`` is the stage's majorization test, if already made."""
-    basis = dict(zip(positions, np.eye(len(positions), dtype=complex)))
-    local: list[RankOneTerm] = []
-    if plan.targets:
-        pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
-        local += _horn_place(pool, plan.targets, PLACE_TOL, verdict=verdict)
-    return local + [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
-
-
 def realize_block_plans(plans, stream: VectorStream):
     """Carry out Horn placements for each plan, returning terms and
     certificates (the stage driver, without its remainder)."""
@@ -405,7 +400,7 @@ def realize_block_plans(plans, stream: VectorStream):
 
 def _realize(plans, stream: VectorStream, dim=None, carry=None):
     """The stage driver.  A block stage's k consumed stream positions are the
-    standard basis of C^k: the placement runs there and the stage identity is
+    standard basis of R^k: the placement runs there and the stage identity is
     checked once, against diag(consumed), as a k x k residual.  A tail step
     mixes the carry with one fresh vector and hands the new carry on; the
     first carry is ``carry``, which block stages leave alone.  Returns the
@@ -431,26 +426,25 @@ def _realize(plans, stream: VectorStream, dim=None, carry=None):
         sigma = sigma_cap = None
         if isinstance(plan, _TailStep):
             fresh = stream.vector(positions[0], dim)
-            # one 2x2 mix in span{carry, fresh}, where carry is (1, 0) and fresh
-            # (g, sqrt(1 - |g|^2)) in an orthonormal basis; the dense w and w'
-            # are then formed once from the mixing coefficients
+            # one 2x2 mix in span{carry, fresh}, whose overlap is g; the dense
+            # w and w' are formed once from the mixing coefficients
             g = complex(np.vdot(carry.vector, fresh))
-            carry_local = np.array([1.0, 0.0], dtype=complex)
-            fresh_local = np.array([g, math.sqrt(max(1.0 - abs(g) ** 2, 0.0))])
             (_, e1), (_, e2) = plan.sources
-            res = mix_two(e1, e2, carry_local, fresh_local, *plan.targets)
+            sigma, tau, sigma_p, tau_p, *_, residual = _mix_coefficients(
+                e1, e2, *plan.targets, min(abs(g), 1.0)
+            )
             phase = np.exp(-1j * np.angle(g)) if g else 1.0
-            w = res.sigma * carry.vector + (res.tau * phase) * fresh
-            w_prime = res.sigma_prime * carry.vector + (res.tau_prime * phase) * fresh
+            w = sigma * carry.vector + (tau * phase) * fresh
+            w_prime = sigma_p * carry.vector + (tau_p * phase) * fresh
             terms.append(RankOneTerm(plan.targets[1], w_prime))
             nrm = float(np.linalg.norm(w))
             carry = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w)
-            targets, residual = plan.targets[1:], res.residual
-            sigma, sigma_cap = res.sigma, plan.sigma_cap
+            targets, sigma_cap = plan.targets[1:], plan.sigma_cap
         else:
-            local = _place(plan, positions, majorization)
-            residual = _stage_residual(local, [consumed[pos] for pos in positions])
-            terms += _embed(local, stream, positions, dim)
+            block, residual = _block_stage(
+                plan, positions, [consumed[pos] for pos in positions], stream, dim, majorization
+            )
+            terms += block
             targets = plan.targets + tuple(w for _, w in plan.colinear)
         certs.append(
             StageCertificate(

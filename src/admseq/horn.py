@@ -3,7 +3,12 @@
 The 2x2 step rewrites eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'* whenever
 (xi1, xi2) sits between the etas with the same sum.  Chaining such steps over a
 weight pool realizes any majorized target list, and in particular produces
-Hermitian matrices with prescribed spectrum and diagonal."""
+Hermitian matrices with prescribed spectrum and diagonal.
+
+Every mix takes its coefficients, and passes its checks, in one scalar core,
+``_mix_coefficients``, which needs only the weights and gamma = |<u, u'>|.
+``mix_two`` applies them to vectors; a block stage's placement applies them
+to real coefficient rows, whose supports are disjoint, so gamma = 0."""
 
 from __future__ import annotations
 
@@ -59,13 +64,11 @@ def _sqrt_clamped(x: float) -> float:
     return math.sqrt(max(x, 0.0))
 
 
-def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: bool = True) -> MixResult:
-    """Rewrite eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'*.
-
-    Requires xi1 + xi2 = eta1 + eta2 and both xis between min(eta) and
-    max(eta); u and u' are unit vectors with arbitrary overlap.
-    """
-    e1, e2, x1, x2 = float(eta1), float(eta2), float(xi1), float(xi2)
+def _mix_coefficients(e1, e2, x1, x2, gamma: float, tol: float = PLACE_TOL, check: bool = True):
+    """The scalar core of every 2x2 mix: MixResult's (sigma, tau, sigma_prime,
+    tau_prime, z_minus, z_o, h, alpha_coef, residual) for unit vectors whose
+    overlap has modulus gamma.  Every check of the step is made here."""
+    e1, e2, x1, x2 = float(e1), float(e2), float(x1), float(x2)
     for v in (e1, e2, x1, x2):
         if v < -tol:
             raise MajorizationError(f"weights must be nonnegative, got {v!r}")
@@ -79,27 +82,15 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: boo
         raise MajorizationError(
             f"targets ({x1!r}, {x2!r}) must lie between the sources ({e1!r}, {e2!r})"
         )
-    u = unit_vector(u)
-    up = unit_vector(u_prime)
-    if u.shape != up.shape:
-        raise DimensionError("mixing vectors must share a dimension")
-
-    overlap = complex(np.vdot(u, up))
-    gamma = min(abs(overlap), 1.0)
-    # u'' = u' turned so that <u, u''> = gamma; the factor comes from the
-    # angle, so it has modulus 1 even when the overlap is subnormal
-    up_rot = up * np.exp(-1j * np.angle(overlap)) if overlap else up
 
     if abs(x1 - e1) <= tol or abs(e1 - e2) <= tol:
         # targets coincide with sources (up to relabeling nothing moves)
         sigma, tau, sigma_p, tau_p = 1.0, 0.0, 0.0, 1.0
-        w, wp = u, up_rot
         z_minus = z_o = 1.0
         h = alpha = 0.0
     elif abs(x2 - e1) <= tol:
         # targets are the sources swapped
         sigma, tau, sigma_p, tau_p = 0.0, 1.0, 1.0, 0.0
-        w, wp = up_rot, u
         z_minus = z_o = 0.0
         h = alpha = 0.0
     else:
@@ -123,8 +114,6 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: boo
         tau = s * _sqrt_clamped(e2 * (1.0 / x1 - zm_over_e1))
         sigma_p = _sqrt_clamped((e1 - x1 * z_minus) / x2)
         tau_p = -s * _sqrt_clamped((x1 * e2 / x2) * zm_over_e1)
-        w = sigma * u + tau * up_rot
-        wp = sigma_p * u + tau_p * up_rot
 
     # the identity lives in span{u, u''}: check it on the coefficients, with
     # the Gram matrix [[1, gamma], [gamma, 1]] of that pair
@@ -140,7 +129,47 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: boo
                 raise ValueError(f"mixed vector norm drifted by {drift:.3e}")
         if residual > MIX_RESIDUAL_TOL:
             raise ValueError(f"mixing identity residual {residual:.3e} exceeds tolerance")
-    return MixResult(w, wp, sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, gamma, residual)
+    return sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, residual
+
+
+def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: bool = True) -> MixResult:
+    """Rewrite eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'*.
+
+    Requires xi1 + xi2 = eta1 + eta2 and both xis between min(eta) and
+    max(eta); u and u' are unit vectors with arbitrary overlap.  The
+    coefficients, and every check, come from the scalar core
+    ``_mix_coefficients`` that block stages and tail steps call directly;
+    here they are applied to u and to u'' = u' turned so that <u, u''> is
+    real.  Bad vectors are refused before bad weights.
+    """
+    u = unit_vector(u)
+    up = unit_vector(u_prime)
+    if u.shape != up.shape:
+        raise DimensionError("mixing vectors must share a dimension")
+    overlap = complex(np.vdot(u, up))
+    gamma = min(abs(overlap), 1.0)
+    # u'' = u' turned so that <u, u''> = gamma; the factor comes from the
+    # angle, so it has modulus 1 even when the overlap is subnormal
+    up_rot = up * np.exp(-1j * np.angle(overlap)) if overlap else up
+    c = _mix_coefficients(eta1, eta2, xi1, xi2, gamma, tol, check)
+    sigma, tau, sigma_p, tau_p = c[:4]
+    return MixResult(sigma * u + tau * up_rot, sigma_p * u + tau_p * up_rot, *c[:8], gamma, c[8])
+
+
+def _mix_vectors(a, b, ua, na, ub, nb, t, tol):
+    """A placement's 2x2 step on unit vectors (their norms na, nb unused)."""
+    res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
+    return res.w, res.w_prime, 1.0
+
+
+def _mix_rows(a, b, ua, na, ub, nb, t, tol):
+    """A placement's 2x2 step on real coefficient rows ua, ub standing for the
+    unit vectors ua / na, ub / nb.  Every pool row of a block stage has a
+    support disjoint from the rest, so gamma = 0 exactly: two axpys, and the
+    new remainder's norm is that of its coefficients."""
+    sigma, tau, sigma_p, tau_p = _mix_coefficients(a, b, t, a + b - t, 0.0, tol)[:4]
+    w = (sigma / na) * ua + (tau / nb) * ub
+    return w, (sigma_p / na) * ua + (tau_p / nb) * ub, math.hypot(sigma_p, tau_p)
 
 
 def _coerce_terms(source_terms) -> list[RankOneTerm]:
@@ -177,10 +206,12 @@ def _checked(R: np.ndarray) -> np.ndarray:
 
 
 def _horn_place(
-    pool: list[RankOneTerm], target_weights, tol: float, *, verdict=None
+    pool: list[RankOneTerm], target_weights, tol: float, *, verdict=None, mix=_mix_vectors
 ) -> list[RankOneTerm]:
     """horn_decompose's placement of unit-vector pool terms, without its
-    reconstruction check: the caller checks the identity.  A caller that has
+    reconstruction check: the caller checks the identity.  ``mix`` is the
+    2x2 step, the loop's only varying part: ``_mix_vectors`` for unit vectors,
+    ``_mix_rows`` for a block stage's coefficient rows.  A caller that has
     already tested the majorization of these targets by these pool weights at
     a tolerance of at most ``max(tol, PLACE_MAJORIZE_TOL)`` passes its
     ``verdict``; a holding one is not tested again.
@@ -192,7 +223,8 @@ def _horn_place(
     arrival), where arrival numbers the source terms in order and each mixed
     remainder after them, so every choice is a bisection and ties go to the
     earliest arrival: O(log k) comparisons per target, plus the list's
-    inserts and deletes."""
+    inserts and deletes.  Each entry's norm is kept beside it, 1 for the
+    pool and whatever ``mix`` reports for a remainder."""
     targets = [float(t) for t in target_weights]
     if any(t < 0.0 for t in targets):
         raise MajorizationError("target weights must be nonnegative")
@@ -210,8 +242,8 @@ def _horn_place(
         )
 
     anchor = pool[0].vector
-    # (weight, arrival, vector); arrivals are distinct, so vectors are never compared
-    work = sorted((p.weight, i, p.vector) for i, p in enumerate(pool) if p.weight > tol)
+    # (weight, arrival, vector, norm); arrivals are distinct, so vectors are never compared
+    work = sorted((p.weight, i, p.vector, 1.0) for i, p in enumerate(pool) if p.weight > tol)
     arrivals = count(len(pool))
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
     placed: list[RankOneTerm | None] = [None] * len(targets)
@@ -230,7 +262,7 @@ def _horn_place(
             raise MajorizationError(
                 f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
             )
-        a, arrival, ua = work[ka]
+        a, arrival, ua, na = work[ka]
         if ka == 0:
             # every pool weight exceeds the largest remaining target: peel
             # the target off the smallest entry along its own direction; what
@@ -239,17 +271,17 @@ def _horn_place(
             if a - t <= tol:
                 del work[0]
             else:
-                work[0] = (a - t, arrival, ua)
+                work[0] = (a - t, arrival, ua, na)
             continue
         kb = bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
-        b, _, ub = work[kb]
-        res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
-        placed[idx] = RankOneTerm(t, res.w)
+        b, _, ub, nb = work[kb]
+        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t, tol)
+        placed[idx] = RankOneTerm(t, w)
         del work[ka], work[kb]  # kb < ka, so kb's index survives the first deletion
         if a + b - t > tol:
-            insort(work, (a + b - t, next(arrivals), res.w_prime))
+            insort(work, (a + b - t, next(arrivals), w_prime, n_prime))
 
-    leftover = math.fsum(w for w, _, _ in work)
+    leftover = math.fsum(e[0] for e in work)
     if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
         raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
     return placed
@@ -264,7 +296,7 @@ def _earliest_hit(work, t: float, tol: float) -> int | None:
     i = bisect_left(work, (t - 2.0 * tol,))
     best = None
     while i < end:
-        w, arrival, _ = work[i]
+        w, arrival = work[i][:2]
         if abs(w - t) <= tol and (best is None or arrival < work[best][1]):
             best = i
         i = bisect_right(work, (w, math.inf), i, end)

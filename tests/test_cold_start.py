@@ -39,14 +39,14 @@ KADISON_REPORT = "200f4266fa7decb8a0bcc0ec177cb05ecda3a28b09b50ca82075bffd542c5a
 MAJORIZE_REPORT = "5be4dbbfa1438eb235e1be2bc3b73460953636621b6b9979859f6e09a5d3cabd"
 DECOMPOSE_REPORT = "625bc1777f94733bf8f22792756c77bc61109c02c5d5782d11b38c826578a3a5"
 DECOMPOSE_FILES = {
-    "dec.json": "f7796d529ec6edd2079ff396c63fd37aaeb5fe92f597b656b289c216750889f6",
-    "dec.target.json": "9275cd8592a7e8cb33b893dbc78d9595cadbbcaf5a9477cbe1028687135374c0",
+    "dec.json": "a6d86088733575996289b66c5f5a3194b10a99bc6ef422360ac129626e520ff6",
+    "dec.target.json": "12eabcc7543187a8876b7f7587d19456028f7032bf9a111ff8f10895e0c6680a",
 }
 # the same files in the dense form, every pair listed, as written before the
 # sparse form; the sparse files above re-encode to exactly these bytes
 DENSE_FILES = {
-    "dec.json": "0203bf819fa459239ff3d7dee6353cb59c9b3a9a719c79a917943b999ae52f3e",
-    "dec.target.json": "94e45e33612a24b1b47afcefb2d91bf75f230f37e66379bfe4ae033fd9831f4e",
+    "dec.json": "cf4fbd4416b9f5ae71f24105c92c89d805789f5515222413963b0094bef4197a",
+    "dec.target.json": "d60c50290080fdfd1fde06f30bb965e836e828de69ec6d8a9187d6b873e26693",
 }
 
 

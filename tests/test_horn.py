@@ -5,10 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from admseq import carpenter, horn
 from admseq.errors import DimensionError, MajorizationError
-from admseq.horn import HORN_RESIDUAL_TOL, _horn_place, horn_decompose, mix_two, schur_horn_matrix
+from admseq.horn import (
+    HORN_RESIDUAL_TOL,
+    PLACE_TOL,
+    _horn_place,
+    horn_decompose,
+    mix_two,
+    schur_horn_matrix,
+)
 from admseq.operators import RankOneTerm, eigh_desc, frame_operator, make_term
 from admseq.seqkit import majorizes
+from admseq.streams import VectorStream
 
 RNG = np.random.default_rng(11)
 
@@ -379,3 +388,136 @@ def test_unreachable_target_is_refused():
     want = (MajorizationError, f"no source weight reaches the target {targets[0]!r}; "
             "majorization bookkeeping broke")
     assert _outcome(_horn_place, weights, targets, 1e-12) == want
+
+
+# -- coefficient rows against unit vectors ---------------------------------
+
+AWKWARD = [1e-12, 0.5 + 1e-12, 0.5 - 1e-12, 0.5, 1.0]
+
+
+def awkward_case(rng, k):
+    """A pool of k weights and targets it majorizes: weights of 1e-12 and
+    0.5 +- 1e-12, near-equal pairs, T-transforms and splits of part of the
+    pool, and the rest copied, in pairs nudged apart by less than PLACE_TOL."""
+    pool = []
+    while len(pool) < k:
+        r = rng.random()
+        if r < 0.4:
+            pool.append(float(rng.choice(AWKWARD)))
+        elif r < 0.7:
+            v = float(rng.uniform(0.05, 1.0))
+            pool += [v, v - float(rng.integers(1, 10)) * 1e-13]
+        else:
+            pool.append(float(rng.uniform(0.0, 1.0)))
+    pool = pool[:k]
+    order = [int(i) for i in rng.permutation(k)]
+    copied = [pool[i] for i in order[: k // 3]]
+    for a in range(0, min(len(copied) - 1, 16), 2):
+        d = float(rng.choice([1e-13, 5e-13]))
+        if copied[a + 1] >= d:
+            copied[a] += d
+            copied[a + 1] -= d
+    moved = [pool[i] for i in order[k // 3:]]
+    for _ in range(k):
+        i, j = (int(x) for x in rng.integers(0, len(moved), 2))
+        if rng.random() < 0.3:  # split one target in two
+            x = moved[i]
+            moved[i] = float(rng.random()) * x
+            moved.append(x - moved[i])
+        else:  # move two targets towards each other
+            c, x, y = float(rng.random()), moved[i], moved[j]
+            moved[i] = c * x + (1.0 - c) * y
+            if j != i:
+                moved[j] = x + y - moved[i]
+    return pool, [float(t) for t in rng.permutation(copied + moved)]
+
+
+def placement_log(weights, targets, rows):
+    """_horn_place on the standard basis, as real coefficient rows or as
+    complex unit vectors: the mixes made, in order, with their weights and
+    the entries they took, and the weight and origin of each placed term."""
+    k = len(weights)
+    eye, mix = (np.eye(k), horn._mix_rows) if rows else (np.eye(k, dtype=complex), horn._mix_vectors)
+    pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
+    origin = {id(p.vector): ("source", i) for i, p in enumerate(pool)}
+    keep, mixes = [], []  # keep every tagged array alive, so no id is reused
+
+    def logged(a, b, ua, na, ub, nb, t, tol):
+        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t, tol)
+        mixes.append((a.hex(), b.hex(), t.hex(), origin[id(ua)], origin[id(ub)]))
+        origin[id(w)], origin[id(w_prime)] = ("mixed", len(mixes)), ("remainder", len(mixes))
+        keep.extend((w, w_prime))
+        return w, w_prime, n_prime
+
+    try:
+        placed = _horn_place(pool, targets, PLACE_TOL, mix=logged)
+    except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
+        return (type(exc), str(exc)), None
+    choices = [(t.weight.hex(), origin[id(t.vector)]) for t in placed]
+    return (mixes, choices), np.array([t.vector for t in placed])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 30, 64, 120, 200])
+def test_coefficient_rows_place_as_unit_vectors(k, seed):
+    rng = np.random.default_rng([k, seed])
+    # a pool weight of exactly PLACE_TOL is dropped from the pool but counted
+    # by the majorization test, so some cases are refused, alike on both paths
+    placed = 0
+    for _ in range(20):
+        if placed == 2:
+            break
+        weights, targets = awkward_case(rng, k)
+        row_log, C = placement_log(weights, targets, rows=True)
+        vec_log, V = placement_log(weights, targets, rows=False)
+        # the same hits, peels and mixes, in the same order, with the same weights
+        assert row_log == vec_log
+        if C is None:
+            continue
+        placed += 1
+        assert C.dtype == np.float64
+        assert not np.any(V.imag)
+        assert np.max(np.abs(C - V.real), initial=0.0) <= 1e-13
+    assert placed == 2
+
+
+def test_stage_check_refuses_a_corrupted_row(monkeypatch):
+    rng = np.random.default_rng(5)
+    weights, targets = awkward_case(rng, 30)
+    while placement_log(weights, targets, rows=True)[1] is None:
+        weights, targets = awkward_case(rng, 30)
+    plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
+    stream = VectorStream.basis()
+    terms, residual = carpenter._block_stage(plan, range(30), weights, stream, 30)
+    assert [t.weight for t in terms] == targets and residual <= 1e-10
+    real = carpenter._horn_place
+
+    def corrupt(pool, target_weights, tol, **kw):
+        placed = real(pool, target_weights, tol, **kw)
+        i = next(i for i, t in enumerate(placed) if np.count_nonzero(t.vector) > 1)
+        row = placed[i].vector.copy()
+        row[np.flatnonzero(row)[0]] += 1e-6
+        placed[i] = RankOneTerm(placed[i].weight, row)
+        return placed
+
+    monkeypatch.setattr(carpenter, "_horn_place", corrupt)
+    with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
+        carpenter._block_stage(plan, range(30), weights, stream, 30)
+
+
+def test_coefficient_rows_divide_out_a_mix_norm_drift():
+    # mixing 0.6254 with 3e-6 into a target 1.4e-8 below 0.6254 leaves a
+    # remainder whose coefficients have norm 1 - 1.4e-11, inside the mix's
+    # own check; mixed again, it stands for its row divided by that norm, as
+    # the vector path's unit_vector divides by the vector's norm
+    a, b, t = 0.6253875181091617, 3.0278341805276837e-06, 0.6253875039706138
+    weights = [1e-7, b, a]
+    targets = [t, 2e-6, (a + b - t) + 1e-7 - 2e-6]
+    sigma_p, tau_p = horn._mix_coefficients(a, b, t, a + b - t, 0.0)[2:4]
+    assert abs(math.hypot(sigma_p, tau_p) - 1.0) > 1e-11
+    row_log, C = placement_log(weights, targets, rows=True)
+    vec_log, V = placement_log(weights, targets, rows=False)
+    assert row_log == vec_log
+    assert [m[3:] for m in row_log[0]] == [(("source", 2), ("source", 1)),
+                                           (("remainder", 1), ("source", 0))]
+    assert np.max(np.abs(C - V.real)) <= 1e-13

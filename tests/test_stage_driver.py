@@ -158,71 +158,71 @@ SINGLE_RUNS = {"both-summable-block4-S13": ("both-summable", "block4", 13)}
 RECORDED = {
     "both-summable": (
         "a552b0ca4e645d4e96588a8c91b49741a43b61a4932d44c3aa07057bc8bd86f8",
-        "0fc71c65a622acf6f034b50c7e40399c7d5f311e7a8558863a2822436d43756f",
+        "6be1a1a09d230503d99a77be986e489a3294aa9a656608e547907881ea8b618e",
     ),
     "both-summable-block4-S13": (
         "fc06a0629423c76d70bd6ecddc8925d5dfaace7707dd9ecafda2b20ff9322985",
-        "a3325de2558f1392c4685832dc8ce26d8ee92d46ec08962ba1a887527e81e840",
+        "ca535a5cd25a2d2dd231b50dd80cb9ae94f7c62aca98c4bc015999c36604e5a6",
     ),
     "finite-ones-both-summable": (
         "52766ad97b2412eb28ae2e5b83afd4079dbc68dced62c2244c65ce420b879ea6",
-        "a1a24b58fc141459bb95e532da10b02c495d1332457bf930f3f8fa14634f7cb4",
+        "b730bb02f1c3e1b65b3540a7c0148353df3107bc7a9376db80531dc6c0ecfa28",
     ),
     "finite-ones-lambda-divergent": (
         "5b62c84f0b11332255e971f6147e89c8756f4ff60e407a237f3727d3e92d628a",
-        "c1f689264dda8878b5491deda2dd0d49658a219bfb68942e1f36beb87e4e0950",
+        "8bf67b6dc68e114f93d8939d620075e03bc9a8e0fab0ebcb205e8fcf3e3feee7",
     ),
     "finite-ones-mu-divergent": (
         "4b066f59bdc4e6a7f28108a1331b4e01abac00dd67c858f32bb80c15c811d630",
-        "f42548dcc54653db98394ed0b568d1fc4e6fba20b63b62452ebafc8242036d79",
+        "cdf0eaf5286c7ffd6bc42f66705a85ce1e40b79af91abfa6e030aca405f28c75",
     ),
     "finite-ones-mu-finite": (
         "a946372e824489107e4bf195b7601ae1aa90414f32d15bfa7a82607bd2e8fac6",
-        "dc2a6252963a126e4fd4c2a06c09a6f52143f04a6a9fef00c5acfaa78392780c",
+        "298cd0fe782febcd9cbbb1a2ac6c86007fd65c8507195a5646dd2517b456cb02",
     ),
     "lambda-divergent-s0": (
         "f905c0fc20a198e88d8c4027d95a558f4577b2c3f32ed6f96cd001fcab0d948e",
-        "21e5615fe3f64c09339b979cc3cdf81a813c1e331d39e68701ad7ec88b8f5ed5",
+        "b765990141a404179b3c37d0c74b991dadd10d8a3175020babc7aa7bca699c30",
     ),
     "lambda-divergent-s1": (
         "3636f6a36782bbf4053996d5dbfc83cd968b71d0977416dd7884567d79215914",
-        "d96b94b0352fe55af92c6c30b1d1def04df6ea48e5edf77d1df93a8edbcdd028",
+        "757b8f4a0b927bf5e5b9527815d0edc8fd16d551bdede663872a6b5e9e11b6d9",
     ),
     "lambda-divergent-s2": (
         "931147c0cfd172ca2ecc2ae64fd3a0c4d777fc32d9161e2da050997608007f61",
-        "40d8afb89e4a4e52fcb40f70da41c8d738082e3d3f990dea263bd28fe515459c",
+        "4c54efb46325a9c6cf02d2f5a0efec12ba3d5c340da8e55c972034b8b4c23f8b",
     ),
     "mu-divergent-s0": (
         "1b88b3956331549157398a14d368fae51d66891b7a89e58e00dc0cf446496b04",
-        "1fba161907ad8538f5cbd4eb349e2996b7308e538858d9e9c48fea6de78906d7",
+        "49584124534d3b901b8f73ef32359efde9cb851604f1b929b7a5dfe64d033e3d",
     ),
     "mu-divergent-s1": (
         "8cfc15f88d9786801798992d0dbfcef30775ac0dac9061a8f9bd34dcf26c0436",
-        "20895f0200d617f76e51361a9c43ebbc5a5bb9b27e03f16eb9695fdfcbf8cf37",
+        "51822bca80b0391e699a434ababbed7bab35dfbf826e19f840441810820f5e2d",
     ),
     "mu-divergent-s2": (
         "c000f93cfec78f96adc7d15c38bf5d01f6257d162baf3a1faf14bf72f8e43612",
-        "a551d352ebc049ecd9adbe3a56b71dde004b233bfcb836cf6fb4e44e091ca078",
+        "faf9db9d6129950f3fb246f62c3805e595a292b378e60fc693d80eb3f4fb06d8",
     ),
     "mu-finite": (
         "7f202ba40da52e9a09120ae7fa3f4d6b43debbfa0519f61102af939136d9dae4",
-        "423e84023123f20612be45cac46ed1afbb4c0a2677183efad7feef05dbb7438f",
+        "f8681e6e50f95bf8ba38805c679083213b49b5202c5e928acd9c0fd49405e366",
     ),
     "mu-only": (
         "dddf05a39855c21305ed55abae820df90bfda3df2db0566dc1e9fe97f66bfc8a",
-        "f475af779bd4569d82836af82a9bd44466828ff228eb645f33368579ec582cfe",
+        "153d683661613b7b40b054bc32b636769541c6b2bca2a6a9e458583d71911ef6",
     ),
     "ones-after-finite-core": (
         "0922cb24743195ee5098cc8a27e775b8323d0da7122b1e579f3ac858b925a2ed",
-        "1d6a215398824ea174ef24a006899ec456a706f076acf1ce104c9a27a944f6ee",
+        "390ca92804c1fdadad910558ce829b2615e6e8448f8aea4e7d5c04f64561ce1e",
     ),
     "ones-beside-mu-divergent": (
         "e8f58d8b2d86ef107fa1040268244027a3fb8a5d51e9b4d014dd752852b63b43",
-        "15a72c5395b9bf4d20a5e1329dbc0e30ab0947a06692b5f1652eb28b1a85a8a0",
+        "61834f8f6305ca81821323aac30183ef8de2992102fdd52c058699bf38b0f781",
     ),
     "ones-beside-mu-finite": (
         "e548e3cf1792485124e38bbd9b77564ea4bc01468dabb4ba0ac81b1dfb9913fb",
-        "1f39c72b3ef73130e31b4c5fe7dfa7c487afbd8df686e215a0d1ed08a277d005",
+        "f9d2a605680a044554157c2c2e234735d66baed20a4ba6696cd9f3da0bb1873e",
     ),
     "zero-share": (
         "6bfd829fce41be675e9067826c1ef37a683d19b5ffef21998656c419dec6ec19",
@@ -238,39 +238,39 @@ RECORDED = {
     ),
     "finite-rank-n100-s0": (
         "9a9ccfefeabe879f0b6afe79d562e59692ffbbc3bca551710637e5279e6500c2",
-        "3d2fa7fad5c4144e5e60c7c4acf9916ae37ec8db70f0a7f586c55d1a81d1cd45",
+        "a60e8798d0686eacec55e06e9c4d9c51c720b3697b9b847caf1cd79509fcc0f0",
     ),
     "finite-rank-n100-s1": (
         "aa427e5d4a16e36305db42d52a20900bac8ca093547abf630c90037d8268dfd9",
-        "b5ea08db255c75b3ed1fd78423ae83277cb98202e808897a14222dc78aa52c2f",
+        "d2ba46a610ae43e9d5686b9ce073f3c37fc3707a113c8d8dc847b97d8649e3f5",
     ),
     "finite-rank-n100-s2": (
         "88563aea0c7648b7b58ac670d2bfcf7e2696a9a829e9f59049a3fef15518fa8e",
-        "d225612d9f8e1bf3c6a24f6a6dae5e15e6ec4a838b214883ca39ff59308ff7ca",
+        "6487152e7bad3e3bfc58d83a76f21148ee6a25a4d84565acb0fcb0240b8082eb",
     ),
     "finite-rank-n200-s0": (
         "81df0c8769a0fdeef1724d7ff47298af1cfcd9b9746ff3857e6bd584c218fd0a",
-        "9a5c701d2282ca404ed8d2152695541d9e99413d368d05ff4f746d222d108272",
+        "8c3be01237d4bb8017829ef015fbc3ffd56d24416ea48ab6945365aa4987cbca",
     ),
     "finite-rank-n200-s1": (
         "d41eb65b1db68ef4a92030cbd333f7ddd70d98b8ec137e732c59f4b3b28dbaa0",
-        "1f6599a3a991047e6c74002e991190cba1b905ea2b01aca490b284b5b5a92b9e",
+        "9213eb246345b7d8cbf77310618456e7359f9c1d70543d7ae55a256dcac60243",
     ),
     "finite-rank-n200-s2": (
         "42a815ff31299f8f713f5f4eacd3c1e570ac68ba045fde14b45eb9d729704719",
-        "1aedebf82f1f380466194334566f31f8a5654abf8a0a4a85e53003b736b0ca35",
+        "904576736aa85c7085cc614a345ed27e7c61c02dd8291282e44733ed99b9a62d",
     ),
     "finite-rank-n25-s0": (
         "f8a73d81c171f8c6595b1c09fff0be7d4a960a8a620b62d4f4d582583a9da3fb",
-        "cfcb76ebfc7479918ef422c0c7657197a830ed9fa740f50d1bc3c7ba88a72318",
+        "5a2308a18f8e4847a2b001ed6de783008e48db7b956ab508ac8e59acb99ec299",
     ),
     "finite-rank-n25-s1": (
         "3e08343fc9e95c578094cd88ae43c219ec97a34d8c865e7b9763cea200818207",
-        "a7e5bbc19db00e53e20091aaec1c12d3038c513711d5a7f32ca0ef1035c8be5e",
+        "959dde658f38083796046dcb6a174e5336b3e0875783cef9461e9e348f59a8d9",
     ),
     "finite-rank-n25-s2": (
         "e34cd9e7cfed18f97b6cd539a7b0c6eea36096b60d0dd3bf2e7aeca99a8793ff",
-        "a50aecce1166a0123d79319c36da0a7c96091677af633f5de7526feaba70cc31",
+        "0060d89c5771e6c8a40e30dce3deebac11651c05a7a785911c0ac824c4967467",
     ),
 }
 
@@ -305,21 +305,22 @@ def test_zero_boundary_share_covers_the_touched_vectors(stages):
         assert np.array_equal(carry.vector, VectorStream.basis().vector(2, 3))
 
 
-def test_one_frame_operator_per_block_stage(monkeypatch):
-    # the driver forms each block stage's k x k identity once; horn's own
-    # re-check (two frame operators per placement) is no longer on the path
-    calls = {"carpenter": 0, "horn": 0}
-    for name in calls:
-        mod = carpenter if name == "carpenter" else horn
-        real = mod.frame_operator
+def test_one_stage_identity_per_block_stage(monkeypatch):
+    # the driver forms each block stage's k x k identity once, from its real
+    # coefficient matrix; horn's own re-check (two frame operators per
+    # placement) is not on the path
+    shapes, horn_calls = [], []
+    real = carpenter._checked
 
-        def counting(terms, dim=None, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(terms, dim=dim)
+    def counting(R):
+        shapes.append(R.shape)
+        return real(R)
 
-        monkeypatch.setattr(mod, "frame_operator", counting)
+    monkeypatch.setattr(carpenter, "_checked", counting)
+    monkeypatch.setattr(horn, "frame_operator", lambda terms, dim=None: horn_calls.append(dim))
     _, certs, _ = carpenter_decompose(staged_inputs()["mu-divergent-s0"], STREAMS["block4"](), stages=40)
-    assert calls == {"carpenter": len(certs), "horn": 0}
+    assert shapes == [(len(c.consumed), len(c.consumed)) for c in certs]
+    assert horn_calls == []
 
 
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "lambda-divergent-s0"])
@@ -343,13 +344,15 @@ def test_one_majorization_per_block_stage(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "mu-finite"])
 def test_corrupted_placement_is_refused(monkeypatch, name):
-    # one placed term turned a little off its vector: mix_two's checks never
-    # see it, so only the driver's stage check can refuse the stage
+    # one row of a block stage's coefficient matrix C turned a little off:
+    # the mixes' checks never see it, so only the driver's stage check can
+    # refuse the stage
     real = carpenter._horn_place
 
-    def corrupt(pool, targets, tol, *, verdict=None):
-        placed = real(pool, targets, tol, verdict=verdict)
+    def corrupt(pool, targets, tol, **kw):
+        placed = real(pool, targets, tol, **kw)
         t = placed[0]
+        assert t.vector.dtype == np.float64  # a real coefficient row
         v = t.vector + 1e-6 * np.roll(t.vector, 1)
         placed[0] = RankOneTerm(t.weight, v / np.linalg.norm(v))
         return placed

@@ -39,21 +39,28 @@ def dense_max_residual(weights, vectors, consumed, stream, dim):
 @pytest.mark.parametrize("xi,stages", [(MU_DIVERGENT, 160), (LAMBDA_DIVERGENT, 40)],
                          ids=["mu-divergent-S160", "lambda-divergent-S40"])
 def test_no_ambient_frame_operator(monkeypatch, xi, stages, stream_name):
-    sizes = []
-    real = operators.frame_operator
+    # stages are certified by k x k residuals from their coefficient
+    # matrices, and no frame operator is formed at all
+    sizes, frame_dims = [], []
+    real_checked, real_frame = carpenter._checked, operators.frame_operator
 
-    def recording(terms, dim=None):
-        S = real(terms, dim=dim)
-        sizes.append(S.shape[0])
-        return S
+    def recording(R):
+        sizes.append(R.shape[0])
+        return real_checked(R)
 
-    for mod in (horn, carpenter, operators):
-        monkeypatch.setattr(mod, "frame_operator", recording)
+    def frame_recording(terms, dim=None):
+        frame_dims.append(dim)
+        return real_frame(terms, dim=dim)
+
+    monkeypatch.setattr(carpenter, "_checked", recording)
+    for mod in (horn, operators):
+        monkeypatch.setattr(mod, "frame_operator", frame_recording)
     dec, certs, _ = carpenter_decompose(xi, STREAMS[stream_name](), stages=stages)
     assert len(certs) == stages
     largest_pool = max(len(c.consumed) for c in certs)
-    assert sizes, "stages are still certified through frame_operator"
+    assert sizes, "stages are no longer certified"
     assert max(sizes) <= largest_pool < dec.dim
+    assert frame_dims == []
 
 
 @pytest.mark.parametrize("stream_name", sorted(STREAMS))
