@@ -10,10 +10,13 @@ the small entries mu (at most 1/2) and the defects lam = 1 - (large entries)
 sum up; truncating at a stage budget leaves an explicit remainder term.
 
 Each case is a planner feeding one stage driver, which runs every stage in
-its own coordinates (R^k for the k stream vectors of a block stage, span{carry,
-fresh} for a tail step) and checks its identity there once.  Only the emitted
-terms reach the stream, a block stage's as the rows of C E for its real
-coefficient matrix C and the k x dim matrix E of those stream vectors.  No stage builds an operator on the ambient space.
+its own coordinates (R^k for the k stream vectors of a block stage, the
+orthonormal pair span{carry, fresh} for a tail step) and checks its identity
+there once.  Every mix there has gamma = 0, so no stage depends on the
+ambient dimension, and an S-stage run is the first S stages of a longer one.
+Only the emitted terms reach the stream, a block stage's as the rows of C E
+for its real coefficient matrix C and the k x dim matrix E of those stream
+vectors.  No stage builds an operator on the ambient space.
 
 The planners share one vocabulary for what a stage is: ``_take_run`` draws
 the run of weights it places, ``_sources`` lays out the pool it places them
@@ -28,14 +31,9 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from ._np import np
-from .errors import (
-    DimensionError,
-    KadisonError,
-    PlanningError,
-    TraceMismatchError,
-)
+from .errors import KadisonError, PlanningError, TraceMismatchError
 from .horn import PLACE_TOL, _checked, _horn_place, _mix_coefficients, _mix_rows
-from .operators import RankOneDecomp, RankOneTerm, unit_vector
+from .operators import RankOneDecomp, RankOneTerm
 from .seqkit import (
     INT_SNAP,
     MajorizationVerdict,
@@ -398,18 +396,23 @@ def realize_block_plans(plans, stream: VectorStream):
     return _realize(plans, stream)[:2]
 
 
-def _realize(plans, stream: VectorStream, dim=None, carry=None):
+def _realize(plans, stream: VectorStream, carry=None):
     """The stage driver.  A block stage's k consumed stream positions are the
     standard basis of R^k: the placement runs there and the stage identity is
     checked once, against diag(consumed), as a k x k residual.  A tail step
-    mixes the carry with one fresh vector and hands the new carry on; the
-    first carry is ``carry``, which block stages leave alone.  Returns the
-    terms in C^dim, the certificates and the remainder: the last carry, or
-    for block stages alone what is left of their last boundary vector."""
+    mixes the carry with one fresh stream vector and hands the new carry on;
+    the carry lies in the span of consumed stream vectors and the fresh one
+    is orthogonal to them, so the step mixes with gamma = 0 as block stages
+    do.  The first carry, ``carry``, is given as (stream position, weight),
+    and block stages leave it alone.  Returns the terms in C^dim, dim the
+    least holding every position used, the certificates and the remainder:
+    the last carry, or for block stages alone what is left of their last
+    boundary vector."""
     plans = list(plans)
-    if dim is None:
-        top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
-        dim = stream.min_dim(top)
+    top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
+    dim = stream.min_dim(top if carry is None else max(top, carry[0]))
+    if carry is not None:
+        carry = RankOneTerm(carry[1], stream.vector(carry[0], dim))
     terms: list[RankOneTerm] = []
     certs: list[StageCertificate] = []
     used: dict[int, float] = {}  # each position's share over all stages
@@ -426,16 +429,14 @@ def _realize(plans, stream: VectorStream, dim=None, carry=None):
         sigma = sigma_cap = None
         if isinstance(plan, _TailStep):
             fresh = stream.vector(positions[0], dim)
-            # one 2x2 mix in span{carry, fresh}, whose overlap is g; the dense
-            # w and w' are formed once from the mixing coefficients
-            g = complex(np.vdot(carry.vector, fresh))
+            # one 2x2 mix in span{carry, fresh}, an orthonormal pair; the
+            # dense w and w' are formed once from the mixing coefficients
             (_, e1), (_, e2) = plan.sources
             sigma, tau, sigma_p, tau_p, *_, residual = _mix_coefficients(
-                e1, e2, *plan.targets, min(abs(g), 1.0)
+                e1, e2, *plan.targets, 0.0
             )
-            phase = np.exp(-1j * np.angle(g)) if g else 1.0
-            w = sigma * carry.vector + (tau * phase) * fresh
-            w_prime = sigma_p * carry.vector + (tau_p * phase) * fresh
+            w = sigma * carry.vector + tau * fresh
+            w_prime = sigma_p * carry.vector + tau_p * fresh
             terms.append(RankOneTerm(plan.targets[1], w_prime))
             nrm = float(np.linalg.norm(w))
             carry = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w)
@@ -466,33 +467,22 @@ def _realize(plans, stream: VectorStream, dim=None, carry=None):
 
 # -- the tail recursion -------------------------------------------------
 
-def keycase_recursion(
-    lam: WeightSeq,
-    stream: VectorStream,
-    steps: int,
-    dim: int | None = None,
-    carry_vector=None,
-):
+def keycase_recursion(lam: WeightSeq, stream: VectorStream, steps: int):
     """Decompose (1 - S(0)) E_0 E_0* + sum_{t>=1} E_t E_t* into weights
     1 - lam_t, one 2x2 mix per step, carrying a shrinking remainder.
 
-    Requires sum(lam) < 1.  Returns the emitted terms, one certificate per
-    step (with the mixing coefficient and its cap), and the final carry
-    term (1 - S(steps)) x x*.
+    Requires sum(lam) < 1.  The carry starts as E_0 and stays in the span of
+    E_0, ..., E_t, so step t mixes it with the orthogonal E_{t+1}.  Returns
+    the emitted terms, one certificate per step (with the mixing coefficient
+    and its cap), and the final carry term (1 - S(steps)) x x*.
     """
     s_prev = lam.total()
     if not s_prev < 1.0:
         raise PlanningError(f"tail recursion needs total defect below 1, got {s_prev!r}")
     if steps < 0:
         raise PlanningError("step count must be nonnegative")
-    if dim is None:
-        dim = stream.min_dim(steps)
-    carry = stream.vector(0, dim) if carry_vector is None else np.asarray(carry_vector, dtype=complex)
-    if len(carry) != dim:
-        raise DimensionError("carry vector does not match the working dimension")
-    carry = RankOneTerm(1.0 - s_prev, unit_vector(carry))
     steps_ = islice(_plan_tail(_padded(lam), lam, 1), steps)
-    terms, certs, (carry,) = _realize(steps_, stream, dim, carry)
+    terms, certs, (carry,) = _realize(steps_, stream, (0, 1.0 - s_prev))
     return terms, certs, carry
 
 
@@ -539,9 +529,7 @@ def decompose_m_finite(
     tail = lam.drop(n)
     plans = [BlockPlan(head_targets, _sources(0, 0.0, n - k, r)[0])]
     plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
-    dim = stream.min_dim(n - k + len(plans) - 1)
-    carry = RankOneTerm(1.0 - tail.total(), unit_vector(stream.vector(n - k, dim)))
-    terms, certs, (carry,) = _realize(plans, stream, dim, carry=carry)
+    terms, certs, (carry,) = _realize(plans, stream, (n - k, 1.0 - tail.total()))
     return terms, certs, carry
 
 

@@ -8,7 +8,8 @@ Hermitian matrices with prescribed spectrum and diagonal.
 Every mix takes its coefficients, and passes its checks, in one scalar core,
 ``_mix_coefficients``, which needs only the weights and gamma = |<u, u'>|.
 ``mix_two`` applies them to vectors; a block stage's placement applies them
-to real coefficient rows, whose supports are disjoint, so gamma = 0."""
+to real coefficient rows, whose supports are disjoint, and a tail step to a
+carry and a fresh stream vector orthogonal to it, so both take gamma = 0."""
 
 from __future__ import annotations
 

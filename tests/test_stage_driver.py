@@ -178,7 +178,7 @@ RECORDED = {
     ),
     "finite-ones-mu-finite": (
         "a946372e824489107e4bf195b7601ae1aa90414f32d15bfa7a82607bd2e8fac6",
-        "298cd0fe782febcd9cbbb1a2ac6c86007fd65c8507195a5646dd2517b456cb02",
+        "6b7fc7d9bab22e1e209bd6a6115cc6d7d66774be22f53b7fd5b119c69afcc9fc",
     ),
     "lambda-divergent-s0": (
         "f905c0fc20a198e88d8c4027d95a558f4577b2c3f32ed6f96cd001fcab0d948e",
@@ -206,7 +206,7 @@ RECORDED = {
     ),
     "mu-finite": (
         "7f202ba40da52e9a09120ae7fa3f4d6b43debbfa0519f61102af939136d9dae4",
-        "f8681e6e50f95bf8ba38805c679083213b49b5202c5e928acd9c0fd49405e366",
+        "08fdf2978a31b2142e635ef37f3704324e90448aef1d99e90228fb1e54cfba09",
     ),
     "mu-only": (
         "dddf05a39855c21305ed55abae820df90bfda3df2db0566dc1e9fe97f66bfc8a",
@@ -222,7 +222,7 @@ RECORDED = {
     ),
     "ones-beside-mu-finite": (
         "e548e3cf1792485124e38bbd9b77564ea4bc01468dabb4ba0ac81b1dfb9913fb",
-        "f9d2a605680a044554157c2c2e234735d66baed20a4ba6696cd9f3da0bb1873e",
+        "c775ef63bbd405f9d9b2e6dcf42a29406f97f1376716813e58bd32ffd91abfc5",
     ),
     "zero-share": (
         "6bfd829fce41be675e9067826c1ef37a683d19b5ffef21998656c419dec6ec19",
@@ -383,3 +383,35 @@ def test_boundary_shortfall_threshold(shortfall, left):
         assert remainder == ()
     op = frame_operator(list(terms) + list(remainder), dim=2)
     assert np.max(np.abs(op - np.eye(2))) <= 1e-12
+
+
+PREFIX_STREAMS = {
+    **STREAMS,
+    "thin": lambda: VectorStream.basis().thin(1, 2),
+    "block4-thin": lambda: VectorStream.block_overlap(4).thin(1, 2),
+}
+# both-summable at most 13 stages, the most it reaches before the known
+# mixing defect
+PREFIX_PAIRS = ((3, 10), (5, 13), (8, 12))
+
+
+@pytest.mark.parametrize("short, long", PREFIX_PAIRS, ids=[f"S{a}-S{b}" for a, b in PREFIX_PAIRS])
+@pytest.mark.parametrize("sname", sorted(PREFIX_STREAMS))
+@pytest.mark.parametrize(
+    "case", ["mu-divergent-s0", "lambda-divergent-s0", "both-summable", "mu-finite"]
+)
+def test_shorter_run_is_a_prefix_of_a_longer_one(case, sname, short, long):
+    # an S-stage run is the first S stages of the infinite construction: no
+    # stage depends on how many follow it, nor on the dimension they need
+    xi = staged_inputs()[case]
+    a, certs_a, _ = carpenter_decompose(xi, PREFIX_STREAMS[sname](), stages=short)
+    b, certs_b, _ = carpenter_decompose(xi, PREFIX_STREAMS[sname](), stages=long)
+    assert [repr(c) for c in certs_a] == [repr(c) for c in certs_b[:short]]
+    assert [t.weight for t in a.terms] == [t.weight for t in b.terms[: len(a.terms)]]
+    for s, t in zip(a.terms, b.terms):
+        padded = np.zeros(b.dim, dtype=complex)
+        padded[: a.dim] = s.vector
+        assert padded.tobytes() == t.vector.tobytes()
+    # these streams are real and every mix has real coefficients, so no
+    # phase may enter a term
+    assert not any(np.any(t.vector.imag) for t in b.terms)

@@ -132,23 +132,22 @@ def test_both_summable_cancellation_still_caught():
         carpenter_decompose(xi, VectorStream.basis(), stages=14)
 
 
-def test_keycase_with_overlapping_carry_vector():
+def test_keycase_against_dense_mixes():
     lam = WeightSeq.geometric([], 0.25, 0.5)
-    steps, dim = 6, 8
-    carry0 = np.zeros(dim, dtype=complex)
-    carry0[:4] = [1.0, 0.5j, -0.25, 0.125 + 0.125j]
-    carry0 /= np.linalg.norm(carry0)
-    terms, certs, carry = keycase_recursion(
-        lam, VectorStream.basis(), steps, dim=dim, carry_vector=carry0
-    )
+    steps = 6
+    basis = VectorStream.basis()
+    terms, certs, carry = keycase_recursion(lam, basis, steps)
+    dim = steps + 1
     eye = np.eye(dim, dtype=complex)
 
-    # reference: the same recursion with every mix done on dense vectors
-    ref_carry, s_prev = carry0, lam.total()
+    # reference: the same recursion with every mix done on dense vectors; on
+    # the basis stream the carry's overlap with each fresh vector is exactly 0
+    ref_carry, s_prev = eye[0], lam.total()
     for t in range(steps):
         s_next = lam.tail_sum(t + 1)
         lam_t = 1.0 - terms[t].weight
         res = mix_two(1.0 - s_prev, 1.0, ref_carry, eye[t + 1], 1.0 - s_next, 1.0 - lam_t)
+        assert res.gamma == 0.0
         assert np.allclose(terms[t].vector, res.w_prime, atol=1e-12)
         assert certs[t].sigma == pytest.approx(res.sigma, abs=1e-12)
         _, dense = dense_mix_check(res, 1.0 - s_prev, 1.0, ref_carry, eye[t + 1],
@@ -157,8 +156,18 @@ def test_keycase_with_overlapping_carry_vector():
         ref_carry, s_prev = res.w / np.linalg.norm(res.w), s_next
     assert np.allclose(carry.vector, ref_carry, atol=1e-12)
 
-    # terms plus the final carry rebuild (1 - S(0)) x x* + sum_{t=1..steps} E_t E_t*
+    # terms plus the final carry rebuild (1 - S(0)) E_0 E_0* + sum_{t=1..steps} E_t E_t*
     total = operators.frame_operator(list(terms) + [carry], dim=dim)
-    want = (1.0 - lam.total()) * np.outer(carry0, carry0.conj())
-    want += np.diag([0.0] + [1.0] * steps + [0.0] * (dim - steps - 1))
+    want = np.diag([1.0 - lam.total()] + [1.0] * steps)
     assert np.max(np.abs(total - want)) <= 1e-12
+
+    # on block-4 every step mixes the same coefficients, so the certificates
+    # are the basis ones and each vector is the basis one mapped through the
+    # stream vectors E_0, ..., E_steps
+    block = VectorStream.block_overlap(4)
+    b_terms, b_certs, b_carry = keycase_recursion(lam, block, steps)
+    assert repr(b_certs) == repr(certs)
+    E = np.array([block.vector(j, block.min_dim(steps)) for j in range(dim)])
+    for t, bt in zip(list(terms) + [carry], list(b_terms) + [b_carry]):
+        assert bt.weight == t.weight
+        assert np.allclose(bt.vector, t.vector @ E, atol=1e-12)
