@@ -5,8 +5,11 @@ rows sqrt(xi_j) v_j*.  Its Gram B*B is exactly the frame operator, and the
 polar factor V of B (computed from B*B, never an SVD) is a partial isometry
 with V A V* carrying the weights on its diagonal.  V and (B*B)^{1/2} come
 with their rounding noise set to +0.0 (``operators.POLAR_NOISE_FLOOR``), and
-the diagonal is checked on those matrices.  Both directions of the
-translation are provided and are exact inverses on nonzero-weight terms."""
+the diagonal is checked on those matrices.  When every term vector is real
+(every imaginary part zero), the polar factor and the diagonal are computed
+in float64; the record's matrices are complex128 either way.  Both
+directions of the translation are provided and are exact inverses on
+nonzero-weight terms."""
 
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .errors import DimensionError
 from .operators import (
     RankOneDecomp,
     RankOneTerm,
+    _real_if_imag_zero,
     assert_hermitian,
     polar_partial_isometry,
     sqrt_psd,
@@ -52,9 +56,15 @@ class BridgeRecord:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """diag(V A V*), which reproduces the kept weights; formed once."""
-        VA = self.isometry @ self.gram
-        return np.einsum("ij,ij->i", VA, self.isometry.conj()).real
+        """diag(V A V*), which reproduces the kept weights; formed once, in
+        float64 when V and A are real."""
+        V, A = _real_if_imag_zero(self.isometry), _real_if_imag_zero(self.gram)
+        return np.einsum("ij,ij->i", V @ A, V.conj()).real
+
+    @cached_property
+    def diagonal_deviation(self) -> float:
+        """Largest distance of the diagonal from the kept weights."""
+        return float(np.max(np.abs(self.diagonal - np.asarray(self.weights))))
 
 
 def decomp_to_isometry(decomp: RankOneDecomp) -> BridgeRecord:
@@ -77,9 +87,10 @@ def decomp_to_isometry(decomp: RankOneDecomp) -> BridgeRecord:
         weights=tuple(t.weight for _, t in kept),
         rank=rec.rank,
     )
-    dev = float(np.max(np.abs(out.diagonal - np.asarray(out.weights))))
-    if dev > DIAG_TOL:
-        raise ValueError(f"bridge diagonal drifted from the weights by {dev:.3e}")
+    if out.diagonal_deviation > DIAG_TOL:
+        raise ValueError(
+            f"bridge diagonal drifted from the weights by {out.diagonal_deviation:.3e}"
+        )
     return out
 
 

@@ -215,9 +215,6 @@ def _cmd_bridge(args) -> int:
     obj, digest = _load(args.decomposition)
     decomp = decomp_from_json(obj)
     record = decomp_to_isometry(decomp)
-    deviation = float(
-        np.max(np.abs(record.diagonal - np.asarray(record.weights)))
-    ) if record.weights else 0.0
     if args.out:
         doc = {
             name: {"rows": m.shape[0], "cols": m.shape[1], "entries": _array_doc(m, np.asarray)}
@@ -233,7 +230,7 @@ def _cmd_bridge(args) -> int:
             ok=True,
             kept_indices=list(record.kept_indices),
             rank=record.rank,
-            diagonal_deviation=deviation,
+            diagonal_deviation=record.diagonal_deviation,
             written=[args.out] if args.out else [],
         )
     )

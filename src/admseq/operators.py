@@ -2,7 +2,14 @@
 polar partial isometries (computed from B*B, not an SVD, with their rounding
 noise set to zero), frame operators, and JSON forms for operators and
 rank-one decompositions, whose complex arrays are written sparse and read in
-either form."""
+either form.
+
+The dense products behind ``frame_operator``, ``residual_norm`` and
+``polar_partial_isometry`` run in float64 when every imaginary part of their
+input is zero, so real data takes the real BLAS and LAPACK routines; any
+other input runs in complex128.  Their results are complex128 either way.
+A decomposition's term vectors are read in one pass: one check over all
+their indices and values, one conversion and one scatter into a matrix."""
 
 from __future__ import annotations
 
@@ -29,8 +36,20 @@ def as_operator(A) -> np.ndarray:
     return M
 
 
+def _real_if_imag_zero(A) -> np.ndarray:
+    """The float64 real part of ``A`` when every imaginary part is zero, as a
+    contiguous copy the real BLAS takes; otherwise ``A`` as complex128."""
+    M = np.asarray(A, dtype=complex)
+    return M if M.imag.any() else M.real.copy()
+
+
 def assert_hermitian(A) -> np.ndarray:
-    M = as_operator(A)
+    return _hermitian_part(as_operator(A))
+
+
+def _hermitian_part(M) -> np.ndarray:
+    """(M + M*) / 2 of a square matrix M, real or complex, whose asymmetry is
+    within HERM_TOL per dimension."""
     dev = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
     if dev > HERM_TOL * max(1, M.shape[0]):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
@@ -93,11 +112,12 @@ def polar_partial_isometry(B) -> PartialIsometryRec:
     "Computing the polar decomposition", 1986).  So every real and imaginary
     part of V at most POLAR_NOISE_FLOOR, and of sqrt(B*B) at most
     POLAR_NOISE_FLOOR times its largest singular value, is set to +0.0.  The
-    projection and factorization checks run on the zeroed matrices."""
-    M = np.asarray(B, dtype=complex)
+    projection and factorization checks run on the zeroed matrices, in
+    float64 when B is real.  The returned matrices are complex128."""
+    M = _real_if_imag_zero(B)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {M.shape}")
-    gram = assert_hermitian(M.conj().T @ M)
+    gram = _hermitian_part(M.conj().T @ M)
     w, U = _eigh_desc(gram)
     kept = w > EIG_CLAMP
     rank = int(np.count_nonzero(kept))
@@ -112,6 +132,7 @@ def polar_partial_isometry(B) -> PartialIsometryRec:
     dev_fact = float(np.max(np.abs(V @ sqrt_gram - M))) if M.size else 0.0
     if dev_fact > POLAR_FACTOR_TOL:
         raise ValueError(f"polar factorization residual too large ({dev_fact:.3e})")
+    V, sqrt_gram, R, gram = (X.astype(complex, copy=False) for X in (V, sqrt_gram, R, gram))
     return PartialIsometryRec(V, sqrt_gram, R, rank, gram)
 
 
@@ -156,14 +177,18 @@ class RankOneDecomp:
 
 
 def make_term(weight, vector) -> RankOneTerm:
+    return RankOneTerm(_term_weight(weight), unit_vector(vector))
+
+
+def _term_weight(weight) -> float:
     w = float(weight)
     if w < -UNIT_TOL:
         raise ValueError(f"term weight must be nonnegative, got {w!r}")
-    return RankOneTerm(max(w, 0.0), unit_vector(vector))
+    return max(w, 0.0)
 
 
 def frame_operator(terms, dim: int | None = None) -> np.ndarray:
-    """Sum of w_j v_j v_j^* over the given terms."""
+    """Sum of w_j v_j v_j^* over the given terms, as a complex128 matrix."""
     terms = list(terms)
     if dim is None:
         if not terms:
@@ -174,17 +199,17 @@ def frame_operator(terms, dim: int | None = None) -> np.ndarray:
             raise DimensionError(f"term vector has length {len(t.vector)}, expected {dim}")
     if not terms:
         return np.zeros((dim, dim), dtype=complex)
-    V = np.array([t.vector for t in terms], dtype=complex)
+    V = _real_if_imag_zero([t.vector for t in terms])
     w = np.array([t.weight for t in terms], dtype=float)
-    return (V.T * w) @ V.conj()
+    return ((V.T * w) @ V.conj()).astype(complex, copy=False)
 
 
 def residual_norm(A, B) -> float:
-    """Operator 2-norm of the difference."""
-    M = np.asarray(A, dtype=complex) - np.asarray(B, dtype=complex)
-    if M.shape[0] != M.shape[1] or M.ndim != 2:
-        raise DimensionError(f"expected equal square shapes, got {M.shape}")
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+    """Operator 2-norm of the difference of two square matrices of one shape."""
+    M, N = _real_if_imag_zero(A), _real_if_imag_zero(B)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != N.shape:
+        raise DimensionError(f"expected equal square shapes, got {M.shape} and {N.shape}")
+    return float(np.linalg.norm(M - N, 2)) if M.size else 0.0
 
 
 # -- JSON forms --------------------------------------------------------
@@ -208,7 +233,7 @@ def _complex_array_from_json(entries) -> np.ndarray:
     [re, im] pairs or reals.  A list of float pairs, the form written files
     take, is flattened once and converted in one call."""
     if isinstance(entries, dict):
-        return _sparse_from_json(entries)
+        return _rows_from_json([entries])[0]
     if (
         type(entries) is list
         and set(map(type, entries)) == {list}
@@ -220,27 +245,60 @@ def _complex_array_from_json(entries) -> np.ndarray:
     return np.asarray([_complex_from_json(e) for e in entries], dtype=complex)
 
 
-def _sparse_from_json(obj: dict) -> np.ndarray:
-    try:
-        size, indices, values = obj["size"], obj["indices"], obj["values"]
-    except KeyError as exc:
-        raise SequenceError(f"sparse array JSON missing field {exc}") from exc
-    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-        raise SequenceError(f"sparse array size must be a nonnegative integer, got {size!r}")
-    if type(indices) is not list or not set(map(type, indices)) <= {int}:
+def _rows_from_json(arrays: list) -> np.ndarray:
+    """The JSON arrays ``arrays``, sparse objects or dense lists of one
+    length, as the rows of a complex matrix.  The sparse objects are checked
+    over their concatenated indices and values, whose pairs are converted in
+    one call and scattered into the matrix at once.  A single array is
+    checked in the order the messages below are listed; of several
+    malformed arrays, any one may be the one named."""
+    sizes, sparse, indices, values = [], [], [], []
+    dense = {}
+    for r, obj in enumerate(arrays):
+        if not isinstance(obj, dict):
+            if not isinstance(obj, (list, tuple)):
+                raise SequenceError("vector JSON must be a list of [re, im] pairs or a sparse object")
+            dense[r] = _complex_array_from_json(obj)
+            sizes.append(dense[r].size)
+            continue
+        try:
+            size, at, vals = obj["size"], obj["indices"], obj["values"]
+        except KeyError as exc:
+            raise SequenceError(f"sparse array JSON missing field {exc}") from exc
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise SequenceError(f"sparse array size must be a nonnegative integer, got {size!r}")
+        if type(at) is not list:
+            raise SequenceError("sparse array indices must be a list of integers")
+        sizes.append(size)
+        sparse.append(r)
+        indices.append(at)
+        values.append(vals)
+    flat = list(chain.from_iterable(indices))
+    if not set(map(type, flat)) <= {int}:
         raise SequenceError("sparse array indices must be a list of integers")
-    if type(values) is not list or len(values) != len(indices):
+    counts = list(map(len, indices))
+    if not all(type(v) is list for v in values) or list(map(len, values)) != counts:
         raise SequenceError("sparse array needs a list of values, one per index")
-    if indices and (min(indices) < 0 or max(indices) >= size):
+    dims = set(sizes)
+    if len(dims) > 1:
+        raise DimensionError(f"mixed vector lengths in decomposition: {sorted(dims)}")
+    size = dims.pop() if dims else 0
+    if flat and (min(flat) < 0 or max(flat) >= size):
         raise SequenceError(f"sparse array index out of range for size {size}")
-    at = np.array(indices, dtype=np.intp)
-    if np.any(at[1:] <= at[:-1]):
+    at = np.array(flat, dtype=np.intp)
+    later = at[1:] > at[:-1]
+    starts = np.cumsum(counts, dtype=np.intp)[:-1]
+    later[starts[(starts > 0) & (starts < at.size)] - 1] = True  # pairs across two arrays
+    if not later.all():
         raise SequenceError("sparse array indices must be strictly increasing")
     try:
-        out = np.zeros(size, dtype=complex)
+        out = np.zeros((len(arrays), size), dtype=complex)
     except MemoryError as exc:  # a few bytes of sparse JSON can ask for any size
         raise SequenceError(f"sparse array size {size} is too large to hold") from exc
-    out[at] = _complex_array_from_json(values)
+    rows = np.repeat(np.array(sparse, dtype=np.intp), counts)
+    out[rows, at] = _complex_array_from_json(list(chain.from_iterable(values)))
+    for r, row in dense.items():
+        out[r] = row
     return out
 
 
@@ -305,9 +363,7 @@ def _vec_to_json(v: np.ndarray) -> list:
 
 
 def _vec_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, (list, tuple, dict)):
-        raise SequenceError("vector JSON must be a list of [re, im] pairs or a sparse object")
-    return _complex_array_from_json(obj)
+    return _rows_from_json([obj])[0]
 
 
 def _decomp_doc(decomp: RankOneDecomp, arrays) -> dict:
@@ -326,24 +382,41 @@ def decomp_to_json(decomp: RankOneDecomp) -> dict:
     return _decomp_doc(decomp, _plain)
 
 
-def _terms_from_json(items) -> tuple[RankOneTerm, ...]:
-    terms = []
+def _terms_from_json(items: list) -> tuple[RankOneTerm, ...]:
+    """The terms of the JSON term objects ``items``, read as ``make_term``
+    reads each one, with the term vectors read as rows of one matrix."""
+    weights, vectors = [], []
     for it in items:
         if not isinstance(it, dict) or "weight" not in it or "vector" not in it:
             raise SequenceError("decomposition terms need 'weight' and 'vector'")
-        terms.append(make_term(_real_from_json(it["weight"]), _vec_from_json(it["vector"])))
-    return tuple(terms)
+        weights.append(_real_from_json(it["weight"]))
+        vectors.append(it["vector"])
+    M = _rows_from_json(vectors)
+    weights = list(map(_term_weight, weights))
+    # unit_vector's norm and division, row by row, so the bits are its bits
+    norms = [float(np.linalg.norm(row)) for row in M]
+    off = [n for n in norms if abs(n - 1.0) > UNIT_TOL]
+    if off:
+        raise ValueError(f"vector norm {off[0]!r} is not 1")
+    return tuple(map(RankOneTerm, weights, M / np.array(norms)[:, None]))
 
 
 def decomp_from_json(obj) -> RankOneDecomp:
+    """The decomposition of a JSON object.  All its term vectors, remainder
+    terms included, are read in one pass; when that pass fails, the terms
+    are read one at a time, so the error is the first malformed term's."""
     if not isinstance(obj, dict) or "terms" not in obj:
         raise SequenceError("decomposition JSON must be an object with 'terms'")
-    terms = _terms_from_json(obj["terms"])
-    remainder = _terms_from_json(obj.get("remainder_terms", ()))
-    dims = {len(t.vector) for t in terms + remainder}
-    if len(dims) > 1:
-        raise DimensionError(f"mixed vector lengths in decomposition: {sorted(dims)}")
-    return RankOneDecomp(terms, remainder)
+    items = list(obj["terms"])
+    n = len(items)
+    items += obj.get("remainder_terms", ())
+    try:
+        terms = _terms_from_json(items)
+    except ValueError:
+        for it in items:
+            _terms_from_json([it])
+        raise
+    return RankOneDecomp(terms[:n], terms[n:])
 
 
 def decomp_residual(A, decomp: RankOneDecomp, with_remainder: bool = True) -> float:

@@ -1,8 +1,14 @@
+import hashlib
+import json
+import os
+import platform
+
 import numpy as np
 import pytest
 
 from admseq.bridge import DIAG_TOL, decomp_to_isometry, gram_matrix, isometry_to_decomp
 from admseq.carpenter import carpenter_decompose
+from admseq.cli import main
 from admseq.errors import DimensionError
 from admseq.horn import horn_decompose
 from admseq.operators import (
@@ -11,9 +17,12 @@ from admseq.operators import (
     POLAR_NOISE_FLOOR,
     POLAR_PROJ_TOL,
     RankOneDecomp,
-    eigh_desc,
+    RankOneTerm,
+    decomp_residual,
+    decomp_to_json,
     frame_operator,
     make_term,
+    op_to_json,
 )
 from admseq.seqkit import WeightSeq
 from admseq.streams import VectorStream
@@ -130,23 +139,36 @@ def test_rank_is_the_isometry_rank():
 # -- the polar factor's rounding noise --------------------------------------
 
 @pytest.fixture(scope="module")
-def block_record():
-    """Bridge record of 20 lambda-divergent stages on the block-4 stream,
-    whose polar pieces are mostly zero in exact arithmetic."""
+def block_decomp():
+    """20 lambda-divergent stages on the block-4 stream, whose term vectors
+    are real."""
     decomp, _, _ = carpenter_decompose(
         WeightSeq.periodic([0.6, 0.5], (0.75,)), VectorStream.block_overlap(4), stages=20
     )
-    return decomp_to_isometry(decomp)
+    return decomp
+
+
+@pytest.fixture(scope="module")
+def block_record(block_decomp):
+    """Bridge record of block_decomp, whose polar pieces are mostly zero in
+    exact arithmetic."""
+    return decomp_to_isometry(block_decomp)
 
 
 def unzeroed(rec):
     """The isometry and sqrt_gram of the eigh path before any part is zeroed,
-    and the largest singular value of the placement."""
-    w, U = eigh_desc(rec.gram)
+    and the largest singular value of the placement.  Like the polar factor,
+    it computes in float64 when the Gram matrix has no imaginary part."""
+    real = not rec.gram.imag.any()
+    G, B = (M.real.copy() if real else M for M in (rec.gram, rec.placement))
+    w, U = np.linalg.eigh(G)
+    order = np.argsort(w)[::-1]
+    w, U = w[order], U[:, order]
     kept = w > EIG_CLAMP
     s = np.sqrt(np.clip(w, 0.0, None))
     inv_s = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
-    return rec.placement @ (U * inv_s) @ U.conj().T, (U * s) @ U.conj().T, float(s[0])
+    V, root = B @ (U * inv_s) @ U.conj().T, (U * s) @ U.conj().T
+    return V.astype(complex), root.astype(complex), float(s[0])
 
 
 def test_polar_parts_are_zero_or_above_the_floor(block_record):
@@ -174,3 +196,66 @@ def test_zeroed_pieces_pass_every_check(block_record):
     assert np.max(np.abs(V @ rec.sqrt_gram - rec.placement)) <= POLAR_FACTOR_TOL
     assert np.max(np.abs(rec.diagonal - np.asarray(rec.weights))) <= DIAG_TOL
     assert rec.rank == np.linalg.matrix_rank(V)
+
+
+# -- real and complex inputs -------------------------------------------------
+
+RECORDED_ON = ("x86_64", "2.4.6")  # the build the digests below come from
+
+# sha256 of a bridge record and a verify report whose inputs are complex, so
+# they run in complex128, recorded before real inputs ran in float64.  Keyed
+# by OPENBLAS_CORETYPE: unset is the kernel OpenBLAS picks on the x86_64 CPU
+# they were recorded on (SkylakeX); the others are the kernels CI also runs.
+COMPLEX_DIGESTS = {
+    "": ("36bf2e4821e47984ec6d4dc0b5db0e7ce8058f703a171b04a1ed3aaf29c4f952",
+         "02a7d28be3f54f1fe92cc6c3bb2bfe49637a7b3c1d0e91cadf115c7ed7933b1d"),
+    "Haswell": ("390210cbed56c80c4c3063a344bcb66765e00dd36f513a8c34d2b5b39b70465c",
+                "b29d766f4ad76ca5799fc405f04a0c4ffb06ee950b62cc57b86c60423c5d1288"),
+    "Prescott": ("8494a2fdf043aa75f5e5000853f0c866cb196910d9dc4bff96f6a4da9411d2ee",
+                 "f36e0baf6175d83978bd890cb7949b6d5d22a8ca23e66e4258b2bb8c8241422c"),
+}
+
+
+def rotated(decomp, phase=np.exp(0.7j)):
+    """decomp with every term vector multiplied by ``phase``: the same
+    projections, with vectors that are no longer real."""
+    def turn(terms):
+        return tuple(RankOneTerm(t.weight, phase * t.vector) for t in terms)
+    return RankOneDecomp(turn(decomp.terms), turn(decomp.remainder))
+
+
+def test_real_and_complex_vectors_agree(block_decomp):
+    turned = rotated(block_decomp)
+    assert not any(t.vector.imag.any() for t in block_decomp.terms)
+    assert all(t.vector.imag.any() for t in turned.terms)
+    target = frame_operator(block_decomp.terms + block_decomp.remainder)
+    real, cplx = decomp_residual(target, block_decomp), decomp_residual(target, turned)
+    assert abs(real - cplx) <= 1e-15
+    recs = decomp_to_isometry(block_decomp), decomp_to_isometry(turned)
+    assert recs[0].rank == recs[1].rank
+    assert np.max(np.abs(recs[0].diagonal - recs[1].diagonal)) <= 1e-12
+    for rec in recs:
+        for M in (rec.placement, rec.isometry, rec.sqrt_gram, rec.gram, rec.range_projection):
+            assert M.dtype == np.complex128
+    assert not recs[0].isometry.imag.any() and recs[1].isometry.imag.any()
+
+
+def test_complex_inputs_keep_their_bits(tmp_path, capsys, monkeypatch):
+    decomp, _, _ = carpenter_decompose(
+        WeightSeq.periodic([], (0.4, 0.9)), VectorStream.block_overlap(4), stages=8
+    )
+    turned = rotated(decomp)
+    (tmp_path / "dec.json").write_text(json.dumps(decomp_to_json(turned)))
+    target = frame_operator(turned.terms + turned.remainder)
+    (tmp_path / "op.json").write_text(json.dumps(op_to_json(target)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["bridge", "dec.json", "--out", "rec.json"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "dec.json", "op.json"]) == 0
+    report = capsys.readouterr().out.encode()
+    record = (tmp_path / "rec.json").read_bytes()
+    assert json.loads(report)["residual"] <= 1e-12
+    kernel = os.environ.get("OPENBLAS_CORETYPE", "")
+    if (platform.machine(), np.__version__) == RECORDED_ON and kernel in COMPLEX_DIGESTS:
+        got = hashlib.sha256(record).hexdigest(), hashlib.sha256(report).hexdigest()
+        assert got == COMPLEX_DIGESTS[kernel]

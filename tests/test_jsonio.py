@@ -28,7 +28,7 @@ from admseq.bridge import decomp_to_isometry
 from admseq.carpenter import carpenter_decompose
 from admseq.checkers import sum_of_projections_check
 from admseq.cli import main
-from admseq.errors import SequenceError
+from admseq.errors import DimensionError, SequenceError
 from admseq.operators import (
     _array_doc,
     _complex_array_from_json,
@@ -38,10 +38,11 @@ from admseq.operators import (
     decomp_from_json,
     decomp_to_json,
     frame_operator,
+    make_term,
     op_from_json,
     op_to_json,
 )
-from admseq.seqkit import seq_from_json
+from admseq.seqkit import _real_from_json, seq_from_json
 from admseq.streams import stream_from_json
 
 
@@ -556,3 +557,153 @@ def test_verify_unallocatable_sparse_size_exits_two(tmp_path, capsys, monkeypatc
     assert main(["verify", str(dec), str(op)]) == 2
     assert capsys.readouterr().err == (
         f"error: sparse array size {10**13} is too large to hold\n")
+
+
+# -- the one-pass decomposition reader --------------------------------------
+
+def read_term_by_term(obj):
+    """The decomposition reader before the one-pass one: each term through
+    ``_vec_from_json`` and ``make_term``, in order, then the length check."""
+    def read(items):
+        terms = []
+        for it in items:
+            if not isinstance(it, dict) or "weight" not in it or "vector" not in it:
+                raise SequenceError("decomposition terms need 'weight' and 'vector'")
+            terms.append(make_term(_real_from_json(it["weight"]), _vec_from_json(it["vector"])))
+        return terms
+    terms, rest = read(obj["terms"]), read(obj.get("remainder_terms", ()))
+    dims = {len(t.vector) for t in terms + rest}
+    if len(dims) > 1:
+        raise DimensionError(f"mixed vector lengths in decomposition: {sorted(dims)}")
+    return terms, rest
+
+
+def outcome(read, obj):
+    """What ``read`` makes of ``obj``: the weights and vector bytes of its
+    terms and remainder terms, or the type and text of the error it raises.
+    An array above 10**9 entries is refused as unallocatable."""
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 10**9:
+            raise MemoryError
+        return real_zeros(shape, *args, **kwargs)
+
+    try:
+        with mock.patch.object(np, "zeros", zeros):
+            got = read(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, tuple):
+        got = {"terms": got[0], "remainder": got[1]}
+    else:
+        got = {"terms": got.terms, "remainder": got.remainder}
+    return {k: [(repr(t.weight), t.vector.dtype, t.vector.shape, t.vector.tobytes())
+                for t in ts] for k, ts in got.items()}
+
+
+term_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                       st.floats(-1.0, 1.0, allow_subnormal=True))
+
+
+@st.composite
+def term_doc(draw, dim):
+    """A term object whose vector is about unit norm (exactly zero when no
+    part is drawn), written sparse, with the pairs whose bits are not all
+    clear, or dense; real vectors carry +0.0 or -0.0 imaginary parts."""
+    real = draw(st.booleans())
+    parts = draw(st.lists(term_parts, min_size=2 * dim, max_size=2 * dim))
+    if real:
+        parts[1::2] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=dim, max_size=dim))
+    if not any(parts) and draw(st.integers(0, 9)):  # a zero vector now and then
+        parts[0] = 1.0
+    nrm = math.sqrt(math.fsum(x * x for x in parts))
+    vec = np.array([x / nrm if nrm else x for x in parts], dtype=np.float64).view(complex)
+    if draw(st.booleans()):
+        vector = sparse(vec)
+    else:
+        vector = pairs(vec)
+    weight = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, -1e-12, 1, "0.25"])))
+    return {"weight": weight, "vector": vector}
+
+
+def as_sparse(vector) -> dict:
+    if isinstance(vector, dict):
+        return vector
+    vec = np.array([complex(*p) for p in vector], dtype=complex)
+    return sparse(vec)
+
+
+def malform(doc, kind, pick):
+    """``doc`` (a term object, changed in place) with the malformation
+    ``kind``; ``pick`` chooses one of a list of options."""
+    vec = doc["vector"] = as_sparse(doc["vector"])
+    size, at, values = vec["size"], vec["indices"], vec["values"]
+    if kind == "missing-field":
+        del vec[pick(["size", "indices", "values"])]
+    elif kind == "missing-term-field":
+        del doc[pick(["weight", "vector"])]
+    elif kind == "bad-size":
+        vec["size"] = pick([-1, float(size), True, str(size), None])
+    elif kind == "index-type":
+        vec["indices"], vec["values"] = at + [pick([True, False, 1.0, "0", None])], values + [[1.0, 0.0]]
+    elif kind == "unsorted":
+        vec["indices"], vec["values"] = (at[::-1], values) if len(at) > 1 else (at * 2, values * 2)
+    elif kind == "out-of-range":
+        vec["indices"], vec["values"] = at + [pick([size, size + 3, -1])], values + [[0.0, 0.0]]
+    elif kind == "count":
+        vec["values"] = values[1:] if at else [[1.0, 0.0]]
+    elif kind == "unallocatable":
+        vec["size"] = 10**13
+    elif kind == "mixed-length":
+        vec["size"] = size + 1
+    elif kind == "bad-value":
+        vec["indices"], vec["values"] = [0], [[pick([True, None, "x"]), 0.0]]
+    elif kind == "bad-weight":
+        doc["weight"] = pick([-0.5, True, "x", None])
+    return doc
+
+
+MALFORMATIONS = ["missing-field", "missing-term-field", "bad-size", "index-type", "unsorted",
+                 "out-of-range", "count", "unallocatable", "mixed-length", "bad-value",
+                 "bad-weight"]
+
+
+@st.composite
+def decomposition_docs(draw):
+    """A decomposition document, term vectors sparse and dense, with up to
+    two of its terms malformed and, now and then, a negative weight on any
+    term, a malformed one too."""
+    dim = draw(st.integers(1, 5))
+    docs = [draw(term_doc(dim)) for _ in range(draw(st.integers(0, 6)))]
+    for at in draw(st.sets(st.integers(0, len(docs) - 1), max_size=2)) if docs else ():
+        malform(docs[at], draw(st.sampled_from(MALFORMATIONS)),
+                lambda options: draw(st.sampled_from(options)))
+    if docs and draw(st.booleans()):
+        docs[draw(st.integers(0, len(docs) - 1))]["weight"] = -0.5
+    split = draw(st.integers(0, len(docs)))
+    obj = {"terms": docs[:split]}
+    if split < len(docs) or draw(st.booleans()):
+        obj["remainder_terms"] = docs[split:]
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(decomposition_docs())
+def test_one_pass_reader_matches_term_by_term(obj):
+    assert outcome(decomp_from_json, obj) == outcome(read_term_by_term, obj)
+
+
+@pytest.mark.parametrize("kind", MALFORMATIONS)
+@pytest.mark.parametrize("at", [0, 3, 5])
+def test_first_malformed_term_is_named(kind, at):
+    # six unit vectors, dense; term ``at`` malformed, and for a second error
+    # term 4 (a remainder term) has no weight
+    unit = np.array([0.6, -0.0j, 0.8j])
+    docs = [{"weight": 0.5, "vector": pairs(np.roll(unit, i))} for i in range(6)]
+    malform(docs[at], kind, lambda options: options[0])
+    if at < 4:
+        del docs[4]["weight"]
+    obj = {"terms": docs[:4], "remainder_terms": docs[4:]}
+    got = outcome(decomp_from_json, obj)
+    assert isinstance(got, tuple) and got == outcome(read_term_by_term, obj)

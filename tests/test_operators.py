@@ -115,6 +115,29 @@ def test_residual_norm_is_spectral():
     assert residual_norm(A, B) == pytest.approx(2.0)
 
 
+def test_residual_norm_rejects_vectors():
+    with pytest.raises(DimensionError, match="expected equal square shapes"):
+        residual_norm(np.ones(3), np.zeros(3))
+
+
+def test_residual_norm_rejects_unequal_square_shapes():
+    with pytest.raises(DimensionError, match="expected equal square shapes"):
+        residual_norm(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["real", "complex"])
+def test_dense_results_are_complex_whatever_the_input(phase):
+    B = phase * RNG.normal(size=(5, 3))
+    rec = polar_partial_isometry(B)
+    for M in (rec.isometry, rec.sqrt_gram, rec.range_projection, rec.gram):
+        assert M.dtype == np.complex128
+    assert np.max(np.abs(rec.isometry @ rec.sqrt_gram - B)) <= 1e-12
+    terms = [make_term(0.5, v / np.linalg.norm(v)) for v in B]
+    S = frame_operator(terms)
+    assert S.dtype == np.complex128
+    assert np.max(np.abs(S - sum(0.5 * np.outer(t.vector, t.vector.conj()) for t in terms))) <= 1e-14
+
+
 def test_decomp_roundtrip_and_residual():
     v1 = np.array([1.0, 0.0], dtype=complex)
     v2 = np.array([0.0, 1.0], dtype=complex)
