@@ -1,15 +1,15 @@
 """Bridge between weighted rank-one decompositions and partial isometries.
 
 A decomposition sum xi_j v_j v_j* is encoded as the placement matrix B with
-rows sqrt(xi_j) v_j*.  Its Gram B*B is exactly the frame operator, and the
-polar factor V of B (computed from B*B, never an SVD) is a partial isometry
-with V A V* carrying the weights on its diagonal.  V and (B*B)^{1/2} come
-with their rounding noise set to +0.0 (``operators.POLAR_NOISE_FLOOR``), and
-the diagonal is checked on those matrices.  When every term vector is real
-(every imaginary part zero), the polar factor and the diagonal are computed
-in float64; the record's matrices are complex128 either way.  Both
-directions of the translation are provided and are exact inverses on
-nonzero-weight terms."""
+rows sqrt(xi_j) v_j*; terms of unequal length are refused.  Its Gram B*B is
+exactly the frame operator, and the polar factor V of B (computed from B*B,
+never an SVD) is a partial isometry with V A V* carrying the weights on its
+diagonal.  V and (B*B)^{1/2} come with their rounding noise set to +0.0
+(``operators.POLAR_NOISE_FLOOR``), and the diagonal is checked on those
+matrices.  When every term vector is real (every imaginary part zero), the
+polar factor and the diagonal are computed in float64; the record's
+matrices are complex128 either way.  Both directions of the translation
+are provided and are exact inverses on nonzero-weight terms."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from functools import cached_property
 from ._np import np
 from .errors import DimensionError
 from .operators import (
+    PartialIsometryRec,
     RankOneDecomp,
     RankOneTerm,
     _real_if_imag_zero,
@@ -34,8 +35,8 @@ ROUNDTRIP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class BridgeRecord:
-    """Placement matrix, its polar pieces, and the bookkeeping to invert.
+class BridgeRecord(PartialIsometryRec):
+    """The polar record of a placement matrix, plus the bookkeeping to invert.
 
     ``placement`` has one row per kept (nonzero-weight) term;
     ``kept_indices`` maps those rows back to positions in the source
@@ -46,13 +47,8 @@ class BridgeRecord:
     """
 
     placement: np.ndarray
-    isometry: np.ndarray
-    sqrt_gram: np.ndarray
-    gram: np.ndarray
-    range_projection: np.ndarray
     kept_indices: tuple[int, ...]
     weights: tuple[float, ...]
-    rank: int
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -67,25 +63,25 @@ class BridgeRecord:
         return float(np.max(np.abs(self.diagonal - np.asarray(self.weights))))
 
 
+def _placement(terms) -> np.ndarray:
+    """The placement matrix with rows sqrt(w_j) v_j* of ``terms``, which
+    must share one length."""
+    if len({len(t.vector) for t in terms}) > 1:
+        raise DimensionError("terms disagree on the ambient dimension")
+    return np.array([math.sqrt(t.weight) * t.vector.conj() for t in terms], dtype=complex)
+
+
 def decomp_to_isometry(decomp: RankOneDecomp) -> BridgeRecord:
     """Encode the nonzero-weight terms as a placement matrix and polar-factor it."""
     kept = [(i, t) for i, t in enumerate(decomp.terms) if t.weight > WEIGHT_FLOOR]
     if not kept:
         raise DimensionError("decomposition has no terms above the weight floor")
-    dim = len(kept[0][1].vector)
-    B = np.array([math.sqrt(t.weight) * t.vector.conj() for _, t in kept], dtype=complex)
-    if B.shape[1] != dim:
-        raise DimensionError("terms disagree on the ambient dimension")
-    rec = polar_partial_isometry(B)
+    B = _placement([t for _, t in kept])
     out = BridgeRecord(
+        **vars(polar_partial_isometry(B)),
         placement=B,
-        isometry=rec.isometry,
-        sqrt_gram=rec.sqrt_gram,
-        gram=rec.gram,
-        range_projection=rec.range_projection,
         kept_indices=tuple(i for i, _ in kept),
         weights=tuple(t.weight for _, t in kept),
-        rank=rec.rank,
     )
     if out.diagonal_deviation > DIAG_TOL:
         raise ValueError(
@@ -123,8 +119,7 @@ def isometry_to_decomp(isometry, gram) -> RankOneDecomp:
 def gram_matrix(decomp: RankOneDecomp) -> np.ndarray:
     """Gram matrix of the scaled vectors sqrt(xi_j) v_j over all terms,
     zero-weight ones included."""
-    terms = decomp.terms
-    if not terms:
+    if not decomp.terms:
         return np.zeros((0, 0), dtype=complex)
-    B = np.array([math.sqrt(t.weight) * t.vector.conj() for t in terms], dtype=complex)
+    B = _placement(decomp.terms)
     return B @ B.conj().T

@@ -54,8 +54,7 @@ def sum_of_projections_check(a, witness: bool = False):
 
     Returns (report, decomp) where decomp is None unless a witness was
     requested and the check passed."""
-    mat = assert_hermitian(a)
-    vals, vecs = eigh_desc(mat)
+    vals, vecs = eigh_desc(a)
     trace = float(math.fsum(vals))
     rank = int(np.sum(vals > RANK_TOL))
     excess = float(math.fsum(v - 1.0 for v in vals if v > 1.0))
@@ -64,7 +63,7 @@ def sum_of_projections_check(a, witness: bool = False):
     def report(ok, n, reason=None):
         return SumOfProjReport(ok, n, trace, rank, excess, deficiency, reason)
 
-    if vals[-1] < -INT_TOL:
+    if vals.size and vals[-1] < -INT_TOL:  # the zero operator on C^0 is the empty sum
         return report(False, None, "operator has a negative eigenvalue"), None
     n = round(trace)
     if abs(trace - n) > INT_TOL:
@@ -182,28 +181,24 @@ def adm_transform(
     spaces.  convex-mix: scale d1 by t and d2 by 1 - t on a common space.
     split: replace each term (w, v) of d1 by (w eta_j, v) for a probability
     vector eta, leaving the frame operator unchanged."""
-    if mode == "direct-sum":
+    if mode in ("direct-sum", "convex-mix"):
         if d2 is None:
-            raise ValueError("direct-sum needs a second decomposition")
-        n1, n2 = d1.dim, d2.dim
-        dim = n1 + n2
-        terms = tuple(_embed(x, dim) for x in d1.terms)
-        terms += tuple(_embed(x, dim, shift=n1) for x in d2.terms)
-        rem = tuple(_embed(x, dim) for x in d1.remainder)
-        rem += tuple(_embed(x, dim, shift=n1) for x in d2.remainder)
-        return RankOneDecomp(terms, rem)
-    if mode == "convex-mix":
-        if d2 is None:
-            raise ValueError("convex-mix needs a second decomposition")
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {t!r}")
-        if d1.terms and d2.terms and d1.dim != d2.dim:
-            raise DimensionError("convex-mix needs matching dimensions")
-        terms = tuple(RankOneTerm(t * x.weight, x.vector) for x in d1.terms)
-        terms += tuple(RankOneTerm((1.0 - t) * x.weight, x.vector) for x in d2.terms)
-        rem = tuple(RankOneTerm(t * x.weight, x.vector) for x in d1.remainder)
-        rem += tuple(RankOneTerm((1.0 - t) * x.weight, x.vector) for x in d2.remainder)
-        return RankOneDecomp(terms, rem)
+            raise ValueError(f"{mode} needs a second decomposition")
+        if mode == "direct-sum":
+            n1, dim = d1.dim, d1.dim + d2.dim
+            first = lambda x: _embed(x, dim)
+            second = lambda x: _embed(x, dim, shift=n1)
+        else:
+            if not 0.0 <= t <= 1.0:
+                raise ValueError(f"mixing weight must lie in [0, 1], got {t!r}")
+            if d1.terms and d2.terms and d1.dim != d2.dim:
+                raise DimensionError("convex-mix needs matching dimensions")
+            first = lambda x: RankOneTerm(t * x.weight, x.vector)
+            second = lambda x: RankOneTerm((1.0 - t) * x.weight, x.vector)
+        return RankOneDecomp(
+            tuple(map(first, d1.terms)) + tuple(map(second, d2.terms)),
+            tuple(map(first, d1.remainder)) + tuple(map(second, d2.remainder)),
+        )
     if mode == "split":
         if eta is None:
             raise ValueError("split needs a probability vector")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from ._np import np
+from .bridge import gram_matrix
 from .errors import DimensionError, MajorizationError
 from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import majorizes
@@ -260,19 +261,23 @@ def _horn_place(
             continue
         ka = bisect_left(work, (t,))  # the smallest weight >= t
         if ka == len(work):
-            raise MajorizationError(
-                f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
-            )
+            # pool entries of at most tol left the pool but counted in the
+            # majorization: a shortfall they make up takes the largest entry
+            # left, or the anchor once none is
+            top = work[-1][0] if work else 0.0
+            if t - top > tol + math.fsum(p.weight for p in pool if p.weight <= tol):
+                raise MajorizationError(
+                    f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
+                )
+            placed[idx] = RankOneTerm(t, work.pop(bisect_left(work, (top,)))[2] if work else anchor)
+            continue
         a, arrival, ua, na = work[ka]
         if ka == 0:
             # every pool weight exceeds the largest remaining target: peel
             # the target off the smallest entry along its own direction; what
             # is left is still the smallest, so it keeps its place
             placed[idx] = RankOneTerm(t, ua)
-            if a - t <= tol:
-                del work[0]
-            else:
-                work[0] = (a - t, arrival, ua, na)
+            work[0] = (a - t, arrival, ua, na)
             continue
         kb = bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
         b, _, ub, nb = work[kb]
@@ -318,6 +323,4 @@ def schur_horn_matrix(eigenvalues, diagonal) -> np.ndarray:
         raise DimensionError("need at least one eigenvalue and one diagonal entry")
     basis = np.eye(n, dtype=complex)
     sources = [RankOneTerm(lam[i], basis[:, i]) for i in range(n)]
-    decomp = horn_decompose(sources, xi)
-    B = np.array([math.sqrt(max(t.weight, 0.0)) * t.vector.conj() for t in decomp.terms])
-    return B @ B.conj().T
+    return gram_matrix(horn_decompose(sources, xi))

@@ -248,10 +248,10 @@ def _complex_array_from_json(entries) -> np.ndarray:
 def _rows_from_json(arrays: list) -> np.ndarray:
     """The JSON arrays ``arrays``, sparse objects or dense lists of one
     length, as the rows of a complex matrix.  The sparse objects are checked
-    over their concatenated indices and values, whose pairs are converted in
-    one call and scattered into the matrix at once.  A single array is
-    checked in the order the messages below are listed; of several
-    malformed arrays, any one may be the one named."""
+    over their concatenated indices and values (a lone one's lists as they
+    are), whose pairs are converted in one call and scattered at once.  A
+    single array is checked in the order the messages below are listed; of
+    several malformed arrays, any one may be the one named."""
     sizes, sparse, indices, values = [], [], [], []
     dense = {}
     for r, obj in enumerate(arrays):
@@ -273,7 +273,7 @@ def _rows_from_json(arrays: list) -> np.ndarray:
         sparse.append(r)
         indices.append(at)
         values.append(vals)
-    flat = list(chain.from_iterable(indices))
+    flat = indices[0] if len(indices) == 1 else list(chain.from_iterable(indices))
     if not set(map(type, flat)) <= {int}:
         raise SequenceError("sparse array indices must be a list of integers")
     counts = list(map(len, indices))
@@ -296,7 +296,8 @@ def _rows_from_json(arrays: list) -> np.ndarray:
     except MemoryError as exc:  # a few bytes of sparse JSON can ask for any size
         raise SequenceError(f"sparse array size {size} is too large to hold") from exc
     rows = np.repeat(np.array(sparse, dtype=np.intp), counts)
-    out[rows, at] = _complex_array_from_json(list(chain.from_iterable(values)))
+    pairs = values[0] if len(values) == 1 else list(chain.from_iterable(values))
+    out[rows, at] = _complex_array_from_json(pairs)
     for r, row in dense.items():
         out[r] = row
     return out

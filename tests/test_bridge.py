@@ -6,7 +6,13 @@ import platform
 import numpy as np
 import pytest
 
-from admseq.bridge import DIAG_TOL, decomp_to_isometry, gram_matrix, isometry_to_decomp
+from admseq.bridge import (
+    DIAG_TOL,
+    WEIGHT_FLOOR,
+    decomp_to_isometry,
+    gram_matrix,
+    isometry_to_decomp,
+)
 from admseq.carpenter import carpenter_decompose
 from admseq.cli import main
 from admseq.errors import DimensionError
@@ -104,6 +110,33 @@ def test_all_zero_decomposition_rejected():
     v = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(DimensionError):
         decomp_to_isometry(RankOneDecomp((make_term(0.0, v),)))
+
+
+def test_unequal_term_lengths_are_refused():
+    decomp = RankOneDecomp((make_term(0.5, [1.0, 0.0]), make_term(0.5, [0.0, 0.0, 1.0])))
+    for build in (decomp_to_isometry, gram_matrix):
+        with pytest.raises(DimensionError, match="^terms disagree on the ambient dimension$"):
+            build(decomp)
+
+
+def test_isometry_to_decomp_refuses_bad_shapes():
+    with pytest.raises(DimensionError, match=r"^expected a matrix isometry, got shape \(2,\)$"):
+        isometry_to_decomp(np.ones(2), np.eye(2))
+    with pytest.raises(DimensionError, match="^isometry acts on dimension 2 but the operator has 3$"):
+        isometry_to_decomp(np.eye(2), np.eye(3))
+
+
+def test_isometry_to_decomp_skips_rows_at_the_weight_floor():
+    # row 1 of V is zero and row 2 carries a weight below WEIGHT_FLOOR
+    V = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    back = isometry_to_decomp(V, np.diag([0.5, 0.5 * WEIGHT_FLOOR]))
+    assert [t.weight for t in back.terms] == [pytest.approx(0.5, abs=1e-15)]
+    assert np.allclose(back.terms[0].vector, [1.0, 0.0], atol=1e-15)
+
+
+def test_gram_matrix_of_no_terms_is_empty():
+    G = gram_matrix(RankOneDecomp(()))
+    assert G.shape == (0, 0) and G.dtype == np.complex128
 
 
 def test_gram_matrix_spectrum_matches_frame_operator():

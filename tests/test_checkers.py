@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from admseq.checkers import (
+    SumOfProjReport,
     adm_transform,
     ineq_check,
     projection_diag_check,
@@ -53,6 +54,15 @@ class TestSumOfProjections:
         rep, decomp = sum_of_projections_check(np.zeros((3, 3)), witness=True)
         assert rep.decomposable and rep.num_projections == 0
         assert decomp.terms == ()
+
+    def test_operator_on_no_dimensions_is_the_empty_sum(self):
+        for witness in (False, True):
+            rep, decomp = sum_of_projections_check(np.zeros((0, 0)), witness=witness)
+            assert rep == SumOfProjReport(True, 0, 0.0, 0, 0.0, 0.0)
+            if witness:
+                assert decomp.terms == () and decomp.remainder == ()
+            else:
+                assert decomp is None
 
     def test_agrees_with_majorization_oracle(self):
         rng = np.random.default_rng(7)
@@ -172,6 +182,34 @@ class TestTransforms:
         assert np.max(np.abs(op - frame_operator(self.d1.terms, dim=2))) <= 1e-12
         with pytest.raises(ValueError):
             adm_transform(self.d1, mode="split", eta=[0.25, 0.25])
+
+    def test_remainders_map_as_terms(self):
+        e = np.eye(2)
+        d1 = RankOneDecomp(self.d1.terms, (make_term(0.125, e[1]),))
+        d2 = RankOneDecomp(self.d2.terms, (make_term(0.375, e[0]), make_term(0.0625, e[1])))
+        out = adm_transform(d1, d2, mode="direct-sum")
+        assert [t.weight for t in out.remainder] == [0.125, 0.375, 0.0625]
+        assert [int(np.flatnonzero(t.vector)[0]) for t in out.remainder] == [1, 2, 3]
+        out = adm_transform(d1, d2, mode="convex-mix", t=0.25)
+        assert [t.weight for t in out.terms] == [0.125, 0.25, 0.1875]
+        assert [t.weight for t in out.remainder] == [0.03125, 0.28125, 0.046875]
+        assert all(a.vector is b.vector for a, b in zip(out.remainder, d1.remainder + d2.remainder))
+
+    @pytest.mark.parametrize("mode", ["direct-sum", "convex-mix"])
+    def test_two_operand_modes_need_a_second_decomposition(self, mode):
+        with pytest.raises(ValueError, match=f"^{mode} needs a second decomposition$"):
+            adm_transform(self.d1, mode=mode)
+
+    def test_convex_mix_refuses_unequal_dimensions(self):
+        d3 = RankOneDecomp((make_term(1.0, np.eye(3)[0]),))
+        with pytest.raises(DimensionError, match="^convex-mix needs matching dimensions$"):
+            adm_transform(self.d1, d3, mode="convex-mix")
+
+    def test_split_refuses_a_missing_or_negative_eta(self):
+        with pytest.raises(ValueError, match="^split needs a probability vector$"):
+            adm_transform(self.d1, mode="split")
+        with pytest.raises(ValueError, match="^split weights must be nonnegative$"):
+            adm_transform(self.d1, mode="split", eta=[1.5, -0.5])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

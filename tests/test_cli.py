@@ -308,6 +308,19 @@ class TestCheckSums:
         assert code == 1
         assert rep["reason"] == "trace is not an integer"
 
+    @pytest.mark.parametrize("doc", [{"dim": 0, "entries": []}, {"diag": []}], ids=["dim-0", "diag"])
+    def test_zero_operator_is_the_empty_sum(self, tmp_path, capsys, doc):
+        op = write_json(tmp_path / "op.json", doc)
+        out = tmp_path / "wit.json"
+        code = main(["check-sums", op, "--witness", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        rep = json.loads(captured.out)
+        assert rep["decomposable"] is True and rep["reason"] is None
+        assert (rep["num_projections"], rep["trace"], rep["rank"]) == (0, 0.0, 0)
+        assert rep["witness_residual"] == 0.0
+        assert json.loads(out.read_text()) == {"terms": []}
+
     def test_non_hermitian_exits_two(self, tmp_path, capsys):
         op = write_json(
             tmp_path / "op.json",

@@ -251,7 +251,9 @@ def test_eigh_of_constructed_matrix_feeds_back():
 
 def _scan_place(pool, target_weights, tol):
     """The placement as it was before the pool was kept sorted: three scans
-    of the pool, in arrival order, for each target.  The reference."""
+    of the pool, in arrival order, for each target, and a target that no
+    entry reaches placed when the dropped entries make up its shortfall.
+    The reference."""
     targets = [float(t) for t in target_weights]
     if any(t < 0.0 for t in targets):
         raise MajorizationError("target weights must be nonnegative")
@@ -285,9 +287,15 @@ def _scan_place(pool, target_weights, tol):
         above = [k for k, (w, _) in enumerate(work) if w >= t]
         below = [k for k, (w, _) in enumerate(work) if w < t]
         if not above:
-            raise MajorizationError(
-                f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
-            )
+            # entries of at most tol left the pool; they may make up the shortfall
+            top = max((w for w, _ in work), default=0.0)
+            if t - top > tol + math.fsum(p.weight for p in pool if p.weight <= tol):
+                raise MajorizationError(
+                    f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
+                )
+            largest = [k for k, (w, _) in enumerate(work) if w == top]
+            placed[idx] = RankOneTerm(t, work.pop(largest[0])[1] if largest else anchor)
+            continue
         ka = min(above, key=lambda k: work[k][0])
         if not below:
             placed[idx] = RankOneTerm(t, work[ka][1])
@@ -390,6 +398,33 @@ def test_unreachable_target_is_refused():
     assert _outcome(_horn_place, weights, targets, 1e-12) == want
 
 
+# pool entries of at most PLACE_TOL leave the pool but count in the
+# majorization.  Each case: pool weights, targets, and the target placed
+# last, with the pool vector it takes: the largest entry left (a case that
+# test_coefficient_rows_place_as_unit_vectors draws), or the anchor, the
+# first pool vector, once no entry is left
+DROPPED_SHORTFALLS = [
+    ([1e-12, 0.0919159421350969],
+     [0.0746448379485975, 0.005916510091281203, 0.011354594096218211], 1, 1),
+    ([1e-12, 1e-12, 0.5], [0.5, 1.5e-12], 1, 0),
+]
+
+
+@pytest.mark.parametrize("weights, targets, last, source", DROPPED_SHORTFALLS,
+                         ids=["largest", "anchor"])
+def test_dropped_entries_make_up_a_shortfall(weights, targets, last, source):
+    assert majorizes(targets, weights, tol=horn.PLACE_MAJORIZE_TOL).holds
+    eye = np.eye(len(weights), dtype=complex)
+    pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
+    dec = horn_decompose(pool, targets)
+    assert [t.weight for t in dec.terms] == targets
+    assert np.array_equal(dec.terms[last].vector, eye[source])
+    residual = frame_operator(dec.terms, dim=len(weights)) - frame_operator(pool)
+    assert np.max(np.abs(residual)) <= 3e-12
+    assert _outcome(_horn_place, weights, targets, PLACE_TOL) == _outcome(
+        _scan_place, weights, targets, PLACE_TOL)
+
+
 # -- coefficient rows against unit vectors ---------------------------------
 
 AWKWARD = [1e-12, 0.5 + 1e-12, 0.5 - 1e-12, 0.5, 1.0]
@@ -462,7 +497,9 @@ def placement_log(weights, targets, rows):
 def test_coefficient_rows_place_as_unit_vectors(k, seed):
     rng = np.random.default_rng([k, seed])
     # a pool weight of exactly PLACE_TOL is dropped from the pool but counted
-    # by the majorization test, so some cases are refused, alike on both paths
+    # by the majorization test; a target it leaves short of every entry takes
+    # the largest one, so those cases place too.  A refusal, if any, must be
+    # alike on both paths
     placed = 0
     for _ in range(20):
         if placed == 2:

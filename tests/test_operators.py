@@ -104,6 +104,13 @@ def test_frame_operator_matches_outer_sums():
     assert np.allclose(S, expect)
 
 
+def test_frame_operator_of_no_terms_is_zero():
+    S = frame_operator([], dim=3)
+    assert S.shape == (3, 3) and S.dtype == np.complex128 and not S.any()
+    with pytest.raises(DimensionError, match="^cannot infer the dimension of an empty sum$"):
+        frame_operator([])
+
+
 def test_frame_operator_dimension_mismatch():
     with pytest.raises(DimensionError):
         frame_operator([make_term(1.0, [1.0, 0.0]), make_term(1.0, [1.0, 0.0, 0.0])])
