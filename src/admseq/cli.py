@@ -26,14 +26,14 @@ from .errors import (
     SequenceError,
     TraceMismatchError,
 )
-from .jsonio import write_json
+from .jsonio import write_decomposition, write_json
 from .operators import (
     _array_doc,
-    _decomp_doc,
+    _frame_of_rows,
     _op_doc,
+    _term_matrix,
     decomp_from_json,
     decomp_residual,
-    frame_operator,
     op_from_json,
 )
 from .seqkit import kadison_check, majorizes, seq_from_json
@@ -141,12 +141,10 @@ def _cmd_decompose(args) -> int:
         return 1
     written = []
     if args.out:
-        write_json(args.out, _decomp_doc(decomp, np.asarray))
-        target = frame_operator(
-            list(decomp.terms) + list(decomp.remainder), dim=decomp.dim
-        )
+        vectors, weights = _term_matrix(decomp)
+        write_decomposition(args.out, vectors, weights, len(decomp.terms))
         tpath = _target_path(args.out)
-        write_json(tpath, _op_doc(target, np.asarray))
+        write_json(tpath, _op_doc(_frame_of_rows(vectors, weights), np.asarray))
         written = [args.out, tpath]
     _emit(
         _report(
@@ -205,7 +203,7 @@ def _cmd_check_sums(args) -> int:
     if witness is not None:
         fields["witness_residual"] = decomp_residual(a, witness)
         if args.out:
-            write_json(args.out, _decomp_doc(witness, np.asarray))
+            write_decomposition(args.out, *_term_matrix(witness), len(witness.terms))
             fields["written"] = [args.out]
     _emit(_report(args, "check-sums", {"operator": digest}, **fields))
     return 0 if rep.decomposable else 1

@@ -6,15 +6,23 @@ CPython's C encoder is off whenever ``indent`` is set, so ``json.dump`` walks
 long arrays entry by entry in pure Python.  Here a complex ndarray stands for
 its row-major ``[[re, im], ...]`` list, written a chunk of pairs at a time
 with fixed indent separators, and an integer ndarray for its list of ints,
-written with one join.  The writer builds neither the per-entry lists nor
-the whole document as one string."""
+written with one join.  A float that is ``+0.0`` is written as the constant
+``0.0``; every other float goes through ``float.__repr__``.
+
+``write_decomposition`` writes the bytes ``json.dump`` writes for
+``operators.decomp_to_json`` from the stacked ``m x dim`` matrix of term
+vectors: one scan finds its non-zero pairs, and each term's text is one
+fixed template filled in.  Neither writer builds the per-entry lists or the
+whole document as one string."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from json.encoder import encode_basestring_ascii
 
 from ._np import np
+from .operators import _nonzero_pairs
 
 INDENT = "  "
 CHUNK_PAIRS = 4096  # [re, im] pairs formatted per write
@@ -85,24 +93,100 @@ def _write_array(write, arr: np.ndarray, level: int) -> None:
         write("\n" + INDENT * level + "]")
         return
     flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1)
-    part = "\n" + INDENT * (level + 2)
-    inner = "," + part
-    outer = item + "]," + item + "[" + part
-    write("[" + item + "[" + part)
+    outer, inner = _pair_separators(level)
+    write("[" + item + "[" + inner[1:])
     for start in range(0, flat.size, CHUNK_PAIRS):
         if start:
             write(outer)
-        floats = iter(_float_texts(flat[start : start + CHUNK_PAIRS].view(np.float64).tolist()))
+        floats = iter(_float_texts(flat[start : start + CHUNK_PAIRS].view(np.float64)))
         write(outer.join(map(inner.join, zip(floats, floats))))
     write(item + "]\n" + INDENT * level + "]")
 
 
-def _float_texts(values: list) -> list:
-    """``json`` texts of the floats ``values``: ``float.__repr__``, with
-    ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones.  Their
-    sum is finite unless one of them is not (or the sum overflows), so a
-    list of finite floats is never looked at one by one."""
+def _pair_separators(level: int) -> tuple[str, str]:
+    """The text between two [re, im] pairs of a list at ``level``, and the
+    text between the two parts of one pair."""
+    item = "\n" + INDENT * (level + 1)
+    inner = ",\n" + INDENT * (level + 2)
+    return item + "]," + item + "[" + inner[1:], inner
+
+
+def _float_texts(parts: np.ndarray) -> list:
+    """``json`` texts of the float64 values ``parts``: ``0.0`` for each
+    ``+0.0`` (all bits clear), and ``float.__repr__`` of every other value,
+    with ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones.
+    Their sum is finite unless one of them is not (or the sum overflows), so
+    a list of finite floats is never looked at one by one."""
+    nonzero = parts.view(np.uint64) != 0
+    values = parts[nonzero].tolist()
     reprs = list(map(float.__repr__, values))
-    if math.isfinite(sum(values)):
+    if not math.isfinite(sum(values)):
+        reprs = [_NONFINITE.get(r, r) for r in reprs]
+    if len(reprs) == parts.size:
         return reprs
-    return [_NONFINITE.get(r, r) for r in reprs]
+    texts = iter(reprs)
+    return [next(texts) if nz else "0.0" for nz in nonzero.tolist()]
+
+
+def write_decomposition(path: str, vectors, weights, n_terms: int) -> None:
+    """Write the decomposition whose term vectors are the rows of the complex
+    matrix ``vectors`` and whose weights are ``weights``: the first
+    ``n_terms`` rows are its terms, the rest its remainder terms, listed
+    under ``remainder_terms`` only when there are any."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_decomposition(fh.write, vectors, weights, n_terms)
+        fh.write("\n")
+
+
+def _write_decomposition(write, vectors, weights, n_terms: int) -> None:
+    """What ``write_decomposition`` writes, but the final newline."""
+    at, values, ends = _nonzero_pairs(vectors)
+    weights = list(map(_scalar, weights))
+    lists = [('"remainder_terms"', n_terms, len(weights))] if len(weights) > n_terms else []
+    for i, (key, lo, hi) in enumerate(lists + [('"terms"', 0, n_terms)]):
+        write(("," if i else "{") + "\n" + INDENT + key + ": ")
+        if lo == hi:
+            write("[]")
+            continue
+        write("[")
+        _write_terms(write, vectors.shape[1], at, values, ends, weights, lo, hi)
+        write("\n" + INDENT + "]")
+    write("\n}")
+
+
+def _write_terms(write, size: int, at, values, ends, weights, lo: int, hi: int) -> None:
+    """Terms ``lo`` to ``hi`` of a decomposition's term list, a chunk at a
+    time.  Term ``j``'s non-zero pairs are the run of ``values``, at the
+    indices ``at``, that ends at ``ends[j]`` and starts where the run before
+    it ends.  A chunk holds at most CHUNK_PAIRS pairs, each term counting as
+    one more, or a single term."""
+    vector = """{
+      "vector": {
+        "indices": %s,
+        "size": %d,
+        "values": %s
+      },
+      "weight": %s
+    }"""
+    term = vector % ("[\n          %s\n        ]", size,
+                     "[\n          [\n            %s\n          ]\n        ]", "%s")
+    zero = vector % ("[]", size, "[]", "%s")
+    (outer, inner), index = _pair_separators(4), ",\n          "
+    bounds = [0] + ends
+    costs = [b + j for j, b in enumerate(bounds)]  # pairs plus terms before each term
+    start = lo
+    while start < hi:
+        stop = max(bisect_right(costs, costs[start] + CHUNK_PAIRS, start, hi + 1) - 1, start + 1)
+        a, b = bounds[start], bounds[stop]
+        indices = list(map(int.__repr__, at[a:b].tolist()))
+        floats = iter(_float_texts(values[a:b].view(np.float64)))
+        pairs = list(map(inner.join, zip(floats, floats)))
+        texts = []
+        for j in range(start, stop):
+            p, q = bounds[j] - a, bounds[j + 1] - a
+            if p == q:
+                texts.append(zero % weights[j])
+            else:
+                texts.append(term % (index.join(indices[p:q]), outer.join(pairs[p:q]), weights[j]))
+        write(("," if start > lo else "") + "\n    " + ",\n    ".join(texts))
+        start = stop

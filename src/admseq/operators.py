@@ -9,7 +9,11 @@ The dense products behind ``frame_operator``, ``residual_norm`` and
 input is zero, so real data takes the real BLAS and LAPACK routines; any
 other input runs in complex128.  Their results are complex128 either way.
 A decomposition's term vectors are read in one pass: one check over all
-their indices and values, one conversion and one scatter into a matrix."""
+their indices and values, one conversion and one scatter into a matrix.  To
+be written, they are stacked into one matrix (``_term_matrix``) whose
+non-zero pairs are found in one scan (``_nonzero_pairs``); ``jsonio``'s
+decomposition writer takes that matrix, and the CLI's target is its frame
+product (``_frame_of_rows``), the one ``frame_operator`` takes."""
 
 from __future__ import annotations
 
@@ -199,8 +203,14 @@ def frame_operator(terms, dim: int | None = None) -> np.ndarray:
             raise DimensionError(f"term vector has length {len(t.vector)}, expected {dim}")
     if not terms:
         return np.zeros((dim, dim), dtype=complex)
-    V = _real_if_imag_zero([t.vector for t in terms])
-    w = np.array([t.weight for t in terms], dtype=float)
+    return _frame_of_rows([t.vector for t in terms], [t.weight for t in terms])
+
+
+def _frame_of_rows(vectors, weights) -> np.ndarray:
+    """Sum of w_j v_j v_j^* over the rows v_j of ``vectors``, as a complex128
+    matrix."""
+    V = _real_if_imag_zero(vectors)
+    w = np.array(weights, dtype=float)
     return ((V.T * w) @ V.conj()).astype(complex, copy=False)
 
 
@@ -303,16 +313,22 @@ def _rows_from_json(arrays: list) -> np.ndarray:
     return out
 
 
+def _nonzero_pairs(M) -> tuple[np.ndarray, np.ndarray, list]:
+    """The pairs of the complex matrix ``M`` that the sparse form lists, found
+    in one pass over ``M``: their column indices and values, row after row,
+    and the end of each row's run in those arrays."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    bits = M.view(np.uint64)
+    flat = np.flatnonzero((bits[:, 0::2] | bits[:, 1::2]) != 0)
+    ends = np.searchsorted(flat, np.arange(1, M.shape[0] + 1) * M.shape[1]).tolist()
+    return flat % M.shape[1], M.reshape(-1)[flat], ends
+
+
 def _sparse_docs(M, arrays) -> list[dict]:
     """Sparse JSON object of each row of the complex matrix ``M``, with its
     index and value arrays mapped by ``arrays``: ``_plain`` gives plain
-    lists, ``np.asarray`` keeps the arrays for ``jsonio.write_json``.  The
-    non-zero pairs of all rows are found in one pass over ``M``."""
-    M = np.ascontiguousarray(M, dtype=complex)
-    bits = M.view(np.uint64)
-    nonzero = (bits[:, 0::2] | bits[:, 1::2]) != 0
-    indices, values = nonzero.nonzero()[1], M[nonzero]
-    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    lists, ``np.asarray`` keeps the arrays for ``jsonio.write_json``."""
+    indices, values, ends = _nonzero_pairs(M)
     return [
         {"size": M.shape[1], "indices": arrays(indices[a:b]), "values": arrays(values[a:b])}
         for a, b in zip([0] + ends, ends)
@@ -367,20 +383,23 @@ def _vec_from_json(obj) -> np.ndarray:
     return _rows_from_json([obj])[0]
 
 
-def _decomp_doc(decomp: RankOneDecomp, arrays) -> dict:
-    """Decomposition JSON object with each term vector in sparse form, the
-    arrays mapped by ``arrays`` as in ``_sparse_docs``."""
+def _term_matrix(decomp: RankOneDecomp) -> tuple[np.ndarray, list]:
+    """The term vectors of ``decomp``, remainder terms last, as the rows of
+    one complex matrix, and their weights."""
     ts = decomp.terms + decomp.remainder
-    vectors = _sparse_docs([t.vector for t in ts], arrays) if ts else []
-    docs = [{"weight": t.weight, "vector": v} for t, v in zip(ts, vectors)]
+    if not ts:
+        return np.zeros((0, 0), dtype=complex), []
+    return np.array([t.vector for t in ts], dtype=complex), [t.weight for t in ts]
+
+
+def decomp_to_json(decomp: RankOneDecomp) -> dict:
+    """Decomposition JSON object with each term vector in sparse form."""
+    M, weights = _term_matrix(decomp)
+    docs = [{"weight": w, "vector": v} for w, v in zip(weights, _sparse_docs(M, _plain))]
     out = {"terms": docs[: len(decomp.terms)]}
     if decomp.remainder:
         out["remainder_terms"] = docs[len(decomp.terms) :]
     return out
-
-
-def decomp_to_json(decomp: RankOneDecomp) -> dict:
-    return _decomp_doc(decomp, _plain)
 
 
 def _terms_from_json(items: list) -> tuple[RankOneTerm, ...]:

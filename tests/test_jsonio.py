@@ -30,10 +30,13 @@ from admseq.checkers import sum_of_projections_check
 from admseq.cli import main
 from admseq.errors import DimensionError, SequenceError
 from admseq.operators import (
+    RankOneDecomp,
+    RankOneTerm,
     _array_doc,
     _complex_array_from_json,
     _complex_from_json,
     _plain,
+    _term_matrix,
     _vec_from_json,
     decomp_from_json,
     decomp_to_json,
@@ -287,6 +290,77 @@ def test_writer_writes_bounded_chunks():
     chunks = [w for w in writes if len(w) > 100]
     assert len(chunks) == 4
     assert max(map(len, chunks)) < 40 * 2 * jsonio.CHUNK_PAIRS
+
+
+def decomposition_writes(decomp) -> list[str]:
+    """The writes of what ``decompose --out`` and ``check-sums --witness
+    --out`` write for ``decomp``: the batched writer on its term matrix, all
+    but the final newline."""
+    writes = []
+    jsonio._write_decomposition(writes.append, *_term_matrix(decomp), len(decomp.terms))
+    return writes
+
+
+@st.composite
+def decompositions(draw):
+    """Terms and remainder terms whose vectors are real (imaginary parts
+    +0.0 or -0.0) or complex, with parts from ``reals`` among many +0.0, so
+    some vectors are all zero; weights from ``reals`` too, ``-0.0`` among
+    them.  The vectors need not have unit norm: the writer never looks."""
+    dim = draw(st.integers(0, 5))
+    real = draw(st.booleans())
+
+    def term():
+        parts = draw(st.lists(st.one_of(st.just(0.0), reals), min_size=2 * dim,
+                              max_size=2 * dim))
+        if real:
+            parts[1::2] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=dim,
+                                        max_size=dim))
+        weight = draw(st.one_of(st.sampled_from([-0.0, 0.0, 0.5]), reals))
+        return RankOneTerm(weight, np.array(parts, dtype=np.float64).view(complex))
+
+    terms = tuple(term() for _ in range(draw(st.integers(0, 6))))
+    return RankOneDecomp(terms, tuple(term() for _ in range(draw(st.integers(0, 3)))))
+
+
+def vec(*parts) -> np.ndarray:
+    return np.array(parts, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomp=decompositions(), chunk=st.sampled_from([1, 2, 4096]))
+@example(decomp=RankOneDecomp(()), chunk=4096)
+@example(decomp=RankOneDecomp((RankOneTerm(0.5, vec(1, 0)),)), chunk=4096)
+@example(decomp=RankOneDecomp((RankOneTerm(0.5, vec(0.6, 0.8j)),),
+                              (RankOneTerm(0.25, vec(0, 1)),)), chunk=1)
+@example(decomp=RankOneDecomp((RankOneTerm(1.0, vec(0, 0, 0)), RankOneTerm(-0.0, vec(0, 1, 0))),
+                              (RankOneTerm(0.0, vec(0, 0, 0)),)), chunk=2)
+@example(decomp=RankOneDecomp((RankOneTerm(-0.0, vec(complex(-0.0, 0.0), complex(math.nan, -0.0),
+                                                     complex(math.inf, 5e-324),
+                                                     complex(5e-324, -math.inf))),)), chunk=1)
+@example(decomp=RankOneDecomp((), (RankOneTerm(0.5, vec(1, 0)),)), chunk=4096)
+def test_decomposition_writer_matches_json_dump(decomp, chunk):
+    with mock.patch.object(jsonio, "CHUNK_PAIRS", chunk):
+        written = "".join(decomposition_writes(decomp)) + "\n"
+    assert written.encode() == reference_bytes(decomp_to_json(decomp))
+
+
+def test_decomposition_writer_writes_bounded_chunks():
+    # 10**4 terms of 3 non-zero pairs each, the last 100 of them remainder
+    # terms; a term counts as one more pair, so 4 * 10**4 units make at
+    # least 10 chunks of CHUNK_PAIRS
+    rng = np.random.default_rng(5)
+    m, dim = 10**4, 40
+    vectors = np.zeros((m, dim), dtype=complex)
+    for row in vectors:
+        row[rng.choice(dim, 3, replace=False)] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    terms = [RankOneTerm(float(w), v) for w, v in zip(rng.uniform(0, 1, m), vectors)]
+    decomp = RankOneDecomp(tuple(terms[:-100]), tuple(terms[-100:]))
+    writes = decomposition_writes(decomp)
+    assert ("".join(writes) + "\n").encode() == reference_bytes(decomp_to_json(decomp))
+    chunks = [w for w in writes if len(w) > 1000]
+    assert len(chunks) >= math.ceil(4 * m / jsonio.CHUNK_PAIRS)
+    assert max(map(len, chunks)) < 200 * jsonio.CHUNK_PAIRS
 
 
 @pytest.mark.parametrize("obj", [np.int64(3), np.array([0.5]), np.array([True])],
