@@ -1,7 +1,8 @@
 """Bridge between weighted rank-one decompositions and partial isometries.
 
 A decomposition sum xi_j v_j v_j* is encoded as the placement matrix B with
-rows sqrt(xi_j) v_j*; terms of unequal length are refused.  Its Gram B*B is
+rows sqrt(xi_j) v_j*, formed in one product from the decomposition's matrix
+of term vectors (``operators.RankOneDecomp.rows``).  Its Gram B*B is
 exactly the frame operator, and the polar factor V of B (computed from B*B,
 never an SVD) is a partial isometry with V A V* carrying the weights on its
 diagonal.  V and (B*B)^{1/2} come with their rounding noise set to +0.0
@@ -13,7 +14,6 @@ are provided and are exact inverses on nonzero-weight terms."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +22,6 @@ from .errors import DimensionError
 from .operators import (
     PartialIsometryRec,
     RankOneDecomp,
-    RankOneTerm,
     _real_if_imag_zero,
     assert_hermitian,
     polar_partial_isometry,
@@ -63,25 +62,25 @@ class BridgeRecord(PartialIsometryRec):
         return float(np.max(np.abs(self.diagonal - np.asarray(self.weights))))
 
 
-def _placement(terms) -> np.ndarray:
-    """The placement matrix with rows sqrt(w_j) v_j* of ``terms``, which
-    must share one length."""
-    if len({len(t.vector) for t in terms}) > 1:
-        raise DimensionError("terms disagree on the ambient dimension")
-    return np.array([math.sqrt(t.weight) * t.vector.conj() for t in terms], dtype=complex)
+def _placement(decomp: RankOneDecomp, kept) -> np.ndarray:
+    """The placement matrix with rows sqrt(w_j) v_j* of the terms of
+    ``decomp`` that ``kept``, a list of indices or a slice, selects."""
+    w = np.array(decomp.row_weights, dtype=float)[kept]
+    return np.sqrt(w)[:, None] * decomp.rows[kept].conj()
 
 
 def decomp_to_isometry(decomp: RankOneDecomp) -> BridgeRecord:
     """Encode the nonzero-weight terms as a placement matrix and polar-factor it."""
-    kept = [(i, t) for i, t in enumerate(decomp.terms) if t.weight > WEIGHT_FLOOR]
+    weights = decomp.weights()
+    kept = [i for i, w in enumerate(weights) if w > WEIGHT_FLOOR]
     if not kept:
         raise DimensionError("decomposition has no terms above the weight floor")
-    B = _placement([t for _, t in kept])
+    B = _placement(decomp, kept)
     out = BridgeRecord(
         **vars(polar_partial_isometry(B)),
         placement=B,
-        kept_indices=tuple(i for i, _ in kept),
-        weights=tuple(t.weight for _, t in kept),
+        kept_indices=tuple(kept),
+        weights=tuple(weights[i] for i in kept),
     )
     if out.diagonal_deviation > DIAG_TOL:
         raise ValueError(
@@ -107,19 +106,15 @@ def isometry_to_decomp(isometry, gram) -> RankOneDecomp:
         raise ValueError("isometry does not cover the range of the operator")
     root = sqrt_psd(A)
     B = V @ root
-    terms = []
-    for j in range(B.shape[0]):
-        xi = float(np.real(np.vdot(B[j], B[j])))
-        if xi <= WEIGHT_FLOOR:
-            continue
-        terms.append(RankOneTerm(xi, B[j].conj() / math.sqrt(xi)))
-    return RankOneDecomp(tuple(terms))
+    xi = [float(np.real(np.vdot(row, row))) for row in B]
+    kept = [j for j, x in enumerate(xi) if x > WEIGHT_FLOOR]
+    weights = [xi[j] for j in kept]
+    rows = B[kept].conj() / np.sqrt(weights)[:, None]
+    return RankOneDecomp._of_rows(rows, weights, len(kept))
 
 
 def gram_matrix(decomp: RankOneDecomp) -> np.ndarray:
     """Gram matrix of the scaled vectors sqrt(xi_j) v_j over all terms,
     zero-weight ones included."""
-    if not decomp.terms:
-        return np.zeros((0, 0), dtype=complex)
-    B = _placement(decomp.terms)
+    B = _placement(decomp, slice(decomp.n_terms))
     return B @ B.conj().T

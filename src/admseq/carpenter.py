@@ -16,7 +16,9 @@ there once.  Every mix there has gamma = 0, so no stage depends on the
 ambient dimension, and an S-stage run is the first S stages of a longer one.
 Only the emitted terms reach the stream, a block stage's as the rows of C E
 for its real coefficient matrix C and the k x dim matrix E of those stream
-vectors.  No stage builds an operator on the ambient space.
+vectors.  No stage builds an operator on the ambient space.  Every stage
+writes its term vectors into one matrix allocated for the whole run, which
+becomes the decomposition's ``RankOneDecomp.rows`` as it is.
 
 The planners share one vocabulary for what a stage is: ``_take_run`` draws
 the run of weights it places, ``_sources`` lays out the pool it places them
@@ -120,13 +122,14 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _block_stage(plan: BlockPlan, positions, consumed, stream: VectorStream, dim: int,
-                 verdict=None) -> tuple[list[RankOneTerm], float]:
+def _block_stage(plan: BlockPlan, positions, consumed, stream: VectorStream, out,
+                 verdict=None) -> tuple[list[float], float]:
     """A block stage in the coordinates of its k sorted ``positions``, the
     standard basis of R^k: the placement moves real coefficient rows, which
     form the m x k matrix C; the identity C^T diag(x) C = diag(consumed) is
-    checked once, and the terms are the rows of C E for the k x dim matrix E
-    of those stream vectors.  Returns the terms and the residual's Frobenius
+    checked once, and the term vectors, the rows of C E for the k x dim
+    matrix E of those stream vectors, are written into the m x dim complex
+    matrix ``out``.  Returns the terms' weights and the residual's Frobenius
     norm; ``verdict`` is the stage's majorization test, if already made."""
     k = len(positions)
     basis = dict(zip(positions, np.eye(k)))
@@ -135,12 +138,12 @@ def _block_stage(plan: BlockPlan, positions, consumed, stream: VectorStream, dim
         pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
         placed = _horn_place(pool, plan.targets, PLACE_TOL, verdict=verdict, mix=_mix_rows)
     placed += [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
-    x = np.array([t.weight for t in placed])
+    x = [t.weight for t in placed]
     C = np.array([t.vector for t in placed]).reshape(len(placed), k)
-    residual = float(np.linalg.norm(_checked((C.T * x) @ C - np.diag(consumed))))
-    E = np.array([stream.vector(pos, dim) for pos in positions])
-    dense = (C @ E.view(np.float64)).view(complex)  # one real product for both parts
-    return [RankOneTerm(t.weight, v) for t, v in zip(placed, dense)], residual
+    residual = float(np.linalg.norm(_checked((C.T * np.array(x)) @ C - np.diag(consumed))))
+    E = np.array([stream.vector(pos, out.shape[1]) for pos in positions])
+    np.matmul(C, E.view(np.float64), out=out.view(np.float64))  # one real product for both parts
+    return x, residual
 
 
 def _snap_int(x: float) -> int:
@@ -197,6 +200,12 @@ def decompose_finite_rank(values, stream: VectorStream):
     """Write a finite [0,1] weight list against exactly n = sum(values)
     orthonormal vectors: a Horn placement of the head against (1,...,1,r)
     and the remaining weights peeled along the last vector."""
+    decomp, certs = _finite_rank(values, stream)
+    return decomp.terms, certs
+
+
+def _finite_rank(values, stream: VectorStream):
+    """``decompose_finite_rank`` as a decomposition and its certificates."""
     vals = [float(v) for v in values]
     if any(v < 0.0 or v > 1.0 for v in vals):
         raise PlanningError("finite-rank weights must lie in [0, 1]")
@@ -209,12 +218,15 @@ def decompose_finite_rank(values, stream: VectorStream):
         )
     if n == 0:
         raise TraceMismatchError("cannot decompose against an empty stream")
-    return _finite_rank_stage(vals, stream, n, stream.min_dim(n - 1))
+    rows = np.empty((len(vals), stream.min_dim(n - 1)), dtype=complex)
+    weights, certs = _finite_rank_stage(vals, stream, n, rows)
+    return RankOneDecomp._of_rows(rows, weights, len(rows)), certs
 
 
-def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int):
+def _finite_rank_stage(vals, stream: VectorStream, n: int, out):
     """The finite-rank placement of ``vals`` (summing to n) on stream vectors
-    0..n-1 as one block stage, certified as taking all n vectors whole."""
+    0..n-1 as one block stage, written into ``out``, certified as taking all
+    n vectors whole.  Returns the weights and the certificates."""
     acc, m = 0.0, 0
     while m < len(vals) and acc + vals[m] < n - PLACE_TOL:
         acc += vals[m]
@@ -222,7 +234,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int):
     r = acc - (n - 1)  # in [0, 1) by maximality of m
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    terms, residual = _block_stage(plan, range(n), [1.0] * n, stream, dim)
+    weights, residual = _block_stage(plan, range(n), [1.0] * n, stream, out)
     cert = StageCertificate(
         stage=0,
         consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
@@ -230,7 +242,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int):
         majorization=majorizes(vals, [1.0] * n),
         residual=residual,
     )
-    return tuple(terms), (cert,)
+    return weights, (cert,)
 
 
 # -- staged planners ---------------------------------------------------
@@ -393,10 +405,11 @@ def plan_both_summable(
 def realize_block_plans(plans, stream: VectorStream):
     """Carry out Horn placements for each plan, returning terms and
     certificates (the stage driver, without its remainder)."""
-    return _realize(plans, stream)[:2]
+    rows, weights, certs, n = _realize(plans, stream)
+    return RankOneDecomp._of_rows(rows, weights, n).terms, certs
 
 
-def _realize(plans, stream: VectorStream, carry=None):
+def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
     """The stage driver.  A block stage's k consumed stream positions are the
     standard basis of R^k: the placement runs there and the stage identity is
     checked once, against diag(consumed), as a k x k residual.  A tail step
@@ -404,19 +417,24 @@ def _realize(plans, stream: VectorStream, carry=None):
     the carry lies in the span of consumed stream vectors and the fresh one
     is orthogonal to them, so the step mixes with gamma = 0 as block stages
     do.  The first carry, ``carry``, is given as (stream position, weight),
-    and block stages leave it alone.  Returns the terms in C^dim, dim the
-    least holding every position used, the certificates and the remainder:
-    the last carry, or for block stages alone what is left of their last
-    boundary vector."""
+    and block stages leave it alone.  Returns one matrix of term vectors in
+    C^dim, dim the least holding every position used, whose first ``lead``
+    rows are left to the caller and whose last row is the remainder, if any
+    (the last carry, or for block stages alone what is left of their last
+    boundary vector), the weights of its other rows, the certificates and
+    the number of rows before the remainder."""
     plans = list(plans)
     top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
     dim = stream.min_dim(top if carry is None else max(top, carry[0]))
     if carry is not None:
         carry = RankOneTerm(carry[1], stream.vector(carry[0], dim))
-    terms: list[RankOneTerm] = []
+    counts = [1 if isinstance(p, _TailStep) else len(p.targets) + len(p.colinear) for p in plans]
+    rows = np.empty((lead + sum(counts) + 1, dim), dtype=complex)
+    weights: list[float] = []
     certs: list[StageCertificate] = []
     used: dict[int, float] = {}  # each position's share over all stages
-    for i, plan in enumerate(plans):
+    for i, (plan, m) in enumerate(zip(plans, counts)):
+        at = lead + len(weights)
         consumed: dict[int, float] = {}
         for pos, c in plan.sources + plan.colinear:
             if pos != CARRY:
@@ -436,16 +454,17 @@ def _realize(plans, stream: VectorStream, carry=None):
                 e1, e2, *plan.targets, 0.0
             )
             w = sigma * carry.vector + tau * fresh
-            w_prime = sigma_p * carry.vector + tau_p * fresh
-            terms.append(RankOneTerm(plan.targets[1], w_prime))
+            rows[at] = sigma_p * carry.vector + tau_p * fresh
+            weights.append(plan.targets[1])
             nrm = float(np.linalg.norm(w))
             carry = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w)
             targets, sigma_cap = plan.targets[1:], plan.sigma_cap
         else:
-            block, residual = _block_stage(
-                plan, positions, [consumed[pos] for pos in positions], stream, dim, majorization
+            x, residual = _block_stage(
+                plan, positions, [consumed[pos] for pos in positions], stream,
+                rows[at : at + m], majorization,
             )
-            terms += block
+            weights += x
             targets = plan.targets + tuple(w for _, w in plan.colinear)
         certs.append(
             StageCertificate(
@@ -462,7 +481,11 @@ def _realize(plans, stream: VectorStream, carry=None):
         top = max(used)
         if 1.0 - used[top] > REMAINDER_FLOOR:
             carry = RankOneTerm(1.0 - used[top], stream.vector(top, dim))
-    return tuple(terms), tuple(certs), () if carry is None else (carry,)
+    n_terms = lead + len(weights)
+    if carry is not None:
+        rows[n_terms] = carry.vector
+        weights.append(carry.weight)
+    return rows[: lead + len(weights)], weights, tuple(certs), n_terms
 
 
 # -- the tail recursion -------------------------------------------------
@@ -482,8 +505,9 @@ def keycase_recursion(lam: WeightSeq, stream: VectorStream, steps: int):
     if steps < 0:
         raise PlanningError("step count must be nonnegative")
     steps_ = islice(_plan_tail(_padded(lam), lam, 1), steps)
-    terms, certs, (carry,) = _realize(steps_, stream, (0, 1.0 - s_prev))
-    return terms, certs, carry
+    rows, weights, certs, n = _realize(steps_, stream, (0, 1.0 - s_prev))
+    decomp = RankOneDecomp._of_rows(rows, weights, n)
+    return decomp.terms, certs, decomp.remainder[0]
 
 
 def _plan_tail(lam_it, lam: WeightSeq, fresh: int):
@@ -517,6 +541,16 @@ def decompose_m_finite(
     recursion, whose first carry is the boundary vector n - k with weight
     1 - r (all of it when r is 0 and the head leaves it untouched).  The
     emitted weights come from one pass over lam, each its input entry."""
+    plans, carry = _plan_m_finite(mu, lam, stages, extend_limit)
+    rows, weights, certs, n = _realize(plans, stream, carry)
+    decomp = RankOneDecomp._of_rows(rows, weights, n)
+    return decomp.terms, certs, decomp.remainder[0]
+
+
+def _plan_m_finite(mu: WeightSeq, lam: WeightSeq, stages: int,
+                   extend_limit: int = DEFAULT_EXTEND_LIMIT):
+    """``decompose_m_finite``'s plans, its head block and ``stages - 1`` tail
+    steps, and its first carry as (stream position, weight)."""
     if not mu.is_finite:
         raise PlanningError("this staging needs finitely many small entries")
     k = _snap_int(lam.total() - mu.total())
@@ -529,8 +563,7 @@ def decompose_m_finite(
     tail = lam.drop(n)
     plans = [BlockPlan(head_targets, _sources(0, 0.0, n - k, r)[0])]
     plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
-    terms, certs, (carry,) = _realize(plans, stream, (n - k, 1.0 - tail.total()))
-    return terms, certs, carry
+    return plans, (n - k, 1.0 - tail.total())
 
 
 # -- the orchestrator ---------------------------------------------------
@@ -563,8 +596,8 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
             raise PlanningError(
                 "finite total weight with infinite support is out of scope here"
             )
-        terms, certs = decompose_finite_rank(seq.values, stream)
-        return RankOneDecomp(terms), certs, tag
+        decomp, certs = _finite_rank(seq.values, stream)
+        return decomp, certs, tag
 
     if stream.count is not None:
         raise TraceMismatchError("infinite total weight needs an infinite stream")
@@ -584,36 +617,38 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
         m0 = _trace_count(core.values)
         ones_stream, core_stream, ones_first = stream.drop(m0), stream, False
 
+    n_zero = int(sp.zeros_count) if sp.zeros_count < INF else stages
     if ones_first:
-        core_terms, certs, remainder = _decompose_core(tag, sp, core_stream, stages)
+        rows, weights, certs, n = _decompose_core(tag, sp, core_stream, stages, n_zero + n_ones)
         # a staged core takes a fresh stream vector in every stage, so its
         # dimension already holds the ones before or beside it
-        dim = len(core_terms[0].vector)
+        ones_at, weights = n_zero, [1.0] * n_ones + weights
     else:  # a finite core is placed in the dimension the ones after it need
-        dim = ones_stream.min_dim(n_ones - 1)
-        core_terms, certs = (
-            _finite_rank_stage(core.values, core_stream, m0, dim) if m0 else ((), ())
+        m = len(core.values)
+        rows = np.empty((n_zero + m + n_ones, ones_stream.min_dim(n_ones - 1)), dtype=complex)
+        weights, certs = (
+            _finite_rank_stage(core.values, core_stream, m0, rows[n_zero : n_zero + m])
+            if m0 else ([], ())
         )
-        remainder = ()
-    ones = tuple(RankOneTerm(1.0, ones_stream.vector(j, dim)) for j in range(n_ones))
-    terms = ones + core_terms if ones_first else core_terms + ones
-
-    n_zero = int(sp.zeros_count) if sp.zeros_count < INF else stages
-    zero_terms = tuple(RankOneTerm(0.0, terms[0].vector) for _ in range(n_zero))
-    return RankOneDecomp(zero_terms + terms, remainder), certs, tag
+        ones_at, weights, n = n_zero + m, weights + [1.0] * n_ones, len(rows)
+    for j in range(n_ones):
+        rows[ones_at + j] = ones_stream.vector(j, rows.shape[1])
+    rows[:n_zero] = rows[n_zero]  # along the first vector used
+    return RankOneDecomp._of_rows(rows, [0.0] * n_zero + weights, n), certs, tag
 
 
-def _decompose_core(tag, sp, stream, stages):
-    """Plan the stripped core's first ``stages`` stages and realize them."""
+def _decompose_core(tag, sp, stream, stages, lead):
+    """Plan the stripped core's first ``stages`` stages and realize them
+    after ``lead`` rows."""
+    carry = None
     if tag.tag == CASE_MU_DIVERGES:
-        gen = plan_mu_diverges(sp.mu, sp.lam)
+        plans = plan_mu_diverges(sp.mu, sp.lam)
     elif tag.tag == CASE_LAMBDA_DIVERGES:
-        gen = plan_lambda_diverges(sp.mu, sp.lam)
+        plans = plan_lambda_diverges(sp.mu, sp.lam)
     elif tag.tag == CASE_BOTH_SUMMABLE:
-        gen = plan_both_summable(sp.mu, sp.lam)
+        plans = plan_both_summable(sp.mu, sp.lam)
     elif tag.tag == CASE_M_FINITE:
-        terms, certs, carry = decompose_m_finite(sp.mu, sp.lam, stream, stages)
-        return terms, certs, (carry,)
+        plans, carry = _plan_m_finite(sp.mu, sp.lam, stages)
     else:
         raise PlanningError(f"no staged construction for case {tag.tag!r}")
-    return _realize(islice(gen, stages), stream)
+    return _realize(islice(plans, stages), stream, carry, lead)

@@ -29,9 +29,7 @@ from .errors import (
 from .jsonio import write_decomposition, write_json
 from .operators import (
     _array_doc,
-    _frame_of_rows,
     _op_doc,
-    _term_matrix,
     decomp_from_json,
     decomp_residual,
     op_from_json,
@@ -141,10 +139,9 @@ def _cmd_decompose(args) -> int:
         return 1
     written = []
     if args.out:
-        vectors, weights = _term_matrix(decomp)
-        write_decomposition(args.out, vectors, weights, len(decomp.terms))
+        write_decomposition(args.out, decomp)
         tpath = _target_path(args.out)
-        write_json(tpath, _op_doc(_frame_of_rows(vectors, weights), np.asarray))
+        write_json(tpath, _op_doc(decomp.frame_operator(with_remainder=True), np.asarray))
         written = [args.out, tpath]
     _emit(
         _report(
@@ -170,6 +167,7 @@ def _cmd_verify(args) -> int:
     op_obj, op_digest = _load(args.operator)
     decomp = decomp_from_json(dec_obj)
     target = op_from_json(op_obj)
+    del dec_obj, op_obj  # only their parsed forms are needed past here
     residual = decomp_residual(target, decomp, with_remainder=not args.no_remainder)
     ok = residual <= VERIFY_TOL
     _emit(
@@ -203,7 +201,7 @@ def _cmd_check_sums(args) -> int:
     if witness is not None:
         fields["witness_residual"] = decomp_residual(a, witness)
         if args.out:
-            write_decomposition(args.out, *_term_matrix(witness), len(witness.terms))
+            write_decomposition(args.out, witness)
             fields["written"] = [args.out]
     _emit(_report(args, "check-sums", {"operator": digest}, **fields))
     return 0 if rep.decomposable else 1
@@ -212,6 +210,7 @@ def _cmd_check_sums(args) -> int:
 def _cmd_bridge(args) -> int:
     obj, digest = _load(args.decomposition)
     decomp = decomp_from_json(obj)
+    del obj  # only its parsed form is needed past here
     record = decomp_to_isometry(decomp)
     if args.out:
         doc = {

@@ -249,6 +249,10 @@ def _horn_place(
     arrivals = count(len(pool))
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
     placed: list[RankOneTerm | None] = [None] * len(targets)
+    # weight that leaves the pool but counted in the majorization: entries of
+    # at most tol, what hits within tol take beyond their target, and mix
+    # remainders of at most tol
+    lost = math.fsum(p.weight for p in pool if p.weight <= tol)
 
     for idx in order:
         t = targets[idx]
@@ -257,15 +261,16 @@ def _horn_place(
             continue
         hit = _earliest_hit(work, t, tol)
         if hit is not None:
-            placed[idx] = RankOneTerm(t, work.pop(hit)[2])
+            w, _, v, _ = work.pop(hit)
+            lost += max(w - t, 0.0)
+            placed[idx] = RankOneTerm(t, v)
             continue
         ka = bisect_left(work, (t,))  # the smallest weight >= t
         if ka == len(work):
-            # pool entries of at most tol left the pool but counted in the
-            # majorization: a shortfall they make up takes the largest entry
+            # a shortfall the lost weight makes up takes the largest entry
             # left, or the anchor once none is
             top = work[-1][0] if work else 0.0
-            if t - top > tol + math.fsum(p.weight for p in pool if p.weight <= tol):
+            if t - top > tol + lost:
                 raise MajorizationError(
                     f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                 )
@@ -286,6 +291,8 @@ def _horn_place(
         del work[ka], work[kb]  # kb < ka, so kb's index survives the first deletion
         if a + b - t > tol:
             insort(work, (a + b - t, next(arrivals), w_prime, n_prime))
+        else:
+            lost += a + b - t
 
     leftover = math.fsum(e[0] for e in work)
     if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):

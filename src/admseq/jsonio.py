@@ -10,9 +10,9 @@ written with one join.  A float that is ``+0.0`` is written as the constant
 ``0.0``; every other float goes through ``float.__repr__``.
 
 ``write_decomposition`` writes the bytes ``json.dump`` writes for
-``operators.decomp_to_json`` from the stacked ``m x dim`` matrix of term
-vectors: one scan finds its non-zero pairs, and each term's text is one
-fixed template filled in.  Neither writer builds the per-entry lists or the
+``operators.decomp_to_json`` from the decomposition's own ``m x dim`` matrix
+of term vectors: one scan finds its non-zero pairs, and each term's text is
+one fixed template filled in.  Neither writer builds the per-entry lists or the
 whole document as one string."""
 
 from __future__ import annotations
@@ -128,20 +128,19 @@ def _float_texts(parts: np.ndarray) -> list:
     return [next(texts) if nz else "0.0" for nz in nonzero.tolist()]
 
 
-def write_decomposition(path: str, vectors, weights, n_terms: int) -> None:
-    """Write the decomposition whose term vectors are the rows of the complex
-    matrix ``vectors`` and whose weights are ``weights``: the first
-    ``n_terms`` rows are its terms, the rest its remainder terms, listed
-    under ``remainder_terms`` only when there are any."""
+def write_decomposition(path: str, decomp) -> None:
+    """Write the ``operators.RankOneDecomp`` ``decomp``, its remainder terms
+    listed under ``remainder_terms`` only when there are any."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_decomposition(fh.write, vectors, weights, n_terms)
+        _write_decomposition(fh.write, decomp)
         fh.write("\n")
 
 
-def _write_decomposition(write, vectors, weights, n_terms: int) -> None:
+def _write_decomposition(write, decomp) -> None:
     """What ``write_decomposition`` writes, but the final newline."""
-    at, values, ends = _nonzero_pairs(vectors)
-    weights = list(map(_scalar, weights))
+    at, values, ends = _nonzero_pairs(decomp.rows)
+    weights = list(map(_scalar, decomp.row_weights))
+    n_terms = decomp.n_terms
     lists = [('"remainder_terms"', n_terms, len(weights))] if len(weights) > n_terms else []
     for i, (key, lo, hi) in enumerate(lists + [('"terms"', 0, n_terms)]):
         write(("," if i else "{") + "\n" + INDENT + key + ": ")
@@ -149,7 +148,7 @@ def _write_decomposition(write, vectors, weights, n_terms: int) -> None:
             write("[]")
             continue
         write("[")
-        _write_terms(write, vectors.shape[1], at, values, ends, weights, lo, hi)
+        _write_terms(write, decomp.rows.shape[1], at, values, ends, weights, lo, hi)
         write("\n" + INDENT + "]")
     write("\n}")
 

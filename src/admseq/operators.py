@@ -8,16 +8,19 @@ The dense products behind ``frame_operator``, ``residual_norm`` and
 ``polar_partial_isometry`` run in float64 when every imaginary part of their
 input is zero, so real data takes the real BLAS and LAPACK routines; any
 other input runs in complex128.  Their results are complex128 either way.
-A decomposition's term vectors are read in one pass: one check over all
-their indices and values, one conversion and one scatter into a matrix.  To
-be written, they are stacked into one matrix (``_term_matrix``) whose
-non-zero pairs are found in one scan (``_nonzero_pairs``); ``jsonio``'s
-decomposition writer takes that matrix, and the CLI's target is its frame
-product (``_frame_of_rows``), the one ``frame_operator`` takes."""
+A rank-one decomposition is one read-only complex matrix whose rows are
+its term vectors, the remainder terms' last, and a tuple of their weights;
+its ``terms`` and ``remainder`` are views of those rows.  The reader
+scatters all term vectors into that matrix in one pass (one check over all
+their indices and values, one conversion) and normalizes it in place.  The
+frame product (``RankOneDecomp.frame_operator``), the writer's scan for
+non-zero pairs (``_nonzero_pairs``) and ``bridge``'s placement matrix all
+read that matrix as it is, or a slice of it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from ._np import np
@@ -136,8 +139,11 @@ def polar_partial_isometry(B) -> PartialIsometryRec:
     dev_fact = float(np.max(np.abs(V @ sqrt_gram - M))) if M.size else 0.0
     if dev_fact > POLAR_FACTOR_TOL:
         raise ValueError(f"polar factorization residual too large ({dev_fact:.3e})")
-    V, sqrt_gram, R, gram = (X.astype(complex, copy=False) for X in (V, sqrt_gram, R, gram))
-    return PartialIsometryRec(V, sqrt_gram, R, rank, gram)
+    # one at a time, so each float64 matrix is freed before the next is widened
+    V = V.astype(complex, copy=False)
+    sqrt_gram = sqrt_gram.astype(complex, copy=False)
+    R = R.astype(complex, copy=False)
+    return PartialIsometryRec(V, sqrt_gram, R, rank, gram.astype(complex, copy=False))
 
 
 # -- rank-one decompositions ------------------------------------------
@@ -158,26 +164,66 @@ class RankOneTerm:
     vector: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RankOneDecomp:
     """A list of weighted rank-one projections, plus optional remainder terms
-    recording the unconsumed part of a truncated infinite construction."""
+    recording the unconsumed part of a truncated infinite construction: the
+    read-only complex matrix ``rows`` of term vectors, the first ``n_terms``
+    of them the terms', and their weights ``row_weights``.  ``terms`` and
+    ``remainder`` are RankOneTerm views of those rows."""
 
-    terms: tuple[RankOneTerm, ...]
-    remainder: tuple[RankOneTerm, ...] = field(default=())
+    rows: np.ndarray
+    row_weights: tuple
+    n_terms: int
+
+    def __init__(self, terms, remainder=()):
+        terms, remainder = tuple(terms), tuple(remainder)
+        ts = terms + remainder
+        if len({len(t.vector) for t in ts}) > 1:
+            raise DimensionError("terms disagree on the ambient dimension")
+        rows = np.array([t.vector for t in ts], dtype=complex) if ts else np.zeros((0, 0), complex)
+        rows.flags.writeable = False
+        self.__dict__.update(rows=rows, row_weights=tuple(t.weight for t in ts), n_terms=len(terms))
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, weights, n_terms: int) -> RankOneDecomp:
+        """The decomposition whose term vectors are the rows of the complex
+        matrix ``rows``, taken as it is, with ``weights``; the first
+        ``n_terms`` rows are its terms, the rest its remainder terms."""
+        rows.flags.writeable = False
+        out = cls.__new__(cls)
+        out.__dict__.update(rows=rows, row_weights=tuple(weights), n_terms=n_terms)
+        return out
+
+    @cached_property
+    def terms(self) -> tuple[RankOneTerm, ...]:
+        n = self.n_terms
+        return tuple(map(RankOneTerm, self.row_weights[:n], self.rows[:n]))
+
+    @cached_property
+    def remainder(self) -> tuple[RankOneTerm, ...]:
+        n = self.n_terms
+        return tuple(map(RankOneTerm, self.row_weights[n:], self.rows[n:]))
 
     @property
     def dim(self) -> int:
-        for t in self.terms + self.remainder:
-            return len(t.vector)
-        raise DimensionError("empty decomposition has no ambient dimension")
+        if not self.row_weights:
+            raise DimensionError("empty decomposition has no ambient dimension")
+        return self.rows.shape[1]
 
     def weights(self) -> tuple[float, ...]:
-        return tuple(t.weight for t in self.terms)
+        return self.row_weights[: self.n_terms]
 
     def frame_operator(self, dim: int | None = None, with_remainder: bool = False) -> np.ndarray:
-        terms = self.terms + self.remainder if with_remainder else self.terms
-        return frame_operator(terms, dim=dim if dim is not None else self.dim)
+        n = len(self.row_weights) if with_remainder else self.n_terms
+        dim = self.dim if dim is None else dim
+        if not n:
+            return np.zeros((dim, dim), dtype=complex)
+        if self.rows.shape[1] != dim:
+            raise DimensionError(f"term vector has length {self.rows.shape[1]}, expected {dim}")
+        V = _real_if_imag_zero(self.rows[:n])
+        w = np.array(self.row_weights[:n], dtype=float)
+        return ((V.T * w) @ V.conj()).astype(complex, copy=False)
 
 
 def make_term(weight, vector) -> RankOneTerm:
@@ -193,25 +239,10 @@ def _term_weight(weight) -> float:
 
 def frame_operator(terms, dim: int | None = None) -> np.ndarray:
     """Sum of w_j v_j v_j^* over the given terms, as a complex128 matrix."""
-    terms = list(terms)
-    if dim is None:
-        if not terms:
-            raise DimensionError("cannot infer the dimension of an empty sum")
-        dim = len(terms[0].vector)
-    for t in terms:
-        if len(t.vector) != dim:
-            raise DimensionError(f"term vector has length {len(t.vector)}, expected {dim}")
-    if not terms:
-        return np.zeros((dim, dim), dtype=complex)
-    return _frame_of_rows([t.vector for t in terms], [t.weight for t in terms])
-
-
-def _frame_of_rows(vectors, weights) -> np.ndarray:
-    """Sum of w_j v_j v_j^* over the rows v_j of ``vectors``, as a complex128
-    matrix."""
-    V = _real_if_imag_zero(vectors)
-    w = np.array(weights, dtype=float)
-    return ((V.T * w) @ V.conj()).astype(complex, copy=False)
+    decomp = RankOneDecomp(terms)
+    if dim is None and not decomp.n_terms:
+        raise DimensionError("cannot infer the dimension of an empty sum")
+    return decomp.frame_operator(dim)
 
 
 def residual_norm(A, B) -> float:
@@ -383,28 +414,19 @@ def _vec_from_json(obj) -> np.ndarray:
     return _rows_from_json([obj])[0]
 
 
-def _term_matrix(decomp: RankOneDecomp) -> tuple[np.ndarray, list]:
-    """The term vectors of ``decomp``, remainder terms last, as the rows of
-    one complex matrix, and their weights."""
-    ts = decomp.terms + decomp.remainder
-    if not ts:
-        return np.zeros((0, 0), dtype=complex), []
-    return np.array([t.vector for t in ts], dtype=complex), [t.weight for t in ts]
-
-
 def decomp_to_json(decomp: RankOneDecomp) -> dict:
     """Decomposition JSON object with each term vector in sparse form."""
-    M, weights = _term_matrix(decomp)
-    docs = [{"weight": w, "vector": v} for w, v in zip(weights, _sparse_docs(M, _plain))]
-    out = {"terms": docs[: len(decomp.terms)]}
-    if decomp.remainder:
-        out["remainder_terms"] = docs[len(decomp.terms) :]
+    vectors = _sparse_docs(decomp.rows, _plain)
+    docs = [{"weight": w, "vector": v} for w, v in zip(decomp.row_weights, vectors)]
+    out = {"terms": docs[: decomp.n_terms]}
+    if docs[decomp.n_terms :]:
+        out["remainder_terms"] = docs[decomp.n_terms :]
     return out
 
 
-def _terms_from_json(items: list) -> tuple[RankOneTerm, ...]:
-    """The terms of the JSON term objects ``items``, read as ``make_term``
-    reads each one, with the term vectors read as rows of one matrix."""
+def _rows_of_terms(items: list) -> tuple[np.ndarray, list]:
+    """The term vectors of the JSON term objects ``items`` as the rows of one
+    matrix, and their weights, each read as ``make_term`` reads it."""
     weights, vectors = [], []
     for it in items:
         if not isinstance(it, dict) or "weight" not in it or "vector" not in it:
@@ -418,7 +440,8 @@ def _terms_from_json(items: list) -> tuple[RankOneTerm, ...]:
     off = [n for n in norms if abs(n - 1.0) > UNIT_TOL]
     if off:
         raise ValueError(f"vector norm {off[0]!r} is not 1")
-    return tuple(map(RankOneTerm, weights, M / np.array(norms)[:, None]))
+    M /= np.array(norms)[:, None]
+    return M, weights
 
 
 def decomp_from_json(obj) -> RankOneDecomp:
@@ -431,12 +454,12 @@ def decomp_from_json(obj) -> RankOneDecomp:
     n = len(items)
     items += obj.get("remainder_terms", ())
     try:
-        terms = _terms_from_json(items)
+        M, weights = _rows_of_terms(items)
     except ValueError:
         for it in items:
-            _terms_from_json([it])
+            _rows_of_terms([it])
         raise
-    return RankOneDecomp(terms[:n], terms[n:])
+    return RankOneDecomp._of_rows(M, weights, n)
 
 
 def decomp_residual(A, decomp: RankOneDecomp, with_remainder: bool = True) -> float:

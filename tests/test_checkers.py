@@ -193,7 +193,8 @@ class TestTransforms:
         out = adm_transform(d1, d2, mode="convex-mix", t=0.25)
         assert [t.weight for t in out.terms] == [0.125, 0.25, 0.1875]
         assert [t.weight for t in out.remainder] == [0.03125, 0.28125, 0.046875]
-        assert all(a.vector is b.vector for a, b in zip(out.remainder, d1.remainder + d2.remainder))
+        assert all(a.vector.tobytes() == b.vector.tobytes()
+                   for a, b in zip(out.remainder, d1.remainder + d2.remainder))
 
     @pytest.mark.parametrize("mode", ["direct-sum", "convex-mix"])
     def test_two_operand_modes_need_a_second_decomposition(self, mode):

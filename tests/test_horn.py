@@ -252,8 +252,8 @@ def test_eigh_of_constructed_matrix_feeds_back():
 def _scan_place(pool, target_weights, tol):
     """The placement as it was before the pool was kept sorted: three scans
     of the pool, in arrival order, for each target, and a target that no
-    entry reaches placed when the dropped entries make up its shortfall.
-    The reference."""
+    entry reaches placed when the weight that left the pool uncounted makes
+    up its shortfall.  The reference."""
     targets = [float(t) for t in target_weights]
     if any(t < 0.0 for t in targets):
         raise MajorizationError("target weights must be nonnegative")
@@ -273,6 +273,8 @@ def _scan_place(pool, target_weights, tol):
     work = [[p.weight, p.vector] for p in pool if p.weight > tol]
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
     placed = [None] * len(targets)
+    # dropped entries, what hits take beyond their targets, dropped remainders
+    lost = math.fsum(p.weight for p in pool if p.weight <= tol)
 
     for idx in order:
         t = targets[idx]
@@ -282,14 +284,15 @@ def _scan_place(pool, target_weights, tol):
         hit = next((k for k, (w, _) in enumerate(work) if abs(w - t) <= tol), None)
         if hit is not None:
             placed[idx] = RankOneTerm(t, work[hit][1])
+            lost += max(work[hit][0] - t, 0.0)
             del work[hit]
             continue
         above = [k for k, (w, _) in enumerate(work) if w >= t]
         below = [k for k, (w, _) in enumerate(work) if w < t]
         if not above:
-            # entries of at most tol left the pool; they may make up the shortfall
+            # the weight that left the pool uncounted may make up the shortfall
             top = max((w for w, _ in work), default=0.0)
-            if t - top > tol + math.fsum(p.weight for p in pool if p.weight <= tol):
+            if t - top > tol + lost:
                 raise MajorizationError(
                     f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                 )
@@ -312,6 +315,8 @@ def _scan_place(pool, target_weights, tol):
             del work[k]
         if a + b - t > tol:
             work.append([a + b - t, res.w_prime])
+        else:
+            lost += a + b - t
 
     leftover = math.fsum(w for w, _ in work)
     if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
@@ -492,6 +497,28 @@ def placement_log(weights, targets, rows):
     return (mixes, choices), np.array([t.vector for t in placed])
 
 
+# (k, seed, draw) of awkward_case draws whose last target falls short of
+# every entry left by more than the dropped pool entries: hits within
+# PLACE_TOL took the rest beyond their targets
+SHORT_BY_HITS = [(5, 2, 5), (8, 0, 9), (8, 0, 13), (30, 0, 3), (30, 1, 15), (30, 1, 17),
+                 (64, 0, 7), (64, 0, 14)]
+
+
+@pytest.mark.parametrize("k, seed, draw", SHORT_BY_HITS)
+def test_hits_within_tol_make_up_a_shortfall(k, seed, draw):
+    rng = np.random.default_rng([k, seed])
+    for _ in range(draw + 1):
+        weights, targets = awkward_case(rng, k)
+    row_log, C = placement_log(weights, targets, rows=True)
+    assert C is not None and row_log == placement_log(weights, targets, rows=False)[0]
+    eye = np.eye(k, dtype=complex)
+    pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
+    dec = horn_decompose(pool, targets)  # checks the reconstruction
+    assert [t.weight for t in dec.terms] == targets
+    assert _outcome(_horn_place, weights, targets, PLACE_TOL) == _outcome(
+        _scan_place, weights, targets, PLACE_TOL)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 30, 64, 120, 200])
 def test_coefficient_rows_place_as_unit_vectors(k, seed):
@@ -525,8 +552,9 @@ def test_stage_check_refuses_a_corrupted_row(monkeypatch):
         weights, targets = awkward_case(rng, 30)
     plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
     stream = VectorStream.basis()
-    terms, residual = carpenter._block_stage(plan, range(30), weights, stream, 30)
-    assert [t.weight for t in terms] == targets and residual <= 1e-10
+    out = np.empty((len(targets), 30), dtype=complex)
+    placed, residual = carpenter._block_stage(plan, range(30), weights, stream, out)
+    assert placed == targets and residual <= 1e-10
     real = carpenter._horn_place
 
     def corrupt(pool, target_weights, tol, **kw):
@@ -539,7 +567,7 @@ def test_stage_check_refuses_a_corrupted_row(monkeypatch):
 
     monkeypatch.setattr(carpenter, "_horn_place", corrupt)
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
-        carpenter._block_stage(plan, range(30), weights, stream, 30)
+        carpenter._block_stage(plan, range(30), weights, stream, out)
 
 
 def test_coefficient_rows_divide_out_a_mix_norm_drift():

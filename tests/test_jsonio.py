@@ -36,7 +36,6 @@ from admseq.operators import (
     _complex_array_from_json,
     _complex_from_json,
     _plain,
-    _term_matrix,
     _vec_from_json,
     decomp_from_json,
     decomp_to_json,
@@ -297,12 +296,12 @@ def decomposition_writes(decomp) -> list[str]:
     --out`` write for ``decomp``: the batched writer on its term matrix, all
     but the final newline."""
     writes = []
-    jsonio._write_decomposition(writes.append, *_term_matrix(decomp), len(decomp.terms))
+    jsonio._write_decomposition(writes.append, decomp)
     return writes
 
 
 @st.composite
-def decompositions(draw):
+def term_lists(draw):
     """Terms and remainder terms whose vectors are real (imaginary parts
     +0.0 or -0.0) or complex, with parts from ``reals`` among many +0.0, so
     some vectors are all zero; weights from ``reals`` too, ``-0.0`` among
@@ -320,7 +319,11 @@ def decompositions(draw):
         return RankOneTerm(weight, np.array(parts, dtype=np.float64).view(complex))
 
     terms = tuple(term() for _ in range(draw(st.integers(0, 6))))
-    return RankOneDecomp(terms, tuple(term() for _ in range(draw(st.integers(0, 3)))))
+    return terms, tuple(term() for _ in range(draw(st.integers(0, 3))))
+
+
+def decompositions():
+    return term_lists().map(lambda lists: RankOneDecomp(*lists))
 
 
 def vec(*parts) -> np.ndarray:
@@ -361,6 +364,60 @@ def test_decomposition_writer_writes_bounded_chunks():
     chunks = [w for w in writes if len(w) > 1000]
     assert len(chunks) >= math.ceil(4 * m / jsonio.CHUNK_PAIRS)
     assert max(map(len, chunks)) < 200 * jsonio.CHUNK_PAIRS
+
+
+def float_bits(weights) -> bytes:
+    return np.array(weights, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=term_lists())
+@example(lists=((), ()))
+@example(lists=((), (RankOneTerm(0.5, vec(1, 0)),)))
+@example(lists=((RankOneTerm(-0.0, vec(0, 0, 0)),), ()))
+def test_row_form_gives_back_its_terms(lists):
+    # one stacked matrix gives back the terms it was built from, and its
+    # frame product and document are the ones the terms give one by one
+    terms, remainder = lists
+    dec = RankOneDecomp(terms, remainder)
+    for got, given_ in ((dec.terms, terms), (dec.remainder, remainder)):
+        assert len(got) == len(given_)
+        assert float_bits([t.weight for t in got]) == float_bits([t.weight for t in given_])
+        assert all(same_bits(a.vector, b.vector) for a, b in zip(got, given_))
+    assert float_bits(dec.weights()) == float_bits([t.weight for t in terms])
+    if not terms + remainder:
+        with pytest.raises(DimensionError, match="^empty decomposition has no ambient dimension$"):
+            dec.dim
+        return
+    dim = len((terms + remainder)[0].vector)
+    assert dec.dim == dim
+    for with_remainder in (False, True):
+        with np.errstate(all="ignore"):  # the drawn parts include inf and nan
+            want = frame_operator(terms + remainder if with_remainder else terms, dim=dim)
+            got = dec.frame_operator(with_remainder=with_remainder)
+        assert same_bits(got, want)
+    doc = {"terms": [{"weight": t.weight, "vector": sparse(t.vector)} for t in terms]}
+    if remainder:
+        doc["remainder_terms"] = [{"weight": t.weight, "vector": sparse(t.vector)}
+                                  for t in remainder]
+    assert same_doc(decomp_to_json(dec), doc)
+
+
+ZEROS_AND_ONES = {"kind": "periodic-tail", "values": [1.0, 1.0, 0.0], "tail_block": [0.4, 0.9]}
+ONES_AFTER_CORE = {"kind": "periodic-tail", "values": [0.3, 0.7, 0.0], "tail_block": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "weights, stream",
+    [(PERIODIC, BLOCK4), (MU_FINITE, BASIS), (ZEROS_AND_ONES, BASIS), (ONES_AFTER_CORE, BLOCK4)],
+    ids=["mu-divergent-block4", "mu-finite-basis", "zeros-and-ones", "ones-after-core"],
+)
+def test_term_vectors_are_views_of_one_matrix(weights, stream):
+    decomp, _, _ = carpenter_decompose(seq_from_json(weights), stream_from_json(stream), stages=6)
+    back = decomp_from_json(json.loads(written(decomp_to_json(decomp))))
+    for dec in (decomp, back):
+        assert not dec.rows.flags.writeable
+        assert all(np.shares_memory(t.vector, dec.rows) for t in dec.terms + dec.remainder)
 
 
 @pytest.mark.parametrize("obj", [np.int64(3), np.array([0.5]), np.array([True])],

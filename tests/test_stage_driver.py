@@ -35,7 +35,7 @@ import pytest
 
 from admseq import carpenter, horn
 from admseq.carpenter import carpenter_decompose, decompose_m_finite
-from admseq.operators import RankOneTerm, frame_operator
+from admseq.operators import RankOneDecomp, RankOneTerm, frame_operator
 from admseq.seqkit import SUM_TOL, WeightSeq, split_mu_lambda
 from admseq.streams import VectorStream
 
@@ -372,7 +372,9 @@ def test_boundary_shortfall_threshold(shortfall, left):
         carpenter.BlockPlan((0.75, 0.75), ((0, 1.0), (1, 0.5))),
         carpenter.BlockPlan((0.25, 0.25 - shortfall), ((1, 0.5 - shortfall),)),
     ]
-    terms, certs, remainder = carpenter._realize(plans, VectorStream.basis())
+    rows, weights, certs, n = carpenter._realize(plans, VectorStream.basis())
+    dec = RankOneDecomp._of_rows(rows, weights, n)
+    terms, remainder = dec.terms, dec.remainder
     assert [c.consumed for c in certs] == [((0, 1.0), (1, 0.5)), ((1, 0.5 - shortfall),)]
     assert 1.0 - (0.5 + (0.5 - shortfall)) == shortfall
     if left:
