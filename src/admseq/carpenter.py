@@ -200,12 +200,6 @@ def decompose_finite_rank(values, stream: VectorStream):
     """Write a finite [0,1] weight list against exactly n = sum(values)
     orthonormal vectors: a Horn placement of the head against (1,...,1,r)
     and the remaining weights peeled along the last vector."""
-    decomp, certs = _finite_rank(values, stream)
-    return decomp.terms, certs
-
-
-def _finite_rank(values, stream: VectorStream):
-    """``decompose_finite_rank`` as a decomposition and its certificates."""
     vals = [float(v) for v in values]
     if any(v < 0.0 or v > 1.0 for v in vals):
         raise PlanningError("finite-rank weights must lie in [0, 1]")
@@ -218,15 +212,20 @@ def _finite_rank(values, stream: VectorStream):
         )
     if n == 0:
         raise TraceMismatchError("cannot decompose against an empty stream")
-    rows = np.empty((len(vals), stream.min_dim(n - 1)), dtype=complex)
-    weights, certs = _finite_rank_stage(vals, stream, n, rows)
-    return RankOneDecomp._of_rows(rows, weights, len(rows)), certs
+    rows, weights, certs = _finite_rank_stage(vals, stream, n, stream.min_dim(n - 1))
+    return tuple(map(RankOneTerm, weights, rows)), certs
 
 
-def _finite_rank_stage(vals, stream: VectorStream, n: int, out):
+def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, trail=0):
     """The finite-rank placement of ``vals`` (summing to n) on stream vectors
-    0..n-1 as one block stage, written into ``out``, certified as taking all
-    n vectors whole.  Returns the weights and the certificates."""
+    0..n-1 as one block stage, certified as taking all n vectors whole.
+    Returns one matrix in C^dim of ``lead`` rows left to the caller, the term
+    vectors and ``trail`` rows left to the caller, the terms' weights and the
+    certificates.  For n = 0 no stage runs and no term is emitted."""
+    vals = vals if n else ()
+    rows = np.empty((lead + len(vals) + trail, dim), dtype=complex)
+    if not vals:
+        return rows, [], ()
     acc, m = 0.0, 0
     while m < len(vals) and acc + vals[m] < n - PLACE_TOL:
         acc += vals[m]
@@ -234,7 +233,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, out):
     r = acc - (n - 1)  # in [0, 1) by maximality of m
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    weights, residual = _block_stage(plan, range(n), [1.0] * n, stream, out)
+    weights, residual = _block_stage(plan, range(n), [1.0] * n, stream, rows[lead : lead + len(vals)])
     cert = StageCertificate(
         stage=0,
         consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
@@ -242,7 +241,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, out):
         majorization=majorizes(vals, [1.0] * n),
         residual=residual,
     )
-    return weights, (cert,)
+    return rows, weights, (cert,)
 
 
 # -- staged planners ---------------------------------------------------
@@ -541,29 +540,9 @@ def decompose_m_finite(
     recursion, whose first carry is the boundary vector n - k with weight
     1 - r (all of it when r is 0 and the head leaves it untouched).  The
     emitted weights come from one pass over lam, each its input entry."""
-    plans, carry = _plan_m_finite(mu, lam, stages, extend_limit)
-    rows, weights, certs, n = _realize(plans, stream, carry)
+    rows, weights, certs, n = _decompose_core(CASE_M_FINITE, mu, lam, stream, stages, 0, extend_limit)
     decomp = RankOneDecomp._of_rows(rows, weights, n)
     return decomp.terms, certs, decomp.remainder[0]
-
-
-def _plan_m_finite(mu: WeightSeq, lam: WeightSeq, stages: int,
-                   extend_limit: int = DEFAULT_EXTEND_LIMIT):
-    """``decompose_m_finite``'s plans, its head block and ``stages - 1`` tail
-    steps, and its first carry as (stream position, weight)."""
-    if not mu.is_finite:
-        raise PlanningError("this staging needs finitely many small entries")
-    k = _snap_int(lam.total() - mu.total())
-    n, r = _advance(
-        lam.tail_sum, max(k + 2, 0), lambda s: s >= 1.0, extend_limit,
-        "could not find a head boundary with a small tail",
-    )
-    lam_it = _padded(lam)
-    head_targets = tuple(mu.values) + tuple(1.0 - next(lam_it) for _ in range(n))
-    tail = lam.drop(n)
-    plans = [BlockPlan(head_targets, _sources(0, 0.0, n - k, r)[0])]
-    plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
-    return plans, (n - k, 1.0 - tail.total())
 
 
 # -- the orchestrator ---------------------------------------------------
@@ -596,8 +575,8 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
             raise PlanningError(
                 "finite total weight with infinite support is out of scope here"
             )
-        decomp, certs = _finite_rank(seq.values, stream)
-        return decomp, certs, tag
+        terms, certs = decompose_finite_rank(seq.values, stream)
+        return RankOneDecomp(terms), certs, tag
 
     if stream.count is not None:
         raise TraceMismatchError("infinite total weight needs an infinite stream")
@@ -617,38 +596,49 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
         m0 = _trace_count(core.values)
         ones_stream, core_stream, ones_first = stream.drop(m0), stream, False
 
+    # the core's rows come after the zeros and, if first, the ones
     n_zero = int(sp.zeros_count) if sp.zeros_count < INF else stages
     if ones_first:
-        rows, weights, certs, n = _decompose_core(tag, sp, core_stream, stages, n_zero + n_ones)
+        rows, weights, certs, n = _decompose_core(
+            tag.tag, sp.mu, sp.lam, core_stream, stages, n_zero + n_ones
+        )
         # a staged core takes a fresh stream vector in every stage, so its
         # dimension already holds the ones before or beside it
         ones_at, weights = n_zero, [1.0] * n_ones + weights
     else:  # a finite core is placed in the dimension the ones after it need
-        m = len(core.values)
-        rows = np.empty((n_zero + m + n_ones, ones_stream.min_dim(n_ones - 1)), dtype=complex)
-        weights, certs = (
-            _finite_rank_stage(core.values, core_stream, m0, rows[n_zero : n_zero + m])
-            if m0 else ([], ())
-        )
-        ones_at, weights, n = n_zero + m, weights + [1.0] * n_ones, len(rows)
+        dim = ones_stream.min_dim(n_ones - 1)
+        rows, weights, certs = _finite_rank_stage(core.values, core_stream, m0, dim, n_zero, n_ones)
+        ones_at, weights, n = len(rows) - n_ones, weights + [1.0] * n_ones, len(rows)
     for j in range(n_ones):
         rows[ones_at + j] = ones_stream.vector(j, rows.shape[1])
     rows[:n_zero] = rows[n_zero]  # along the first vector used
     return RankOneDecomp._of_rows(rows, [0.0] * n_zero + weights, n), certs, tag
 
 
-def _decompose_core(tag, sp, stream, stages, lead):
-    """Plan the stripped core's first ``stages`` stages and realize them
-    after ``lead`` rows."""
+def _decompose_core(case, mu, lam, stream, stages, lead=0, extend_limit=DEFAULT_EXTEND_LIMIT):
+    """Plan the stripped core's first ``stages`` stages, at least one, and
+    realize them after ``lead`` rows."""
     carry = None
-    if tag.tag == CASE_MU_DIVERGES:
-        plans = plan_mu_diverges(sp.mu, sp.lam)
-    elif tag.tag == CASE_LAMBDA_DIVERGES:
-        plans = plan_lambda_diverges(sp.mu, sp.lam)
-    elif tag.tag == CASE_BOTH_SUMMABLE:
-        plans = plan_both_summable(sp.mu, sp.lam)
-    elif tag.tag == CASE_M_FINITE:
-        plans, carry = _plan_m_finite(sp.mu, sp.lam, stages)
+    if case == CASE_MU_DIVERGES:
+        plans = plan_mu_diverges(mu, lam, extend_limit)
+    elif case == CASE_LAMBDA_DIVERGES:
+        plans = plan_lambda_diverges(mu, lam, extend_limit)
+    elif case == CASE_BOTH_SUMMABLE:
+        plans = plan_both_summable(mu, lam, extend_limit)
+    elif case == CASE_M_FINITE:  # a head block, then tail steps from its boundary vector
+        if not mu.is_finite:
+            raise PlanningError("this staging needs finitely many small entries")
+        k = _snap_int(lam.total() - mu.total())
+        n, r = _advance(
+            lam.tail_sum, max(k + 2, 0), lambda s: s >= 1.0, extend_limit,
+            "could not find a head boundary with a small tail",
+        )
+        lam_it = _padded(lam)
+        head_targets = tuple(mu.values) + tuple(1.0 - next(lam_it) for _ in range(n))
+        tail = lam.drop(n)
+        plans = [BlockPlan(head_targets, _sources(0, 0.0, n - k, r)[0])]
+        plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
+        carry = (n - k, 1.0 - tail.total())
     else:
-        raise PlanningError(f"no staged construction for case {tag.tag!r}")
-    return _realize(islice(plans, stages), stream, carry, lead)
+        raise PlanningError(f"no staged construction for case {case!r}")
+    return _realize(islice(plans, max(stages, 1)), stream, carry, lead)

@@ -111,8 +111,7 @@ def ineq_check(a, decomp: RankOneDecomp):
     pos = float(np.linalg.eigvalsh(b)[0])
     dom = float(np.linalg.eigvalsh(mat - b)[0])
     op_excess = float(math.fsum(max(v - 1.0, 0.0) for v in np.linalg.eigvalsh(mat)))
-    weights = [t.weight for t in decomp.terms + decomp.remainder]
-    w_excess = float(math.fsum(max(w - 1.0, 0.0) for w in weights))
+    w_excess = float(math.fsum(max(w - 1.0, 0.0) for w in decomp.row_weights))
     margin = op_excess - w_excess
     holds = pos >= -MARGIN_TOL and dom >= -MARGIN_TOL and margin >= -MARGIN_TOL
     return IneqReport(holds, pos, dom, op_excess, w_excess, margin)

@@ -195,7 +195,7 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     pool = _coerce_terms(source_terms)
     decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights, PLACE_TOL)))
     dim = len(pool[0].vector)
-    _checked(frame_operator(decomp.terms, dim=dim) - frame_operator(pool, dim=dim))
+    _checked(decomp.frame_operator(dim) - frame_operator(pool, dim=dim))
     return decomp
 
 

@@ -197,13 +197,11 @@ class RankOneDecomp:
 
     @cached_property
     def terms(self) -> tuple[RankOneTerm, ...]:
-        n = self.n_terms
-        return tuple(map(RankOneTerm, self.row_weights[:n], self.rows[:n]))
+        return tuple(map(RankOneTerm, self.weights(), self.rows))
 
     @cached_property
     def remainder(self) -> tuple[RankOneTerm, ...]:
-        n = self.n_terms
-        return tuple(map(RankOneTerm, self.row_weights[n:], self.rows[n:]))
+        return tuple(map(RankOneTerm, self.row_weights[self.n_terms :], self.rows[self.n_terms :]))
 
     @property
     def dim(self) -> int:

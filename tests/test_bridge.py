@@ -115,6 +115,8 @@ def test_all_zero_decomposition_rejected():
 def test_unequal_term_lengths_are_refused():
     with pytest.raises(DimensionError, match="^terms disagree on the ambient dimension$"):
         RankOneDecomp((make_term(0.5, [1.0, 0.0]), make_term(0.5, [0.0, 0.0, 1.0])))
+    with pytest.raises(DimensionError, match="^terms disagree on the ambient dimension$"):
+        RankOneDecomp((make_term(0.5, [1.0, 0.0]),), (make_term(0.5, [0.0, 0.0, 1.0]),))
 
 
 def test_isometry_to_decomp_refuses_bad_shapes():

@@ -591,6 +591,20 @@ class TestCarpenter:
         assert decomp.remainder == ()
         assert_covers(decomp, stream, set(range(6)))
 
+    @pytest.mark.parametrize("values", [[1e-11], [1e-11, 0.0]], ids=["core", "core-and-zero"])
+    def test_infinite_ones_after_a_core_of_trace_zero(self, values):
+        # the core passes the integrality test but rounds to no stream vector,
+        # so it emits no term, and the ones take the vectors from 0 on
+        xi = WeightSeq.periodic(values, (1.0,))
+        decomp, certs, tag = carpenter_decompose(xi, BASIS, stages=4)
+        assert tag.tag == CASE_FINITE_RANK and certs == ()
+        n_zero = values.count(0.0)
+        assert len(decomp.rows) == len(decomp.row_weights) == n_zero + 4
+        assert decomp.weights() == (0.0,) * n_zero + (1.0,) * 4
+        assert all(np.linalg.norm(t.vector) == 1.0 for t in decomp.terms)
+        assert_on_stream(decomp.terms[n_zero:], BASIS, [0, 1, 2, 3])
+        assert decomp.remainder == ()
+
     @pytest.mark.parametrize("stream", ONES_STREAMS)
     def test_infinite_ones_mu_finite_core(self, stream):
         # the keycase carry runs on the odd vectors, beside the ones

@@ -145,19 +145,6 @@ def test_dense_results_are_complex_whatever_the_input(phase):
     assert np.max(np.abs(S - sum(0.5 * np.outer(t.vector, t.vector.conj()) for t in terms))) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "terms, remainder",
-    [
-        ((make_term(0.5, [1.0, 0.0]), make_term(0.5, [0.0, 0.0, 1.0])), ()),
-        ((make_term(0.5, [1.0, 0.0]),), (make_term(0.5, [0.0, 0.0, 1.0]),)),
-    ],
-    ids=["terms", "remainder"],
-)
-def test_ragged_decomposition_is_refused_where_built(terms, remainder):
-    with pytest.raises(DimensionError, match="^terms disagree on the ambient dimension$"):
-        RankOneDecomp(terms, remainder)
-
-
 def test_decomp_roundtrip_and_residual():
     v1 = np.array([1.0, 0.0], dtype=complex)
     v2 = np.array([0.0, 1.0], dtype=complex)
