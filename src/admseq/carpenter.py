@@ -9,7 +9,10 @@ single 2x2 mix in the tail recursion.  Which staging applies is decided by how
 the small entries mu (at most 1/2) and the defects lam = 1 - (large entries)
 sum up; truncating at a stage budget leaves an explicit remainder term.
 
-Each case is a planner feeding one stage driver, which runs every stage in
+``carpenter_decompose`` is the one public entry into the finite-rank case
+(Kadison's carpenter's theorem), a single block stage, and into the
+mu-finite case, a Horn head block followed by the 2x2 tail recursion.  Each
+staged case is a planner feeding one stage driver, which runs every stage in
 its own coordinates (R^k for the k stream vectors of a block stage, the
 orthonormal pair span{carry, fresh} for a tail step) and checks its identity
 there once.  Every mix there has gamma = 0, so no stage depends on the
@@ -38,6 +41,8 @@ from .horn import PLACE_TOL, _checked, _horn_place, _mix_coefficients, _mix_rows
 from .operators import RankOneDecomp, RankOneTerm
 from .seqkit import (
     INT_SNAP,
+    KIND_FINITE,
+    KIND_FINITELY_SUPPORTED,
     MajorizationVerdict,
     SplitSeq,
     WeightSeq,
@@ -136,7 +141,7 @@ def _block_stage(plan: BlockPlan, positions, consumed, stream: VectorStream, out
     placed = []
     if plan.targets:
         pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
-        placed = _horn_place(pool, plan.targets, PLACE_TOL, verdict=verdict, mix=_mix_rows)
+        placed = _horn_place(pool, plan.targets, verdict=verdict, mix=_mix_rows)
     placed += [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
     x = [t.weight for t in placed]
     C = np.array([t.vector for t in placed]).reshape(len(placed), k)
@@ -196,26 +201,6 @@ def _trace_count(vals) -> int:
     return n
 
 
-def decompose_finite_rank(values, stream: VectorStream):
-    """Write a finite [0,1] weight list against exactly n = sum(values)
-    orthonormal vectors: a Horn placement of the head against (1,...,1,r)
-    and the remaining weights peeled along the last vector."""
-    vals = [float(v) for v in values]
-    if any(v < 0.0 or v > 1.0 for v in vals):
-        raise PlanningError("finite-rank weights must lie in [0, 1]")
-    n = _trace_count(vals)
-    if stream.count is None:
-        raise TraceMismatchError("finite total weight needs a finite stream")
-    if stream.count != n:
-        raise TraceMismatchError(
-            f"total weight {n} but the stream provides {stream.count} vectors"
-        )
-    if n == 0:
-        raise TraceMismatchError("cannot decompose against an empty stream")
-    rows, weights, certs = _finite_rank_stage(vals, stream, n, stream.min_dim(n - 1))
-    return tuple(map(RankOneTerm, weights, rows)), certs
-
-
 def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, trail=0):
     """The finite-rank placement of ``vals`` (summing to n) on stream vectors
     0..n-1 as one block stage, certified as taking all n vectors whole.
@@ -232,6 +217,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
         m += 1
     r = acc - (n - 1)  # in [0, 1) by maximality of m
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
+    m = m if sources else 0  # no pool (n = 1, a head of at most PLACE_TOL): all along vector 0
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
     weights, residual = _block_stage(plan, range(n), [1.0] * n, stream, rows[lead : lead + len(vals)])
     cert = StageCertificate(
@@ -528,23 +514,6 @@ def _plan_tail(lam_it, lam: WeightSeq, fresh: int):
         s_prev = s_next
 
 
-def decompose_m_finite(
-    mu: WeightSeq,
-    lam: WeightSeq,
-    stream: VectorStream,
-    stages: int,
-    extend_limit: int = DEFAULT_EXTEND_LIMIT,
-):
-    """Finitely many small entries, summable defects, infinitely many large
-    entries: one Horn head block against (1,...,1, r), then the tail
-    recursion, whose first carry is the boundary vector n - k with weight
-    1 - r (all of it when r is 0 and the head leaves it untouched).  The
-    emitted weights come from one pass over lam, each its input entry."""
-    rows, weights, certs, n = _decompose_core(CASE_M_FINITE, mu, lam, stream, stages, 0, extend_limit)
-    decomp = RankOneDecomp._of_rows(rows, weights, n)
-    return decomp.terms, certs, decomp.remainder[0]
-
-
 # -- the orchestrator ---------------------------------------------------
 
 def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
@@ -563,7 +532,9 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
     infinitely many ones beside an infinite core take the even vectors
     (``thin(0, 2)``) and the core the odd ones (``thin(1, 2)``); infinitely
     many ones after a finite core take the vectors after the core's.  An
-    infinite count of ones or zeros is truncated to ``stages`` terms.
+    infinite count of ones or zeros is truncated to ``stages`` terms.  A
+    finite total weight n with finitely many ones needs a finite stream of
+    exactly n vectors, and is placed in one stage.
     """
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
     tag, sp = _classify(seq)  # raises KadisonError when the test fails
@@ -571,12 +542,21 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
         raise PlanningError("need at least one stage")
 
     if tag.tag == CASE_FINITE_RANK and sp.ones_count < INF:
-        if seq.kind not in ("finite", "finitely-supported"):
+        if seq.kind not in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
             raise PlanningError(
                 "finite total weight with infinite support is out of scope here"
             )
-        terms, certs = decompose_finite_rank(seq.values, stream)
-        return RankOneDecomp(terms), certs, tag
+        n = _trace_count(seq.values)
+        if stream.count is None:
+            raise TraceMismatchError("finite total weight needs a finite stream")
+        if stream.count != n:
+            raise TraceMismatchError(
+                f"total weight {n} but the stream provides {stream.count} vectors"
+            )
+        if n == 0:
+            raise TraceMismatchError("cannot decompose against an empty stream")
+        rows, weights, certs = _finite_rank_stage(seq.values, stream, n, stream.min_dim(n - 1))
+        return RankOneDecomp._of_rows(rows, weights, len(rows)), certs, tag
 
     if stream.count is not None:
         raise TraceMismatchError("infinite total weight needs an infinite stream")
@@ -600,7 +580,7 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
     n_zero = int(sp.zeros_count) if sp.zeros_count < INF else stages
     if ones_first:
         rows, weights, certs, n = _decompose_core(
-            tag.tag, sp.mu, sp.lam, core_stream, stages, n_zero + n_ones
+            tag, sp.mu, sp.lam, core_stream, stages, n_zero + n_ones
         )
         # a staged core takes a fresh stream vector in every stage, so its
         # dimension already holds the ones before or beside it
@@ -615,30 +595,28 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
     return RankOneDecomp._of_rows(rows, [0.0] * n_zero + weights, n), certs, tag
 
 
-def _decompose_core(case, mu, lam, stream, stages, lead=0, extend_limit=DEFAULT_EXTEND_LIMIT):
+def _decompose_core(tag: CaseTag, mu, lam, stream, stages, lead=0):
     """Plan the stripped core's first ``stages`` stages, at least one, and
-    realize them after ``lead`` rows."""
-    carry = None
-    if case == CASE_MU_DIVERGES:
-        plans = plan_mu_diverges(mu, lam, extend_limit)
-    elif case == CASE_LAMBDA_DIVERGES:
-        plans = plan_lambda_diverges(mu, lam, extend_limit)
-    elif case == CASE_BOTH_SUMMABLE:
-        plans = plan_both_summable(mu, lam, extend_limit)
-    elif case == CASE_M_FINITE:  # a head block, then tail steps from its boundary vector
-        if not mu.is_finite:
-            raise PlanningError("this staging needs finitely many small entries")
-        k = _snap_int(lam.total() - mu.total())
+    realize them after ``lead`` rows.  Every search is bounded by
+    ``DEFAULT_EXTEND_LIMIT`` as it stands at the call."""
+    limit, carry = DEFAULT_EXTEND_LIMIT, None
+    if tag.tag == CASE_MU_DIVERGES:
+        plans = plan_mu_diverges(mu, lam, limit)
+    elif tag.tag == CASE_LAMBDA_DIVERGES:
+        plans = plan_lambda_diverges(mu, lam, limit)
+    elif tag.tag == CASE_BOTH_SUMMABLE:
+        plans = plan_both_summable(mu, lam, limit)
+    elif tag.tag == CASE_M_FINITE:  # a head block, then tail steps from its boundary vector
         n, r = _advance(
-            lam.tail_sum, max(k + 2, 0), lambda s: s >= 1.0, extend_limit,
+            lam.tail_sum, max(tag.k + 2, 0), lambda s: s >= 1.0, limit,
             "could not find a head boundary with a small tail",
         )
         lam_it = _padded(lam)
         head_targets = tuple(mu.values) + tuple(1.0 - next(lam_it) for _ in range(n))
         tail = lam.drop(n)
-        plans = [BlockPlan(head_targets, _sources(0, 0.0, n - k, r)[0])]
-        plans += islice(_plan_tail(lam_it, tail, n - k + 1), max(stages - 1, 0))
-        carry = (n - k, 1.0 - tail.total())
+        plans = [BlockPlan(head_targets, _sources(0, 0.0, n - tag.k, r)[0])]
+        plans += islice(_plan_tail(lam_it, tail, n - tag.k + 1), max(stages - 1, 0))
+        carry = (n - tag.k, 1.0 - tail.total())
     else:
-        raise PlanningError(f"no staged construction for case {case!r}")
+        raise PlanningError(f"no staged construction for case {tag.tag!r}")
     return _realize(islice(plans, max(stages, 1)), stream, carry, lead)

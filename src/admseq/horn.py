@@ -25,7 +25,7 @@ from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
 from .seqkit import majorizes
 
 PLACE_TOL = 1e-12  # a weight within it of a target or of zero counts as equal
-PLACE_MAJORIZE_TOL = 1e-11  # a placement tests majorization at max(tol, PLACE_MAJORIZE_TOL)
+PLACE_MAJORIZE_TOL = 1e-11  # a placement tests majorization at max(PLACE_TOL, this)
 MIX_RESIDUAL_TOL = 1e-10
 NEG_SQUARE_TOL = 1e-9  # a mixing square above -NEG_SQUARE_TOL clamps to 0
 HORN_RESIDUAL_TOL = 1e-9  # scaled by the ambient dimension
@@ -158,18 +158,18 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: boo
     return MixResult(sigma * u + tau * up_rot, sigma_p * u + tau_p * up_rot, *c[:8], gamma, c[8])
 
 
-def _mix_vectors(a, b, ua, na, ub, nb, t, tol):
+def _mix_vectors(a, b, ua, na, ub, nb, t):
     """A placement's 2x2 step on unit vectors (their norms na, nb unused)."""
-    res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
+    res = mix_two(a, b, ua, ub, t, a + b - t, tol=PLACE_TOL)
     return res.w, res.w_prime, 1.0
 
 
-def _mix_rows(a, b, ua, na, ub, nb, t, tol):
+def _mix_rows(a, b, ua, na, ub, nb, t):
     """A placement's 2x2 step on real coefficient rows ua, ub standing for the
     unit vectors ua / na, ub / nb.  Every pool row of a block stage has a
     support disjoint from the rest, so gamma = 0 exactly: two axpys, and the
     new remainder's norm is that of its coefficients."""
-    sigma, tau, sigma_p, tau_p = _mix_coefficients(a, b, t, a + b - t, 0.0, tol)[:4]
+    sigma, tau, sigma_p, tau_p = _mix_coefficients(a, b, t, a + b - t, 0.0, PLACE_TOL)[:4]
     w = (sigma / na) * ua + (tau / nb) * ub
     return w, (sigma_p / na) * ua + (tau_p / nb) * ub, math.hypot(sigma_p, tau_p)
 
@@ -193,7 +193,7 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     the given order, and sum to the same operator, which is checked here.
     """
     pool = _coerce_terms(source_terms)
-    decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights, PLACE_TOL)))
+    decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights)))
     dim = len(pool[0].vector)
     _checked(decomp.frame_operator(dim) - frame_operator(pool, dim=dim))
     return decomp
@@ -208,20 +208,20 @@ def _checked(R: np.ndarray) -> np.ndarray:
 
 
 def _horn_place(
-    pool: list[RankOneTerm], target_weights, tol: float, *, verdict=None, mix=_mix_vectors
+    pool: list[RankOneTerm], target_weights, *, verdict=None, mix=_mix_vectors
 ) -> list[RankOneTerm]:
     """horn_decompose's placement of unit-vector pool terms, without its
     reconstruction check: the caller checks the identity.  ``mix`` is the
     2x2 step, the loop's only varying part: ``_mix_vectors`` for unit vectors,
     ``_mix_rows`` for a block stage's coefficient rows.  A caller that has
     already tested the majorization of these targets by these pool weights at
-    a tolerance of at most ``max(tol, PLACE_MAJORIZE_TOL)`` passes its
+    a tolerance of at most ``max(PLACE_TOL, PLACE_MAJORIZE_TOL)`` passes its
     ``verdict``; a holding one is not tested again.
 
-    Targets are placed largest first.  A target within ``tol`` of a pool
-    weight takes that entry's vector; otherwise it is mixed from the nearest
-    weights above (``>= t``) and below (``< t``), or peeled off the smallest
-    entry when nothing lies below.  The pool is a list sorted by (weight,
+    Targets are placed largest first.  A target within ``PLACE_TOL`` of a
+    pool weight takes that entry's vector; otherwise it is mixed from the
+    nearest weights above (``>= t``) and below (``< t``), or peeled off the
+    smallest entry when nothing lies below.  The pool is a list sorted by (weight,
     arrival), where arrival numbers the source terms in order and each mixed
     remainder after them, so every choice is a bisection and ties go to the
     earliest arrival: O(log k) comparisons per target, plus the list's
@@ -234,7 +234,9 @@ def _horn_place(
         raise DimensionError("need at least one source term")
     dim = len(pool[0].vector)
     if verdict is None or not verdict.holds:
-        verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, PLACE_MAJORIZE_TOL))
+        verdict = majorizes(
+            targets, [p.weight for p in pool], tol=max(PLACE_TOL, PLACE_MAJORIZE_TOL)
+        )
     if not verdict.holds:
         raise MajorizationError(
             "source weights do not majorize the targets"
@@ -245,21 +247,21 @@ def _horn_place(
 
     anchor = pool[0].vector
     # (weight, arrival, vector, norm); arrivals are distinct, so vectors are never compared
-    work = sorted((p.weight, i, p.vector, 1.0) for i, p in enumerate(pool) if p.weight > tol)
+    work = sorted((p.weight, i, p.vector, 1.0) for i, p in enumerate(pool) if p.weight > PLACE_TOL)
     arrivals = count(len(pool))
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
     placed: list[RankOneTerm | None] = [None] * len(targets)
     # weight that leaves the pool but counted in the majorization: entries of
-    # at most tol, what hits within tol take beyond their target, and mix
-    # remainders of at most tol
-    lost = math.fsum(p.weight for p in pool if p.weight <= tol)
+    # at most PLACE_TOL, what hits within it take beyond their target, and mix
+    # remainders of at most PLACE_TOL
+    lost = math.fsum(p.weight for p in pool if p.weight <= PLACE_TOL)
 
     for idx in order:
         t = targets[idx]
-        if t <= tol:
+        if t <= PLACE_TOL:
             placed[idx] = RankOneTerm(t, anchor)
             continue
-        hit = _earliest_hit(work, t, tol)
+        hit = _earliest_hit(work, t)
         if hit is not None:
             w, _, v, _ = work.pop(hit)
             lost += max(w - t, 0.0)
@@ -270,7 +272,7 @@ def _horn_place(
             # a shortfall the lost weight makes up takes the largest entry
             # left, or the anchor once none is
             top = work[-1][0] if work else 0.0
-            if t - top > tol + lost:
+            if t - top > PLACE_TOL + lost:
                 raise MajorizationError(
                     f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                 )
@@ -286,10 +288,10 @@ def _horn_place(
             continue
         kb = bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
         b, _, ub, nb = work[kb]
-        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t, tol)
+        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t)
         placed[idx] = RankOneTerm(t, w)
         del work[ka], work[kb]  # kb < ka, so kb's index survives the first deletion
-        if a + b - t > tol:
+        if a + b - t > PLACE_TOL:
             insort(work, (a + b - t, next(arrivals), w_prime, n_prime))
         else:
             lost += a + b - t
@@ -300,17 +302,17 @@ def _horn_place(
     return placed
 
 
-def _earliest_hit(work, t: float, tol: float) -> int | None:
+def _earliest_hit(work, t: float) -> int | None:
     """Index in the sorted pool of the earliest-arriving entry with
-    abs(w - t) <= tol, or None.  Every such w lies within 2 tol of t, even
-    when w - t rounds, so only that window is searched, one weight at a time:
-    the first entry of each weight arrived earliest."""
-    end = bisect_right(work, (t + 2.0 * tol, math.inf))
-    i = bisect_left(work, (t - 2.0 * tol,))
+    abs(w - t) <= PLACE_TOL, or None.  Every such w lies within 2 PLACE_TOL of
+    t, even when w - t rounds, so only that window is searched, one weight at
+    a time: the first entry of each weight arrived earliest."""
+    end = bisect_right(work, (t + 2.0 * PLACE_TOL, math.inf))
+    i = bisect_left(work, (t - 2.0 * PLACE_TOL,))
     best = None
     while i < end:
         w, arrival = work[i][:2]
-        if abs(w - t) <= tol and (best is None or arrival < work[best][1]):
+        if abs(w - t) <= PLACE_TOL and (best is None or arrival < work[best][1]):
             best = i
         i = bisect_right(work, (w, math.inf), i, end)
     return best

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import math
 from itertools import islice
 
 import numpy as np
 import pytest
 
+from admseq import carpenter
 from admseq.carpenter import (
     CASE_BOTH_SUMMABLE,
     CASE_FINITE_RANK,
@@ -13,20 +15,20 @@ from admseq.carpenter import (
     CASE_MU_DIVERGES,
     carpenter_decompose,
     classify_case,
-    decompose_finite_rank,
-    decompose_m_finite,
     keycase_recursion,
     plan_both_summable,
     plan_lambda_diverges,
     plan_mu_diverges,
     realize_block_plans,
 )
+from admseq.cli import main
 from admseq.errors import KadisonError, PlanningError, TraceMismatchError
 from admseq.operators import RankOneTerm, frame_operator
-from admseq.seqkit import WeightSeq, split_mu_lambda
-from admseq.streams import VectorStream
+from admseq.seqkit import WeightSeq, seq_to_json, split_mu_lambda
+from admseq.streams import VectorStream, stream_to_json
 
 BASIS = VectorStream.basis()
+ONE = VectorStream.explicit([np.eye(1)[0]])
 GEO8 = WeightSeq.geometric([], 0.125, 0.5)
 
 
@@ -107,7 +109,8 @@ class TestFiniteRank:
     def test_worked_example_structure(self):
         # four halves against two vectors: head of three, one colinear peel
         stream = VectorStream.explicit([np.eye(4)[0], np.eye(4)[1]])
-        terms, certs = decompose_finite_rank([0.5] * 4, stream)
+        decomp, certs, _ = carpenter_decompose(WeightSeq.finite([0.5] * 4), stream)
+        terms = decomp.terms
         assert [t.weight for t in terms] == [0.5] * 4
         # the last weight rides along E_1 untouched
         assert np.allclose(terms[-1].vector, np.eye(4)[1])
@@ -120,20 +123,75 @@ class TestFiniteRank:
 
     def test_zero_and_one_entries(self):
         stream = VectorStream.explicit([np.eye(3)[0], np.eye(3)[1]])
-        terms, _ = decompose_finite_rank([1.0, 0.0, 0.7, 0.3], stream)
-        assert [t.weight for t in terms] == [1.0, 0.0, 0.7, 0.3]
-        op = frame_operator(terms, dim=3)
+        decomp, _, _ = carpenter_decompose(WeightSeq.finite([1.0, 0.0, 0.7, 0.3]), stream)
+        assert [t.weight for t in decomp.terms] == [1.0, 0.0, 0.7, 0.3]
+        op = frame_operator(decomp.terms, dim=3)
         assert np.max(np.abs(op - np.diag([1, 1, 0]).astype(complex))) <= 1e-12
 
     def test_non_integer_total_refused(self):
         stream = VectorStream.explicit([np.eye(2)[0]])
-        with pytest.raises(TraceMismatchError):
-            decompose_finite_rank([0.5, 0.7], stream)
+        with pytest.raises(KadisonError):
+            carpenter_decompose(WeightSeq.finite([0.5, 0.7]), stream)
 
     def test_stream_count_must_match(self):
         stream = VectorStream.explicit([np.eye(3)[0]])
-        with pytest.raises(TraceMismatchError):
-            decompose_finite_rank([0.5] * 4, stream)
+        with pytest.raises(
+            TraceMismatchError, match="^total weight 2 but the stream provides 1 vectors$"
+        ):
+            carpenter_decompose(WeightSeq.finite([0.5] * 4), stream)
+
+    @pytest.mark.parametrize(
+        "values, stream, message",
+        [
+            ([0.5] * 4, BASIS, "finite total weight needs a finite stream"),
+            ([0.0], ONE.drop(1), "cannot decompose against an empty stream"),
+        ],
+        ids=["infinite", "empty"],
+    )
+    def test_stream_must_be_finite_and_not_empty(self, values, stream, message):
+        with pytest.raises(TraceMismatchError, match=f"^{message}$"):
+            carpenter_decompose(WeightSeq.finite(values), stream)
+
+    def test_terms_are_rows_of_the_stage_matrix(self, monkeypatch):
+        # the decomposition holds the matrix the stage wrote, not a copy
+        made = []
+        real = carpenter._finite_rank_stage
+
+        def capturing(*args):
+            out = real(*args)
+            made.append(out[0])
+            return out
+
+        monkeypatch.setattr(carpenter, "_finite_rank_stage", capturing)
+        stream = VectorStream.explicit([np.eye(4)[0], np.eye(4)[1]])
+        decomp, _, _ = carpenter_decompose(WeightSeq.finite([0.5] * 4), stream)
+        (rows,) = made
+        assert np.shares_memory(decomp.rows, rows)
+
+    @pytest.mark.parametrize(
+        "xi, stream",
+        [
+            (WeightSeq.finite([0.0, 1.0]), ONE),
+            (WeightSeq.finite([1e-13, 0.9999999999999]), ONE),
+            (WeightSeq.finitely_supported([0.0, 1.0]), ONE),
+            (WeightSeq.periodic([1e-13, 1 - 1e-13], (1.0,)), BASIS),
+        ],
+        ids=["zero-first", "tiny-first", "finitely-supported", "ones-after-core"],
+    )
+    def test_light_head_on_one_vector(self, tmp_path, capsys, xi, stream):
+        # on one stream vector, weights before a last one summing to at most
+        # PLACE_TOL leave no pool to place them against: they are laid along
+        # that vector with the rest
+        decomp, certs, _ = carpenter_decompose(xi, stream, stages=3)
+        assert [w.hex() for w in decomp.weights()] == [w.hex() for w in xi.head(len(decomp.terms))]
+        assert decomp.remainder == ()
+        assert max(c.residual for c in certs) <= 1e-8
+        # the core's two terms fill vector 0, each one after them a vector of its own
+        assert_covers(decomp, stream, range(len(decomp.terms) - 1), tol=1e-8)
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"weights": seq_to_json(xi), "stream": stream_to_json(stream)}))
+        assert main(["decompose", str(inp), "--stages", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 class TestMuDivergesPlan:
@@ -436,11 +494,19 @@ class TestKeycase:
         assert carry.weight == pytest.approx(1.0)
 
 
+def m_finite(f, q, mu=()):
+    """Large entries 1 - f q^j, after finitely many small entries ``mu``
+    (interleaved with them): its split is mu and the geometric lam bit for
+    bit."""
+    xi = WeightSeq.one_minus(WeightSeq.geometric([], f, q))
+    return WeightSeq.interleave(WeightSeq.finite(mu), xi) if mu else xi
+
+
 class TestMFinite:
     def test_frozen_head_trace(self):
-        lam = WeightSeq.geometric([], 0.4, 0.6)  # sums to 1, so k = 1
-        mu = WeightSeq.finite([])
-        terms, certs, carry = decompose_m_finite(mu, lam, BASIS, stages=4)
+        xi = m_finite(0.4, 0.6)  # lam sums to 1, so k = 1
+        lam = split_mu_lambda(xi).lam
+        decomp, certs, _ = carpenter_decompose(xi, BASIS, stages=4)
         head = certs[0]
         assert head.consumed[:2] == ((0, 1.0), (1, 1.0))
         assert head.consumed[2][0] == 2
@@ -448,36 +514,34 @@ class TestMFinite:
         assert head.targets == pytest.approx((0.6, 0.76, 0.856))
         # keycase stages continue from the boundary vector
         assert certs[1].consumed == ((3, 1.0),)
+        (carry,) = decomp.remainder
         assert carry.weight == pytest.approx(1.0 - lam.tail_sum(6))
 
     @pytest.mark.parametrize("limit", [2, 1, 0, -1])
-    def test_head_search_guard(self, limit):
+    def test_head_search_guard(self, monkeypatch, limit):
         # k = 2: the search starts at n = 4, where lam's tail is 1.17, and
         # takes two increments to get below 1
-        lam = WeightSeq.geometric([], 0.25, 0.875)
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", limit)
+        xi = m_finite(0.25, 0.875)
         if limit < 2:
             with pytest.raises(
                 PlanningError, match="^could not find a head boundary with a small tail$"
             ):
-                decompose_m_finite(WeightSeq.finite([]), lam, BASIS, 1, extend_limit=limit)
+                carpenter_decompose(xi, BASIS, 1)
         else:
-            decompose_m_finite(WeightSeq.finite([]), lam, BASIS, 1, extend_limit=limit)
+            carpenter_decompose(xi, BASIS, 1)
         if limit <= 0:  # a start index that already stops the search passes
-            lam = WeightSeq.geometric([], 0.4, 0.6)
-            decompose_m_finite(WeightSeq.finite([]), lam, BASIS, 1, extend_limit=limit)
+            carpenter_decompose(m_finite(0.4, 0.6), BASIS, 1)
 
     def test_small_entries_consumed_in_head(self):
-        mu = WeightSeq.finite([0.5, 0.25])
-        lam = WeightSeq.geometric([], 0.375, 0.5)  # total 0.75, k = -1... snaps
-        with pytest.raises(PlanningError):
-            # 0.75 - 0.75 = 0 works; change mu so k is fractional
-            decompose_m_finite(WeightSeq.finite([0.4]), lam, BASIS, stages=2)
-        terms, certs, carry = decompose_m_finite(mu, lam, BASIS, stages=3)
+        # lam totals 0.75: mu [0.4] leaves k fractional, which the gate refuses
+        with pytest.raises(KadisonError):
+            carpenter_decompose(m_finite(0.375, 0.5, [0.4]), BASIS, stages=2)
+        decomp, certs, _ = carpenter_decompose(m_finite(0.375, 0.5, [0.5, 0.25]), BASIS, stages=3)
         assert certs[0].targets[:2] == (0.5, 0.25)
-        op = frame_operator(list(terms) + [carry], dim=len(carry.vector))
+        op = total_operator(decomp)
         d = np.round(np.real(np.diag(op)))
         assert np.max(np.abs(op - np.diag(d))) <= 1e-9
-
 
     @pytest.mark.parametrize("stream", [BASIS, VectorStream.block_overlap(4)], ids=["basis", "block4"])
     def test_emitted_weights_are_the_input_entries(self, stream):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,6 +325,12 @@ def _scan_place(pool, target_weights, tol):
     return placed
 
 
+def _place_at(pool, target_weights, tol):
+    """_horn_place with PLACE_TOL set to tol for the call."""
+    with mock.patch.object(horn, "PLACE_TOL", tol):
+        return _horn_place(pool, target_weights)
+
+
 def _outcome(place, weights, targets, tol):
     """Placed weights and vector bytes, or the error's type and text."""
     eye = np.eye(max(len(weights), 1), dtype=complex)
@@ -393,14 +400,14 @@ def placements(draw):
 @example(([0.5, 4.0, 4.0], [0.5 + 2.0**-53] + [0.5] * 16, 0.0))
 def test_sorted_pool_places_as_the_scans_did(case):
     weights, targets, tol = case
-    assert _outcome(_horn_place, weights, targets, tol) == _outcome(_scan_place, weights, targets, tol)
+    assert _outcome(_place_at, weights, targets, tol) == _outcome(_scan_place, weights, targets, tol)
 
 
 def test_unreachable_target_is_refused():
     weights, targets = [1.0, 0.5], [1.0 + 5e-12, 0.5 - 5e-12]
     want = (MajorizationError, f"no source weight reaches the target {targets[0]!r}; "
             "majorization bookkeeping broke")
-    assert _outcome(_horn_place, weights, targets, 1e-12) == want
+    assert _outcome(_place_at, weights, targets, 1e-12) == want
 
 
 # pool entries of at most PLACE_TOL leave the pool but count in the
@@ -426,7 +433,7 @@ def test_dropped_entries_make_up_a_shortfall(weights, targets, last, source):
     assert np.array_equal(dec.terms[last].vector, eye[source])
     residual = frame_operator(dec.terms, dim=len(weights)) - frame_operator(pool)
     assert np.max(np.abs(residual)) <= 3e-12
-    assert _outcome(_horn_place, weights, targets, PLACE_TOL) == _outcome(
+    assert _outcome(_place_at, weights, targets, PLACE_TOL) == _outcome(
         _scan_place, weights, targets, PLACE_TOL)
 
 
@@ -482,15 +489,15 @@ def placement_log(weights, targets, rows):
     origin = {id(p.vector): ("source", i) for i, p in enumerate(pool)}
     keep, mixes = [], []  # keep every tagged array alive, so no id is reused
 
-    def logged(a, b, ua, na, ub, nb, t, tol):
-        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t, tol)
+    def logged(a, b, ua, na, ub, nb, t):
+        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t)
         mixes.append((a.hex(), b.hex(), t.hex(), origin[id(ua)], origin[id(ub)]))
         origin[id(w)], origin[id(w_prime)] = ("mixed", len(mixes)), ("remainder", len(mixes))
         keep.extend((w, w_prime))
         return w, w_prime, n_prime
 
     try:
-        placed = _horn_place(pool, targets, PLACE_TOL, mix=logged)
+        placed = _horn_place(pool, targets, mix=logged)
     except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
         return (type(exc), str(exc)), None
     choices = [(t.weight.hex(), origin[id(t.vector)]) for t in placed]
@@ -515,7 +522,7 @@ def test_hits_within_tol_make_up_a_shortfall(k, seed, draw):
     pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
     dec = horn_decompose(pool, targets)  # checks the reconstruction
     assert [t.weight for t in dec.terms] == targets
-    assert _outcome(_horn_place, weights, targets, PLACE_TOL) == _outcome(
+    assert _outcome(_place_at, weights, targets, PLACE_TOL) == _outcome(
         _scan_place, weights, targets, PLACE_TOL)
 
 
@@ -557,8 +564,8 @@ def test_stage_check_refuses_a_corrupted_row(monkeypatch):
     assert placed == targets and residual <= 1e-10
     real = carpenter._horn_place
 
-    def corrupt(pool, target_weights, tol, **kw):
-        placed = real(pool, target_weights, tol, **kw)
+    def corrupt(pool, target_weights, **kw):
+        placed = real(pool, target_weights, **kw)
         i = next(i for i, t in enumerate(placed) if np.count_nonzero(t.vector) > 1)
         row = placed[i].vector.copy()
         row[np.flatnonzero(row)[0]] += 1e-6

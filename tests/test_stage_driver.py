@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from admseq import carpenter, horn
-from admseq.carpenter import carpenter_decompose, decompose_m_finite
+from admseq.carpenter import carpenter_decompose
 from admseq.operators import RankOneDecomp, RankOneTerm, frame_operator
 from admseq.seqkit import SUM_TOL, WeightSeq, split_mu_lambda
 from admseq.streams import VectorStream
@@ -297,12 +297,10 @@ def test_zero_boundary_share_covers_the_touched_vectors(stages):
     assert dec.dim == stages + 2
     op = frame_operator(list(dec.terms) + list(dec.remainder), dim=dec.dim)
     assert np.max(np.abs(op - np.eye(dec.dim))) <= 1e-12
-    if stages == 1:  # the whole of E_2 is left, also from decompose_m_finite at 0 stages
+    if stages == 1:  # the whole of E_2 is left
         (rem,) = dec.remainder
-        _, _, carry = decompose_m_finite(sp.mu, sp.lam, VectorStream.basis(), 0)
-        assert carry.weight == rem.weight == 1.0
-        assert np.array_equal(carry.vector, rem.vector)
-        assert np.array_equal(carry.vector, VectorStream.basis().vector(2, 3))
+        assert rem.weight == 1.0
+        assert np.array_equal(rem.vector, VectorStream.basis().vector(2, 3))
 
 
 def test_one_stage_identity_per_block_stage(monkeypatch):
@@ -349,8 +347,8 @@ def test_corrupted_placement_is_refused(monkeypatch, name):
     # refuse the stage
     real = carpenter._horn_place
 
-    def corrupt(pool, targets, tol, **kw):
-        placed = real(pool, targets, tol, **kw)
+    def corrupt(pool, targets, **kw):
+        placed = real(pool, targets, **kw)
         t = placed[0]
         assert t.vector.dtype == np.float64  # a real coefficient row
         v = t.vector + 1e-6 * np.roll(t.vector, 1)
