@@ -48,6 +48,7 @@ PARSE_ERRORS = (
     KeyError,
     TypeError,
     ValueError,
+    RecursionError,  # a document nested deeper than the interpreter's recursion limit
 )
 
 

@@ -19,6 +19,7 @@ read that matrix as it is, or a slice of it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -55,9 +56,11 @@ def assert_hermitian(A) -> np.ndarray:
 
 
 def _hermitian_part(M) -> np.ndarray:
-    """(M + M*) / 2 of a square matrix M, real or complex, whose asymmetry is
-    within HERM_TOL per dimension."""
+    """(M + M*) / 2 of a square matrix M, real or complex, whose entries are
+    finite and whose asymmetry is within HERM_TOL per dimension."""
     dev = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    if not math.isfinite(dev):  # an inf or nan entry makes the asymmetry inf or nan
+        raise ValueError("matrix entries must be finite")
     if dev > HERM_TOL * max(1, M.shape[0]):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
     return 0.5 * (M + M.conj().T)

@@ -6,19 +6,25 @@ tail sums are computed exactly -- finite ones in closed form, divergent ones
 certified as ``inf``.  Nothing here estimates a tail by partial summation.
 
 Every kind but the interleaving is a leaf: a head (``values``), read in one
-place per operation, then its kind's tail -- none, zeros, f*q^k, a repeated
-block, or 1 - f*q^k.  A one-minus leaf holds its inner head's complements and
-keeps the inner sequence in ``parts`` for JSON, drop and strip.  Iteration and
-drop of an interleaving share one round-robin walk (``_round_robin``).
+place per operation, then one of two tails.  Either a repeated block
+(``tail_block``: a periodic tail's block, ``(0.0,)`` for a finitely-supported
+sequence, none for a finite one), or a geometric run f*q^k, which a one-minus
+leaf reads as 1 - f*q^k.  A one-minus leaf holds its inner head's complements
+and keeps the inner sequence in ``parts`` for JSON, drop and strip.  One
+iterator (``_tail``) reads either tail and one cut index (``_cut``) says where
+a run crosses a threshold; the one-minus flag only complements entries and
+swaps the two sides of a cut.  One per-entry classifier (``_sort_entries``)
+sorts heads and blocks against 0, a threshold and 1.  Iteration and drop of an
+interleaving share one round-robin walk (``_round_robin``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, count, cycle, islice, repeat, zip_longest
-from operator import countOf
+from functools import cached_property, reduce
+from itertools import chain, compress, count, cycle, islice, zip_longest
+from operator import add, countOf
 from typing import Iterator
 
 from ._np import np
@@ -48,7 +54,8 @@ KIND_INTERLEAVE = "interleave"
 # sequence (``_gate``), so they are computed once per sequence.  Passes run
 # over blocks of _BLOCK entries to keep temporaries small.  Only this path
 # reads numpy, so a gate on short lists never loads it (``np`` is loaded on
-# first use, see ``_np``).
+# first use, see ``_np``).  strip_zeros_ones runs per entry at any length:
+# its callers strip short heads, or a finite core beside infinitely many ones.
 _ARRAY_MIN = 128
 _BLOCK = 1 << 16
 
@@ -137,8 +144,8 @@ class WeightSeq:
 
     Use the classmethod constructors; they normalize degenerate forms (for
     instance a geometric tail with first term 0 collapses to the
-    finitely-supported kind) so downstream arithmetic can rely on strict
-    leaf invariants.
+    finitely-supported kind, whose leaf holds the block ``(0.0,)``) so
+    downstream arithmetic can rely on strict leaf invariants.
     """
 
     kind: str
@@ -194,15 +201,13 @@ class WeightSeq:
         if seq.kind == KIND_INTERLEAVE:
             return cls.interleave(*(cls.one_minus(p) for p in seq.parts))
         head = tuple([1.0 - v for v in seq.values])
-        if seq.kind == KIND_FINITE:
-            return cls.finite(head)
-        if seq.kind == KIND_FINITELY_SUPPORTED:
-            return cls.periodic(head, (1.0,))
-        if seq.kind == KIND_PERIODIC:
+        if seq.tail_first:
+            # a geometric leaf: its head entries lie in [0, 1], so the
+            # complements need no validation
+            return cls(KIND_ONE_MINUS, head, seq.tail_first, seq.tail_ratio, parts=(seq,))
+        if seq.tail_block:  # a finitely-supported leaf's (0.0,) becomes (1.0,)
             return cls.periodic(head, tuple(1.0 - v for v in seq.tail_block))
-        # a geometric leaf: its head entries lie in [0, 1], so the complements
-        # need no validation
-        return cls(KIND_ONE_MINUS, head, seq.tail_first, seq.tail_ratio, parts=(seq,))
+        return cls.finite(head)
 
     @classmethod
     def interleave(cls, *parts: "WeightSeq") -> "WeightSeq":
@@ -254,17 +259,27 @@ class WeightSeq:
                 yield next(iters[i])
             return
         yield from self.values
+        yield from self._tail()
+
+    def _tail(self) -> Iterator[float]:
+        """A leaf's entries after its head: its block repeated (none for a
+        finite leaf), or f*q^k for k = 0, 1, ..., read as 1 - f*q^k by a
+        one-minus leaf."""
         f, q = self.tail_first, self.tail_ratio
-        if self.kind == KIND_FINITELY_SUPPORTED:
-            yield from repeat(0.0)
-        elif self.kind == KIND_GEOMETRIC:
-            for k in count():
-                yield f * q**k
-        elif self.kind == KIND_ONE_MINUS:
-            for k in count():
-                yield 1.0 - f * q**k
-        elif self.kind == KIND_PERIODIC:
-            yield from cycle(self.tail_block)
+        if not f:
+            return cycle(self.tail_block)
+        run = (f * q**k for k in count())
+        return (1.0 - v for v in run) if self.kind == KIND_ONE_MINUS else run
+
+    def _cut(self, x: float) -> int:
+        """The index k where a leaf's geometric run crosses x in (0, 1): the
+        run's entries f*q^j lie above x for j < k and at or below it from k
+        on.  A one-minus leaf's k is the first with f*q^k < 1 - x, so its
+        entries 1 - f*q^j lie at or below x for j < k and above it from k on."""
+        f, q = self.tail_first, self.tail_ratio
+        if self.kind == KIND_ONE_MINUS:
+            return _first_k_lt(f, q, 1.0 - x)
+        return _first_k_leq(f, q, x)
 
     def head(self, n: int) -> list[float]:
         return list(islice(self, max(n, 0)))
@@ -297,13 +312,12 @@ class WeightSeq:
 
     def _sum_from(self, start: int) -> float:
         """tail_sum(start) of a leaf: its head from start on, then its tail."""
-        if self.kind in (KIND_PERIODIC, KIND_ONE_MINUS):
+        if self.kind == KIND_ONE_MINUS or any(self.tail_block):
             return INF  # the tail's entries do not decay to 0
         k = start - len(self.values)  # tail entries before start, when positive
-        tail = 0.0
-        if self.kind == KIND_GEOMETRIC:
-            f = self.tail_first * self.tail_ratio**k if k > 0 else self.tail_first
-            tail = _geom_sum(f, self.tail_ratio)
+        # a leaf with no run has tail_first = tail_ratio = 0.0, so a tail of 0.0
+        f = self.tail_first * self.tail_ratio**k if k > 0 else self.tail_first
+        tail = _geom_sum(f, self.tail_ratio)
         if k >= 0:  # no head entries from start on
             return tail
         return math.fsum(self.values[start:]) + tail
@@ -326,12 +340,13 @@ class WeightSeq:
             return WeightSeq.one_minus(self.parts[0].drop(n))
         head = self.values[n:]
         k = max(n - len(self.values), 0)  # tail entries dropped
-        if self.kind == KIND_GEOMETRIC:
+        block = self.tail_block
+        if self.tail_first:
             return WeightSeq.geometric(head, self.tail_first * self.tail_ratio**k, self.tail_ratio)
-        if self.kind == KIND_PERIODIC:
-            off = k % len(self.tail_block)
-            return WeightSeq.periodic(head, self.tail_block[off:] + self.tail_block[:off])
-        return _leaf(self.kind, _validated(head))
+        if not block:
+            return WeightSeq.finite(head)
+        off = k % len(block)
+        return WeightSeq.periodic(head, block[off:] + block[:off])
 
     def entries_within_unit(self) -> bool:
         """Whether every entry is <= 1 (entries are nonnegative by construction)."""
@@ -342,9 +357,9 @@ class WeightSeq:
                 return False
         elif np.count_nonzero(self._head <= 1.0) < len(self.values):
             return False
-        if self.kind == KIND_GEOMETRIC:  # the first tail entry is the largest
-            return self.tail_first <= 1.0
-        return all(v <= 1.0 for v in self.tail_block)  # no block unless periodic
+        # a geometric run's first entry is its largest; a one-minus leaf's run
+        # passed this test before it was complemented
+        return self.tail_first <= 1.0 and all(v <= 1.0 for v in self.tail_block)
 
 
 def _round_robin(parts) -> Iterator[int]:
@@ -363,8 +378,11 @@ def _round_robin(parts) -> Iterator[int]:
 
 
 def _leaf(kind: str, checked, **tail) -> WeightSeq:
-    """A leaf on a head validated by _validated; a long head keeps its array."""
+    """A leaf on a head validated by _validated; a long head keeps its array.
+    A finitely-supported leaf's tail is the block (0.0,)."""
     values, head = checked
+    if kind == KIND_FINITELY_SUPPORTED:
+        tail["tail_block"] = (0.0,)
     seq = WeightSeq(kind, values=values, **tail)
     if head is not None:
         seq.__dict__["_head"] = head
@@ -389,15 +407,14 @@ def _reals_from_json(xs):
     floats is taken as it is and an all-string list converted at once; any
     other list, or a string list with a bad entry, goes entry by entry, so
     the first bad entry is the one named."""
-    if isinstance(xs, list):
-        types = set(map(type, xs))
-        if types <= {float}:
-            return _validated(xs, floats=True)
-        if types == {str}:
-            try:
-                return _validated(list(map(float, xs)), floats=True)
-            except ValueError:
-                pass
+    types = set(map(type, xs))
+    if types <= {float}:
+        return _validated(xs, floats=True)
+    if types == {str}:
+        try:
+            return _validated(list(map(float, xs)), floats=True)
+        except ValueError:
+            pass
     return _validated(_real_from_json(v) for v in xs)
 
 
@@ -418,6 +435,10 @@ def seq_to_json(seq: WeightSeq) -> dict:
 def seq_from_json(obj) -> WeightSeq:
     if not isinstance(obj, dict):
         raise SequenceError(f"sequence JSON must be an object, got {type(obj).__name__}")
+    for field in ("values", "tail_block", "parts"):  # each is iterated, so only a list will do
+        if not isinstance(obj.get(field, []), list):
+            raise SequenceError(
+                f"sequence JSON field {field!r} must be a list, got {type(obj[field]).__name__}")
     kind = obj.get("kind")
     try:
         if kind in (KIND_FINITE, KIND_FINITELY_SUPPORTED):
@@ -566,17 +587,31 @@ def _gated(seq: WeightSeq, key, compute):
     return memo[key]
 
 
+def _sort_entries(values, x: float, small: list, large: list) -> tuple[int, int]:
+    """Append the entries in (0, x] to small and the complements 1 - v of the
+    entries in (x, 1) to large, in order; return the counts of 0.0 and 1.0."""
+    zeros = ones = 0
+    for v in values:
+        if v == 0.0:
+            zeros += 1
+        elif v == 1.0:
+            ones += 1
+        elif v <= x:
+            small.append(v)
+        else:
+            large.append(1.0 - v)
+    return zeros, ones
+
+
 def _head_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
-    """(a, b) over the head of a leaf, each summed left to right from 0.0."""
+    """(a, b) over the head of a leaf, each summed left to right from 0.0.
+    Zeros and ones add 0.0 to a and to b, so the short path leaves them out."""
+    if len(seq.values) < _ARRAY_MIN:
+        small, large = [], []
+        _sort_entries(seq.values, alpha, small, large)
+        return reduce(add, small, 0.0), reduce(add, large, 0.0)
     a = 0.0
     b = 0.0
-    if len(seq.values) < _ARRAY_MIN:
-        for v in seq.values:
-            if v <= alpha:
-                a += v
-            else:
-                b += 1.0 - v
-        return a, b
     x = seq._head
     for i in range(0, len(x), _BLOCK):
         block = x[i:i + _BLOCK]
@@ -599,23 +634,16 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
         return a, b
     a, b = _head_ab(seq, alpha)
     f, q = seq.tail_first, seq.tail_ratio
-    if seq.kind == KIND_GEOMETRIC:
-        k0 = _first_k_leq(f, q, alpha)
-        b += k0 - _geom_sum(f, q, k0)
-        a += _geom_sum(f * q**k0, q)
-    elif seq.kind == KIND_ONE_MINUS:  # tail entries 1 - f*q^k -> 1
-        k1 = _first_k_lt(f, q, 1.0 - alpha)  # beyond k1 the entries exceed alpha
-        a += k1 - _geom_sum(f, q, k1)
-        b += _geom_sum(f * q**k1, q)
-    elif seq.kind == KIND_PERIODIC:
-        for v in seq.tail_block:
-            if v == 0.0:
-                continue
-            if v <= alpha:
-                a = INF
-            elif v < 1.0:
-                b = INF
-    return a, b
+    if not f:  # each block entry repeats forever
+        small, large = [], []
+        _sort_entries(seq.tail_block, alpha, small, large)
+        return (INF if small else a), (INF if large else b)
+    k = seq._cut(alpha)
+    before = k - _geom_sum(f, q, k)  # the sum of 1 - f*q^j over j < k
+    after = _geom_sum(f * q**k, q)  # the sum of f*q^j over j >= k
+    if seq.kind == KIND_ONE_MINUS:  # tail entries 1 - f*q^k -> 1: beyond k they exceed alpha
+        return a + before, b + after
+    return a + after, b + before
 
 
 def kadison_check(xi, alpha: float = 0.5, tol: float = INT_SNAP) -> KadisonReport:
@@ -663,75 +691,52 @@ class SplitSeq:
         return self.mu.total(), self.lam.total()
 
 
-class _SplitAcc:
-    def __init__(self):
-        self.mu_values: list[float] = []
-        self.mu_segs: list[WeightSeq] = []
-        self.lam_values: list[float] = []
-        self.lam_segs: list[WeightSeq] = []
-        self.zeros: float = 0
-        self.ones: float = 0
-
-    def add_value(self, v: float) -> None:
-        if v == 0.0:
-            self.zeros += 1
-        elif v == 1.0:
-            self.ones += 1
-        elif v <= 0.5:
-            self.mu_values.append(v)
-        else:
-            self.lam_values.append(1.0 - v)
-
-    def add_head(self, seq: WeightSeq) -> None:
-        """add_value for each head entry of a leaf, in order."""
-        if len(seq.values) < _ARRAY_MIN:
-            for v in seq.values:
-                self.add_value(v)
-            return
-        x = seq._head
-        for i in range(0, len(x), _BLOCK):
-            block = x[i:i + _BLOCK]
-            small = block <= 0.5
-            zero = block == 0.0
-            one = block == 1.0
-            self.zeros += int(np.count_nonzero(zero))
-            self.ones += int(np.count_nonzero(one))
-            mu = (small & ~zero).tolist()
-            self.mu_values.extend(compress(seq.values[i:i + len(block)], mu))
-            self.lam_values.extend((1.0 - block[~(small | one)]).tolist())
+def _split_head(seq: WeightSeq, mu: list, lam: list) -> tuple[int, int]:
+    """_sort_entries at 1/2 over the head of a leaf; a long head is sorted
+    block by block, and mu keeps the head's own float objects."""
+    if len(seq.values) < _ARRAY_MIN:
+        return _sort_entries(seq.values, 0.5, mu, lam)
+    zeros = ones = 0
+    x = seq._head
+    for i in range(0, len(x), _BLOCK):
+        block = x[i:i + _BLOCK]
+        small = block <= 0.5
+        zero = block == 0.0
+        one = block == 1.0
+        zeros += int(np.count_nonzero(zero))
+        ones += int(np.count_nonzero(one))
+        inside = (small & ~zero).tolist()
+        mu.extend(compress(seq.values[i:i + len(block)], inside))
+        lam.extend((1.0 - block[~(small | one)]).tolist())
+    return zeros, ones
 
 
-def _split_into(seq: WeightSeq, acc: _SplitAcc) -> None:
+def _split_into(seq: WeightSeq, mu: list, lam: list, tails: tuple) -> tuple[float, float]:
+    """Append seq's entries in (0, 1/2] to mu and the complements of its
+    entries in (1/2, 1) to lam, in order, and the closed-form tails past them
+    to tails = (mu's, lam's); return seq's counts of 0.0 and 1.0."""
     if seq.kind == KIND_INTERLEAVE:
+        zeros = ones = 0
         for p in seq.parts:
-            _split_into(p, acc)
-        return
-    acc.add_head(seq)
+            z, o = _split_into(p, mu, lam, tails)
+            zeros += z
+            ones += o
+        return zeros, ones
+    zeros, ones = _split_head(seq, mu, lam)
     f, q = seq.tail_first, seq.tail_ratio
-    if seq.kind == KIND_FINITELY_SUPPORTED:
-        acc.zeros = INF
-    elif seq.kind == KIND_GEOMETRIC:
-        k0 = _first_k_leq(f, q, 0.5)  # exists: tail decays to 0
-        for k in range(k0):
-            acc.add_value(f * q**k)
-        acc.mu_segs.append(WeightSeq.geometric((), f * q**k0, q))
-    elif seq.kind == KIND_ONE_MINUS:
-        k1 = _first_k_lt(f, q, 0.5)  # from k1 on, 1 - f*q^k > 1/2
-        for k in range(k1):
-            acc.add_value(1.0 - f * q**k)
-        acc.lam_segs.append(WeightSeq.geometric((), f * q**k1, q))
-    elif seq.kind == KIND_PERIODIC:  # each block entry repeats forever
-        block = _SplitAcc()
-        for v in seq.tail_block:
-            block.add_value(v)
-        if block.zeros:
-            acc.zeros = INF
-        if block.ones:
-            acc.ones = INF
-        if block.mu_values:
-            acc.mu_segs.append(WeightSeq.periodic((), block.mu_values))
-        if block.lam_values:
-            acc.lam_segs.append(WeightSeq.periodic((), block.lam_values))
+    if not f:  # each block entry repeats forever
+        small, large = [], []
+        z, o = _sort_entries(seq.tail_block, 0.5, small, large)
+        for side, block in zip(tails, (small, large)):
+            if block:
+                side.append(WeightSeq.periodic((), block))
+        return (INF if z else zeros), (INF if o else ones)
+    # the cut exists: the run decays to 0, so its complement rises to 1; from
+    # the cut on, 1 - f*q^k > 1/2 through a complement, f*q^k <= 1/2 otherwise
+    k = seq._cut(0.5)
+    z, o = _sort_entries(islice(seq._tail(), k), 0.5, mu, lam)
+    tails[seq.kind == KIND_ONE_MINUS].append(WeightSeq.geometric((), f * q**k, q))
+    return zeros + z, ones + o
 
 
 def _combine(head: list[float], segs: list[WeightSeq]) -> WeightSeq:
@@ -761,31 +766,20 @@ def split_mu_lambda(xi) -> SplitSeq:
 
 
 def _split(seq: WeightSeq) -> SplitSeq:
-    acc = _SplitAcc()
-    _split_into(seq, acc)
-    mu = _combine(acc.mu_values, acc.mu_segs)
-    lam = _combine(acc.lam_values, acc.lam_segs)
+    mu, lam, tails = [], [], ([], [])
+    zeros, ones = _split_into(seq, mu, lam, tails)
+    mu = _combine(mu, tails[0])
+    lam = _combine(lam, tails[1])
     m = mu.length()
     n = lam.length()
     return SplitSeq(
         mu=mu,
         lam=lam,
-        zeros_count=acc.zeros,
-        ones_count=acc.ones,
+        zeros_count=zeros,
+        ones_count=ones,
         M=INF if m is None else m,
         N=INF if n is None else n,
     )
-
-
-def _strip_head(seq: WeightSeq) -> tuple[list[bool], int, int]:
-    """Which head entries of a leaf lie strictly inside (0, 1), in order, and
-    how many of them equal 0.0 and 1.0."""
-    values = seq.values
-    if len(values) < _ARRAY_MIN:
-        return [0.0 < v < 1.0 for v in values], values.count(0.0), values.count(1.0)
-    x = seq._head
-    inside = ((x > 0.0) & (x < 1.0)).tolist()
-    return inside, int(np.count_nonzero(x == 0.0)), int(np.count_nonzero(x == 1.0))
 
 
 def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
@@ -808,28 +802,19 @@ def strip_zeros_ones(xi: WeightSeq) -> tuple[WeightSeq, float, float]:
         return WeightSeq.interleave(*cores), zeros, ones
     # a one-minus leaf is read through its complements, as split_mu_lambda
     # reads it, and keeps the inner entries of the ones it keeps
-    inside, zeros, ones = _strip_head(seq)
-    source = seq.parts[0] if seq.kind == KIND_ONE_MINUS else seq
-    kept = list(compress(source.values, inside))
+    one_minus = seq.kind == KIND_ONE_MINUS
+    source = seq.parts[0] if one_minus else seq
+    kept = list(compress(source.values, [0.0 < v < 1.0 for v in seq.values]))
+    zeros, ones = seq.values.count(0.0), seq.values.count(1.0)
     f, q = seq.tail_first, seq.tail_ratio
-    if seq.kind == KIND_FINITELY_SUPPORTED:
-        zeros = INF
-    elif seq.kind == KIND_GEOMETRIC:
-        if f == 1.0:  # only the leading tail entry can hit 1
-            ones += 1
+    if f:
+        # only the leading tail entry can hit 1, or 1 - 1 = 0 through a complement
+        if f == 1.0:
             f = f * q
-        return WeightSeq.geometric(kept, f, q), zeros, ones
-    elif seq.kind == KIND_ONE_MINUS:
-        if f == 1.0:  # only the leading tail entry can hit 1, giving 1 - 1 = 0
-            zeros += 1
-            f = f * q
-        return WeightSeq.one_minus(WeightSeq.geometric(kept, f, q)), zeros, ones
-    elif seq.kind == KIND_PERIODIC:
-        block = tuple(v for v in seq.tail_block if 0.0 < v < 1.0)
-        if 0.0 in seq.tail_block:
-            zeros = INF
-        if 1.0 in seq.tail_block:
-            ones = INF
-        if block:
-            return WeightSeq.periodic(kept, block), zeros, ones
-    return WeightSeq.finite(kept), zeros, ones
+            zeros, ones = (zeros + 1, ones) if one_minus else (zeros, ones + 1)
+        core = WeightSeq.geometric(kept, f, q)
+        return (WeightSeq.one_minus(core) if one_minus else core), zeros, ones
+    block = tuple(v for v in seq.tail_block if 0.0 < v < 1.0)
+    zeros = INF if 0.0 in seq.tail_block else zeros
+    ones = INF if 1.0 in seq.tail_block else ones
+    return (WeightSeq.periodic(kept, block) if block else WeightSeq.finite(kept)), zeros, ones

@@ -92,6 +92,28 @@ class TestCheckKadison:
         p = write_json(tmp_path / "seq.json", {"kind": "finite", "values": [1.5]})
         assert main(["check-kadison", str(p)]) == 2
 
+    @pytest.mark.parametrize("doc, field, got", [
+        ({"kind": "finite", "values": "01"}, "values", "str"),
+        ({"kind": "periodic-tail", "values": [], "tail_block": {"0.5": 1}}, "tail_block", "dict"),
+        ({"kind": "interleave", "parts": {}}, "parts", "dict"),
+    ], ids=["values", "tail_block", "parts"])
+    def test_a_field_that_is_not_a_list_exits_two(self, tmp_path, capsys, doc, field, got):
+        p = write_json(tmp_path / "seq.json", doc)
+        assert main(["check-kadison", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sequence JSON field {field!r} must be a list, got {got}\n"
+
+    def test_nesting_beyond_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        depth = 5000
+        p = tmp_path / "deep.json"
+        p.write_text('{"kind": "one-minus", "of": ' * depth
+                     + '{"kind": "finite", "values": [0.5]}' + "}" * depth)
+        assert main(["check-kadison", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: maximum recursion depth exceeded")
+
 
 class TestCheckMajorize:
     def test_holds(self, tmp_path, capsys):
@@ -321,6 +343,15 @@ class TestCheckSums:
         assert rep["witness_residual"] == 0.0
         assert json.loads(out.read_text()) == {"terms": []}
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_entries_exit_two(self, tmp_path, capsys, entry):
+        op = write_json(tmp_path / "op.json", {"diag": [entry]})
+        with np.errstate(invalid="ignore"):  # inf - inf in the asymmetry test
+            assert main(["check-sums", op, "--witness"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix entries must be finite\n"
+
     def test_non_hermitian_exits_two(self, tmp_path, capsys):
         op = write_json(
             tmp_path / "op.json",
@@ -359,6 +390,15 @@ class TestBridge:
         diag = np.diag(v @ v.conj().T).real
         assert np.allclose(diag, [0.5, 0.5, 0.5, 0.5])
         assert payload["weights"] == [0.5, 0.5, 0.5, 0.5]
+
+    def test_infinite_weight_exits_two(self, tmp_path, capsys):
+        dec = write_json(tmp_path / "dec.json",
+                         {"terms": [{"weight": "inf", "vector": [[1.0, 0.0]]}]})
+        with np.errstate(invalid="ignore"):  # inf * 0 in the placement's rows
+            assert main(["bridge", dec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix entries must be finite\n"
 
     def test_rank_is_the_isometry_rank(self, tmp_path, capsys):
         # two terms along one vector: the Gram's zero eigenvalue rounds to
