@@ -238,14 +238,16 @@ def _padded(seq: WeightSeq):
         yield 0.0
 
 
-def _take_run(it, need: float, extend_limit: int, stage: int, what: str) -> list[float]:
+def _take_run(it, need: float, stage: int, what: str) -> list[float]:
     """Entries drawn from ``it`` until they sum to ``need`` (``RUN_SLACK`` short),
-    at most ``extend_limit`` of them; a finite ``it`` may run out first."""
+    at most ``DEFAULT_EXTEND_LIMIT`` of them; a finite ``it`` may run out first."""
     run: list[float] = []
     run_sum = 0.0
     while run_sum < need - RUN_SLACK:
-        if len(run) >= extend_limit:
-            raise PlanningError(f"stage {stage} needs more than {extend_limit} {what} entries")
+        if len(run) >= DEFAULT_EXTEND_LIMIT:
+            raise PlanningError(
+                f"stage {stage} needs more than {DEFAULT_EXTEND_LIMIT} {what} entries"
+            )
         v = next(it, None)
         if v is None:
             raise PlanningError(f"stage {stage} ran out of {what} entries")
@@ -268,18 +270,19 @@ def _sources(lead: int, first: float, n_full: int, r_new: float):
     return tuple(pool), boundary
 
 
-def _advance(tail, i: int, past, extend_limit: int, what: str) -> tuple[int, float]:
+def _advance(tail, i: int, past, what: str) -> tuple[int, float]:
     """The first index from ``i`` on whose tail sum fails ``past``, and that
-    tail sum, in at most ``extend_limit`` steps; each tail sum is asked once."""
+    tail sum, in at most ``DEFAULT_EXTEND_LIMIT`` steps; each tail sum is
+    asked once."""
     start = i
     while past(s := tail(i)):
-        if i - start >= extend_limit:
+        if i - start >= DEFAULT_EXTEND_LIMIT:
             raise PlanningError(what)
         i += 1
     return i, s
 
 
-def plan_mu_diverges(mu: WeightSeq, lam: WeightSeq, extend_limit: int = DEFAULT_EXTEND_LIMIT):
+def plan_mu_diverges(mu: WeightSeq, lam: WeightSeq):
     """Stages for divergent mu: each consumes a run of mu entries plus one
     large entry (while lam lasts), against (1 - r_prev, 1, r_new); after lam
     is exhausted, mu-only runs against (1 - r_prev, r_new)."""
@@ -292,16 +295,14 @@ def plan_mu_diverges(mu: WeightSeq, lam: WeightSeq, extend_limit: int = DEFAULT_
             need, large = 1.0 - r_prev, ()
         else:
             need, large = 2.0 - r_prev - (1.0 - lam_val), (1.0 - lam_val,)
-        run = _take_run(mu_it, need, extend_limit, stage, "small")
+        run = _take_run(mu_it, need, stage, "small")
         r_new = max(math.fsum(run) - need, 0.0)
         sources, lead = _sources(lead, 1.0 - r_prev, len(large), r_new)
         yield BlockPlan(tuple(run) + large, sources)
         r_prev = r_new
 
 
-def plan_lambda_diverges(
-    mu: WeightSeq, lam: WeightSeq, extend_limit: int = DEFAULT_EXTEND_LIMIT
-):
+def plan_lambda_diverges(mu: WeightSeq, lam: WeightSeq):
     """Stages for divergent lam with finitely many mu entries.
 
     The mu entries are first-fit packed into bins of capacity 1, each bin
@@ -329,7 +330,7 @@ def plan_lambda_diverges(
     lead, first = len(bins), 0.0
     for stage in count():
         kp = len(slacks)
-        run = _take_run(lam_it, 2.0 * kp + 1.0, extend_limit, stage, "large")
+        run = _take_run(lam_it, 2.0 * kp + 1.0, stage, "large")
         x = math.fsum(1.0 - v for v in run) - math.fsum(slacks)
         n_full = int(math.floor(x))
         r_new = x - n_full
@@ -343,9 +344,7 @@ def plan_lambda_diverges(
         slacks, slack, colinear = [first] if first else [], (), ()
 
 
-def plan_both_summable(
-    mu: WeightSeq, lam: WeightSeq, extend_limit: int = DEFAULT_EXTEND_LIMIT
-):
+def plan_both_summable(mu: WeightSeq, lam: WeightSeq):
     """Stages for summable mu and lam with infinitely many entries of each.
 
     Stage boundaries n_j, m_j are chosen so the tail sums interlock:
@@ -355,12 +354,10 @@ def plan_both_summable(
     tail sum is asked for once."""
     k = _snap_int(lam.total() - mu.total())
     n_j, lam_n = _advance(
-        lam.tail_sum, max(k + 1, 1), lambda s: s >= 0.5, extend_limit,
-        "could not find a starting boundary",
+        lam.tail_sum, max(k + 1, 1), lambda s: s >= 0.5, "could not find a starting boundary"
     )
     m_j, mu_m = _advance(
-        mu.tail_sum, 0, lambda s: s > lam_n, extend_limit,
-        "could not align the small-entry boundary",
+        mu.tail_sum, 0, lambda s: s > lam_n, "could not align the small-entry boundary"
     )
     mu_it, lam_it = iter(mu), iter(lam)
     targets = tuple(islice(mu_it, m_j)) + tuple(1.0 - v for v in islice(lam_it, n_j))
@@ -369,12 +366,10 @@ def plan_both_summable(
     yield BlockPlan(targets, sources)
     while True:
         n_next, lam_n = _advance(
-            lam.tail_sum, n_j + 2, lambda s: s > mu_m, extend_limit,
-            "could not advance the large-entry boundary",
+            lam.tail_sum, n_j + 2, lambda s: s > mu_m, "could not advance the large-entry boundary"
         )
         m_next, mu_m = _advance(
-            mu.tail_sum, m_j + 1, lambda s: s > lam_n, extend_limit,
-            "could not advance the small-entry boundary",
+            mu.tail_sum, m_j + 1, lambda s: s > lam_n, "could not advance the small-entry boundary"
         )
         targets = tuple(islice(mu_it, m_next - m_j)) + tuple(
             1.0 - v for v in islice(lam_it, n_next - n_j)
@@ -599,16 +594,16 @@ def _decompose_core(tag: CaseTag, mu, lam, stream, stages, lead=0):
     """Plan the stripped core's first ``stages`` stages, at least one, and
     realize them after ``lead`` rows.  Every search is bounded by
     ``DEFAULT_EXTEND_LIMIT`` as it stands at the call."""
-    limit, carry = DEFAULT_EXTEND_LIMIT, None
+    carry = None
     if tag.tag == CASE_MU_DIVERGES:
-        plans = plan_mu_diverges(mu, lam, limit)
+        plans = plan_mu_diverges(mu, lam)
     elif tag.tag == CASE_LAMBDA_DIVERGES:
-        plans = plan_lambda_diverges(mu, lam, limit)
+        plans = plan_lambda_diverges(mu, lam)
     elif tag.tag == CASE_BOTH_SUMMABLE:
-        plans = plan_both_summable(mu, lam, limit)
+        plans = plan_both_summable(mu, lam)
     elif tag.tag == CASE_M_FINITE:  # a head block, then tail steps from its boundary vector
         n, r = _advance(
-            lam.tail_sum, max(tag.k + 2, 0), lambda s: s >= 1.0, limit,
+            lam.tail_sum, max(tag.k + 2, 0), lambda s: s >= 1.0,
             "could not find a head boundary with a small tail",
         )
         lam_it = _padded(lam)

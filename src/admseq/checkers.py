@@ -152,7 +152,7 @@ def projection_diag_check(xi, rank: float, corank: float):
     if cotrace != math.inf and abs(cotrace - corank) > INT_TOL:
         return report(False, reason="total defect does not match the corank")
     if rank == math.inf and corank == math.inf:
-        kad = kadison_check(seq, tol=INT_TOL)
+        kad = kadison_check(seq)
         if not kad.satisfied:
             return report(False, kad, "integrality test fails")
         return report(True, kad)

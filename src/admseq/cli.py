@@ -9,6 +9,7 @@ impossible decomposition), 2 for malformed input."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -63,6 +64,8 @@ def _load(path: str):
 
 
 def _jsonable(x):
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     return x
@@ -81,18 +84,7 @@ def _report(args, command: str, digests: dict, **fields) -> dict:
 def _cmd_check_kadison(args) -> int:
     obj, digest = _load(args.sequence)
     rep = kadison_check(seq_from_json(obj), alpha=args.alpha)
-    _emit(
-        _report(
-            args,
-            "check-kadison",
-            {"sequence": digest},
-            satisfied=rep.satisfied,
-            a=rep.a,
-            b=rep.b,
-            alpha=rep.alpha,
-            integer_gap=rep.integer_gap,
-        )
-    )
+    _emit(_report(args, "check-kadison", {"sequence": digest}, **dataclasses.asdict(rep)))
     return 0 if rep.satisfied else 1
 
 
@@ -104,16 +96,8 @@ def _cmd_check_majorize(args) -> int:
     if not (xi.is_finite and eta.is_finite):
         raise SequenceError("majorization compares finite sequences")
     verdict = majorizes(xi, eta)
-    _emit(
-        _report(
-            args,
-            "check-majorize",
-            {"xi": xi_digest, "eta": eta_digest},
-            holds=verdict.holds,
-            failing_index=verdict.failing_index,
-            sum_gap=verdict.sum_gap,
-        )
-    )
+    digests = {"xi": xi_digest, "eta": eta_digest}
+    _emit(_report(args, "check-majorize", digests, **dataclasses.asdict(verdict)))
     return 0 if verdict.holds else 1
 
 
@@ -150,10 +134,10 @@ def _cmd_decompose(args) -> int:
             "decompose",
             {"input": digest},
             ok=True,
-            case={"tag": tag.tag, "k": tag.k, "M": _jsonable(tag.M), "N": _jsonable(tag.N)},
+            case=dataclasses.asdict(tag),
             dim=decomp.dim,
-            num_terms=len(decomp.terms),
-            num_remainder=len(decomp.remainder),
+            num_terms=decomp.n_terms,
+            num_remainder=len(decomp.row_weights) - decomp.n_terms,
             stages=len(certs),
             max_stage_residual=max((c.residual for c in certs), default=0.0),
             majorizations_hold=all(c.majorization.holds for c in certs),
@@ -179,8 +163,8 @@ def _cmd_verify(args) -> int:
             ok=ok,
             residual=residual,
             tol=VERIFY_TOL,
-            num_terms=len(decomp.terms),
-            num_remainder=len(decomp.remainder),
+            num_terms=decomp.n_terms,
+            num_remainder=len(decomp.row_weights) - decomp.n_terms,
         )
     )
     return 0 if ok else 1
@@ -190,15 +174,7 @@ def _cmd_check_sums(args) -> int:
     obj, digest = _load(args.operator)
     a = op_from_json(obj)
     rep, witness = sum_of_projections_check(a, witness=args.witness)
-    fields = dict(
-        decomposable=rep.decomposable,
-        num_projections=rep.num_projections,
-        trace=rep.trace,
-        rank=rep.rank,
-        excess=rep.excess,
-        deficiency=rep.deficiency,
-        reason=rep.reason,
-    )
+    fields = dataclasses.asdict(rep)
     if witness is not None:
         fields["witness_residual"] = decomp_residual(a, witness)
         if args.out:

@@ -66,37 +66,38 @@ def _sqrt_clamped(x: float) -> float:
     return math.sqrt(max(x, 0.0))
 
 
-def _mix_coefficients(e1, e2, x1, x2, gamma: float, tol: float = PLACE_TOL, check: bool = True):
+def _mix_coefficients(e1, e2, x1, x2, gamma: float, check: bool = True):
     """The scalar core of every 2x2 mix: MixResult's (sigma, tau, sigma_prime,
     tau_prime, z_minus, z_o, h, alpha_coef, residual) for unit vectors whose
-    overlap has modulus gamma.  Every check of the step is made here."""
+    overlap has modulus gamma.  Every check of the step is made here, with
+    ``PLACE_TOL`` as it stands at the call."""
     e1, e2, x1, x2 = float(e1), float(e2), float(x1), float(x2)
     for v in (e1, e2, x1, x2):
-        if v < -tol:
+        if v < -PLACE_TOL:
             raise MajorizationError(f"weights must be nonnegative, got {v!r}")
     if abs((x1 + x2) - (e1 + e2)) > TRACE_TOL:
         raise MajorizationError(
             f"target weights {x1!r} + {x2!r} do not preserve the trace {e1 + e2!r}"
         )
     lo, hi = min(e1, e2), max(e1, e2)
-    slack = max(tol, TRACE_TOL)
+    slack = max(PLACE_TOL, TRACE_TOL)
     if not (lo - slack <= x1 <= hi + slack and lo - slack <= x2 <= hi + slack):
         raise MajorizationError(
             f"targets ({x1!r}, {x2!r}) must lie between the sources ({e1!r}, {e2!r})"
         )
 
-    if abs(x1 - e1) <= tol or abs(e1 - e2) <= tol:
+    if abs(x1 - e1) <= PLACE_TOL or abs(e1 - e2) <= PLACE_TOL:
         # targets coincide with sources (up to relabeling nothing moves)
         sigma, tau, sigma_p, tau_p = 1.0, 0.0, 0.0, 1.0
         z_minus = z_o = 1.0
         h = alpha = 0.0
-    elif abs(x2 - e1) <= tol:
+    elif abs(x2 - e1) <= PLACE_TOL:
         # targets are the sources swapped
         sigma, tau, sigma_p, tau_p = 0.0, 1.0, 1.0, 0.0
         z_minus = z_o = 0.0
         h = alpha = 0.0
     else:
-        if x1 <= tol or x2 <= tol:
+        if x1 <= PLACE_TOL or x2 <= PLACE_TOL:
             raise MajorizationError(
                 f"vanishing target weight ({x1!r}, {x2!r}) needs a matching source weight"
             )
@@ -134,7 +135,7 @@ def _mix_coefficients(e1, e2, x1, x2, gamma: float, tol: float = PLACE_TOL, chec
     return sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, residual
 
 
-def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: bool = True) -> MixResult:
+def mix_two(eta1, eta2, u, u_prime, xi1, xi2, check: bool = True) -> MixResult:
     """Rewrite eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'*.
 
     Requires xi1 + xi2 = eta1 + eta2 and both xis between min(eta) and
@@ -142,7 +143,9 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: boo
     coefficients, and every check, come from the scalar core
     ``_mix_coefficients`` that block stages and tail steps call directly;
     here they are applied to u and to u'' = u' turned so that <u, u''> is
-    real.  Bad vectors are refused before bad weights.
+    real.  Weights within ``PLACE_TOL``, as it stands at the call, count as
+    equal; ``check=False`` skips the norm and identity checks.  Bad vectors
+    are refused before bad weights.
     """
     u = unit_vector(u)
     up = unit_vector(u_prime)
@@ -153,14 +156,14 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, tol: float = PLACE_TOL, check: boo
     # u'' = u' turned so that <u, u''> = gamma; the factor comes from the
     # angle, so it has modulus 1 even when the overlap is subnormal
     up_rot = up * np.exp(-1j * np.angle(overlap)) if overlap else up
-    c = _mix_coefficients(eta1, eta2, xi1, xi2, gamma, tol, check)
+    c = _mix_coefficients(eta1, eta2, xi1, xi2, gamma, check)
     sigma, tau, sigma_p, tau_p = c[:4]
     return MixResult(sigma * u + tau * up_rot, sigma_p * u + tau_p * up_rot, *c[:8], gamma, c[8])
 
 
 def _mix_vectors(a, b, ua, na, ub, nb, t):
     """A placement's 2x2 step on unit vectors (their norms na, nb unused)."""
-    res = mix_two(a, b, ua, ub, t, a + b - t, tol=PLACE_TOL)
+    res = mix_two(a, b, ua, ub, t, a + b - t)
     return res.w, res.w_prime, 1.0
 
 
@@ -169,7 +172,7 @@ def _mix_rows(a, b, ua, na, ub, nb, t):
     unit vectors ua / na, ub / nb.  Every pool row of a block stage has a
     support disjoint from the rest, so gamma = 0 exactly: two axpys, and the
     new remainder's norm is that of its coefficients."""
-    sigma, tau, sigma_p, tau_p = _mix_coefficients(a, b, t, a + b - t, 0.0, PLACE_TOL)[:4]
+    sigma, tau, sigma_p, tau_p = _mix_coefficients(a, b, t, a + b - t, 0.0)[:4]
     w = (sigma / na) * ua + (tau / nb) * ub
     return w, (sigma_p / na) * ua + (tau_p / nb) * ub, math.hypot(sigma_p, tau_p)
 

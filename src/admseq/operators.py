@@ -58,9 +58,9 @@ def assert_hermitian(A) -> np.ndarray:
 def _hermitian_part(M) -> np.ndarray:
     """(M + M*) / 2 of a square matrix M, real or complex, whose entries are
     finite and whose asymmetry is within HERM_TOL per dimension."""
-    dev = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if not math.isfinite(dev):  # an inf or nan entry makes the asymmetry inf or nan
+    if not np.isfinite(M).all():  # before M - M*, where inf - inf would warn
         raise ValueError("matrix entries must be finite")
+    dev = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
     if dev > HERM_TOL * max(1, M.shape[0]):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
     return 0.5 * (M + M.conj().T)
@@ -154,7 +154,7 @@ def polar_partial_isometry(B) -> PartialIsometryRec:
 def unit_vector(v) -> np.ndarray:
     x = np.asarray(v, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > UNIT_TOL:
+    if not abs(nrm - 1.0) <= UNIT_TOL:  # a nan norm fails too
         raise ValueError(f"vector norm {nrm!r} is not 1")
     return x / nrm
 
@@ -233,6 +233,8 @@ def make_term(weight, vector) -> RankOneTerm:
 
 def _term_weight(weight) -> float:
     w = float(weight)
+    if not math.isfinite(w):
+        raise ValueError(f"term weight must be finite, got {w!r}")
     if w < -UNIT_TOL:
         raise ValueError(f"term weight must be nonnegative, got {w!r}")
     return max(w, 0.0)
@@ -438,7 +440,7 @@ def _rows_of_terms(items: list) -> tuple[np.ndarray, list]:
     weights = list(map(_term_weight, weights))
     # unit_vector's norm and division, row by row, so the bits are its bits
     norms = [float(np.linalg.norm(row)) for row in M]
-    off = [n for n in norms if abs(n - 1.0) > UNIT_TOL]
+    off = [n for n in norms if not abs(n - 1.0) <= UNIT_TOL]  # a nan norm fails too
     if off:
         raise ValueError(f"vector norm {off[0]!r} is not 1")
     M /= np.array(norms)[:, None]

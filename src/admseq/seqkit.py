@@ -646,10 +646,10 @@ def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
     return a + after, b + before
 
 
-def kadison_check(xi, alpha: float = 0.5, tol: float = INT_SNAP) -> KadisonReport:
+def kadison_check(xi, alpha: float = 0.5) -> KadisonReport:
     """Integrality test deciding membership of xi in a diagonal of projections.
 
-    Satisfied iff a + b diverges or a - b is an integer (within ``tol``).
+    Satisfied iff a + b diverges or a - b is an integer (within ``INT_SNAP``).
     The verdict does not depend on alpha in (0, 1); the integer may.
     """
     if isinstance(xi, WeightSeq):
@@ -663,7 +663,7 @@ def kadison_check(xi, alpha: float = 0.5, tol: float = INT_SNAP) -> KadisonRepor
         return KadisonReport(a, b, alpha, True, None)
     gap = a - b
     near = round(gap)
-    if abs(gap - near) <= tol:
+    if abs(gap - near) <= INT_SNAP:
         return KadisonReport(a, b, alpha, True, int(near))
     return KadisonReport(a, b, alpha, False, None)
 

@@ -62,6 +62,8 @@ class VectorStream:
         if len(vecs) > d:
             raise DimensionError("more vectors than the dimension can hold orthonormally")
         M = np.array(vecs)
+        if not np.isfinite(M).all():
+            raise SequenceError("explicit stream vectors must have finite entries")
         G = M.conj() @ M.T  # G[a, b] = <vecs[a], vecs[b]>
         if float(np.max(np.abs(G - np.eye(len(vecs))))) > ORTHO_TOL:
             raise SequenceError("explicit stream vectors are not orthonormal")
@@ -90,36 +92,32 @@ class VectorStream:
             return 0
         return (n - 1 - self.offset) // self.step + 1
 
+    def _support(self, j: int) -> tuple[int, np.ndarray]:
+        """Where stream vector j lives: its first coordinate and its entries
+        from there on; every other coordinate is zero."""
+        i = self.base_index(j)
+        if self.kind == KIND_EXPLICIT:
+            if i >= len(self.vectors):
+                raise SequenceError(f"explicit stream has only {len(self.vectors)} vectors")
+            return 0, self.vectors[i]
+        b = self.block or 1  # the basis is the block-overlap family of blocks of one
+        q, r = divmod(i, b)
+        return q * b, _cosine_block(b)[:, r]
+
     def min_dim(self, j: int) -> int:
         """Smallest ambient dimension holding vectors 0..j of this stream."""
-        i = self.base_index(j)
-        if self.kind == KIND_BASIS:
-            return i + 1
-        if self.kind == KIND_BLOCK:
-            return (i // self.block + 1) * self.block
-        return len(self.vectors[0])
+        start, entries = self._support(j)
+        return start + len(entries)
 
     def vector(self, j: int, dim: int | None = None) -> np.ndarray:
         """Stream vector j, zero-padded into C^dim when dim is given."""
-        i = self.base_index(j)
-        need = self.min_dim(j)
+        start, entries = self._support(j)
+        need = start + len(entries)
         d = need if dim is None else int(dim)
         if d < need:
             raise DimensionError(f"stream vector {j} needs dimension >= {need}, got {d}")
-        if self.kind == KIND_BASIS:
-            v = np.zeros(d, dtype=complex)
-            v[i] = 1.0
-            return v
-        if self.kind == KIND_BLOCK:
-            q, r = divmod(i, self.block)
-            v = np.zeros(d, dtype=complex)
-            v[q * self.block : (q + 1) * self.block] = _cosine_block(self.block)[:, r]
-            return v
-        if i >= len(self.vectors):
-            raise SequenceError(f"explicit stream has only {len(self.vectors)} vectors")
-        base = self.vectors[i]
         v = np.zeros(d, dtype=complex)
-        v[: len(base)] = base
+        v[start:need] = entries
         return v
 
     # -- views ---------------------------------------------------------

@@ -223,17 +223,19 @@ class TestMuDivergesPlan:
         for i in range(max(consumed)):
             assert consumed.get(i, 0.0) == pytest.approx(1.0)
 
-    def test_extend_limit_guard(self):
+    def test_extend_limit_guard(self, monkeypatch):
         mu = WeightSeq.periodic([], (0.01,))
         lam = WeightSeq.periodic([], (0.25,))
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", 50)
         with pytest.raises(PlanningError, match="^stage 0 needs more than 50 small entries$"):
-            next(plan_mu_diverges(mu, lam, extend_limit=50))
+            next(plan_mu_diverges(mu, lam))
 
-    def test_run_slack(self):
+    def test_run_slack(self, monkeypatch):
         # ten entries 0.1 add up to 1 - 2^-53 left to right: within the run's
         # 1e-15 slack, so the first mu-only stage takes exactly ten
         mu = WeightSeq.periodic([], (0.1,))
-        p = next(plan_mu_diverges(mu, WeightSeq.finite([]), extend_limit=10))
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", 10)
+        p = next(plan_mu_diverges(mu, WeightSeq.finite([])))
         assert len(p.targets) == 10
 
     def test_finite_small_entries_run_out(self):
@@ -259,12 +261,14 @@ class TestLambdaDivergesPlan:
         assert q2.sources[0] == (16, pytest.approx(0.9))
         assert q2.sources[-1] == (25, pytest.approx(0.1))
 
-    def test_extend_limit_guard(self):
+    def test_extend_limit_guard(self, monkeypatch):
         # no bins: the first run needs four defects 0.25
         lam = WeightSeq.periodic([], (0.25,))
-        next(plan_lambda_diverges(WeightSeq.finite([]), lam, extend_limit=4))
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", 4)
+        next(plan_lambda_diverges(WeightSeq.finite([]), lam))
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", 3)
         with pytest.raises(PlanningError, match="^stage 0 needs more than 3 large entries$"):
-            next(plan_lambda_diverges(WeightSeq.finite([]), lam, extend_limit=3))
+            next(plan_lambda_diverges(WeightSeq.finite([]), lam))
 
     def test_first_fit_shares_a_bin(self):
         # 0.5 and the second 0.25 join the first bin, which fills exactly and
@@ -417,23 +421,26 @@ class TestBothSummablePlan:
             assert {i for i, _ in asked} == {id(s) for s in seqs}
 
     @pytest.mark.parametrize("name", sorted(BOUNDARY_SEARCHES))
-    def test_boundary_search_guard(self, name):
-        # a search may take extend_limit increments, and no more
+    def test_boundary_search_guard(self, monkeypatch, name):
+        # a search may take DEFAULT_EXTEND_LIMIT increments, and no more
         mu, lam, stages, need, message = BOUNDARY_SEARCHES[name]
-        take(plan_both_summable(mu, lam, extend_limit=need), stages)
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", need)
+        take(plan_both_summable(mu, lam), stages)
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", need - 1)
         with pytest.raises(PlanningError, match=f"^{message}$"):
-            take(plan_both_summable(mu, lam, extend_limit=need - 1), stages)
+            take(plan_both_summable(mu, lam), stages)
 
     @pytest.mark.parametrize("limit", [0, -1])
-    def test_guard_without_increments(self, limit):
+    def test_guard_without_increments(self, monkeypatch, limit):
         # a start index that already stops the search needs no increment;
         # any increment is refused
+        monkeypatch.setattr(carpenter, "DEFAULT_EXTEND_LIMIT", limit)
         lam = WeightSeq.geometric([0.5, 0.5], 0.125, 0.5)  # k = 1, tail(2) = 0.25
-        b1 = next(plan_both_summable(GEO8, lam, extend_limit=limit))
+        b1 = next(plan_both_summable(GEO8, lam))
         assert b1.sources == ((0, 1.0),)
         mu, lam, _, _, message = BOUNDARY_SEARCHES["start"]
         with pytest.raises(PlanningError, match=f"^{message}$"):
-            next(plan_both_summable(mu, lam, extend_limit=limit))
+            next(plan_both_summable(mu, lam))
 
     @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
     def test_plans_match_recorded_digest(self, name):

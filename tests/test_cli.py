@@ -7,14 +7,17 @@ codes and report payloads are asserted directly, without spawning shells.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from admseq.carpenter import DEFAULT_STAGES
+from admseq.carpenter import DEFAULT_STAGES, CaseTag
+from admseq.checkers import SumOfProjReport
 from admseq.cli import build_parser, main
+from admseq.seqkit import KadisonReport, MajorizationVerdict
 
 
 def run(capsys, *argv: str) -> tuple[int, dict]:
@@ -343,11 +346,12 @@ class TestCheckSums:
         assert rep["witness_residual"] == 0.0
         assert json.loads(out.read_text()) == {"terms": []}
 
-    @pytest.mark.parametrize("entry", ["inf", "nan"])
-    def test_non_finite_entries_exit_two(self, tmp_path, capsys, entry):
-        op = write_json(tmp_path / "op.json", {"diag": [entry]})
-        with np.errstate(invalid="ignore"):  # inf - inf in the asymmetry test
-            assert main(["check-sums", op, "--witness"]) == 2
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("diag", [["inf"], ["nan"], ["inf", 1.0]], ids=["inf", "nan", "inf-1"])
+    def test_non_finite_entries_exit_two(self, tmp_path, capsys, diag):
+        # refused before M - M* is formed, where inf - inf would warn
+        op = write_json(tmp_path / "op.json", {"diag": diag})
+        assert main(["check-sums", op, "--witness"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: matrix entries must be finite\n"
@@ -391,14 +395,14 @@ class TestBridge:
         assert np.allclose(diag, [0.5, 0.5, 0.5, 0.5])
         assert payload["weights"] == [0.5, 0.5, 0.5, 0.5]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_weight_exits_two(self, tmp_path, capsys):
         dec = write_json(tmp_path / "dec.json",
                          {"terms": [{"weight": "inf", "vector": [[1.0, 0.0]]}]})
-        with np.errstate(invalid="ignore"):  # inf * 0 in the placement's rows
-            assert main(["bridge", dec]) == 2
+        assert main(["bridge", dec]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: matrix entries must be finite\n"
+        assert captured.err == "error: term weight must be finite, got inf\n"
 
     def test_rank_is_the_isometry_rank(self, tmp_path, capsys):
         # two terms along one vector: the Gram's zero eigenvalue rounds to
@@ -434,6 +438,43 @@ class TestBridge:
 
 
 # the option strings of each subcommand; no tolerance or limit is a flag
+NAN_TERMS = {"terms": [{"weight": "nan", "vector": [[1.0, 0.0], [0.0, 0.0]]},
+                       {"weight": 1.0, "vector": [[0.0, 0.0], [1.0, 0.0]]}]}
+NAN_VECTOR = {"terms": [{"weight": 1.0, "vector": [["nan", 0.0], [0.0, 0.0]]}]}
+
+
+class TestNonFiniteInput:
+    """NaN and infinite weights and vector entries are refused where they are
+    read, with one error line and exit 2, and no numpy warning."""
+
+    pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+    def refused(self, capsys, argv, err):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    def test_decompose_refuses_a_nan_stream_vector(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", {
+            "weights": {"kind": "finite", "values": [0.5, 0.5]},
+            "stream": {"kind": "explicit", "vectors": [[["nan", 0.0], [0.0, 0.0]]]},
+        })
+        self.refused(capsys, ["decompose", inp],
+                     "explicit stream vectors must have finite entries")
+
+    @pytest.mark.parametrize("command", ["bridge", "verify"])
+    def test_a_nan_weight_is_named(self, tmp_path, capsys, command):
+        dec = write_json(tmp_path / "dec.json", NAN_TERMS)
+        op = write_json(tmp_path / "op.json", {"diag": [1.0, 1.0]})
+        argv = [command, dec] + ([op] if command == "verify" else [])
+        self.refused(capsys, argv, "term weight must be finite, got nan")
+
+    def test_a_nan_vector_entry_fails_the_norm_test(self, tmp_path, capsys):
+        dec = write_json(tmp_path / "dec.json", NAN_VECTOR)
+        op = write_json(tmp_path / "op.json", {"diag": [1.0, 0.0]})
+        self.refused(capsys, ["verify", dec, op], "vector norm nan is not 1")
+
+
 OPTIONS = {
     "check-kadison": ["--alpha", "--help", "-h"],
     "check-majorize": ["--help", "-h"],
@@ -526,6 +567,19 @@ class TestReportShape:
         lines = json.dumps(rep, sort_keys=True, indent=2) + "\n"
         main(["check-kadison", p])
         assert capsys.readouterr().out == lines
+
+    def test_reports_carry_the_record_fields(self, tmp_path, capsys):
+        seq = write_json(tmp_path / "seq.json", {"kind": "finite", "values": [1.0]})
+        op = write_json(tmp_path / "op.json", {"diag": [1.0]})
+        inp = write_json(tmp_path / "in.json", {"weights": PERIODIC})
+        common = {"command", "seed", "inputs"}
+        for argv, record in [(["check-kadison", seq], KadisonReport),
+                             (["check-majorize", seq, seq], MajorizationVerdict),
+                             (["check-sums", op], SumOfProjReport)]:
+            _, rep = run(capsys, *argv)
+            assert set(rep) == common | {f.name for f in dataclasses.fields(record)}
+        _, rep = run(capsys, "decompose", inp, "--stages", "2")
+        assert set(rep["case"]) == {f.name for f in dataclasses.fields(CaseTag)}
 
     def test_seed_recorded(self, tmp_path, capsys):
         p = write_json(tmp_path / "seq.json", {"kind": "finite", "values": [1.0]})

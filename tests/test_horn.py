@@ -310,7 +310,8 @@ def _scan_place(pool, target_weights, tol):
         kb = max(below, key=lambda k: work[k][0])
         a, ua = work[ka]
         b, ub = work[kb]
-        res = mix_two(a, b, ua, ub, t, a + b - t, tol=tol)
+        with mock.patch.object(horn, "PLACE_TOL", tol):
+            res = mix_two(a, b, ua, ub, t, a + b - t)
         placed[idx] = RankOneTerm(t, res.w)
         for k in sorted((ka, kb), reverse=True):
             del work[k]

@@ -95,6 +95,17 @@ def test_unit_vector_rejects_off_norm():
         unit_vector([1.0, 1.0])
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_make_term_refuses_a_non_finite_weight(weight):
+    with pytest.raises(ValueError, match=f"^term weight must be finite, got {weight!r}$"):
+        make_term(weight, [1.0, 0.0])
+
+
+def test_make_term_refuses_a_nan_vector_entry():
+    with pytest.raises(ValueError, match="^vector norm nan is not 1$"):
+        make_term(0.5, [np.nan, 0.0])
+
+
 def test_frame_operator_matches_outer_sums():
     v1 = np.array([1.0, 0.0], dtype=complex)
     v2 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)

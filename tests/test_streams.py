@@ -68,8 +68,16 @@ def test_explicit_stream_orthonormality_enforced():
 def test_explicit_stream_exhaustion():
     s = VectorStream.explicit([[1.0, 0.0], [0.0, 1.0]])
     assert s.count == 2
-    with pytest.raises(SequenceError):
-        s.vector(2)
+    assert s.min_dim(1) == 2
+    for past_the_end in (s.vector, s.min_dim):
+        with pytest.raises(SequenceError, match="^explicit stream has only 2 vectors$"):
+            past_the_end(2)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_explicit_stream_refuses_non_finite_entries(entry):
+    with pytest.raises(SequenceError, match="^explicit stream vectors must have finite entries$"):
+        VectorStream.explicit([[entry, 0.0]])
 
 
 def test_drop_and_thin_views():
