@@ -15,13 +15,13 @@ mu-finite case, a Horn head block followed by the 2x2 tail recursion.  Each
 staged case is a planner feeding one stage driver, which runs every stage in
 its own coordinates (R^k for the k stream vectors of a block stage, the
 orthonormal pair span{carry, fresh} for a tail step) and checks its identity
-there once.  Every mix there has gamma = 0, so no stage depends on the
-ambient dimension, and an S-stage run is the first S stages of a longer one.
-Only the emitted terms reach the stream, a block stage's as the rows of C E
-for its real coefficient matrix C and the k x dim matrix E of those stream
-vectors.  No stage builds an operator on the ambient space.  Every stage
-writes its term vectors into one matrix allocated for the whole run, which
-becomes the decomposition's ``RankOneDecomp.rows`` as it is.
+there once.  Every mix there has gamma = 0, so a block stage's placement is
+decided in its weights and every mix of a run is computed in one call of
+the array core; no stage depends on the ambient dimension, and an S-stage
+run is the first S stages of a longer one.  A block stage's terms are the
+rows of C E for its real coefficient matrix C and the matrix E of its stream
+vectors over the columns they cover, written into one matrix for the whole
+run, which becomes the decomposition's ``RankOneDecomp.rows`` as it is.
 
 The planners share one vocabulary for what a stage is: ``_take_run`` draws
 the run of weights it places, ``_sources`` lays out the pool it places them
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from ._np import np
-from .errors import KadisonError, PlanningError, TraceMismatchError
-from .horn import PLACE_TOL, _checked, _horn_place, _mix_coefficients, _mix_rows
-from .operators import RankOneDecomp, RankOneTerm
+from .errors import AdmseqError, KadisonError, PlanningError, TraceMismatchError
+from .horn import PLACE_TOL, _checked, _horn_schedule, _mix_coefficients
+from .operators import RankOneDecomp
 from .seqkit import (
     INT_SNAP,
     KIND_FINITE,
@@ -46,6 +46,7 @@ from .seqkit import (
     MajorizationVerdict,
     SplitSeq,
     WeightSeq,
+    _majorizes_pairs,
     kadison_check,
     majorizes,
     split_mu_lambda,
@@ -127,27 +128,73 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _block_stage(plan: BlockPlan, positions, consumed, stream: VectorStream, out,
-                 verdict=None) -> tuple[list[float], float]:
-    """A block stage in the coordinates of its k sorted ``positions``, the
-    standard basis of R^k: the placement moves real coefficient rows, which
-    form the m x k matrix C; the identity C^T diag(x) C = diag(consumed) is
-    checked once, and the term vectors, the rows of C E for the k x dim
-    matrix E of those stream vectors, are written into the m x dim complex
-    matrix ``out``.  Returns the terms' weights and the residual's Frobenius
-    norm; ``verdict`` is the stage's majorization test, if already made."""
-    k = len(positions)
-    basis = dict(zip(positions, np.eye(k)))
-    placed = []
+def _stage_schedule(plan: BlockPlan, positions, verdict=None):
+    """A block stage's placement, decided in its weights, on the basis of R^k
+    for its k sorted ``positions``: (k, takes, mixes); term j takes row
+    takes[j] of the stage's rows (that basis, then a mix's target's and
+    remainder's), and each mix is (row a, row b, a, b, t)."""
+    col = {pos: j for j, pos in enumerate(positions)}
+    k, takes, mixes = len(positions), [0] * len(plan.targets), []
     if plan.targets:
-        pool = [RankOneTerm(c, basis[pos]) for pos, c in plan.sources]
-        placed = _horn_place(pool, plan.targets, verdict=verdict, mix=_mix_rows)
-    placed += [RankOneTerm(w, basis[pos]) for pos, w in plan.colinear]
-    x = [t.weight for t in placed]
-    C = np.array([t.vector for t in placed]).reshape(len(placed), k)
+        row = [col[pos] for pos, _ in plan.sources] + list(range(k, k + 2 * len(plan.targets)))
+        for idx, slot, mix in _horn_schedule([c for _, c in plan.sources], plan.targets, k, verdict):
+            takes[idx] = row[slot]
+            if mix is not None:
+                mixes.append((row[mix[0]], row[mix[1]], *mix[2:]))
+    return k, takes + [col[pos] for pos, _ in plan.colinear], mixes
+
+
+def _place_rows(scheds, tails=()):
+    """Every 2x2 mix of a run in one call of the array core, gamma = 0: those
+    of the block stages ``scheds``, then the tail steps' (e1, e2, x1, x2).
+    Returns each block stage's C and, one column per tail step, (sigma, tau,
+    sigma', tau', residual).  The q-th mixes of all stages of row length k run
+    at once in one store: rows a and b, of norms na and nb (1, or hypot(sigma',
+    tau') of the mix that made them), are gathered, and (sigma / na) a + (tau /
+    nb) b and (sigma' / na) a + (tau' / nb) b scattered to the mix's two rows."""
+    weights = [(a, b, t, a + b - t) for _, _, ms in scheds for _, _, a, b, t in ms]
+    n = len(weights)
+    coef = np.array(_mix_coefficients(*(list(zip(*weights, *tails)) or [()] * 4)))[[0, 1, 2, 3, 8]]
+    norms = [1.0, *map(math.hypot, *coef[2:4, :n].tolist())]  # 1, then each mix's remainder's
+    sizes, firsts, mixes = {}, [], []  # rows of each store so far; each stage's first; each mix
+    for k, _, ms in scheds:
+        firsts.append(first := sizes.get(k, 0))
+        sizes[k] = first + k + 2 * len(ms)
+        made = len(mixes)  # the run's index of the stage's first mix
+        mixes += [((j, k), first + ra, first + rb, first + k + 2 * j, first + k + 2 * j + 1,
+                   *(norms[0 if r < k else 1 + made + (r - k) // 2] for r in (ra, rb)))
+                  for j, (ra, rb, *_) in enumerate(ms)]
+    stores = {k: np.zeros((size, k)) for k, size in sizes.items()}
+    for k, store in stores.items():  # the basis rows, through the flat view
+        store.reshape(-1)[[f * k + j for f, (kk, _, _) in zip(firsts, scheds) if kk == k
+                           for j in range(0, k * k, k + 1)]] = 1.0
+    order = sorted(range(n), key=lambda i: mixes[i][0])  # lockstep: q, then k
+    R = np.array([mixes[i][1:5] for i in order], dtype=np.intp).T.reshape(2, 2, -1)  # a, b; w, w'
+    # (sigma / na, tau / nb) and (sigma' / na, tau' / nb) per mix
+    M = coef[:4, order].reshape(2, 2, -1) / np.array([mixes[i][5:] for i in order]).T
+    starts = [i for i in range(n) if i == 0 or mixes[order[i]][0] != mixes[order[i - 1]][0]] + [n]
+    for lo, hi in zip(starts, starts[1:]):
+        store, m = stores[mixes[order[lo]][0][1]], M[..., lo:hi, None]
+        U = store[R[0, :, lo:hi]]
+        store[R[1, :, lo:hi]] = m[:, 0] * U[0] + m[:, 1] * U[1]
+    Cs = [stores[k][[first + r for r in takes]] for (k, takes, _), first in zip(scheds, firsts)]
+    return Cs, coef[:, n:]
+
+
+def _block_stage(plan: BlockPlan, positions, consumed, C, stream: VectorStream, out):
+    """A block stage's check and output from its m x k coefficient matrix C
+    for its k sorted ``positions``: C^T diag(x) C = diag(consumed) is checked
+    once, and the rows of C E, E the stream vectors over the columns they
+    cover, written there into ``out``, m x dim and zero.  Returns the terms'
+    weights and the residual's Frobenius norm."""
+    x = [float(t) for t in plan.targets] + [w for _, w in plan.colinear]
     residual = float(np.linalg.norm(_checked((C.T * np.array(x)) @ C - np.diag(consumed))))
-    E = np.array([stream.vector(pos, out.shape[1]) for pos in positions])
-    np.matmul(C, E.view(np.float64), out=out.view(np.float64))  # one real product for both parts
+    supports = [stream._support(pos) for pos in positions]
+    lo, hi = min(s for s, _ in supports), max(s + len(e) for s, e in supports)
+    E = np.zeros((len(supports), hi - lo), dtype=complex)
+    for row, (start, entries) in zip(E, supports):
+        row[start - lo : start - lo + len(entries)] = entries
+    np.matmul(C, E.view(np.float64), out=out.view(np.float64)[:, 2 * lo : 2 * hi])  # both parts
     return x, residual
 
 
@@ -208,7 +255,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
     vectors and ``trail`` rows left to the caller, the terms' weights and the
     certificates.  For n = 0 no stage runs and no term is emitted."""
     vals = vals if n else ()
-    rows = np.empty((lead + len(vals) + trail, dim), dtype=complex)
+    rows = np.zeros((lead + len(vals) + trail, dim), dtype=complex)
     if not vals:
         return rows, [], ()
     acc, m = 0.0, 0
@@ -219,15 +266,10 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     m = m if sources else 0  # no pool (n = 1, a head of at most PLACE_TOL): all along vector 0
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    weights, residual = _block_stage(plan, range(n), [1.0] * n, stream, rows[lead : lead + len(vals)])
-    cert = StageCertificate(
-        stage=0,
-        consumed=tuple((stream.base_index(j), 1.0) for j in range(n)),
-        targets=tuple(vals),
-        majorization=majorizes(vals, [1.0] * n),
-        residual=residual,
-    )
-    return rows, weights, (cert,)
+    (C,), _ = _place_rows([_stage_schedule(plan, range(n))])
+    weights, residual = _block_stage(plan, range(n), [1.0] * n, C, stream, rows[lead : lead + len(vals)])
+    consumed, verdict = tuple((stream.base_index(j), 1.0) for j in range(n)), majorizes(vals, [1.0] * n)
+    return rows, weights, (StageCertificate(0, consumed, tuple(vals), verdict, residual),)
 
 
 # -- staged planners ---------------------------------------------------
@@ -390,81 +432,73 @@ def realize_block_plans(plans, stream: VectorStream):
 
 
 def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
-    """The stage driver.  A block stage's k consumed stream positions are the
-    standard basis of R^k: the placement runs there and the stage identity is
-    checked once, against diag(consumed), as a k x k residual.  A tail step
-    mixes the carry with one fresh stream vector and hands the new carry on;
-    the carry lies in the span of consumed stream vectors and the fresh one
-    is orthogonal to them, so the step mixes with gamma = 0 as block stages
-    do.  The first carry, ``carry``, is given as (stream position, weight),
-    and block stages leave it alone.  Returns one matrix of term vectors in
-    C^dim, dim the least holding every position used, whose first ``lead``
-    rows are left to the caller and whose last row is the remainder, if any
-    (the last carry, or for block stages alone what is left of their last
-    boundary vector), the weights of its other rows, the certificates and
-    the number of rows before the remainder."""
+    """The stage driver: every block stage is scheduled on the basis of R^k for
+    its k consumed positions, every mix of the run computed at once, and then
+    each stage's identity checked once, against diag(consumed), as a k x k
+    residual.  A tail step mixes the carry, in the span of consumed stream
+    vectors, with a fresh one orthogonal to it (gamma = 0); the first carry
+    is given as (stream position, weight).  Returns one matrix of term vectors
+    in C^dim, dim the least holding every position used, with ``lead`` rows
+    left to the caller first and the remainder, if any (the last carry, or
+    what block stages leave of their last boundary vector), last; the weights
+    of its other rows, the certificates and the number of rows before it."""
     plans = list(plans)
     top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
     dim = stream.min_dim(top if carry is None else max(top, carry[0]))
-    if carry is not None:
-        carry = RankOneTerm(carry[1], stream.vector(carry[0], dim))
-    counts = [1 if isinstance(p, _TailStep) else len(p.targets) + len(p.colinear) for p in plans]
-    rows = np.empty((lead + sum(counts) + 1, dim), dtype=complex)
-    weights: list[float] = []
-    certs: list[StageCertificate] = []
-    used: dict[int, float] = {}  # each position's share over all stages
-    for i, (plan, m) in enumerate(zip(plans, counts)):
-        at = lead + len(weights)
+    carry = carry and (carry[1], stream.vector(carry[0], dim))  # (weight, vector) from here on
+    tails = [p for p in plans if isinstance(p, _TailStep)]  # planners yield them last
+    blocks = plans[: len(plans) - len(tails)]
+    m = sum(len(p.targets) + len(p.colinear) for p in blocks) + len(tails)
+    rows = np.zeros((lead + m + 1, dim), dtype=complex)
+    stages, refusal = [], None  # (plan, positions, consumed, majorization, schedule) per block stage
+    used: dict[int, float] = {}  # each position's share over all block stages
+    for plan in blocks:
         consumed: dict[int, float] = {}
         for pos, c in plan.sources + plan.colinear:
-            if pos != CARRY:
-                consumed[pos] = consumed.get(pos, 0.0) + c
-                used[pos] = used.get(pos, 0.0) + c
+            consumed[pos] = consumed.get(pos, 0.0) + c
+            used[pos] = used.get(pos, 0.0) + c
         positions = sorted(consumed)
         # the certificate's verdict, at SUM_TOL; it also licenses the placement,
         # whose own tolerance max(PLACE_TOL, PLACE_MAJORIZE_TOL) is looser
         majorization = majorizes(plan.targets, [c for _, c in plan.sources])
-        sigma = sigma_cap = None
-        if isinstance(plan, _TailStep):
-            fresh = stream.vector(positions[0], dim)
-            # one 2x2 mix in span{carry, fresh}, an orthonormal pair; the
-            # dense w and w' are formed once from the mixing coefficients
-            (_, e1), (_, e2) = plan.sources
-            sigma, tau, sigma_p, tau_p, *_, residual = _mix_coefficients(
-                e1, e2, *plan.targets, 0.0
-            )
-            w = sigma * carry.vector + tau * fresh
-            rows[at] = sigma_p * carry.vector + tau_p * fresh
-            weights.append(plan.targets[1])
-            nrm = float(np.linalg.norm(w))
-            carry = RankOneTerm(plan.targets[0], w / nrm if nrm > 0 else w)
-            targets, sigma_cap = plan.targets[1:], plan.sigma_cap
-        else:
-            x, residual = _block_stage(
-                plan, positions, [consumed[pos] for pos in positions], stream,
-                rows[at : at + m], majorization,
-            )
-            weights += x
-            targets = plan.targets + tuple(w for _, w in plan.colinear)
-        certs.append(
-            StageCertificate(
-                stage=i,
-                consumed=tuple((stream.base_index(pos), consumed[pos]) for pos in positions),
-                targets=targets,
-                majorization=majorization,
-                residual=residual,
-                sigma=sigma,
-                sigma_cap=sigma_cap,
-            )
-        )
+        try:  # a refusal is raised once every stage before it passes
+            schedule = _stage_schedule(plan, positions, majorization)
+        except AdmseqError as exc:
+            refusal, tails = exc, []
+            break
+        stages.append((plan, positions, consumed, majorization, schedule))
+    verdicts = _majorizes_pairs([p.targets for p in tails], [[c for _, c in p.sources] for p in tails])
+    Cs, coefs = _place_rows([st[4] for st in stages],
+                            [(p.sources[0][1], p.sources[1][1], *p.targets) for p in tails])
+    weights, certs = [], []
+    for i, ((plan, positions, consumed, majorization, _), C) in enumerate(zip(stages, Cs)):
+        at, consumed_at = lead + len(weights), [consumed[pos] for pos in positions]
+        x, residual = _block_stage(plan, positions, consumed_at, C, stream, rows[at : at + len(C)])
+        weights += x
+        consumed = tuple((stream.base_index(pos), consumed[pos]) for pos in positions)
+        targets = plan.targets + tuple(w for _, w in plan.colinear)
+        certs.append(StageCertificate(i, consumed, targets, majorization, residual))
+    if refusal is not None:
+        raise refusal
+    # w and w' of each mix in span{carry, fresh} at once, from (sigma, sigma') and (tau, tau')
+    pairs = coefs[[0, 2, 1, 3]].T.reshape(-1, 2, 2, 1).astype(complex)
+    for i, (plan, verdict, (sigma, *_, residual), (S, T)) in enumerate(
+            zip(tails, verdicts, coefs.T.tolist(), pairs), len(stages)):
+        pos, c = plan.sources[1]
+        w, rows[lead + len(weights)] = S * carry[1] + T * stream.vector(pos, dim)
+        weights.append(plan.targets[1])
+        nrm = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))  # np.linalg.norm's
+        carry = plan.targets[0], (w / nrm if nrm > 0 else w)
+        consumed = ((stream.base_index(pos), c),)
+        certs.append(StageCertificate(i, consumed, plan.targets[1:], verdict, residual, sigma, plan.sigma_cap))
     if carry is None and used:  # block stages alone: the rest of their top position
         top = max(used)
         if 1.0 - used[top] > REMAINDER_FLOOR:
-            carry = RankOneTerm(1.0 - used[top], stream.vector(top, dim))
+            carry = 1.0 - used[top], stream.vector(top, dim)
     n_terms = lead + len(weights)
     if carry is not None:
-        rows[n_terms] = carry.vector
-        weights.append(carry.weight)
+        rows[n_terms] = carry[1]
+        weights.append(carry[0])
     return rows[: lead + len(weights)], weights, tuple(certs), n_terms
 
 

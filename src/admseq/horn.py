@@ -5,11 +5,14 @@ The 2x2 step rewrites eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'* whenever
 weight pool realizes any majorized target list, and in particular produces
 Hermitian matrices with prescribed spectrum and diagonal.
 
-Every mix takes its coefficients, and passes its checks, in one scalar core,
-``_mix_coefficients``, which needs only the weights and gamma = |<u, u'>|.
-``mix_two`` applies them to vectors; a block stage's placement applies them
-to real coefficient rows, whose supports are disjoint, and a tail step to a
-carry and a fresh stream vector orthogonal to it, so both take gamma = 0."""
+A placement is decided in the weights alone (``_horn_schedule``: which pool
+slot each target hits or peels, or which two it mixes).  Every mix takes its
+coefficients and checks from one array core, ``_mix_coefficients``, which
+needs only the weights and gamma = |<u, u'>|.  ``mix_two`` and
+``horn_decompose`` call it on one-element arrays, one mix at a time; the
+stage driver calls it once per run, on every block stage's mixes of real
+coefficient rows with disjoint supports and every tail step's mix of a carry
+with a fresh stream vector orthogonal to it, all with gamma = 0."""
 
 from __future__ import annotations
 
@@ -60,79 +63,93 @@ class MixResult:
     residual: float
 
 
-def _sqrt_clamped(x: float) -> float:
-    if x < -NEG_SQUARE_TOL:
-        raise ValueError(f"mixing produced a negative square ({x:.3e})")
-    return math.sqrt(max(x, 0.0))
+def _mix_coefficients(e1, e2, x1, x2, gamma=0.0, check: bool = True):
+    """The array core of every 2x2 mix: MixResult's (sigma, tau, sigma_prime,
+    tau_prime, z_minus, z_o, h, alpha_coef, residual) as float64 arrays, one
+    entry per mix of sources e1, e2 into targets x1, x2 (sequences of one
+    length) of unit vectors with overlap gamma (a float or a float64 array).
+    Each entry is the scalar step's IEEE expression taken elementwise, with
+    ``math.hypot`` per entry, so it has its bits.  Every check is made here,
+    with ``PLACE_TOL`` as it stands at the call; the first failing check of
+    the first failing mix raises, with the scalar step's exception."""
+    W = np.array((e1, e2, x1, x2), dtype=float).reshape(4, -1)
+    e1, e2, x1, x2 = W
+    tol, slack = PLACE_TOL, max(PLACE_TOL, TRACE_TOL)
+    d12 = e1 - e2
+    lo, hi = np.where(e2 < e1, e2, e1), np.where(e2 > e1, e2, e1)  # Python's min and max
+    # targets that coincide with the sources, up to relabeling, move nothing;
+    # swapped ones swap the vectors; every other step is generic
+    off = np.abs(W[2:] - e1)
+    coincide = (off[0] <= tol) | (np.abs(d12) <= tol)
+    swap = ~coincide & (off[1] <= tol)
+    generic = ~(coincide | swap)
+    # each check's failures, one row per check in the scalar step's order
+    fails = [W < -tol, (np.abs((x1 + x2) - (e1 + e2)) > TRACE_TOL)[None],
+             ~((lo - slack <= W[2:]) & (W[2:] <= hi + slack)).all(axis=0, keepdims=True),
+             generic & (W[2:] <= tol).any(axis=0, keepdims=True)]
 
-
-def _mix_coefficients(e1, e2, x1, x2, gamma: float, check: bool = True):
-    """The scalar core of every 2x2 mix: MixResult's (sigma, tau, sigma_prime,
-    tau_prime, z_minus, z_o, h, alpha_coef, residual) for unit vectors whose
-    overlap has modulus gamma.  Every check of the step is made here, with
-    ``PLACE_TOL`` as it stands at the call."""
-    e1, e2, x1, x2 = float(e1), float(e2), float(x1), float(x2)
-    for v in (e1, e2, x1, x2):
-        if v < -PLACE_TOL:
-            raise MajorizationError(f"weights must be nonnegative, got {v!r}")
-    if abs((x1 + x2) - (e1 + e2)) > TRACE_TOL:
-        raise MajorizationError(
-            f"target weights {x1!r} + {x2!r} do not preserve the trace {e1 + e2!r}"
-        )
-    lo, hi = min(e1, e2), max(e1, e2)
-    slack = max(PLACE_TOL, TRACE_TOL)
-    if not (lo - slack <= x1 <= hi + slack and lo - slack <= x2 <= hi + slack):
-        raise MajorizationError(
-            f"targets ({x1!r}, {x2!r}) must lie between the sources ({e1!r}, {e2!r})"
-        )
-
-    if abs(x1 - e1) <= PLACE_TOL or abs(e1 - e2) <= PLACE_TOL:
-        # targets coincide with sources (up to relabeling nothing moves)
-        sigma, tau, sigma_p, tau_p = 1.0, 0.0, 0.0, 1.0
-        z_minus = z_o = 1.0
-        h = alpha = 0.0
-    elif abs(x2 - e1) <= PLACE_TOL:
-        # targets are the sources swapped
-        sigma, tau, sigma_p, tau_p = 0.0, 1.0, 1.0, 0.0
-        z_minus = z_o = 0.0
-        h = alpha = 0.0
-    else:
-        if x1 <= PLACE_TOL or x2 <= PLACE_TOL:
-            raise MajorizationError(
-                f"vanishing target weight ({x1!r}, {x2!r}) needs a matching source weight"
-            )
+    with np.errstate(all="ignore"):  # entries off the generic branch are discarded
         # generic step: one real quadratic fixes every coefficient
-        zo_over_e1 = (e1 - x2) / (x1 * (e1 - e2))
+        e1_x2, x1_d12, d12_d12 = e1 - x2, x1 * d12, d12 * d12
+        zo_over_e1 = e1_x2 / x1_d12
         z_o = e1 * zo_over_e1
-        h = 4.0 * e1 * e2 * gamma * gamma / ((e1 - e2) * (e1 - e2))
-        alpha = (e1 - e2) / (e1 - x2)
-        disc = _sqrt_clamped(4.0 * (alpha - 1.0) * h + alpha * alpha * h * h)
+        h = 4.0 * e1 * e2 * gamma * gamma / d12_d12
+        alpha = d12 / e1_x2
+        dsq = 4.0 * (alpha - 1.0) * h + alpha * alpha * h * h
+        disc = np.sqrt(np.where(0.0 > dsq, 0.0, dsq))
         denom = 2.0 + alpha * h + disc
         z_minus = 2.0 * z_o / denom
         zm_over_e1 = 2.0 * zo_over_e1 / denom
+        squares = np.array((dsq, z_minus, e2 * (1.0 / x1 - zm_over_e1), (e1 - x1 * z_minus) / x2,
+                            (x1 * e2 / x2) * zm_over_e1))
+        # a zero divisor, where Python float division raises, and a square
+        # below -NEG_SQUARE_TOL, in the order the scalar step meets them
+        zero = generic & (np.array((x1_d12, d12_d12, e1_x2, denom, x1, x2)) == 0.0)
+        negative = generic & (squares < -NEG_SQUARE_TOL)
+        fails += [zero[:3], negative[:1], zero[3:4], negative[1:2], zero[4:5], negative[2:3],
+                  zero[5:], negative[3:]]
+        roots = np.sqrt(np.where(0.0 > squares[1:], 0.0, squares[1:]))
         # the cross terms must carry the sign of e1 - e2 for w and w' to
         # come out unit vectors; the identity alone would allow either sign
-        s = 1.0 if e1 > e2 else -1.0
-        sigma = _sqrt_clamped(z_minus)
-        tau = s * _sqrt_clamped(e2 * (1.0 / x1 - zm_over_e1))
-        sigma_p = _sqrt_clamped((e1 - x1 * z_minus) / x2)
-        tau_p = -s * _sqrt_clamped((x1 * e2 / x2) * zm_over_e1)
+        s = np.where(e1 > e2, 1.0, -1.0)
+        G = np.array((roots[0], s * roots[1], roots[2], -s * roots[3], z_minus, z_o, h, alpha))
+        # (sigma, tau, sigma', tau', z_minus, z_o, h, alpha) of the other branches
+        G[:, coincide] = [[1.0], [0.0], [0.0], [1.0], [1.0], [1.0], [0.0], [0.0]]
+        G[:, swap] = [[0.0], [1.0], [1.0], [0.0], [0.0], [0.0], [0.0], [0.0]]
+        Y = G[:4].reshape(2, 2, -1)  # (sigma, tau) of w, (sigma', tau') of w'
 
-    # the identity lives in span{u, u''}: check it on the coefficients, with
-    # the Gram matrix [[1, gamma], [gamma, 1]] of that pair
-    residual = (1.0 + gamma) * math.hypot(
-        x1 * sigma * sigma + x2 * sigma_p * sigma_p - e1,
-        math.sqrt(2.0) * (x1 * sigma * tau + x2 * sigma_p * tau_p),
-        x1 * tau * tau + x2 * tau_p * tau_p - e2,
-    )
-    if check:
-        for a, b in ((sigma, tau), (sigma_p, tau_p)):
-            drift = abs(math.sqrt(max(a * a + b * b + 2.0 * gamma * a * b, 0.0)) - 1.0)
-            if drift > MIX_RESIDUAL_TOL:
-                raise ValueError(f"mixed vector norm drifted by {drift:.3e}")
-        if residual > MIX_RESIDUAL_TOL:
-            raise ValueError(f"mixing identity residual {residual:.3e} exceeds tolerance")
-    return sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, residual
+        # the identity lives in span{u, u''}: check it on the coefficients,
+        # with the Gram matrix [[1, gamma], [gamma, 1]] of that pair; x1 (sigma,
+        # tau) terms and x2 (sigma', tau') ones side by side
+        sq_terms, cross_terms = W[2:, None] * Y * Y, W[2:] * Y[:, 0] * Y[:, 1]
+        diag = sq_terms[0] + sq_terms[1] - W[:2]
+        cross = math.sqrt(2.0) * (cross_terms[0] + cross_terms[1])
+        hyp = list(map(math.hypot, diag[0].tolist(), cross.tolist(), diag[1].tolist()))
+        residual = (1.0 + gamma) * np.array(hyp, dtype=float)
+        if check:
+            a, b = Y[:, 0], Y[:, 1]  # (sigma, sigma'), (tau, tau')
+            sq = a * a + b * b + 2.0 * gamma * a * b
+            drift = np.abs(np.sqrt(np.where(0.0 > sq, 0.0, sq)) - 1.0)
+            fails += [drift > MIX_RESIDUAL_TOL, (residual > MIX_RESIDUAL_TOL)[None]]
+
+    failed = np.concatenate(fails)
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        e1, e2, x1, x2 = W[:, i].tolist()
+        Maj, Val, zero = MajorizationError, ValueError, (ZeroDivisionError, "float division by zero")
+        neg = [(Val, f"mixing produced a negative square ({v:.3e})") for v in squares[:, i].tolist()]
+        errors = [  # one per row of failed
+            *((Maj, f"weights must be nonnegative, got {v!r}") for v in (e1, e2, x1, x2)),
+            (Maj, f"target weights {x1!r} + {x2!r} do not preserve the trace {e1 + e2!r}"),
+            (Maj, f"targets ({x1!r}, {x2!r}) must lie between the sources ({e1!r}, {e2!r})"),
+            (Maj, f"vanishing target weight ({x1!r}, {x2!r}) needs a matching source weight"),
+            zero, zero, zero, neg[0], zero, neg[1], zero, neg[2], zero, neg[3], neg[4],
+            *((Val, f"mixed vector norm drifted by {d:.3e}") for d in (drift[:, i].tolist() if check else ())),
+            (Val, f"mixing identity residual {residual[i]:.3e} exceeds tolerance"),
+        ]
+        kind, text = errors[int(failed[:, i].argmax())]
+        raise kind(text)
+    return (*G, residual)
 
 
 def mix_two(eta1, eta2, u, u_prime, xi1, xi2, check: bool = True) -> MixResult:
@@ -140,12 +157,12 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, check: bool = True) -> MixResult:
 
     Requires xi1 + xi2 = eta1 + eta2 and both xis between min(eta) and
     max(eta); u and u' are unit vectors with arbitrary overlap.  The
-    coefficients, and every check, come from the scalar core
-    ``_mix_coefficients`` that block stages and tail steps call directly;
-    here they are applied to u and to u'' = u' turned so that <u, u''> is
-    real.  Weights within ``PLACE_TOL``, as it stands at the call, count as
-    equal; ``check=False`` skips the norm and identity checks.  Bad vectors
-    are refused before bad weights.
+    coefficients, and every check, come from the array core
+    ``_mix_coefficients``, called on one-element arrays; here they are
+    applied to u and to u'' = u' turned so that <u, u''> is real.  Weights
+    within ``PLACE_TOL``, as it stands at the call, count as equal;
+    ``check=False`` skips the norm and identity checks.  Bad vectors are
+    refused before bad weights.
     """
     u = unit_vector(u)
     up = unit_vector(u_prime)
@@ -156,36 +173,14 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, check: bool = True) -> MixResult:
     # u'' = u' turned so that <u, u''> = gamma; the factor comes from the
     # angle, so it has modulus 1 even when the overlap is subnormal
     up_rot = up * np.exp(-1j * np.angle(overlap)) if overlap else up
-    c = _mix_coefficients(eta1, eta2, xi1, xi2, gamma, check)
+    c = [float(v[0]) for v in _mix_coefficients([eta1], [eta2], [xi1], [xi2], gamma, check)]
     sigma, tau, sigma_p, tau_p = c[:4]
     return MixResult(sigma * u + tau * up_rot, sigma_p * u + tau_p * up_rot, *c[:8], gamma, c[8])
 
 
-def _mix_vectors(a, b, ua, na, ub, nb, t):
-    """A placement's 2x2 step on unit vectors (their norms na, nb unused)."""
-    res = mix_two(a, b, ua, ub, t, a + b - t)
-    return res.w, res.w_prime, 1.0
-
-
-def _mix_rows(a, b, ua, na, ub, nb, t):
-    """A placement's 2x2 step on real coefficient rows ua, ub standing for the
-    unit vectors ua / na, ub / nb.  Every pool row of a block stage has a
-    support disjoint from the rest, so gamma = 0 exactly: two axpys, and the
-    new remainder's norm is that of its coefficients."""
-    sigma, tau, sigma_p, tau_p = _mix_coefficients(a, b, t, a + b - t, 0.0)[:4]
-    w = (sigma / na) * ua + (tau / nb) * ub
-    return w, (sigma_p / na) * ua + (tau_p / nb) * ub, math.hypot(sigma_p, tau_p)
-
-
 def _coerce_terms(source_terms) -> list[RankOneTerm]:
-    out = []
-    for t in source_terms:
-        if isinstance(t, RankOneTerm):
-            out.append(RankOneTerm(float(t.weight), unit_vector(t.vector)))
-        else:
-            w, v = t
-            out.append(RankOneTerm(float(w), unit_vector(v)))
-    return out
+    pairs = ((t.weight, t.vector) if isinstance(t, RankOneTerm) else t for t in source_terms)
+    return [RankOneTerm(float(w), unit_vector(v)) for w, v in pairs]
 
 
 def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
@@ -196,7 +191,7 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     the given order, and sum to the same operator, which is checked here.
     """
     pool = _coerce_terms(source_terms)
-    decomp = RankOneDecomp(tuple(_horn_place(pool, target_weights)))
+    decomp = RankOneDecomp(tuple(_place_vectors(pool, target_weights)))
     dim = len(pool[0].vector)
     _checked(decomp.frame_operator(dim) - frame_operator(pool, dim=dim))
     return decomp
@@ -210,36 +205,43 @@ def _checked(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _horn_place(
-    pool: list[RankOneTerm], target_weights, *, verdict=None, mix=_mix_vectors
-) -> list[RankOneTerm]:
-    """horn_decompose's placement of unit-vector pool terms, without its
-    reconstruction check: the caller checks the identity.  ``mix`` is the
-    2x2 step, the loop's only varying part: ``_mix_vectors`` for unit vectors,
-    ``_mix_rows`` for a block stage's coefficient rows.  A caller that has
-    already tested the majorization of these targets by these pool weights at
-    a tolerance of at most ``max(PLACE_TOL, PLACE_MAJORIZE_TOL)`` passes its
-    ``verdict``; a holding one is not tested again.
-
-    Targets are placed largest first.  A target within ``PLACE_TOL`` of a
-    pool weight takes that entry's vector; otherwise it is mixed from the
-    nearest weights above (``>= t``) and below (``< t``), or peeled off the
-    smallest entry when nothing lies below.  The pool is a list sorted by (weight,
-    arrival), where arrival numbers the source terms in order and each mixed
-    remainder after them, so every choice is a bisection and ties go to the
-    earliest arrival: O(log k) comparisons per target, plus the list's
-    inserts and deletes.  Each entry's norm is kept beside it, 1 for the
-    pool and whatever ``mix`` reports for a remainder."""
+def _place_vectors(pool: list[RankOneTerm], target_weights) -> list[RankOneTerm]:
+    """horn_decompose's placement, without its reconstruction check: one
+    ``mix_two`` per mix as the schedule reaches it, since its overlap gamma
+    depends on the vectors earlier mixes made."""
     targets = [float(t) for t in target_weights]
+    vectors = [p.vector for p in pool]
+    placed: list[RankOneTerm | None] = [None] * len(targets)
+    dim = len(vectors[0]) if vectors else 0
+    for idx, slot, mix in _horn_schedule([p.weight for p in pool], targets, dim):
+        if mix is not None:
+            sa, sb, a, b, t = mix
+            res = mix_two(a, b, vectors[sa], vectors[sb], t, a + b - t)
+            vectors += (res.w, res.w_prime)
+        placed[idx] = RankOneTerm(targets[idx], vectors[slot])
+    return placed
+
+
+def _horn_schedule(weights, targets, dim: int, verdict=None):
+    """The placement of ``targets`` against pool ``weights``, decided in the
+    weights alone: yields (target index, slot, mix) per target, largest first,
+    where the target takes the vector in ``slot``.  Slots below len(weights)
+    are the pool's; the j-th mix, (slot a, slot b, a, b, t) with a >= t > b,
+    makes slot len(weights) + 2j, the target's vector, and the next, its
+    remainder of weight a + b - t; mix is None for every other target.
+    ``dim`` scales the unconsumed-weight check.  A ``verdict`` on these
+    weights at a tolerance of at most ``max(PLACE_TOL, PLACE_MAJORIZE_TOL)``
+    that holds is not tested again.  A target within ``PLACE_TOL`` of a pool
+    weight takes that slot; otherwise it mixes the nearest weights above (>=
+    t) and below (< t), or is peeled off the smallest, which keeps its slot,
+    when nothing lies below.  The pool is a list of (weight, slot) kept
+    sorted, so every choice is a bisection and ties go to the earliest slot."""
     if any(t < 0.0 for t in targets):
         raise MajorizationError("target weights must be nonnegative")
-    if not pool:
+    if not weights:
         raise DimensionError("need at least one source term")
-    dim = len(pool[0].vector)
     if verdict is None or not verdict.holds:
-        verdict = majorizes(
-            targets, [p.weight for p in pool], tol=max(PLACE_TOL, PLACE_MAJORIZE_TOL)
-        )
+        verdict = majorizes(targets, weights, tol=max(PLACE_TOL, PLACE_MAJORIZE_TOL))
     if not verdict.holds:
         raise MajorizationError(
             "source weights do not majorize the targets"
@@ -248,27 +250,24 @@ def _horn_place(
             failing_index=verdict.failing_index,
         )
 
-    anchor = pool[0].vector
-    # (weight, arrival, vector, norm); arrivals are distinct, so vectors are never compared
-    work = sorted((p.weight, i, p.vector, 1.0) for i, p in enumerate(pool) if p.weight > PLACE_TOL)
-    arrivals = count(len(pool))
+    work = sorted((w, i) for i, w in enumerate(weights) if w > PLACE_TOL)
+    made = count(len(weights), 2)  # the slot of each mix's target vector
     order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
-    placed: list[RankOneTerm | None] = [None] * len(targets)
     # weight that leaves the pool but counted in the majorization: entries of
     # at most PLACE_TOL, what hits within it take beyond their target, and mix
     # remainders of at most PLACE_TOL
-    lost = math.fsum(p.weight for p in pool if p.weight <= PLACE_TOL)
+    lost = math.fsum(w for w in weights if w <= PLACE_TOL)
 
     for idx in order:
         t = targets[idx]
-        if t <= PLACE_TOL:
-            placed[idx] = RankOneTerm(t, anchor)
+        if t <= PLACE_TOL:  # along the anchor, the first pool vector
+            yield idx, 0, None
             continue
         hit = _earliest_hit(work, t)
         if hit is not None:
-            w, _, v, _ = work.pop(hit)
+            w, slot = work.pop(hit)
             lost += max(w - t, 0.0)
-            placed[idx] = RankOneTerm(t, v)
+            yield idx, slot, None
             continue
         ka = bisect_left(work, (t,))  # the smallest weight >= t
         if ka == len(work):
@@ -279,30 +278,29 @@ def _horn_place(
                 raise MajorizationError(
                     f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                 )
-            placed[idx] = RankOneTerm(t, work.pop(bisect_left(work, (top,)))[2] if work else anchor)
+            yield idx, work.pop(bisect_left(work, (top,)))[1] if work else 0, None
             continue
-        a, arrival, ua, na = work[ka]
+        a, sa = work[ka]
         if ka == 0:
             # every pool weight exceeds the largest remaining target: peel
             # the target off the smallest entry along its own direction; what
             # is left is still the smallest, so it keeps its place
-            placed[idx] = RankOneTerm(t, ua)
-            work[0] = (a - t, arrival, ua, na)
+            work[0] = (a - t, sa)
+            yield idx, sa, None
             continue
         kb = bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
-        b, _, ub, nb = work[kb]
-        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t)
-        placed[idx] = RankOneTerm(t, w)
+        b, sb = work[kb]
+        slot = next(made)
         del work[ka], work[kb]  # kb < ka, so kb's index survives the first deletion
         if a + b - t > PLACE_TOL:
-            insort(work, (a + b - t, next(arrivals), w_prime, n_prime))
+            insort(work, (a + b - t, slot + 1))
         else:
             lost += a + b - t
+        yield idx, slot, (sa, sb, a, b, t)
 
     leftover = math.fsum(e[0] for e in work)
     if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
         raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
-    return placed
 
 
 def _earliest_hit(work, t: float) -> int | None:

@@ -51,6 +51,16 @@ def _real_if_imag_zero(A) -> np.ndarray:
     return M if M.imag.any() else M.real.copy()
 
 
+def _in_range(form, what: str, *parts) -> np.ndarray:
+    """form(), a product or sum of ``parts``, with numpy's overflow warnings off;
+    a non-finite result of finite parts, beyond the float64 range, is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = form()
+    if not np.isfinite(A).all() and all(np.isfinite(p).all() for p in parts):
+        raise ValueError(f"{what} overflows the float64 range")
+    return A
+
+
 def assert_hermitian(A) -> np.ndarray:
     return _hermitian_part(as_operator(A))
 
@@ -60,10 +70,10 @@ def _hermitian_part(M) -> np.ndarray:
     finite and whose asymmetry is within HERM_TOL per dimension."""
     if not np.isfinite(M).all():  # before M - M*, where inf - inf would warn
         raise ValueError("matrix entries must be finite")
-    dev = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    dev = float(np.max(np.abs(_in_range(lambda: M - M.conj().T, "asymmetry")))) if M.size else 0.0
     if dev > HERM_TOL * max(1, M.shape[0]):
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
-    return 0.5 * (M + M.conj().T)
+    return _in_range(lambda: 0.5 * (M + M.conj().T), "Hermitian part")
 
 
 def eigh_desc(A) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +137,7 @@ def polar_partial_isometry(B) -> PartialIsometryRec:
     M = _real_if_imag_zero(B)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {M.shape}")
-    gram = _hermitian_part(M.conj().T @ M)
+    gram = _hermitian_part(_in_range(lambda: M.conj().T @ M, "Gram matrix", M))
     w, U = _eigh_desc(gram)
     kept = w > EIG_CLAMP
     rank = int(np.count_nonzero(kept))
@@ -216,15 +226,19 @@ class RankOneDecomp:
         return self.row_weights[: self.n_terms]
 
     def frame_operator(self, dim: int | None = None, with_remainder: bool = False) -> np.ndarray:
+        return self._frame_product(dim, with_remainder).astype(complex, copy=False)
+
+    def _frame_product(self, dim: int | None = None, with_remainder: bool = False) -> np.ndarray:
+        """The frame operator, in float64 when every term vector is real."""
         n = len(self.row_weights) if with_remainder else self.n_terms
         dim = self.dim if dim is None else dim
         if not n:
-            return np.zeros((dim, dim), dtype=complex)
+            return np.zeros((dim, dim))
         if self.rows.shape[1] != dim:
             raise DimensionError(f"term vector has length {self.rows.shape[1]}, expected {dim}")
         V = _real_if_imag_zero(self.rows[:n])
         w = np.array(self.row_weights[:n], dtype=float)
-        return ((V.T * w) @ V.conj()).astype(complex, copy=False)
+        return (V.T * w) @ V.conj()
 
 
 def make_term(weight, vector) -> RankOneTerm:
@@ -250,7 +264,7 @@ def frame_operator(terms, dim: int | None = None) -> np.ndarray:
 
 def residual_norm(A, B) -> float:
     """Operator 2-norm of the difference of two square matrices of one shape."""
-    M, N = _real_if_imag_zero(A), _real_if_imag_zero(B)
+    M, N = (X if X.dtype == np.float64 else _real_if_imag_zero(X) for X in map(np.asarray, (A, B)))
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape != N.shape:
         raise DimensionError(f"expected equal square shapes, got {M.shape} and {N.shape}")
     return float(np.linalg.norm(M - N, 2)) if M.size else 0.0
@@ -467,5 +481,6 @@ def decomp_from_json(obj) -> RankOneDecomp:
 
 def decomp_residual(A, decomp: RankOneDecomp, with_remainder: bool = True) -> float:
     M = as_operator(A)
-    S = decomp.frame_operator(dim=M.shape[0], with_remainder=with_remainder)
+    S = _in_range(lambda: decomp._frame_product(M.shape[0], with_remainder), "frame operator",
+                  decomp.rows, np.array(decomp.row_weights))
     return residual_norm(M, S)

@@ -520,6 +520,19 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
     return MajorizationVerdict(True, None, sum_gap)
 
 
+def _majorizes_pairs(xs, es, tol: float = SUM_TOL) -> list[MajorizationVerdict]:
+    """majorizes(x, e, tol) for each x in xs and e in es, of two entries each, in
+    one pass: positive entries with finite sums get majorizes' own sums, as a sum
+    of two floats rounds once however it is formed; majorizes takes the rest."""
+    x1, x2, e1, e2 = np.array([(*x, *e) for x, e in zip(xs, es)], dtype=float).reshape(-1, 4).T
+    with np.errstate(all="ignore"):  # a pair whose sums overflow is majorizes'
+        gap = (x1 + x2) - (e1 + e2)
+        ok = (x1 > 0.0) & (x2 > 0.0) & (e1 > 0.0) & (e2 > 0.0) & np.isfinite(gap)
+        k = np.where(np.maximum(x1, x2) > np.maximum(e1, e2) + tol, 1, 2 * (x1 + x2 > e1 + e2 + tol))
+    return [MajorizationVerdict(k == 0 and abs(g) <= tol, k or None, g) if good else majorizes(x, e, tol)
+            for x, e, good, k, g in zip(xs, es, ok.tolist(), k.tolist(), gap.tolist())]
+
+
 def _sorted_desc(values, x, n: int):
     """values zero-padded to n entries, as a float64 array sorted downwards.
     x, the values' own array or None, is sorted in place."""

@@ -475,6 +475,42 @@ class TestNonFiniteInput:
         self.refused(capsys, ["verify", dec, op], "vector norm nan is not 1")
 
 
+# finite entries whose products or sums leave the float64 range
+HUGE_TERMS = {"terms": [{"weight": 1e308, "vector": [[1.0, 0.0]]},
+                        {"weight": 1e308, "vector": [[1.0, 0.0]]}]}
+
+
+class TestFloat64Overflow:
+    """A product or sum of finite entries beyond the float64 range is refused
+    where it is formed, with one error line naming the overflow and exit 2,
+    and no numpy warning."""
+
+    pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+    def refused(self, capsys, argv, err):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    def test_verify_refuses_an_overflowing_frame_operator(self, tmp_path, capsys):
+        dec = write_json(tmp_path / "dec.json", HUGE_TERMS)
+        op = write_json(tmp_path / "op.json", {"diag": [1.0]})
+        self.refused(capsys, ["verify", dec, op], "frame operator overflows the float64 range")
+
+    def test_check_sums_refuses_an_overflowing_hermitian_part(self, tmp_path, capsys):
+        op = write_json(tmp_path / "op.json", {"diag": [1e308, 1e308]})
+        self.refused(capsys, ["check-sums", op], "Hermitian part overflows the float64 range")
+
+    def test_check_sums_refuses_an_overflowing_asymmetry(self, tmp_path, capsys):
+        entries = [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]]
+        op = write_json(tmp_path / "op.json", {"dim": 2, "entries": entries})
+        self.refused(capsys, ["check-sums", op], "asymmetry overflows the float64 range")
+
+    def test_bridge_refuses_an_overflowing_gram_matrix(self, tmp_path, capsys):
+        dec = write_json(tmp_path / "dec.json", HUGE_TERMS)
+        self.refused(capsys, ["bridge", dec], "Gram matrix overflows the float64 range")
+
+
 OPTIONS = {
     "check-kadison": ["--alpha", "--help", "-h"],
     "check-majorize": ["--help", "-h"],

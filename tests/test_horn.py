@@ -11,7 +11,6 @@ from admseq.errors import DimensionError, MajorizationError
 from admseq.horn import (
     HORN_RESIDUAL_TOL,
     PLACE_TOL,
-    _horn_place,
     horn_decompose,
     mix_two,
     schur_horn_matrix,
@@ -327,9 +326,9 @@ def _scan_place(pool, target_weights, tol):
 
 
 def _place_at(pool, target_weights, tol):
-    """_horn_place with PLACE_TOL set to tol for the call."""
+    """horn_decompose's placement with PLACE_TOL set to tol for the call."""
     with mock.patch.object(horn, "PLACE_TOL", tol):
-        return _horn_place(pool, target_weights)
+        return horn._place_vectors(pool, target_weights)
 
 
 def _outcome(place, weights, targets, tol):
@@ -481,28 +480,36 @@ def awkward_case(rng, k):
 
 
 def placement_log(weights, targets, rows):
-    """_horn_place on the standard basis, as real coefficient rows or as
-    complex unit vectors: the mixes made, in order, with their weights and
-    the entries they took, and the weight and origin of each placed term."""
+    """The placement of targets against weights on the standard basis, as
+    the stage driver's real coefficient rows or as horn_decompose's complex
+    unit vectors: the schedule it followed (the row each target takes, and
+    the mixes made, in order, with the rows they took and their weights) and
+    the placed vectors, or the error's type and text and None.  Schedule
+    rows are the pool's basis rows, then two per mix."""
     k = len(weights)
-    eye, mix = (np.eye(k), horn._mix_rows) if rows else (np.eye(k, dtype=complex), horn._mix_vectors)
-    pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
-    origin = {id(p.vector): ("source", i) for i, p in enumerate(pool)}
-    keep, mixes = [], []  # keep every tagged array alive, so no id is reused
-
-    def logged(a, b, ua, na, ub, nb, t):
-        w, w_prime, n_prime = mix(a, b, ua, na, ub, nb, t)
-        mixes.append((a.hex(), b.hex(), t.hex(), origin[id(ua)], origin[id(ub)]))
-        origin[id(w)], origin[id(w_prime)] = ("mixed", len(mixes)), ("remainder", len(mixes))
-        keep.extend((w, w_prime))
-        return w, w_prime, n_prime
-
     try:
-        placed = _horn_place(pool, targets, mix=logged)
+        if rows:
+            plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
+            sched = carpenter._stage_schedule(plan, range(k))
+            (C,), _ = carpenter._place_rows([sched])
+            return sched[1:], C
+        eye = np.eye(k, dtype=complex)
+        pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
+        ops, real = [], horn._horn_schedule
+
+        def logged(*args):
+            for op in real(*args):
+                ops.append(op)
+                yield op
+
+        with mock.patch.object(horn, "_horn_schedule", logged):
+            placed = horn._place_vectors(pool, targets)
     except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
         return (type(exc), str(exc)), None
-    choices = [(t.weight.hex(), origin[id(t.vector)]) for t in placed]
-    return (mixes, choices), np.array([t.vector for t in placed])
+    takes = [0] * len(targets)
+    for idx, slot, _ in ops:
+        takes[idx] = slot
+    return (takes, [mix for _, _, mix in ops if mix is not None]), np.array([t.vector for t in placed])
 
 
 # (k, seed, draw) of awkward_case draws whose last target falls short of
@@ -553,29 +560,22 @@ def test_coefficient_rows_place_as_unit_vectors(k, seed):
     assert placed == 2
 
 
-def test_stage_check_refuses_a_corrupted_row(monkeypatch):
+def test_stage_check_refuses_a_corrupted_row():
     rng = np.random.default_rng(5)
     weights, targets = awkward_case(rng, 30)
     while placement_log(weights, targets, rows=True)[1] is None:
         weights, targets = awkward_case(rng, 30)
     plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
     stream = VectorStream.basis()
-    out = np.empty((len(targets), 30), dtype=complex)
-    placed, residual = carpenter._block_stage(plan, range(30), weights, stream, out)
+    out = np.zeros((len(targets), 30), dtype=complex)
+    (C,), _ = carpenter._place_rows([carpenter._stage_schedule(plan, range(30))])
+    placed, residual = carpenter._block_stage(plan, range(30), weights, C, stream, out)
     assert placed == targets and residual <= 1e-10
-    real = carpenter._horn_place
-
-    def corrupt(pool, target_weights, **kw):
-        placed = real(pool, target_weights, **kw)
-        i = next(i for i, t in enumerate(placed) if np.count_nonzero(t.vector) > 1)
-        row = placed[i].vector.copy()
-        row[np.flatnonzero(row)[0]] += 1e-6
-        placed[i] = RankOneTerm(placed[i].weight, row)
-        return placed
-
-    monkeypatch.setattr(carpenter, "_horn_place", corrupt)
+    # one mixed row turned a little off, after every mix passed its checks
+    i = next(i for i, row in enumerate(C) if np.count_nonzero(row) > 1)
+    C[i, np.flatnonzero(C[i])[0]] += 1e-6
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
-        carpenter._block_stage(plan, range(30), weights, stream, out)
+        carpenter._block_stage(plan, range(30), weights, C, stream, out)
 
 
 def test_coefficient_rows_divide_out_a_mix_norm_drift():
@@ -586,11 +586,168 @@ def test_coefficient_rows_divide_out_a_mix_norm_drift():
     a, b, t = 0.6253875181091617, 3.0278341805276837e-06, 0.6253875039706138
     weights = [1e-7, b, a]
     targets = [t, 2e-6, (a + b - t) + 1e-7 - 2e-6]
-    sigma_p, tau_p = horn._mix_coefficients(a, b, t, a + b - t, 0.0)[2:4]
+    sigma_p, tau_p = (float(c[0]) for c in horn._mix_coefficients([a], [b], [t], [a + b - t])[2:4])
     assert abs(math.hypot(sigma_p, tau_p) - 1.0) > 1e-11
     row_log, C = placement_log(weights, targets, rows=True)
     vec_log, V = placement_log(weights, targets, rows=False)
     assert row_log == vec_log
-    assert [m[3:] for m in row_log[0]] == [(("source", 2), ("source", 1)),
-                                           (("remainder", 1), ("source", 0))]
+    # the first mix takes pool rows 2 and 1, the second its remainder (row
+    # 3 + 1, after the pool's 3 and the first mix's target) and pool row 0
+    assert [m[:2] for m in row_log[1]] == [(2, 1), (4, 0)]
     assert np.max(np.abs(C - V.real)) <= 1e-13
+
+
+# -- the array core against the scalar formulas ------------------------------
+
+def scalar_mix_coefficients(e1, e2, x1, x2, gamma, check=True):
+    """The scalar 2x2 step that every mix once took, kept as the oracle of the
+    array core: (sigma, tau, sigma', tau', z_minus, z_o, h, alpha, residual),
+    with ``horn``'s tolerances as they stand at the call."""
+    tol = horn.PLACE_TOL
+
+    def sqrt_clamped(x):
+        if x < -horn.NEG_SQUARE_TOL:
+            raise ValueError(f"mixing produced a negative square ({x:.3e})")
+        return math.sqrt(max(x, 0.0))
+
+    e1, e2, x1, x2 = float(e1), float(e2), float(x1), float(x2)
+    for v in (e1, e2, x1, x2):
+        if v < -tol:
+            raise MajorizationError(f"weights must be nonnegative, got {v!r}")
+    if abs((x1 + x2) - (e1 + e2)) > horn.TRACE_TOL:
+        raise MajorizationError(
+            f"target weights {x1!r} + {x2!r} do not preserve the trace {e1 + e2!r}"
+        )
+    lo, hi = min(e1, e2), max(e1, e2)
+    slack = max(tol, horn.TRACE_TOL)
+    if not (lo - slack <= x1 <= hi + slack and lo - slack <= x2 <= hi + slack):
+        raise MajorizationError(
+            f"targets ({x1!r}, {x2!r}) must lie between the sources ({e1!r}, {e2!r})"
+        )
+    if abs(x1 - e1) <= tol or abs(e1 - e2) <= tol:
+        sigma, tau, sigma_p, tau_p = 1.0, 0.0, 0.0, 1.0
+        z_minus = z_o = 1.0
+        h = alpha = 0.0
+    elif abs(x2 - e1) <= tol:
+        sigma, tau, sigma_p, tau_p = 0.0, 1.0, 1.0, 0.0
+        z_minus = z_o = 0.0
+        h = alpha = 0.0
+    else:
+        if x1 <= tol or x2 <= tol:
+            raise MajorizationError(
+                f"vanishing target weight ({x1!r}, {x2!r}) needs a matching source weight"
+            )
+        zo_over_e1 = (e1 - x2) / (x1 * (e1 - e2))
+        z_o = e1 * zo_over_e1
+        h = 4.0 * e1 * e2 * gamma * gamma / ((e1 - e2) * (e1 - e2))
+        alpha = (e1 - e2) / (e1 - x2)
+        disc = sqrt_clamped(4.0 * (alpha - 1.0) * h + alpha * alpha * h * h)
+        denom = 2.0 + alpha * h + disc
+        z_minus = 2.0 * z_o / denom
+        zm_over_e1 = 2.0 * zo_over_e1 / denom
+        s = 1.0 if e1 > e2 else -1.0
+        sigma = sqrt_clamped(z_minus)
+        tau = s * sqrt_clamped(e2 * (1.0 / x1 - zm_over_e1))
+        sigma_p = sqrt_clamped((e1 - x1 * z_minus) / x2)
+        tau_p = -s * sqrt_clamped((x1 * e2 / x2) * zm_over_e1)
+    residual = (1.0 + gamma) * math.hypot(
+        x1 * sigma * sigma + x2 * sigma_p * sigma_p - e1,
+        math.sqrt(2.0) * (x1 * sigma * tau + x2 * sigma_p * tau_p),
+        x1 * tau * tau + x2 * tau_p * tau_p - e2,
+    )
+    if check:
+        for a, b in ((sigma, tau), (sigma_p, tau_p)):
+            drift = abs(math.sqrt(max(a * a + b * b + 2.0 * gamma * a * b, 0.0)) - 1.0)
+            if drift > horn.MIX_RESIDUAL_TOL:
+                raise ValueError(f"mixed vector norm drifted by {drift:.3e}")
+        if residual > horn.MIX_RESIDUAL_TOL:
+            raise ValueError(f"mixing identity residual {residual:.3e} exceeds tolerance")
+    return sigma, tau, sigma_p, tau_p, z_minus, z_o, h, alpha, residual
+
+
+def _bits(run):
+    """float.hex of each value run() returns, or its error's type and text."""
+    try:
+        return [[float(v).hex() for v in vals] for vals in run()]
+    except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
+        return type(exc), str(exc)
+
+
+def _scalar_batch(cases, check):
+    """The oracle on a batch: every mix's values, mix by mix, until one fails."""
+    return [scalar_mix_coefficients(*case, check=check) for case in cases]
+
+
+def _array_batch(cases, check):
+    """The array core on a batch, read back mix by mix."""
+    cols = [list(col) for col in zip(*cases)]
+    out = horn._mix_coefficients(*cols[:4], np.array(cols[4]), check)
+    return [[v[i] for v in out] for i in range(len(cases))]
+
+
+@st.composite
+def mix_cases(draw):
+    """Sources e1, e2 in [1e-12, 1] and targets in the coincide, swap or
+    generic branch, or just outside the sources, with the trace kept or,
+    rarely, broken; gamma 0 or any overlap modulus."""
+    weights = st.one_of(st.floats(1e-12, 1.0), st.sampled_from([1e-12, 2e-12, 0.5, 1.0]))
+    e1, e2 = draw(weights), draw(weights)
+    lo, hi = min(e1, e2), max(e1, e2)
+    near = st.sampled_from([0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9, -1e-9, 2e-9])
+    branch = draw(st.sampled_from(["generic", "coincide", "swap", "edge"]))
+    if branch == "generic":
+        x1 = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    elif branch == "coincide":
+        x1 = e1 + draw(near)
+    elif branch == "swap":
+        x1 = e2 + draw(near)
+    else:
+        x1 = draw(st.sampled_from([lo, hi])) + draw(near)
+    x2 = e1 + e2 - x1 + draw(st.sampled_from([0.0] * 6 + [1e-8]))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    return e1, e2, x1, x2, gamma
+
+
+@settings(max_examples=600, deadline=None)
+@given(mix_cases(), st.booleans())
+def test_array_core_matches_the_scalar_formulas(case, check):
+    e1, e2, x1, x2, gamma = case
+    want = _bits(lambda: [scalar_mix_coefficients(e1, e2, x1, x2, gamma, check)])
+    assert _bits(lambda: _array_batch([case], check)) == want
+    # mix_two's call: one-element arrays and a float gamma
+    got = _bits(lambda: [[c[0] for c in horn._mix_coefficients([e1], [e2], [x1], [x2], gamma, check)]])
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mix_cases(), min_size=1, max_size=12), st.booleans())
+def test_array_core_raises_for_the_first_failing_mix(cases, check):
+    assert _bits(lambda: _array_batch(cases, check)) == _bits(lambda: _scalar_batch(cases, check))
+
+
+# one mix per check of the scalar step, in its order, with the text it raises
+FAILING_MIXES = [
+    ((0.5, -2e-12, 0.25, 0.25 - 2e-12, 0.0), "weights must be nonnegative, got -2e-12"),
+    ((0.5, 0.25, 0.375, 0.375 + 1e-8, 0.0), "do not preserve the trace"),
+    ((0.5, 0.25, 0.5 + 1e-6, 0.25 - 1e-6, 0.0), "must lie between the sources"),
+    ((2.3096103082881043e-10, 4.613087121242089e-06, -6.402497203616284e-13,
+      4.613318722522638e-06, 0.0), "vanishing target weight"),
+    ((0.020943287259997598, 0.4813179801443985, 0.4813179805438673, 0.02094328686052882,
+      0.999999999), "float division by zero"),
+    ((0.02609418191414998, 1.897468280338513e-06, 0.02609418225697293, 1.897125457388238e-06,
+      0.0), "mixing produced a negative square (-1.807e-04)"),
+    ((1.025702739944923e-05, 0.0708632799706832, 0.0708632808285744, 1.0256169508240931e-05,
+      0.8564005663967557), "mixed vector norm drifted by 4.246e-04"),
+    ((0.71386991449318, 0.6825550974993021, 0.713869914498348, 0.6825550974941341, 0.0),
+     "mixing identity residual 1.630e-10 exceeds tolerance"),
+]
+
+
+@pytest.mark.parametrize("case, text", FAILING_MIXES, ids=[t.split(" (")[0] for _, t in FAILING_MIXES])
+def test_every_failing_check_raises_the_scalar_error(case, text):
+    want = _bits(lambda: [scalar_mix_coefficients(*case)])
+    assert text in want[1]
+    good = (0.7, 0.3, 0.6, 0.4, 0.0)
+    # alone, and after a mix that passes: the failing one is named
+    assert _bits(lambda: _array_batch([case], True)) == want
+    assert _bits(lambda: _array_batch([good, case, case], True)) == want

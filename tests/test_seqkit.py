@@ -2,12 +2,13 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admseq.errors import SequenceError
 from admseq.seqkit import (
     WeightSeq,
+    _majorizes_pairs,
     kadison_check,
     majorizes,
     seq_from_json,
@@ -192,6 +193,34 @@ def test_majorizes_requires_equal_totals():
 def test_majorizes_zero_pads_shorter_side():
     assert majorizes([0.5, 0.25, 0.25], [1.0]).holds
     assert majorizes([0.4, 0.3, 0.3], [0.5, 0.5]).holds
+
+
+# entries that take the pass over arrays and those left to majorizes: zero,
+# -0.0, subnormal, overflowing, infinite, NaN and negative
+pair_vals = st.one_of(st.floats(min_value=1e-12, max_value=2.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1.0, 1.0 + 1e-12, 1e308, INF, math.nan, -0.5]))
+pair_lists = st.lists(st.tuples(st.tuples(pair_vals, pair_vals), st.tuples(pair_vals, pair_vals)), max_size=6)
+
+
+@given(pair_lists, st.booleans())
+@example([((1.0 + 5e-13, 0.5), (1.0, 0.5 + 5e-13))], False)  # within tol at the first partial sum
+@example([((-0.0, -0.0), (0.0, 0.0))], False)  # -0.0 read as 0.0: the gap is +0.0
+@settings(max_examples=400)
+def test_majorizes_pairs_is_majorizes_pair_by_pair(pairs, trace_kept):
+    # the batched verdicts of the tail steps: every field, and the first
+    # error, as majorizes gives them one pair at a time
+    if trace_kept:  # x1 + x2 = e1 + e2 up to rounding, the case of a tail step
+        pairs = [((x1, e1 + e2 - x1), e) if math.isfinite(e1 + e2 - x1) else ((x1, x2), e)
+                 for (x1, x2), e in pairs for e1, e2 in [e]]
+
+    def outcome(f):
+        try:
+            return [(v.holds, v.failing_index, float(v.sum_gap).hex()) for v in f()]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    xs, es = [x for x, _ in pairs], [list(e) for _, e in pairs]
+    assert outcome(lambda: _majorizes_pairs(xs, es)) == outcome(lambda: [majorizes(x, e) for x, e in zip(xs, es)])
 
 
 @given(unit_lists)

@@ -342,22 +342,35 @@ def test_one_majorization_per_block_stage(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "mu-finite"])
 def test_corrupted_placement_is_refused(monkeypatch, name):
-    # one row of a block stage's coefficient matrix C turned a little off:
-    # the mixes' checks never see it, so only the driver's stage check can
+    # one row of a block stage's coefficient matrix C turned a little off
+    # after every mix passed its checks: only the driver's stage check can
     # refuse the stage
-    real = carpenter._horn_place
+    real = carpenter._place_rows
 
-    def corrupt(pool, targets, **kw):
-        placed = real(pool, targets, **kw)
-        t = placed[0]
-        assert t.vector.dtype == np.float64  # a real coefficient row
-        v = t.vector + 1e-6 * np.roll(t.vector, 1)
-        placed[0] = RankOneTerm(t.weight, v / np.linalg.norm(v))
-        return placed
+    def corrupt(scheds, tails=()):
+        Cs, coefs = real(scheds, tails)
+        C = Cs[0]
+        assert C.dtype == np.float64  # real coefficient rows
+        v = C[0] + 1e-6 * np.roll(C[0], 1)
+        C[0] = v / np.linalg.norm(v)
+        return Cs, coefs
 
-    monkeypatch.setattr(carpenter, "_horn_place", corrupt)
+    monkeypatch.setattr(carpenter, "_place_rows", corrupt)
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
         carpenter_decompose(staged_inputs()[name], VectorStream.basis(), stages=3)
+
+
+def test_batched_run_raises_the_first_failing_mix():
+    # every mix of a run is checked in one call, after every stage is
+    # scheduled; the error is still the first failing mix's, at stage 14 of
+    # the both-summable input, with the text the stage-by-stage driver gave
+    xi = staged_inputs()["both-summable"]
+    carpenter_decompose(xi, VectorStream.basis(), stages=13)
+    for stages in (14, 20):
+        with pytest.raises(ValueError) as info:
+            carpenter_decompose(xi, VectorStream.basis(), stages=stages)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "mixed vector norm drifted by 6.209e-10"
 
 
 @pytest.mark.parametrize("shortfall, left", [(2.0**-53, False), (2.0**-49, True)],
