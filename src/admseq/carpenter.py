@@ -37,7 +37,7 @@ from itertools import count, islice
 
 from ._np import np
 from .errors import AdmseqError, KadisonError, PlanningError, TraceMismatchError
-from .horn import PLACE_TOL, _checked, _horn_schedule, _mix_coefficients
+from .horn import PLACE_TOL, _checked, _place_rows, _stage_schedule
 from .operators import RankOneDecomp
 from .seqkit import (
     INT_SNAP,
@@ -128,59 +128,6 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _stage_schedule(plan: BlockPlan, positions, verdict=None):
-    """A block stage's placement, decided in its weights, on the basis of R^k
-    for its k sorted ``positions``: (k, takes, mixes); term j takes row
-    takes[j] of the stage's rows (that basis, then a mix's target's and
-    remainder's), and each mix is (row a, row b, a, b, t)."""
-    col = {pos: j for j, pos in enumerate(positions)}
-    k, takes, mixes = len(positions), [0] * len(plan.targets), []
-    if plan.targets:
-        row = [col[pos] for pos, _ in plan.sources] + list(range(k, k + 2 * len(plan.targets)))
-        for idx, slot, mix in _horn_schedule([c for _, c in plan.sources], plan.targets, k, verdict):
-            takes[idx] = row[slot]
-            if mix is not None:
-                mixes.append((row[mix[0]], row[mix[1]], *mix[2:]))
-    return k, takes + [col[pos] for pos, _ in plan.colinear], mixes
-
-
-def _place_rows(scheds, tails=()):
-    """Every 2x2 mix of a run in one call of the array core, gamma = 0: those
-    of the block stages ``scheds``, then the tail steps' (e1, e2, x1, x2).
-    Returns each block stage's C and, one column per tail step, (sigma, tau,
-    sigma', tau', residual).  The q-th mixes of all stages of row length k run
-    at once in one store: rows a and b, of norms na and nb (1, or hypot(sigma',
-    tau') of the mix that made them), are gathered, and (sigma / na) a + (tau /
-    nb) b and (sigma' / na) a + (tau' / nb) b scattered to the mix's two rows."""
-    weights = [(a, b, t, a + b - t) for _, _, ms in scheds for _, _, a, b, t in ms]
-    n = len(weights)
-    coef = np.array(_mix_coefficients(*(list(zip(*weights, *tails)) or [()] * 4)))[[0, 1, 2, 3, 8]]
-    norms = [1.0, *map(math.hypot, *coef[2:4, :n].tolist())]  # 1, then each mix's remainder's
-    sizes, firsts, mixes = {}, [], []  # rows of each store so far; each stage's first; each mix
-    for k, _, ms in scheds:
-        firsts.append(first := sizes.get(k, 0))
-        sizes[k] = first + k + 2 * len(ms)
-        made = len(mixes)  # the run's index of the stage's first mix
-        mixes += [((j, k), first + ra, first + rb, first + k + 2 * j, first + k + 2 * j + 1,
-                   *(norms[0 if r < k else 1 + made + (r - k) // 2] for r in (ra, rb)))
-                  for j, (ra, rb, *_) in enumerate(ms)]
-    stores = {k: np.zeros((size, k)) for k, size in sizes.items()}
-    for k, store in stores.items():  # the basis rows, through the flat view
-        store.reshape(-1)[[f * k + j for f, (kk, _, _) in zip(firsts, scheds) if kk == k
-                           for j in range(0, k * k, k + 1)]] = 1.0
-    order = sorted(range(n), key=lambda i: mixes[i][0])  # lockstep: q, then k
-    R = np.array([mixes[i][1:5] for i in order], dtype=np.intp).T.reshape(2, 2, -1)  # a, b; w, w'
-    # (sigma / na, tau / nb) and (sigma' / na, tau' / nb) per mix
-    M = coef[:4, order].reshape(2, 2, -1) / np.array([mixes[i][5:] for i in order]).T
-    starts = [i for i in range(n) if i == 0 or mixes[order[i]][0] != mixes[order[i - 1]][0]] + [n]
-    for lo, hi in zip(starts, starts[1:]):
-        store, m = stores[mixes[order[lo]][0][1]], M[..., lo:hi, None]
-        U = store[R[0, :, lo:hi]]
-        store[R[1, :, lo:hi]] = m[:, 0] * U[0] + m[:, 1] * U[1]
-    Cs = [stores[k][[first + r for r in takes]] for (k, takes, _), first in zip(scheds, firsts)]
-    return Cs, coef[:, n:]
-
-
 def _block_stage(plan: BlockPlan, positions, consumed, C, stream: VectorStream, out):
     """A block stage's check and output from its m x k coefficient matrix C
     for its k sorted ``positions``: C^T diag(x) C = diag(consumed) is checked
@@ -266,7 +213,7 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     m = m if sources else 0  # no pool (n = 1, a head of at most PLACE_TOL): all along vector 0
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    (C,), _ = _place_rows([_stage_schedule(plan, range(n))])
+    (C,), _ = _place_rows([_stage_schedule(plan.targets, plan.sources, range(n), plan.colinear)])
     weights, residual = _block_stage(plan, range(n), [1.0] * n, C, stream, rows[lead : lead + len(vals)])
     consumed, verdict = tuple((stream.base_index(j), 1.0) for j in range(n)), majorizes(vals, [1.0] * n)
     return rows, weights, (StageCertificate(0, consumed, tuple(vals), verdict, residual),)
@@ -462,7 +409,7 @@ def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
         # whose own tolerance max(PLACE_TOL, PLACE_MAJORIZE_TOL) is looser
         majorization = majorizes(plan.targets, [c for _, c in plan.sources])
         try:  # a refusal is raised once every stage before it passes
-            schedule = _stage_schedule(plan, positions, majorization)
+            schedule = _stage_schedule(plan.targets, plan.sources, positions, plan.colinear, majorization)
         except AdmseqError as exc:
             refusal, tails = exc, []
             break

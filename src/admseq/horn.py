@@ -8,11 +8,11 @@ Hermitian matrices with prescribed spectrum and diagonal.
 A placement is decided in the weights alone (``_horn_schedule``: which pool
 slot each target hits or peels, or which two it mixes).  Every mix takes its
 coefficients and checks from one array core, ``_mix_coefficients``, which
-needs only the weights and gamma = |<u, u'>|.  ``mix_two`` and
-``horn_decompose`` call it on one-element arrays, one mix at a time; the
-stage driver calls it once per run, on every block stage's mixes of real
-coefficient rows with disjoint supports and every tail step's mix of a carry
-with a fresh stream vector orthogonal to it, all with gamma = 0."""
+needs only the weights and gamma = |<u, u'>|.  ``_place_rows`` calls it once
+per run of placements on real coefficient rows over an orthonormal basis, all
+with gamma = 0: the stage driver's, on the stream vectors each block stage
+consumes, and ``horn_decompose``'s, on the eigenbasis of its pool's operator.
+``mix_two`` calls it on one-element arrays, with any overlap gamma."""
 
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from itertools import count
 from ._np import np
 from .bridge import gram_matrix
 from .errors import DimensionError, MajorizationError
-from .operators import RankOneDecomp, RankOneTerm, frame_operator, unit_vector
-from .seqkit import majorizes
+from .operators import RankOneDecomp, RankOneTerm, _real_if_imag_zero, frame_operator, unit_vector
+from .seqkit import _validated, majorizes
 
 PLACE_TOL = 1e-12  # a weight within it of a target or of zero counts as equal
 PLACE_MAJORIZE_TOL = 1e-11  # a placement tests majorization at max(PLACE_TOL, this)
@@ -156,7 +156,8 @@ def mix_two(eta1, eta2, u, u_prime, xi1, xi2, check: bool = True) -> MixResult:
     """Rewrite eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'*.
 
     Requires xi1 + xi2 = eta1 + eta2 and both xis between min(eta) and
-    max(eta); u and u' are unit vectors with arbitrary overlap.  The
+    max(eta); u and u' are unit vectors with arbitrary overlap.  This is the
+    2x2 lemma itself; placements mix coefficient rows instead.  The
     coefficients, and every check, come from the array core
     ``_mix_coefficients``, called on one-element arrays; here they are
     applied to u and to u'' = u' turned so that <u, u''> is real.  Weights
@@ -186,14 +187,24 @@ def _coerce_terms(source_terms) -> list[RankOneTerm]:
 def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     """Rewrite sum eta_i u_i u_i* with the prescribed weights.
 
-    ``target_weights`` must be majorized by the source weights (zero-padding
-    the shorter list); the result's terms carry exactly the given weights, in
-    the given order, and sum to the same operator, which is checked here.
+    ``target_weights`` must be majorized by the operator's spectrum lambda =
+    s^2 (zero-padding the shorter list), which majorizes the source weights,
+    for the thin SVD B = P S W* of B, whose rows are sqrt(eta_i) u_i*.  The
+    targets are placed against lambda on real coefficient rows C, and the
+    terms are the rows of C conj(W*): they carry exactly the given weights,
+    in the given order, and sum to the same operator, which is checked here.
     """
     pool = _coerce_terms(source_terms)
-    decomp = RankOneDecomp(tuple(_place_vectors(pool, target_weights)))
-    dim = len(pool[0].vector)
-    _checked(decomp.frame_operator(dim) - frame_operator(pool, dim=dim))
+    targets = [float(t) for t in target_weights]
+    _refuse_early(targets, pool)
+    eta = np.array(_validated([p.weight for p in pool])[0])
+    B = _real_if_imag_zero(np.sqrt(eta)[:, None] * np.array([p.vector for p in pool]).conj())
+    _, s, Wh = np.linalg.svd(B, full_matrices=False)
+    lam = (s * s).tolist()
+    sched = _stage_schedule(targets, tuple(enumerate(lam)), range(len(lam)))
+    (C,), _ = _place_rows([sched])
+    decomp = RankOneDecomp._of_rows((C @ Wh.conj()).astype(complex), targets, len(targets))
+    _checked(decomp.frame_operator(B.shape[1]) - frame_operator(pool))
     return decomp
 
 
@@ -205,21 +216,66 @@ def _checked(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _place_vectors(pool: list[RankOneTerm], target_weights) -> list[RankOneTerm]:
-    """horn_decompose's placement, without its reconstruction check: one
-    ``mix_two`` per mix as the schedule reaches it, since its overlap gamma
-    depends on the vectors earlier mixes made."""
-    targets = [float(t) for t in target_weights]
-    vectors = [p.vector for p in pool]
-    placed: list[RankOneTerm | None] = [None] * len(targets)
-    dim = len(vectors[0]) if vectors else 0
-    for idx, slot, mix in _horn_schedule([p.weight for p in pool], targets, dim):
-        if mix is not None:
-            sa, sb, a, b, t = mix
-            res = mix_two(a, b, vectors[sa], vectors[sb], t, a + b - t)
-            vectors += (res.w, res.w_prime)
-        placed[idx] = RankOneTerm(targets[idx], vectors[slot])
-    return placed
+def _refuse_early(targets, weights) -> None:
+    """The refusals a placement makes before it tests majorization."""
+    if any(t < 0.0 for t in targets):
+        raise MajorizationError("target weights must be nonnegative")
+    if not weights:
+        raise DimensionError("need at least one source term")
+
+
+def _stage_schedule(targets, sources, positions, colinear=(), verdict=None):
+    """A placement, decided in its weights, on the basis of R^k for its k sorted
+    ``positions``: (k, takes, mixes); of (position, weight) pairs, ``sources``
+    are the pool and ``colinear`` terms lie along their position.  Term j takes
+    row takes[j] (that basis, then a mix's target's and remainder's), and each
+    mix is (row a, row b, a, b, t)."""
+    col = {pos: j for j, pos in enumerate(positions)}
+    k, takes, mixes = len(positions), [0] * len(targets), []
+    if targets or sources:  # with neither, only colinear terms
+        row = [col[pos] for pos, _ in sources] + list(range(k, k + 2 * len(targets)))
+        for idx, slot, mix in _horn_schedule([c for _, c in sources], targets, k, verdict):
+            takes[idx] = row[slot]
+            if mix is not None:
+                mixes.append((row[mix[0]], row[mix[1]], *mix[2:]))
+    return k, takes + [col[pos] for pos, _ in colinear], mixes
+
+
+def _place_rows(scheds, tails=()):
+    """Every 2x2 mix of a run in one call of the array core, gamma = 0: those
+    of the block stages ``scheds``, then the tail steps' (e1, e2, x1, x2).
+    Returns each block stage's C and, one column per tail step, (sigma, tau,
+    sigma', tau', residual).  The q-th mixes of all stages of row length k run
+    at once in one store: rows a and b, of norms na and nb (1, or hypot(sigma',
+    tau') of the mix that made them), are gathered, and (sigma / na) a + (tau /
+    nb) b and (sigma' / na) a + (tau' / nb) b scattered to the mix's two rows."""
+    weights = [(a, b, t, a + b - t) for _, _, ms in scheds for _, _, a, b, t in ms]
+    n = len(weights)
+    coef = np.array(_mix_coefficients(*(list(zip(*weights, *tails)) or [()] * 4)))[[0, 1, 2, 3, 8]]
+    norms = [1.0, *map(math.hypot, *coef[2:4, :n].tolist())]  # 1, then each mix's remainder's
+    sizes, firsts, mixes = {}, [], []  # rows of each store so far; each stage's first; each mix
+    for k, _, ms in scheds:
+        firsts.append(first := sizes.get(k, 0))
+        sizes[k] = first + k + 2 * len(ms)
+        made = len(mixes)  # the run's index of the stage's first mix
+        mixes += [((j, k), first + ra, first + rb, first + k + 2 * j, first + k + 2 * j + 1,
+                   *(norms[0 if r < k else 1 + made + (r - k) // 2] for r in (ra, rb)))
+                  for j, (ra, rb, *_) in enumerate(ms)]
+    stores = {k: np.zeros((size, k)) for k, size in sizes.items()}
+    for k, store in stores.items():  # the basis rows, through the flat view
+        store.reshape(-1)[[f * k + j for f, (kk, _, _) in zip(firsts, scheds) if kk == k
+                           for j in range(0, k * k, k + 1)]] = 1.0
+    order = sorted(range(n), key=lambda i: mixes[i][0])  # lockstep: q, then k
+    R = np.array([mixes[i][1:5] for i in order], dtype=np.intp).T.reshape(2, 2, -1)  # a, b; w, w'
+    # (sigma / na, tau / nb) and (sigma' / na, tau' / nb) per mix
+    M = coef[:4, order].reshape(2, 2, -1) / np.array([mixes[i][5:] for i in order]).T
+    starts = [i for i in range(n) if i == 0 or mixes[order[i]][0] != mixes[order[i - 1]][0]] + [n]
+    for lo, hi in zip(starts, starts[1:]):
+        store, m = stores[mixes[order[lo]][0][1]], M[..., lo:hi, None]
+        U = store[R[0, :, lo:hi]]
+        store[R[1, :, lo:hi]] = m[:, 0] * U[0] + m[:, 1] * U[1]
+    Cs = [stores[k][[first + r for r in takes]] for (k, takes, _), first in zip(scheds, firsts)]
+    return Cs, coef[:, n:]
 
 
 def _horn_schedule(weights, targets, dim: int, verdict=None):
@@ -236,10 +292,7 @@ def _horn_schedule(weights, targets, dim: int, verdict=None):
     t) and below (< t), or is peeled off the smallest, which keeps its slot,
     when nothing lies below.  The pool is a list of (weight, slot) kept
     sorted, so every choice is a bisection and ties go to the earliest slot."""
-    if any(t < 0.0 for t in targets):
-        raise MajorizationError("target weights must be nonnegative")
-    if not weights:
-        raise DimensionError("need at least one source term")
+    _refuse_early(targets, weights)
     if verdict is None or not verdict.holds:
         verdict = majorizes(targets, weights, tol=max(PLACE_TOL, PLACE_MAJORIZE_TOL))
     if not verdict.holds:
@@ -331,6 +384,4 @@ def schur_horn_matrix(eigenvalues, diagonal) -> np.ndarray:
     n = len(lam)
     if n == 0 or not xi:
         raise DimensionError("need at least one eigenvalue and one diagonal entry")
-    basis = np.eye(n, dtype=complex)
-    sources = [RankOneTerm(lam[i], basis[:, i]) for i in range(n)]
-    return gram_matrix(horn_decompose(sources, xi))
+    return gram_matrix(horn_decompose(zip(lam, np.eye(n)), xi))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admseq import carpenter, horn
-from admseq.errors import DimensionError, MajorizationError
+from admseq.errors import DimensionError, MajorizationError, SequenceError
 from admseq.horn import (
     HORN_RESIDUAL_TOL,
     PLACE_TOL,
@@ -192,11 +192,63 @@ def test_horn_works_from_non_orthogonal_sources():
     sources = [make_term(0.7, u), make_term(0.3, v)]
     A = frame_operator(sources, dim=2)
     lam = np.linalg.eigvalsh(A)[::-1]
-    # targets strictly between the source weights still work: validation is
-    # against the formal weight list, which the true spectrum majorizes
+    # targets strictly between the source weights work: validation is against
+    # the spectrum of the pool's operator, which majorizes the formal weights
     decomp = horn_decompose(sources, [0.5, 0.5])
     assert np.allclose(frame_operator(decomp.terms, dim=2), A, atol=1e-10)
     assert lam[0] >= 0.5 >= lam[1]
+
+
+def test_horn_places_the_spectrum_of_a_non_orthogonal_pool():
+    # the spectrum (0.84, 0.16) is not majorized by the formal weights (0.7,
+    # 0.3), yet it is the diagonal of the operator in its own eigenbasis
+    sources = [make_term(0.7, E1), make_term(0.3, np.array([0.6, 0.8]))]
+    A = frame_operator(sources, dim=2)
+    lam = [float(v) for v in np.linalg.eigvalsh(A)[::-1]]
+    assert not majorizes(lam, [0.7, 0.3]).holds
+    decomp = horn_decompose(sources, lam)
+    assert decomp.weights() == tuple(lam)
+    assert np.max(np.abs(decomp.frame_operator(2) - A)) <= HORN_RESIDUAL_TOL * 2
+    assert [np.linalg.norm(t.vector) for t in decomp.terms] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+def _svd_not_reached(*args, **kwargs):
+    raise AssertionError("the pool's SVD ran before a refusal")
+
+
+# refusals made before the pool's spectrum is formed, then those of its
+# majorization test on orthonormal pools, each with the type, text and
+# failing index the placement on the pool's own vectors gave; bad vectors
+# come first, and negative targets before an empty pool, a bad weight and a
+# failed majorization
+REFUSALS = [
+    ([(-0.1, E1), (1.1, E2)], [0.5, 0.5], SequenceError,
+     "sequence entries must be nonnegative, got -0.1", None, True),
+    ([(0.5, E1), (float("inf"), E2)], [0.5, 0.5], SequenceError,
+     "sequence entries must be finite reals, got inf", None, True),
+    ([], [1.0], DimensionError, "need at least one source term", None, True),
+    ([], [-1.0], MajorizationError, "target weights must be nonnegative", None, True),
+    ([(-0.1, E1)], [-1.0], MajorizationError, "target weights must be nonnegative", None, True),
+    ([(-0.1, 2 * E1)], [-1.0], ValueError, "vector norm 2.0 is not 1", None, True),
+    ([(0.6, E1), (0.4, E2)], [0.8, 0.2], MajorizationError,
+     "source weights do not majorize the targets (partial sums cross at position 1)", 1, False),
+    ([(0.6, E1), (0.4, E2)], [0.6, 0.3], MajorizationError,
+     "source weights do not majorize the targets (totals differ by -1.000e-01)", None, False),
+    ([(1.0, E1), (0.5, E2)], [], MajorizationError,
+     "source weights do not majorize the targets (totals differ by -1.500e+00)", None, False),
+]
+
+
+@pytest.mark.parametrize("pool, targets, kind, text, failing, early", REFUSALS, ids=[
+    "negative-weight", "infinite-weight", "empty-pool", "negative-target",
+    "negative-target-first", "bad-vector-first", "not-majorized", "total-mismatch", "no-targets"])
+def test_refusals_keep_their_type_text_and_order(monkeypatch, pool, targets, kind, text, failing, early):
+    if early:
+        monkeypatch.setattr(np.linalg, "svd", _svd_not_reached)
+    with pytest.raises(kind) as info:
+        horn_decompose(pool, targets)
+    assert type(info.value) is kind and str(info.value) == text
+    assert getattr(info.value, "failing_index", None) == failing
 
 
 def test_horn_random_suite_small():
@@ -325,10 +377,28 @@ def _scan_place(pool, target_weights, tol):
     return placed
 
 
+def place_vectors(pool, target_weights):
+    """The placement on unit vectors that horn_decompose once made, kept as the
+    oracle of the coefficient-row placement: the pool's own vectors, and one
+    ``mix_two`` per mix as the schedule reaches it, since its overlap gamma
+    depends on the vectors earlier mixes made."""
+    targets = [float(t) for t in target_weights]
+    vectors = [p.vector for p in pool]
+    placed = [None] * len(targets)
+    dim = len(vectors[0]) if vectors else 0
+    for idx, slot, mix in horn._horn_schedule([p.weight for p in pool], targets, dim):
+        if mix is not None:
+            sa, sb, a, b, t = mix
+            res = mix_two(a, b, vectors[sa], vectors[sb], t, a + b - t)
+            vectors += (res.w, res.w_prime)
+        placed[idx] = RankOneTerm(targets[idx], vectors[slot])
+    return placed
+
+
 def _place_at(pool, target_weights, tol):
-    """horn_decompose's placement with PLACE_TOL set to tol for the call."""
+    """The vector placement with PLACE_TOL set to tol for the call."""
     with mock.patch.object(horn, "PLACE_TOL", tol):
-        return horn._place_vectors(pool, target_weights)
+        return place_vectors(pool, target_weights)
 
 
 def _outcome(place, weights, targets, tol):
@@ -412,13 +482,15 @@ def test_unreachable_target_is_refused():
 
 # pool entries of at most PLACE_TOL leave the pool but count in the
 # majorization.  Each case: pool weights, targets, and the target placed
-# last, with the pool vector it takes: the largest entry left (a case that
-# test_coefficient_rows_place_as_unit_vectors draws), or the anchor, the
-# first pool vector, once no entry is left
+# last, with the pool vector horn_decompose gives it: the largest entry left
+# (a case that test_coefficient_rows_place_as_unit_vectors draws), or the
+# anchor once no entry is left.  horn_decompose places against its pool's
+# spectrum, largest first, so its anchor is the top eigenvector, here e_2;
+# the vector oracle's anchor is the first pool vector, e_0
 DROPPED_SHORTFALLS = [
     ([1e-12, 0.0919159421350969],
      [0.0746448379485975, 0.005916510091281203, 0.011354594096218211], 1, 1),
-    ([1e-12, 1e-12, 0.5], [0.5, 1.5e-12], 1, 0),
+    ([1e-12, 1e-12, 0.5], [0.5, 1.5e-12], 1, 2),
 ]
 
 
@@ -481,17 +553,16 @@ def awkward_case(rng, k):
 
 def placement_log(weights, targets, rows):
     """The placement of targets against weights on the standard basis, as
-    the stage driver's real coefficient rows or as horn_decompose's complex
-    unit vectors: the schedule it followed (the row each target takes, and
+    real coefficient rows or as the oracle's complex unit vectors
+    (place_vectors): the schedule it followed (the row each target takes, and
     the mixes made, in order, with the rows they took and their weights) and
     the placed vectors, or the error's type and text and None.  Schedule
     rows are the pool's basis rows, then two per mix."""
     k = len(weights)
     try:
         if rows:
-            plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
-            sched = carpenter._stage_schedule(plan, range(k))
-            (C,), _ = carpenter._place_rows([sched])
+            sched = horn._stage_schedule(tuple(targets), tuple(enumerate(weights)), range(k))
+            (C,), _ = horn._place_rows([sched])
             return sched[1:], C
         eye = np.eye(k, dtype=complex)
         pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
@@ -503,7 +574,7 @@ def placement_log(weights, targets, rows):
                 yield op
 
         with mock.patch.object(horn, "_horn_schedule", logged):
-            placed = horn._place_vectors(pool, targets)
+            placed = place_vectors(pool, targets)
     except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
         return (type(exc), str(exc)), None
     takes = [0] * len(targets)
@@ -560,6 +631,73 @@ def test_coefficient_rows_place_as_unit_vectors(k, seed):
     assert placed == 2
 
 
+NEAR_TIES = [1e-9, 0.5 + 1e-9, 0.5 - 1e-9, 0.5, 1.0]
+
+
+def orthonormal_case(rng):
+    """An orthonormal pool, standard basis vectors or the rows of a complex QR
+    factor, of weights 1e-9, 0.5 +- 1e-9 and uniform ones, and targets made
+    from its weights by splits and T-transforms, most of them near ties: two
+    targets moved towards each other by a fraction within 1e-9 of 0 or 1."""
+    k = int(rng.integers(1, 9))
+    weights = [NEAR_TIES[int(rng.integers(len(NEAR_TIES)))] if rng.random() < 0.6
+               else float(rng.random()) for _ in range(k)]
+    dim = k + int(rng.integers(0, 3))
+    if rng.random() < 0.5:
+        E = np.eye(dim, dtype=complex)[:k]
+    else:
+        E = np.linalg.qr(rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k)))[0].T
+    targets = list(weights)
+    for _ in range(int(rng.integers(1, 2 * k + 1))):
+        i, j = (int(x) for x in rng.integers(0, len(targets), 2))
+        if rng.random() < 0.2:  # split one target in two
+            x = targets[i]
+            targets[i] = float(rng.random()) * x
+            targets.append(x - targets[i])
+            continue
+        c = [1e-9, 1.0 - 1e-9, float(rng.random())][int(rng.integers(3))]
+        x, y = targets[i], targets[j]
+        targets[i] = c * x + (1.0 - c) * y
+        if j != i:
+            targets[j] = x + y - targets[i]
+    return list(zip(weights, E)), [float(t) for t in rng.permutation(targets)]
+
+
+def reference_decompose(sources, targets):
+    """horn_decompose as the vector oracle makes it: the placement on the
+    pool's own vectors, then the same reconstruction check."""
+    pool = [make_term(w, v) for w, v in sources]
+    placed = place_vectors(pool, targets)
+    dim = len(pool[0].vector)
+    horn._checked(frame_operator(placed, dim) - frame_operator(pool, dim))
+    return placed
+
+
+def test_orthonormal_pools_refuse_only_where_the_oracle_does():
+    # the spectrum of an orthonormal pool is its weights up to rounding, so
+    # horn_decompose refuses where the vector oracle does, except that
+    # rounding may tip a mix across the norm-drift check of ROADMAP item 2:
+    # of 3,000 draws from this seed, draws 1381 and 1804 are refused that way
+    # by horn_decompose alone
+    rng = np.random.default_rng(2)
+    refused, drifted = 0, []
+    for draw in range(1400):
+        sources, targets = orthonormal_case(rng)
+        try:
+            dec = horn_decompose(sources, targets)
+        except (MajorizationError, ValueError, ZeroDivisionError) as exc:
+            refused += 1
+            try:
+                reference_decompose(sources, targets)
+            except (MajorizationError, ValueError, ZeroDivisionError):
+                continue
+            assert str(exc).startswith("mixed vector norm drifted by ")
+            drifted.append(draw)
+            continue
+        assert dec.weights() == tuple(targets)  # its reconstruction is checked inside
+    assert 0 < refused < 300 and len(drifted) <= 3
+
+
 def test_stage_check_refuses_a_corrupted_row():
     rng = np.random.default_rng(5)
     weights, targets = awkward_case(rng, 30)
@@ -568,7 +706,7 @@ def test_stage_check_refuses_a_corrupted_row():
     plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
     stream = VectorStream.basis()
     out = np.zeros((len(targets), 30), dtype=complex)
-    (C,), _ = carpenter._place_rows([carpenter._stage_schedule(plan, range(30))])
+    (C,), _ = horn._place_rows([horn._stage_schedule(plan.targets, plan.sources, range(30))])
     placed, residual = carpenter._block_stage(plan, range(30), weights, C, stream, out)
     assert placed == targets and residual <= 1e-10
     # one mixed row turned a little off, after every mix passed its checks
