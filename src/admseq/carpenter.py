@@ -18,10 +18,13 @@ orthonormal pair span{carry, fresh} for a tail step) and checks its identity
 there once.  Every mix there has gamma = 0, so a block stage's placement is
 decided in its weights and every mix of a run is computed in one call of
 the array core; no stage depends on the ambient dimension, and an S-stage
-run is the first S stages of a longer one.  A block stage's terms are the
-rows of C E for its real coefficient matrix C and the matrix E of its stream
-vectors over the columns they cover, written into one matrix for the whole
-run, which becomes the decomposition's ``RankOneDecomp.rows`` as it is.
+run is the first S stages of a longer one.  Each layer takes the whole run
+in one array pass: one batched majorization of every stage, one placement
+of every mix, and one pass that certifies and embeds every block stage,
+stacking stages of one shape.  A block stage's terms are the rows of C E for
+its real coefficient matrix C and the matrix E of its stream vectors over
+the columns they cover, written into one matrix for the whole run, which
+becomes the decomposition's ``RankOneDecomp.rows`` as it is.
 
 The planners share one vocabulary for what a stage is: ``_take_run`` draws
 the run of weights it places, ``_sources`` lays out the pool it places them
@@ -33,11 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, chain, count, islice
 
 from ._np import np
 from .errors import AdmseqError, KadisonError, PlanningError, TraceMismatchError
-from .horn import PLACE_TOL, _checked, _place_rows, _stage_schedule
+from .horn import PLACE_TOL, _check_residuals, _place_rows, _stage_schedule
 from .operators import RankOneDecomp
 from .seqkit import (
     INT_SNAP,
@@ -46,7 +49,7 @@ from .seqkit import (
     MajorizationVerdict,
     SplitSeq,
     WeightSeq,
-    _majorizes_pairs,
+    _majorizes_many,
     kadison_check,
     majorizes,
     split_mu_lambda,
@@ -128,21 +131,52 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _block_stage(plan: BlockPlan, positions, consumed, C, stream: VectorStream, out):
-    """A block stage's check and output from its m x k coefficient matrix C
-    for its k sorted ``positions``: C^T diag(x) C = diag(consumed) is checked
-    once, and the rows of C E, E the stream vectors over the columns they
-    cover, written there into ``out``, m x dim and zero.  Returns the terms'
-    weights and the residual's Frobenius norm."""
-    x = [float(t) for t in plan.targets] + [w for _, w in plan.colinear]
-    residual = float(np.linalg.norm(_checked((C.T * np.array(x)) @ C - np.diag(consumed))))
-    supports = [stream._support(pos) for pos in positions]
-    lo, hi = min(s for s, _ in supports), max(s + len(e) for s, e in supports)
-    E = np.zeros((len(supports), hi - lo), dtype=complex)
-    for row, (start, entries) in zip(E, supports):
-        row[start - lo : start - lo + len(entries)] = entries
-    np.matmul(C, E.view(np.float64), out=out.view(np.float64)[:, 2 * lo : 2 * hi])  # both parts
-    return x, residual
+def _windows(a: np.ndarray, m: int, w: int) -> np.ndarray:
+    """Every m x w window of the C-contiguous 2-D array ``a``, by its top-left
+    corner, as a view; a write to windows that do not overlap lands in ``a``."""
+    (r, c), (sr, sc) = a.shape, a.strides
+    return np.ndarray((r - m + 1, c - w + 1, m, w), a.dtype, a, 0, (sr, sc, sr, sc))
+
+
+def _block_stages(xs, consumed, Cs, starts, entries, out):
+    """Every block stage of a run in one array pass.  Stage i has the weights
+    xs[i] of its m terms, the shares ``consumed[i]`` of its k stream vectors,
+    and its m x k coefficient matrix Cs[i]; ``starts`` and ``entries`` are the
+    supports of every stage's stream vectors, stage by stage, as
+    ``VectorStream._supports`` gives them.  Stages of one shape, (m, k, w) for
+    the w columns their stream vectors cover, are stacked: their identities
+    C^T diag(x) C - diag(consumed) are formed by one product, and the rows of
+    C E, E the stream vectors over those columns, by another, written into
+    ``out``, zero and one row per term in stage order.  Each identity is
+    checked once, the earliest failing stage raising.  Returns the identities'
+    Frobenius norms."""
+    ks, at = [len(c) for c in consumed], [0, *accumulate(map(len, xs))]
+    first = [0, *accumulate(ks)]
+    begin, L = starts.tolist(), entries.shape[1]  # each vector's first column, and how many
+    shapes: dict[tuple, list[int]] = {}
+    for i, (k, f, e) in enumerate(zip(ks, first, first[1:])):
+        shapes.setdefault((at[i + 1] - at[i], k, begin[e - 1] + L - begin[f]), []).append(i)
+    # the stream vectors, stage by stage in the order of the shapes
+    j = np.fromiter(chain.from_iterable(range(first[i], first[i + 1]) for idx in shapes.values() for i in idx),
+                    np.intp, first[-1])
+    starts, entries, grid = starts[j], entries[j, None], out.view(np.float64)
+    norms, devs, p0 = [0.0] * len(xs), [0.0] * len(xs), 0
+    for (m, k, w), idx in shapes.items():
+        G, p1 = len(idx), p0 + len(idx) * k
+        C = np.array([Cs[i] for i in idx])
+        R = ((C.swapaxes(1, 2) * np.array([xs[i] for i in idx])[:, None]) @ C).reshape(G, -1)
+        R[:, :: k + 1] -= np.array([consumed[i] for i in idx])  # the diagonals
+        for i, norm, dev in zip(idx, np.sqrt(np.vecdot(R, R)).tolist(), abs(R).max(axis=1).tolist()):
+            norms[i], devs[i] = norm, dev  # np.linalg.norm's
+        lo = np.array([begin[first[i]] for i in idx])  # each stage's first column
+        E = np.zeros((G * k, w), dtype=complex)
+        offsets = (starts[p0:p1].reshape(G, k) - lo[:, None]).reshape(-1)
+        _windows(E, 1, L)[np.arange(G * k), offsets] = entries[p0:p1]
+        T = C @ E.view(np.float64).reshape(G, k, 2 * w)  # both parts
+        _windows(grid, m, 2 * w)[[at[i] for i in idx], 2 * lo] = T
+        p0 = p1
+    _check_residuals(devs, ks)
+    return norms
 
 
 def _snap_int(x: float) -> int:
@@ -213,8 +247,9 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     m = m if sources else 0  # no pool (n = 1, a head of at most PLACE_TOL): all along vector 0
     plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    (C,), _ = _place_rows([_stage_schedule(plan.targets, plan.sources, range(n), plan.colinear)])
-    weights, residual = _block_stage(plan, range(n), [1.0] * n, C, stream, rows[lead : lead + len(vals)])
+    Cs, _ = _place_rows([_stage_schedule(plan.targets, plan.sources, range(n), plan.colinear)])
+    weights = [float(v) for v in vals]
+    (residual,) = _block_stages([weights], [[1.0] * n], Cs, *stream._supports(np.arange(n)), rows[lead:])
     consumed, verdict = tuple((stream.base_index(j), 1.0) for j in range(n)), majorizes(vals, [1.0] * n)
     return rows, weights, (StageCertificate(0, consumed, tuple(vals), verdict, residual),)
 
@@ -379,16 +414,18 @@ def realize_block_plans(plans, stream: VectorStream):
 
 
 def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
-    """The stage driver: every block stage is scheduled on the basis of R^k for
-    its k consumed positions, every mix of the run computed at once, and then
-    each stage's identity checked once, against diag(consumed), as a k x k
-    residual.  A tail step mixes the carry, in the span of consumed stream
-    vectors, with a fresh one orthogonal to it (gamma = 0); the first carry
-    is given as (stream position, weight).  Returns one matrix of term vectors
-    in C^dim, dim the least holding every position used, with ``lead`` rows
-    left to the caller first and the remainder, if any (the last carry, or
-    what block stages leave of their last boundary vector), last; the weights
-    of its other rows, the certificates and the number of rows before it."""
+    """The stage driver: every stage's majorization verdict comes from one
+    batched pass, every block stage is scheduled on the basis of R^k for its
+    k consumed positions, every mix of the run computed at once, and then
+    every block stage certified and embedded in one pass, its identity
+    checked once, against diag(consumed), as a k x k residual.  A tail step
+    mixes the carry, in the span of consumed stream vectors, with a fresh one
+    orthogonal to it (gamma = 0); the first carry is given as (stream
+    position, weight).  Returns one matrix of term vectors in C^dim, dim the
+    least holding every position used, with ``lead`` rows left to the caller
+    first and the remainder, if any (the last carry, or what block stages
+    leave of their last boundary vector), last; the weights of its other
+    rows, the certificates and the number of rows before it."""
     plans = list(plans)
     top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
     dim = stream.min_dim(top if carry is None else max(top, carry[0]))
@@ -397,47 +434,53 @@ def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
     blocks = plans[: len(plans) - len(tails)]
     m = sum(len(p.targets) + len(p.colinear) for p in blocks) + len(tails)
     rows = np.zeros((lead + m + 1, dim), dtype=complex)
+    verdicts = _majorizes_many([p.targets for p in plans], [[c for _, c in p.sources] for p in plans])
     stages, refusal = [], None  # (plan, positions, consumed, majorization, schedule) per block stage
     used: dict[int, float] = {}  # each position's share over all block stages
-    for plan in blocks:
+    for plan, majorization in zip(blocks, verdicts):
         consumed: dict[int, float] = {}
         for pos, c in plan.sources + plan.colinear:
             consumed[pos] = consumed.get(pos, 0.0) + c
             used[pos] = used.get(pos, 0.0) + c
         positions = sorted(consumed)
-        # the certificate's verdict, at SUM_TOL; it also licenses the placement,
+        # the certificate's verdict, at SUM_TOL, also licenses the placement,
         # whose own tolerance max(PLACE_TOL, PLACE_MAJORIZE_TOL) is looser
-        majorization = majorizes(plan.targets, [c for _, c in plan.sources])
         try:  # a refusal is raised once every stage before it passes
             schedule = _stage_schedule(plan.targets, plan.sources, positions, plan.colinear, majorization)
         except AdmseqError as exc:
             refusal, tails = exc, []
             break
         stages.append((plan, positions, consumed, majorization, schedule))
-    verdicts = _majorizes_pairs([p.targets for p in tails], [[c for _, c in p.sources] for p in tails])
     Cs, coefs = _place_rows([st[4] for st in stages],
                             [(p.sources[0][1], p.sources[1][1], *p.targets) for p in tails])
-    weights, certs = [], []
-    for i, ((plan, positions, consumed, majorization, _), C) in enumerate(zip(stages, Cs)):
-        at, consumed_at = lead + len(weights), [consumed[pos] for pos in positions]
-        x, residual = _block_stage(plan, positions, consumed_at, C, stream, rows[at : at + len(C)])
+    # every stream vector the run reads: the block stages', then each tail step's fresh one
+    where = np.fromiter(chain(chain.from_iterable(st[1] for st in stages), (p.sources[1][0] for p in tails)),
+                        np.intp)
+    (starts, entries), index, P = stream._supports(where), stream.base_index(where).tolist(), len(where) - len(tails)
+    xs = [[float(t) for t in plan.targets] + [w for _, w in plan.colinear] for plan, *_ in stages]
+    shares = [[consumed[pos] for pos in positions] for _, positions, consumed, *_ in stages]
+    residuals = _block_stages(xs, shares, Cs, starts[:P], entries[:P], rows[lead:])
+    weights, certs, at = [], [], 0
+    for i, ((plan, _, _, majorization, _), x, share, residual) in enumerate(zip(stages, xs, shares, residuals)):
         weights += x
-        consumed = tuple((stream.base_index(pos), consumed[pos]) for pos in positions)
+        consumed, at = tuple(zip(index[at : at + len(share)], share)), at + len(share)
         targets = plan.targets + tuple(w for _, w in plan.colinear)
         certs.append(StageCertificate(i, consumed, targets, majorization, residual))
     if refusal is not None:
         raise refusal
     # w and w' of each mix in span{carry, fresh} at once, from (sigma, sigma') and (tau, tau')
     pairs = coefs[[0, 2, 1, 3]].T.reshape(-1, 2, 2, 1).astype(complex)
-    for i, (plan, verdict, (sigma, *_, residual), (S, T)) in enumerate(
-            zip(tails, verdicts, coefs.T.tolist(), pairs), len(stages)):
-        pos, c = plan.sources[1]
-        w, rows[lead + len(weights)] = S * carry[1] + T * stream.vector(pos, dim)
+    for i, (plan, verdict, (sigma, *_, residual), (S, T), index, start, entry) in enumerate(
+            zip(tails, verdicts[len(blocks):], coefs.T.tolist(), pairs, index[P:], starts[P:].tolist(),
+                entries[P:]), len(stages)):
+        e = np.zeros(dim, dtype=complex)  # the fresh stream vector, as stream.vector has it
+        e[start : start + len(entry)] = entry
+        w, rows[lead + len(weights)] = S * carry[1] + T * e
         weights.append(plan.targets[1])
         nrm = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))  # np.linalg.norm's
         carry = plan.targets[0], (w / nrm if nrm > 0 else w)
-        consumed = ((stream.base_index(pos), c),)
-        certs.append(StageCertificate(i, consumed, plan.targets[1:], verdict, residual, sigma, plan.sigma_cap))
+        certs.append(StageCertificate(i, ((index, plan.sources[1][1]),), plan.targets[1:], verdict, residual,
+                                      sigma, plan.sigma_cap))
     if carry is None and used:  # block stages alone: the rest of their top position
         top = max(used)
         if 1.0 - used[top] > REMAINDER_FLOOR:

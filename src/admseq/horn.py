@@ -12,14 +12,16 @@ needs only the weights and gamma = |<u, u'>|.  ``_place_rows`` calls it once
 per run of placements on real coefficient rows over an orthonormal basis, all
 with gamma = 0: the stage driver's, on the stream vectors each block stage
 consumes, and ``horn_decompose``'s, on the eigenbasis of its pool's operator.
-``mix_two`` calls it on one-element arrays, with any overlap gamma."""
+It keeps every stage's rows in one store and finds each mix's rows, their
+norms and its lockstep step by array arithmetic.  ``mix_two`` calls the core
+on one-element arrays, with any overlap gamma."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count
 
 from ._np import np
 from .bridge import gram_matrix
@@ -210,10 +212,16 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
 
 def _checked(R: np.ndarray) -> np.ndarray:
     """R, a k x k residual, once no entry exceeds HORN_RESIDUAL_TOL * max(1, k)."""
-    dev = float(np.max(np.abs(R)))
-    if dev > HORN_RESIDUAL_TOL * max(1, R.shape[0]):
-        raise ValueError(f"reconstruction residual {dev:.3e} exceeds tolerance")
+    _check_residuals([float(np.max(np.abs(R)))], [R.shape[0]])
     return R
+
+
+def _check_residuals(devs, ks) -> None:
+    """Refuse the first of k x k residuals, the largest magnitude of whose
+    entries is devs[i] for k = ks[i], that exceeds HORN_RESIDUAL_TOL * max(1, k)."""
+    for dev, k in zip(devs, ks):
+        if dev > HORN_RESIDUAL_TOL * max(1, k):
+            raise ValueError(f"reconstruction residual {dev:.3e} exceeds tolerance")
 
 
 def _refuse_early(targets, weights) -> None:
@@ -245,37 +253,40 @@ def _place_rows(scheds, tails=()):
     """Every 2x2 mix of a run in one call of the array core, gamma = 0: those
     of the block stages ``scheds``, then the tail steps' (e1, e2, x1, x2).
     Returns each block stage's C and, one column per tail step, (sigma, tau,
-    sigma', tau', residual).  The q-th mixes of all stages of row length k run
-    at once in one store: rows a and b, of norms na and nb (1, or hypot(sigma',
-    tau') of the mix that made them), are gathered, and (sigma / na) a + (tau /
-    nb) b and (sigma' / na) a + (tau' / nb) b scattered to the mix's two rows."""
-    weights = [(a, b, t, a + b - t) for _, _, ms in scheds for _, _, a, b, t in ms]
-    n = len(weights)
-    coef = np.array(_mix_coefficients(*(list(zip(*weights, *tails)) or [()] * 4)))[[0, 1, 2, 3, 8]]
-    norms = [1.0, *map(math.hypot, *coef[2:4, :n].tolist())]  # 1, then each mix's remainder's
-    sizes, firsts, mixes = {}, [], []  # rows of each store so far; each stage's first; each mix
-    for k, _, ms in scheds:
-        firsts.append(first := sizes.get(k, 0))
-        sizes[k] = first + k + 2 * len(ms)
-        made = len(mixes)  # the run's index of the stage's first mix
-        mixes += [((j, k), first + ra, first + rb, first + k + 2 * j, first + k + 2 * j + 1,
-                   *(norms[0 if r < k else 1 + made + (r - k) // 2] for r in (ra, rb)))
-                  for j, (ra, rb, *_) in enumerate(ms)]
-    stores = {k: np.zeros((size, k)) for k, size in sizes.items()}
-    for k, store in stores.items():  # the basis rows, through the flat view
-        store.reshape(-1)[[f * k + j for f, (kk, _, _) in zip(firsts, scheds) if kk == k
-                           for j in range(0, k * k, k + 1)]] = 1.0
-    order = sorted(range(n), key=lambda i: mixes[i][0])  # lockstep: q, then k
-    R = np.array([mixes[i][1:5] for i in order], dtype=np.intp).T.reshape(2, 2, -1)  # a, b; w, w'
+    sigma', tau', residual).  All stages share one store of rows as long as
+    the largest k: a stage's k basis rows, zero beyond column k, then two rows
+    per mix.  The q-th mixes of all stages run at once: rows a and b, of norms
+    na and nb (1, or hypot(sigma', tau') of the mix that made them), are
+    gathered, and (sigma / na) a + (tau / nb) b and (sigma' / na) a + (tau' /
+    nb) b scattered to the mix's two rows.  Each mix's rows and norms come by
+    array arithmetic from its stage's first row, k and first mix."""
+    counts, ks = [len(ms) for _, _, ms in scheds], [k for k, _, _ in scheds]
+    n, K, firsts = sum(counts), max(ks, default=0), [0, *accumulate(k + 2 * c for k, c in zip(ks, counts))]
+    mixes = np.array([m for _, _, ms in scheds for m in ms], dtype=float).reshape(n, 5).T
+    a, b, t = mixes[2:]
+    tails = np.array(list(zip(*tails)) or [()] * 4, dtype=float)
+    coef = np.array(_mix_coefficients(*np.concatenate(((a, b, t, (a + b) - t), tails), axis=1)))
+    store = np.zeros((firsts[-1], K))
+    store.reshape(-1)[[f * K + j * (K + 1) for f, k in zip(firsts, ks) for j in range(k)]] = 1.0  # basis rows
+    first, k, q = np.array((firsts[:-1], ks, [0, *accumulate(counts)][:-1]), dtype=np.intp).reshape(3, -1).repeat(
+        counts, axis=1)  # per mix: its stage's first row, k and first mix
+    q = np.arange(n) - q  # each mix's index in its stage
+    made = first + k + 2 * q  # the rows of its target and, next, its remainder
+    R = np.array((*(first + mixes[:2].astype(np.intp)), made, made + 1))  # a, b; w, w'
+    norm = np.empty(len(store))
+    norm.fill(1.0)
+    norm[R[3]] = list(map(math.hypot, *coef[2:4, :n].tolist()))
+    order = q.argsort(kind="stable")  # lockstep: the q-th mixes of all stages
+    R = R[:, order]
     # (sigma / na, tau / nb) and (sigma' / na, tau' / nb) per mix
-    M = coef[:4, order].reshape(2, 2, -1) / np.array([mixes[i][5:] for i in order]).T
-    starts = [i for i in range(n) if i == 0 or mixes[order[i]][0] != mixes[order[i - 1]][0]] + [n]
-    for lo, hi in zip(starts, starts[1:]):
-        store, m = stores[mixes[order[lo]][0][1]], M[..., lo:hi, None]
-        U = store[R[0, :, lo:hi]]
+    M, R = coef[:4, order].reshape(2, 2, -1) / norm[R[:2]], R.reshape(2, 2, -1)
+    bounds = [0, *np.bincount(q).cumsum().tolist()]
+    for lo, hi in zip(bounds, bounds[1:]):
+        m, U = M[..., lo:hi, None], store[R[0, :, lo:hi]]
         store[R[1, :, lo:hi]] = m[:, 0] * U[0] + m[:, 1] * U[1]
-    Cs = [stores[k][[first + r for r in takes]] for (k, takes, _), first in zip(scheds, firsts)]
-    return Cs, coef[:, n:]
+    taken = store[[f + r for (_, takes, _), f in zip(scheds, firsts) for r in takes]]
+    at = [0, *accumulate(len(takes) for _, takes, _ in scheds)]
+    return [taken[i:j, :k] for i, j, k in zip(at, at[1:], ks)], coef[[0, 1, 2, 3, 8], n:]
 
 
 def _horn_schedule(weights, targets, dim: int, verdict=None):

@@ -21,6 +21,7 @@ interleaving share one round-robin walk (``_round_robin``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, count, cycle, islice, zip_longest
@@ -57,6 +58,7 @@ KIND_INTERLEAVE = "interleave"
 # first use, see ``_np``).  strip_zeros_ones runs per entry at any length:
 # its callers strip short heads, or a finite core beside infinitely many ones.
 _ARRAY_MIN = 128
+_HALF_MAX = sys.float_info.max / 2
 _BLOCK = 1 << 16
 
 
@@ -520,17 +522,38 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
     return MajorizationVerdict(True, None, sum_gap)
 
 
-def _majorizes_pairs(xs, es, tol: float = SUM_TOL) -> list[MajorizationVerdict]:
-    """majorizes(x, e, tol) for each x in xs and e in es, of two entries each, in
-    one pass: positive entries with finite sums get majorizes' own sums, as a sum
-    of two floats rounds once however it is formed; majorizes takes the rest."""
-    x1, x2, e1, e2 = np.array([(*x, *e) for x, e in zip(xs, es)], dtype=float).reshape(-1, 4).T
-    with np.errstate(all="ignore"):  # a pair whose sums overflow is majorizes'
-        gap = (x1 + x2) - (e1 + e2)
-        ok = (x1 > 0.0) & (x2 > 0.0) & (e1 > 0.0) & (e2 > 0.0) & np.isfinite(gap)
-        k = np.where(np.maximum(x1, x2) > np.maximum(e1, e2) + tol, 1, 2 * (x1 + x2 > e1 + e2 + tol))
-    return [MajorizationVerdict(k == 0 and abs(g) <= tol, k or None, g) if good else majorizes(x, e, tol)
-            for x, e, good, k, g in zip(xs, es, ok.tolist(), k.tolist(), gap.tolist())]
+def _majorizes_many(xs, es, tol: float = SUM_TOL) -> list[MajorizationVerdict]:
+    """majorizes(x, e, tol) for each x in xs and e in es, lists of floats, in one
+    padded pass: every side sorted downwards and zero-padded to the longest,
+    and the partial sums of all by one cumsum, which adds left to right as
+    majorizes does; the totals are majorizes' own fsums.  A pair with a side of
+    _ARRAY_MIN entries or more, or an entry that is negative, not finite or
+    beyond _HALF_MAX / (n + 1) for the longest side's n, is majorizes' own, so
+    the first such pair that majorizes refuses raises."""
+    sides, P = [*xs, *es], len(xs)
+    lens = [k if k < _ARRAY_MIN else 0 for k in map(len, sides)]
+    n = max(lens, default=0)
+    padded = np.zeros((2 * P, n + 1))  # at least one zero per side, and a column to stop at
+    padded[np.arange(n + 1) < np.array(lens)[:, None]] = np.fromiter(
+        chain.from_iterable(compress(sides, lens)), np.float64, sum(lens))
+    padded.sort(axis=1)
+    # a NaN sorts last; sides of entries up to _HALF_MAX / (n + 1) sum, in
+    # any order, within half the float64 range, so neither cumsum nor fsum
+    # overflows on them, and the other sides are left out of the sums
+    valid = (padded[:, 0] >= 0.0) & (padded[:, -1] <= _HALF_MAX / (n + 1))
+    padded[~valid] = 0.0
+    partial = padded[:, ::-1].cumsum(axis=1)
+    crossed = partial[:P] > partial[P:] + tol
+    crossed[:, -1] = True  # the first crossing at column n is none
+    out = []
+    for x, e, lx, le, ok, fail in zip(xs, es, lens, lens[P:], (valid[:P] & valid[P:]).tolist(),
+                                      crossed.argmax(axis=1).tolist()):
+        if ok and lx == len(x) and le == len(e):
+            gap = math.fsum(x) - math.fsum(e)
+            out.append(MajorizationVerdict(fail == n and abs(gap) <= tol, fail + 1 if fail < n else None, gap))
+        else:
+            out.append(majorizes(x, e, tol))
+    return out
 
 
 def _sorted_desc(values, x, n: int):

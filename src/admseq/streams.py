@@ -67,7 +67,8 @@ class VectorStream:
         G = M.conj() @ M.T  # G[a, b] = <vecs[a], vecs[b]>
         if float(np.max(np.abs(G - np.eye(len(vecs))))) > ORTHO_TOL:
             raise SequenceError("explicit stream vectors are not orthonormal")
-        return cls(KIND_EXPLICIT, vectors=vecs)
+        M.flags.writeable = False  # one row per vector, shared by every view
+        return cls(KIND_EXPLICIT, vectors=M)
 
     @classmethod
     def block_overlap(cls, block: int) -> "VectorStream":
@@ -77,8 +78,10 @@ class VectorStream:
 
     # -- indexing ------------------------------------------------------
 
-    def base_index(self, j: int) -> int:
-        if j < 0:
+    def base_index(self, j):
+        """Index of vector j in the unshifted stream, or of each entry of a
+        nonnegative int array j."""
+        if not isinstance(j, np.ndarray) and j < 0:
             raise SequenceError("stream index must be nonnegative")
         return self.offset + j * self.step
 
@@ -92,26 +95,27 @@ class VectorStream:
             return 0
         return (n - 1 - self.offset) // self.step + 1
 
-    def _support(self, j: int) -> tuple[int, np.ndarray]:
-        """Where stream vector j lives: its first coordinate and its entries
-        from there on; every other coordinate is zero."""
+    def _supports(self, j):
+        """Where stream vector j lives, or each of an int array j of them: the
+        first coordinate and the entries from there on (one row of entries per
+        index of an array), all of one length; every other coordinate is zero."""
         i = self.base_index(j)
         if self.kind == KIND_EXPLICIT:
-            if i >= len(self.vectors):
+            if np.max(i, initial=-1) >= len(self.vectors):
                 raise SequenceError(f"explicit stream has only {len(self.vectors)} vectors")
-            return 0, self.vectors[i]
+            return 0 * i, self.vectors[i]
         b = self.block or 1  # the basis is the block-overlap family of blocks of one
         q, r = divmod(i, b)
-        return q * b, _cosine_block(b)[:, r]
+        return q * b, _cosine_block(b).T[r]
 
     def min_dim(self, j: int) -> int:
         """Smallest ambient dimension holding vectors 0..j of this stream."""
-        start, entries = self._support(j)
+        start, entries = self._supports(j)
         return start + len(entries)
 
     def vector(self, j: int, dim: int | None = None) -> np.ndarray:
         """Stream vector j, zero-padded into C^dim when dim is given."""
-        start, entries = self._support(j)
+        start, entries = self._supports(j)
         need = start + len(entries)
         d = need if dim is None else int(dim)
         if d < need:

@@ -636,3 +636,46 @@ class TestReportShape:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_one_parser_per_process_reports_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main builds its parser on its first call and parses every later argv
+    # with it; each report is byte for byte what a freshly built parser gives
+    from admseq import cli
+
+    seq = write_json(tmp_path / "seq.json", {"kind": "finite", "values": [0.6, 0.4]})
+    eta = write_json(tmp_path / "eta.json", {"kind": "finite", "values": [1.0]})
+    inp = write_json(tmp_path / "in.json", {"weights": PERIODIC,
+                                            "stream": {"kind": "block-overlap", "block": 3}})
+    op = write_json(tmp_path / "op.json", {"diag": [2.0, 1.0, 1.0]})
+    dec = str(tmp_path / "dec.json")
+    commands = [
+        ["check-kadison", seq, "--alpha", "0.7"],
+        ["--seed", "3", "check-majorize", seq, eta],
+        ["decompose", inp, "--stages", "5", "--out", dec],
+        ["verify", dec, str(tmp_path / "dec.target.json"), "--no-remainder"],
+        ["verify", dec, str(tmp_path / "dec.target.json")],
+        ["check-sums", op, "--witness"],
+        ["bridge", dec],
+        ["check-kadison", seq],
+    ]
+
+    def reports(fresh: bool) -> list:
+        out = []
+        for argv in commands:
+            if fresh:
+                cli._parser.cache_clear()
+            out.append((main(argv), capsys.readouterr().out))
+        return out
+
+    main(["check-kadison", seq])
+    capsys.readouterr()
+    parser, builds = cli._parser(), []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    once = reports(fresh=False)
+    assert builds == [] and cli._parser() is parser
+    fresh = reports(fresh=True)
+    assert len(builds) == len(commands)
+    assert [code for code, _ in once] == [0, 0, 0, 1, 0, 0, 0, 0]
+    assert once == fresh

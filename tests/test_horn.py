@@ -703,17 +703,17 @@ def test_stage_check_refuses_a_corrupted_row():
     weights, targets = awkward_case(rng, 30)
     while placement_log(weights, targets, rows=True)[1] is None:
         weights, targets = awkward_case(rng, 30)
-    plan = carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights)))
     stream = VectorStream.basis()
     out = np.zeros((len(targets), 30), dtype=complex)
-    (C,), _ = horn._place_rows([horn._stage_schedule(plan.targets, plan.sources, range(30))])
-    placed, residual = carpenter._block_stage(plan, range(30), weights, C, stream, out)
-    assert placed == targets and residual <= 1e-10
+    (C,), _ = horn._place_rows([horn._stage_schedule(targets, tuple(enumerate(weights)), range(30))])
+    supports = stream._supports(np.arange(30))
+    (residual,) = carpenter._block_stages([targets], [weights], [C], *supports, out)
+    assert residual <= 1e-10
     # one mixed row turned a little off, after every mix passed its checks
     i = next(i for i, row in enumerate(C) if np.count_nonzero(row) > 1)
     C[i, np.flatnonzero(C[i])[0]] += 1e-6
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
-        carpenter._block_stage(plan, range(30), weights, C, stream, out)
+        carpenter._block_stages([targets], [weights], [C], *supports, out)
 
 
 def test_coefficient_rows_divide_out_a_mix_norm_drift():

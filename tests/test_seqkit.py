@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from admseq.errors import SequenceError
 from admseq.seqkit import (
+    _ARRAY_MIN,
     WeightSeq,
-    _majorizes_pairs,
+    _majorizes_many,
     kadison_check,
     majorizes,
     seq_from_json,
@@ -195,32 +196,65 @@ def test_majorizes_zero_pads_shorter_side():
     assert majorizes([0.4, 0.3, 0.3], [0.5, 0.5]).holds
 
 
-# entries that take the pass over arrays and those left to majorizes: zero,
-# -0.0, subnormal, overflowing, infinite, NaN and negative
+# entries that take the padded pass and those left to majorizes: zero, -0.0,
+# subnormal, overflowing, infinite, NaN and negative
 pair_vals = st.one_of(st.floats(min_value=1e-12, max_value=2.0), st.sampled_from(
-    [0.0, -0.0, 5e-324, 1e-300, 1.0, 1.0 + 1e-12, 1e308, INF, math.nan, -0.5]))
-pair_lists = st.lists(st.tuples(st.tuples(pair_vals, pair_vals), st.tuples(pair_vals, pair_vals)), max_size=6)
+    [0.0, -0.0, 5e-324, 1e-300, 1.0, 1.0 + 1e-12, 1e308, INF, -INF, math.nan, -0.5]))
+side_lists = st.lists(pair_vals, max_size=7)
 
 
-@given(pair_lists, st.booleans())
-@example([((1.0 + 5e-13, 0.5), (1.0, 0.5 + 5e-13))], False)  # within tol at the first partial sum
-@example([((-0.0, -0.0), (0.0, 0.0))], False)  # -0.0 read as 0.0: the gap is +0.0
-@settings(max_examples=400)
-def test_majorizes_pairs_is_majorizes_pair_by_pair(pairs, trace_kept):
-    # the batched verdicts of the tail steps: every field, and the first
-    # error, as majorizes gives them one pair at a time
-    if trace_kept:  # x1 + x2 = e1 + e2 up to rounding, the case of a tail step
-        pairs = [((x1, e1 + e2 - x1), e) if math.isfinite(e1 + e2 - x1) else ((x1, x2), e)
-                 for (x1, x2), e in pairs for e1, e2 in [e]]
+@st.composite
+def near_pairs(draw):
+    """x and a rearrangement of it with mass moved between two entries by
+    about SUM_TOL, so partial sums sit within SUM_TOL of crossing."""
+    x = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5, 1.0 / 3.0, 0.7]) | unit_vals,
+                      min_size=1, max_size=7))
+    e = draw(st.permutations(x))
+    i, j = draw(st.integers(0, len(e) - 1)), draw(st.integers(0, len(e) - 1))
+    shift = draw(st.sampled_from([0.0, 4e-13, 9e-13, 1e-12, 1.1e-12, 2e-12]))
+    e[i] += shift
+    e[j] -= shift
+    return x, e
 
-    def outcome(f):
-        try:
-            return [(v.holds, v.failing_index, float(v.sum_gap).hex()) for v in f()]
-        except Exception as exc:
-            return type(exc), str(exc)
 
-    xs, es = [x for x, _ in pairs], [list(e) for _, e in pairs]
-    assert outcome(lambda: _majorizes_pairs(xs, es)) == outcome(lambda: [majorizes(x, e) for x, e in zip(xs, es)])
+@st.composite
+def tail_pairs(draw):
+    """Two-entry pairs with x1 + x2 = e1 + e2 up to rounding, as a tail step's."""
+    (x1, _), (e1, e2) = draw(st.tuples(st.tuples(pair_vals, pair_vals), st.tuples(pair_vals, pair_vals)))
+    x2 = e1 + e2 - x1 if math.isfinite(e1 + e2 - x1) else x1
+    return [x1, x2], [e1, e2]
+
+
+def outcome(f):
+    """Every verdict's repr, or the type and text of the first error."""
+    try:
+        return [repr(v) for v in f()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.tuples(side_lists, side_lists) | near_pairs() | tail_pairs(), max_size=8))
+@example([((1.0 + 5e-13, 0.5), (1.0, 0.5 + 5e-13))])  # within tol at the first partial sum
+@example([((-0.0, -0.0), (0.0, 0.0))])  # -0.0 read as 0.0: the gap is +0.0
+@example([((0.5, 0.25, 0.25), (1.0,)), ((0.5, 0.5), (0.5, 0.5, 0.0, 0.0))])  # ties, unequal lengths
+@example([((0.6, 0.4), (0.5, 0.5)), ((1e308, 1e308), (1.0,)), ((-0.5,), (1.0,))])  # the first raises
+@settings(max_examples=600)
+def test_majorizes_many_is_majorizes_pair_by_pair(pairs):
+    # the batched verdicts of a run's stages: each verdict's repr, and the
+    # first error, as majorizes gives them one pair at a time
+    xs, es = [list(x) for x, _ in pairs], [list(e) for _, e in pairs]
+    assert outcome(lambda: _majorizes_many(xs, es)) == outcome(lambda: [majorizes(x, e) for x, e in zip(xs, es)])
+
+
+@given(st.integers(_ARRAY_MIN - 2, _ARRAY_MIN + 30), st.integers(0, _ARRAY_MIN + 30), unit_vals,
+       st.sampled_from([None, math.nan, -0.25, 1e308]), st.lists(st.tuples(side_lists, side_lists), max_size=3))
+@settings(max_examples=100)
+def test_majorizes_many_leaves_long_pairs_to_majorizes(n, m, v, bad, short):
+    # pairs of _ARRAY_MIN entries or more, among short ones, valid or not
+    x = [v] * n + ([] if bad is None else [bad])
+    pairs = [*short, (x, [v] * m + [1.0] * (n - m)), *short]
+    xs, es = [list(x) for x, _ in pairs], [list(e) for _, e in pairs]
+    assert outcome(lambda: _majorizes_many(xs, es)) == outcome(lambda: [majorizes(x, e) for x, e in zip(xs, es)])
 
 
 @given(unit_lists)

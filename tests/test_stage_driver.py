@@ -304,28 +304,33 @@ def test_zero_boundary_share_covers_the_touched_vectors(stages):
 
 
 def test_one_stage_identity_per_block_stage(monkeypatch):
-    # the driver forms each block stage's k x k identity once, from its real
-    # coefficient matrix; horn's own re-check (two frame operators per
-    # placement) is not on the path
-    shapes, horn_calls = [], []
-    real = carpenter._checked
+    # the run-level pass forms each block stage's k x k identity once, from
+    # its real coefficient matrix, and checks them all in one call, in stage
+    # order; horn's own re-check (two frame operators per placement) is not
+    # on the path
+    checks, horn_calls = [], []
+    real = carpenter._check_residuals
 
-    def counting(R):
-        shapes.append(R.shape)
-        return real(R)
+    def recording(devs, ks):
+        checks.append((list(devs), list(ks)))
+        return real(devs, ks)
 
-    monkeypatch.setattr(carpenter, "_checked", counting)
+    monkeypatch.setattr(carpenter, "_check_residuals", recording)
     monkeypatch.setattr(horn, "frame_operator", lambda terms, dim=None: horn_calls.append(dim))
     _, certs, _ = carpenter_decompose(staged_inputs()["mu-divergent-s0"], STREAMS["block4"](), stages=40)
-    assert shapes == [(len(c.consumed), len(c.consumed)) for c in certs]
+    ((devs, ks),) = checks
+    assert ks == [len(c.consumed) for c in certs]
+    # each stage's largest residual entry bounds its Frobenius norm both ways
+    assert all(d <= c.residual <= k * d for d, k, c in zip(devs, ks, certs))
     assert horn_calls == []
 
 
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "lambda-divergent-s0"])
 def test_one_majorization_per_block_stage(monkeypatch, name):
-    # the certificate's verdict also licenses the placement, so horn does not
-    # sort and test the same targets and sources a second time
-    calls = {"carpenter": 0, "horn": 0}
+    # every stage's verdict comes from one batched pass over the run, and it
+    # also licenses the placement, so horn does not sort and test the same
+    # targets and sources a second time, and no stage calls majorizes itself
+    batches, calls = [], {"carpenter": 0, "horn": 0}
     for mod_name in calls:
         mod = carpenter if mod_name == "carpenter" else horn
         real = mod.majorizes
@@ -335,9 +340,19 @@ def test_one_majorization_per_block_stage(monkeypatch, name):
             return _real(xi, eta, tol=tol)
 
         monkeypatch.setattr(mod, "majorizes", counting)
+    real_many = carpenter._majorizes_many
+
+    def batched(xs, es):
+        batches.append(real_many(xs, es))
+        return batches[-1]
+
+    monkeypatch.setattr(carpenter, "_majorizes_many", batched)
     _, certs, _ = carpenter_decompose(staged_inputs()[name], STREAMS["block4"](), stages=40)
     assert all(c.sigma is None for c in certs)  # block stages only
-    assert calls == {"carpenter": len(certs), "horn": 0}
+    (verdicts,) = batches
+    assert len(verdicts) == len(certs)
+    assert all(v is c.majorization for v, c in zip(verdicts, certs))
+    assert calls == {"carpenter": 0, "horn": 0}
 
 
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "mu-finite"])

@@ -40,19 +40,20 @@ def dense_max_residual(weights, vectors, consumed, stream, dim):
                          ids=["mu-divergent-S160", "lambda-divergent-S40"])
 def test_no_ambient_frame_operator(monkeypatch, xi, stages, stream_name):
     # stages are certified by k x k residuals from their coefficient
-    # matrices, and no frame operator is formed at all
+    # matrices, checked in one call per run, and no frame operator is formed
+    # at all
     sizes, frame_dims = [], []
-    real_checked, real_frame = carpenter._checked, operators.frame_operator
+    real_check, real_frame = carpenter._check_residuals, operators.frame_operator
 
-    def recording(R):
-        sizes.append(R.shape[0])
-        return real_checked(R)
+    def recording(devs, ks):
+        sizes.extend(ks)
+        return real_check(devs, ks)
 
     def frame_recording(terms, dim=None):
         frame_dims.append(dim)
         return real_frame(terms, dim=dim)
 
-    monkeypatch.setattr(carpenter, "_checked", recording)
+    monkeypatch.setattr(carpenter, "_check_residuals", recording)
     for mod in (horn, operators):
         monkeypatch.setattr(mod, "frame_operator", frame_recording)
     dec, certs, _ = carpenter_decompose(xi, STREAMS[stream_name](), stages=stages)
