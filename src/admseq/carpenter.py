@@ -19,8 +19,9 @@ there once.  Every mix there has gamma = 0, so a block stage's placement is
 decided in its weights and every mix of a run is computed in one call of
 the array core; no stage depends on the ambient dimension, and an S-stage
 run is the first S stages of a longer one.  Each layer takes the whole run
-in one array pass: one batched majorization of every stage, one placement
-of every mix, and one pass that certifies and embeds every block stage,
+in one pass: one batched majorization of every stage, one schedule of every
+block stage, decided in flat lists of weights and rows, one placement of
+every mix, and one pass that certifies and embeds every block stage,
 stacking stages of one shape.  A block stage's terms are the rows of C E for
 its real coefficient matrix C and the matrix E of its stream vectors over
 the columns they cover, written into one matrix for the whole run, which
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 
 from ._np import np
-from .errors import AdmseqError, KadisonError, PlanningError, TraceMismatchError
-from .horn import PLACE_TOL, _check_residuals, _place_rows, _stage_schedule
+from .errors import KadisonError, PlanningError, TraceMismatchError
+from .horn import PLACE_TOL, _check_residuals, _place_rows, _schedule
 from .operators import RankOneDecomp
 from .seqkit import (
     INT_SNAP,
@@ -138,45 +139,48 @@ def _windows(a: np.ndarray, m: int, w: int) -> np.ndarray:
     return np.ndarray((r - m + 1, c - w + 1, m, w), a.dtype, a, 0, (sr, sc, sr, sc))
 
 
-def _block_stages(xs, consumed, Cs, starts, entries, out):
-    """Every block stage of a run in one array pass.  Stage i has the weights
-    xs[i] of its m terms, the shares ``consumed[i]`` of its k stream vectors,
-    and its m x k coefficient matrix Cs[i]; ``starts`` and ``entries`` are the
-    supports of every stage's stream vectors, stage by stage, as
-    ``VectorStream._supports`` gives them.  Stages of one shape, (m, k, w) for
-    the w columns their stream vectors cover, are stacked: their identities
-    C^T diag(x) C - diag(consumed) are formed by one product, and the rows of
-    C E, E the stream vectors over those columns, by another, written into
-    ``out``, zero and one row per term in stage order.  Each identity is
-    checked once, the earliest failing stage raising.  Returns the identities'
-    Frobenius norms."""
-    ks, at = [len(c) for c in consumed], [0, *accumulate(map(len, xs))]
-    first = [0, *accumulate(ks)]
-    begin, L = starts.tolist(), entries.shape[1]  # each vector's first column, and how many
-    shapes: dict[tuple, list[int]] = {}
-    for i, (k, f, e) in enumerate(zip(ks, first, first[1:])):
-        shapes.setdefault((at[i + 1] - at[i], k, begin[e - 1] + L - begin[f]), []).append(i)
-    # the stream vectors, stage by stage in the order of the shapes
-    j = np.fromiter(chain.from_iterable(range(first[i], first[i + 1]) for idx in shapes.values() for i in idx),
-                    np.intp, first[-1])
-    starts, entries, grid = starts[j], entries[j, None], out.view(np.float64)
-    norms, devs, p0 = [0.0] * len(xs), [0.0] * len(xs), 0
-    for (m, k, w), idx in shapes.items():
-        G, p1 = len(idx), p0 + len(idx) * k
-        C = np.array([Cs[i] for i in idx])
-        R = ((C.swapaxes(1, 2) * np.array([xs[i] for i in idx])[:, None]) @ C).reshape(G, -1)
-        R[:, :: k + 1] -= np.array([consumed[i] for i in idx])  # the diagonals
-        for i, norm, dev in zip(idx, np.sqrt(np.vecdot(R, R)).tolist(), abs(R).max(axis=1).tolist()):
-            norms[i], devs[i] = norm, dev  # np.linalg.norm's
-        lo = np.array([begin[first[i]] for i in idx])  # each stage's first column
-        E = np.zeros((G * k, w), dtype=complex)
-        offsets = (starts[p0:p1].reshape(G, k) - lo[:, None]).reshape(-1)
-        _windows(E, 1, L)[np.arange(G * k), offsets] = entries[p0:p1]
-        T = C @ E.view(np.float64).reshape(G, k, 2 * w)  # both parts
-        _windows(grid, m, 2 * w)[[at[i] for i in idx], 2 * lo] = T
-        p0 = p1
-    _check_residuals(devs, ks)
-    return norms
+def _block_stages(x, shares, store, terms, ms, ks, starts, entries, out):
+    """Every block stage of a run in one array pass.  Stage i has ms[i] terms
+    and ks[i] stream vectors, stage by stage: the terms' weights ``x`` and
+    rows ``terms`` of ``store``, whose first ks[i] columns are its m x k
+    coefficient matrix C, and the vectors' ``shares`` and supports,
+    ``starts`` and ``entries``, as ``VectorStream._supports`` gives them.
+    Stages of one shape, (m, k, w) for the w columns their stream vectors
+    cover, are stacked: their identities C^T diag(x) C - diag(shares) are
+    formed by one product, and the rows of C E, E the stream vectors over
+    those columns, by another, written into ``out``, zero and one row per
+    term in stage order.  Each identity is checked once, the earliest
+    failing stage raising.  Returns the identities' Frobenius norms."""
+    at, first = np.array(((0, *accumulate(ms)), (0, *accumulate(ks))), dtype=np.intp)
+    L = entries.shape[1]  # each vector's entries from its first column
+    lo = starts[first[:-1]]  # each stage's first column, and how many it covers
+    w = starts[first[1:] - 1] - lo + L
+    shape = (np.array(ms, dtype=np.intp) * (max(ks, default=0) + 1) + ks) * (int(w.max(initial=0)) + 1) + w
+    order = shape.argsort(kind="stable")  # the stages of each shape together, in stage order
+    shape = shape[order]
+    bounds = [0, *(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), len(ms)]
+    norms, devs, grid = np.empty(len(ms)), np.empty(len(ms)), out.view(np.float64)
+    for g0, g1 in zip(bounds, bounds[1:] if len(ms) else ()):
+        idx = order[g0:g1]
+        i, G = int(idx[0]), g1 - g0
+        m, k, wd = ms[i], ks[i], int(w[i])
+        if G == 1:  # a stage of its own shape: its terms and vectors by slices, C E straight into its window
+            t, p = slice(at[i], at[i] + m), slice(first[i], first[i] + k)
+        else:  # their terms and vectors, stage by stage
+            t, p = at[idx, None] + np.arange(m), first[idx, None] + np.arange(k)
+        C = store[:, :k][terms[t]]
+        R = ((C.swapaxes(-1, -2) * x[t][..., None, :]) @ C).reshape(G, -1)
+        R[:, :: k + 1] -= shares[p]  # the diagonals
+        norms[idx], devs[idx] = np.sqrt(np.vecdot(R, R)), abs(R).max(axis=1)  # np.linalg.norm's
+        E = np.zeros((G * k, wd), dtype=complex)
+        _windows(E, 1, L)[np.arange(G * k), (starts[p] - lo[idx, None]).reshape(-1)] = entries[p].reshape(-1, 1, L)
+        E = E.view(np.float64)  # both parts
+        if G == 1:
+            np.matmul(C, E, out=grid[at[i] : at[i] + m, 2 * lo[i] : 2 * (lo[i] + wd)])
+        else:
+            _windows(grid, m, 2 * wd)[at[idx], 2 * lo[idx]] = C @ E.reshape(G, k, 2 * wd)
+    _check_residuals(devs.tolist(), ks)
+    return norms.tolist()
 
 
 def _snap_int(x: float) -> int:
@@ -246,10 +250,14 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
     r = acc - (n - 1)  # in [0, 1) by maximality of m
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     m = m if sources else 0  # no pool (n = 1, a head of at most PLACE_TOL): all along vector 0
-    plan = BlockPlan(tuple(vals[:m]), sources, tuple((n - 1, v) for v in vals[m:]))
-    Cs, _ = _place_rows([_stage_schedule(plan.targets, plan.sources, range(n), plan.colinear)])
+    along = [p for p, _ in sources] + [n - 1] * (len(vals) - m)  # the pool's vectors, then the rest along n - 1
+    takes, mixes, counts, refusal = _schedule([vals[:m]], [[c for _, c in sources]], [along], [n])
+    if refusal is not None:
+        raise refusal
+    store, _ = _place_rows([n], counts, mixes)
     weights = [float(v) for v in vals]
-    (residual,) = _block_stages([weights], [[1.0] * n], Cs, *stream._supports(np.arange(n)), rows[lead:])
+    (residual,) = _block_stages(np.array(weights), np.ones(n), store, np.array(takes, dtype=np.intp), [len(vals)],
+                                [n], *stream._supports(np.arange(n)), rows[lead:])
     consumed, verdict = tuple((stream.base_index(j), 1.0) for j in range(n)), majorizes(vals, [1.0] * n)
     return rows, weights, (StageCertificate(0, consumed, tuple(vals), verdict, residual),)
 
@@ -415,64 +423,64 @@ def realize_block_plans(plans, stream: VectorStream):
 
 def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
     """The stage driver: every stage's majorization verdict comes from one
-    batched pass, every block stage is scheduled on the basis of R^k for its
-    k consumed positions, every mix of the run computed at once, and then
-    every block stage certified and embedded in one pass, its identity
-    checked once, against diag(consumed), as a k x k residual.  A tail step
-    mixes the carry, in the span of consumed stream vectors, with a fresh one
-    orthogonal to it (gamma = 0); the first carry is given as (stream
-    position, weight).  Returns one matrix of term vectors in C^dim, dim the
-    least holding every position used, with ``lead`` rows left to the caller
-    first and the remainder, if any (the last carry, or what block stages
-    leave of their last boundary vector), last; the weights of its other
-    rows, the certificates and the number of rows before it."""
+    batched pass, every block stage is scheduled in one pass on the basis of
+    R^k for its k consumed positions, every mix of the run computed at once,
+    and every block stage certified and embedded in one pass, its identity
+    checked once, against diag(consumed), as a k x k residual; positions,
+    shares and the row each term takes are flat arrays over the run.  A tail
+    step mixes the carry, in the span of consumed stream vectors, with a
+    fresh one orthogonal to it (gamma = 0); the first carry is given as
+    (stream position, weight).  Returns one matrix of term vectors in C^dim,
+    dim the least holding every position used, with ``lead`` rows left to
+    the caller first and the remainder, if any (the last carry, or what block
+    stages leave of their last boundary vector), last; the weights of its
+    other rows, the certificates and the number of rows before it."""
     plans = list(plans)
-    top = max((pos for p in plans for pos, _ in p.sources + p.colinear), default=0)
-    dim = stream.min_dim(top if carry is None else max(top, carry[0]))
-    carry = carry and (carry[1], stream.vector(carry[0], dim))  # (weight, vector) from here on
     tails = [p for p in plans if isinstance(p, _TailStep)]  # planners yield them last
     blocks = plans[: len(plans) - len(tails)]
-    m = sum(len(p.targets) + len(p.colinear) for p in blocks) + len(tails)
-    rows = np.zeros((lead + m + 1, dim), dtype=complex)
-    verdicts = _majorizes_many([p.targets for p in plans], [[c for _, c in p.sources] for p in plans])
-    stages, refusal = [], None  # (plan, positions, consumed, majorization, schedule) per block stage
-    used: dict[int, float] = {}  # each position's share over all block stages
-    for plan, majorization in zip(blocks, verdicts):
-        consumed: dict[int, float] = {}
-        for pos, c in plan.sources + plan.colinear:
-            consumed[pos] = consumed.get(pos, 0.0) + c
-            used[pos] = used.get(pos, 0.0) + c
-        positions = sorted(consumed)
-        # the certificate's verdict, at SUM_TOL, also licenses the placement,
-        # whose own tolerance max(PLACE_TOL, PLACE_MAJORIZE_TOL) is looser
-        try:  # a refusal is raised once every stage before it passes
-            schedule = _stage_schedule(plan.targets, plan.sources, positions, plan.colinear, majorization)
-        except AdmseqError as exc:
-            refusal, tails = exc, []
-            break
-        stages.append((plan, positions, consumed, majorization, schedule))
-    Cs, coefs = _place_rows([st[4] for st in stages],
-                            [(p.sources[0][1], p.sources[1][1], *p.targets) for p in tails])
+    pools = [[c for _, c in p.sources] for p in plans]
+    verdicts = _majorizes_many([p.targets for p in plans], pools)
+    del pools[len(blocks) :]  # done with: kept, they would only slow the garbage collector
+    xs = [p.targets + tuple(w for _, w in p.colinear) for p in blocks]  # each block stage's terms
+    # the (position, share) of every block stage's sources and colinear terms, stage by stage
+    sizes = [len(p.sources) + len(p.colinear) for p in blocks]
+    pos, share = np.array([e for p in blocks for e in p.sources + p.colinear], dtype=float).reshape(-1, 2).T
+    top = max(int(pos.max(initial=0)), *(p.sources[1][0] for p in tails), carry[0] if carry else 0)
+    dim = stream.min_dim(top)
+    carry = carry and (carry[1], stream.vector(carry[0], dim))  # (weight, vector) from here on
+    rows = np.zeros((lead + sum(map(len, xs)) + len(tails) + 1, dim), dtype=complex)
+    # each stage's positions, sorted, numbered over the run; the share taken
+    # of each, added left to right; and the number of each entry's position
+    key = np.arange(len(blocks)).repeat(sizes) * (top + 1) + pos  # exact in float64
+    where = np.sort(key)
+    where = where[np.append(True, where[1:] != where[:-1])[: len(where)]]  # each once
+    row = where.searchsorted(key)
+    shares = np.bincount(row, share, len(where))
+    first = where.searchsorted(np.arange(len(blocks) + 1) * (top + 1)).tolist()  # each stage's first position
+    ks, row, at = [e - f for f, e in zip(first, first[1:])], row.tolist(), [0, *accumulate(sizes)]
+    takes, mixes, counts, refusal = _schedule([p.targets for p in blocks], pools,
+                                              [row[a:b] for a, b in zip(at, at[1:])], ks, verdicts)
+    done = len(counts)  # every block stage, or those before the refused one
+    if refusal is not None:
+        tails = []
+    store, coefs = _place_rows(ks, counts, mixes, [(p.sources[0][1], p.sources[1][1], *p.targets) for p in tails])
     # every stream vector the run reads: the block stages', then each tail step's fresh one
-    where = np.fromiter(chain(chain.from_iterable(st[1] for st in stages), (p.sources[1][0] for p in tails)),
-                        np.intp)
-    (starts, entries), index, P = stream._supports(where), stream.base_index(where).tolist(), len(where) - len(tails)
-    xs = [[float(t) for t in plan.targets] + [w for _, w in plan.colinear] for plan, *_ in stages]
-    shares = [[consumed[pos] for pos in positions] for _, positions, consumed, *_ in stages]
-    residuals = _block_stages(xs, shares, Cs, starts[:P], entries[:P], rows[lead:])
-    weights, certs, at = [], [], 0
-    for i, ((plan, _, _, majorization, _), x, share, residual) in enumerate(zip(stages, xs, shares, residuals)):
-        weights += x
-        consumed, at = tuple(zip(index[at : at + len(share)], share)), at + len(share)
-        targets = plan.targets + tuple(w for _, w in plan.colinear)
-        certs.append(StageCertificate(i, consumed, targets, majorization, residual))
+    P = first[done]
+    where = np.concatenate((where[:P] % (top + 1), [p.sources[1][0] for p in tails])).astype(np.intp)
+    (starts, entries), index = stream._supports(where), stream.base_index(where).tolist()
+    x = np.fromiter(chain.from_iterable(xs[:done]), np.float64, len(takes))
+    residuals = _block_stages(x, shares, store, np.array(takes, dtype=np.intp),
+                              [len(t) for t in xs[:done]], ks[:done], starts[:P], entries[:P], rows[lead:])
+    weights, certs, shares = x.tolist(), [], shares.tolist()
+    for i, (targets, majorization, residual, f, e) in enumerate(zip(xs, verdicts, residuals, first, first[1:])):
+        certs.append(StageCertificate(i, tuple(zip(index[f:e], shares[f:e])), targets, majorization, residual))
     if refusal is not None:
         raise refusal
     # w and w' of each mix in span{carry, fresh} at once, from (sigma, sigma') and (tau, tau')
     pairs = coefs[[0, 2, 1, 3]].T.reshape(-1, 2, 2, 1).astype(complex)
     for i, (plan, verdict, (sigma, *_, residual), (S, T), index, start, entry) in enumerate(
             zip(tails, verdicts[len(blocks):], coefs.T.tolist(), pairs, index[P:], starts[P:].tolist(),
-                entries[P:]), len(stages)):
+                entries[P:]), len(blocks)):
         e = np.zeros(dim, dtype=complex)  # the fresh stream vector, as stream.vector has it
         e[start : start + len(entry)] = entry
         w, rows[lead + len(weights)] = S * carry[1] + T * e
@@ -481,10 +489,12 @@ def _realize(plans, stream: VectorStream, carry=None, lead: int = 0):
         carry = plan.targets[0], (w / nrm if nrm > 0 else w)
         certs.append(StageCertificate(i, ((index, plan.sources[1][1]),), plan.targets[1:], verdict, residual,
                                       sigma, plan.sigma_cap))
-    if carry is None and used:  # block stages alone: the rest of their top position
-        top = max(used)
-        if 1.0 - used[top] > REMAINDER_FLOOR:
-            carry = 1.0 - used[top], stream.vector(top, dim)
+    if carry is None and len(pos):  # block stages alone: the rest of their top position
+        used = 0.0
+        for c in share[pos == pos.max()].tolist():
+            used += c  # left to right, as the stages consumed it
+        if 1.0 - used > REMAINDER_FLOOR:
+            carry = 1.0 - used, stream.vector(int(pos.max()), dim)
     n_terms = lead + len(weights)
     if carry is not None:
         rows[n_terms] = carry[1]

@@ -5,27 +5,27 @@ The 2x2 step rewrites eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'* whenever
 weight pool realizes any majorized target list, and in particular produces
 Hermitian matrices with prescribed spectrum and diagonal.
 
-A placement is decided in the weights alone (``_horn_schedule``: which pool
-slot each target hits or peels, or which two it mixes).  Every mix takes its
-coefficients and checks from one array core, ``_mix_coefficients``, which
-needs only the weights and gamma = |<u, u'>|.  ``_place_rows`` calls it once
-per run of placements on real coefficient rows over an orthonormal basis, all
-with gamma = 0: the stage driver's, on the stream vectors each block stage
-consumes, and ``horn_decompose``'s, on the eigenbasis of its pool's operator.
-It keeps every stage's rows in one store and finds each mix's rows, their
-norms and its lockstep step by array arithmetic.  ``mix_two`` calls the core
-on one-element arrays, with any overlap gamma."""
+A placement is decided in the weights alone.  ``_schedule`` places every
+stage of a run in one pass: which pool slot each target hits or peels, or
+which two it mixes, as flat lists of rows in one store for the run.  Every
+mix takes its coefficients and checks from one array core,
+``_mix_coefficients``, which needs only the weights and gamma = |<u, u'>|.
+``_place_rows`` calls it once per run of placements on real coefficient rows
+over an orthonormal basis, all with gamma = 0: the stage driver's, on the
+stream vectors each block stage consumes, and ``horn_decompose``'s, a run of
+one stage on the eigenbasis of its pool's operator.  It finds each mix's
+rows, their norms and its lockstep step by array arithmetic.  ``mix_two``
+calls the core on one-element arrays, with any overlap gamma."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, count
 
 from ._np import np
 from .bridge import gram_matrix
-from .errors import DimensionError, MajorizationError
+from .errors import AdmseqError, DimensionError, MajorizationError
 from .operators import RankOneDecomp, RankOneTerm, _real_if_imag_zero, frame_operator, unit_vector
 from .seqkit import _validated, majorizes
 
@@ -203,8 +203,10 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     B = _real_if_imag_zero(np.sqrt(eta)[:, None] * np.array([p.vector for p in pool]).conj())
     _, s, Wh = np.linalg.svd(B, full_matrices=False)
     lam = (s * s).tolist()
-    sched = _stage_schedule(targets, tuple(enumerate(lam)), range(len(lam)))
-    (C,), _ = _place_rows([sched])
+    takes, mixes, counts, refusal = _schedule([targets], [lam], [range(len(lam))], [len(lam)])
+    if refusal is not None:
+        raise refusal
+    C = _place_rows([len(lam)], counts, mixes)[0][takes]
     decomp = RankOneDecomp._of_rows((C @ Wh.conj()).astype(complex), targets, len(targets))
     _checked(decomp.frame_operator(B.shape[1]) - frame_operator(pool))
     return decomp
@@ -232,49 +234,132 @@ def _refuse_early(targets, weights) -> None:
         raise DimensionError("need at least one source term")
 
 
-def _stage_schedule(targets, sources, positions, colinear=(), verdict=None):
-    """A placement, decided in its weights, on the basis of R^k for its k sorted
-    ``positions``: (k, takes, mixes); of (position, weight) pairs, ``sources``
-    are the pool and ``colinear`` terms lie along their position.  Term j takes
-    row takes[j] (that basis, then a mix's target's and remainder's), and each
-    mix is (row a, row b, a, b, t)."""
-    col = {pos: j for j, pos in enumerate(positions)}
-    k, takes, mixes = len(positions), [0] * len(targets), []
-    if targets or sources:  # with neither, only colinear terms
-        row = [col[pos] for pos, _ in sources] + list(range(k, k + 2 * len(targets)))
-        for idx, slot, mix in _horn_schedule([c for _, c in sources], targets, k, verdict):
-            takes[idx] = row[slot]
-            if mix is not None:
-                mixes.append((row[mix[0]], row[mix[1]], *mix[2:]))
-    return k, takes + [col[pos] for pos, _ in colinear], mixes
+def _schedule(targets, pools, rows, ks, verdicts=None):
+    """Every stage of a run placed in its weights alone, in one pass.  Stage i
+    places ``targets[i]`` against the pool weights ``pools[i]`` on its basis
+    of ks[i] vectors.  Rows are numbered in one store for the whole run: the
+    stages' bases first, stage by stage, then two rows per mix in the order
+    they are made, the target's and the remainder's; ``rows[i]`` holds the
+    basis row of each pool slot of stage i, then of each further term of the
+    stage, which lies along it.  A ``verdicts[i]`` on these weights at a
+    tolerance of at most ``max(PLACE_TOL, PLACE_MAJORIZE_TOL)`` that holds is
+    not tested again.  Returns the row each term takes, stage by stage (the
+    targets, then the further terms); every mix, flat, as (row a, row b, a,
+    b, t) with a >= t > b, its remainder of weight a + b - t; the mixes of
+    each stage scheduled; and the first refusal, or None, with every stage
+    before it scheduled.
+
+    Targets go largest first.  A target within ``PLACE_TOL`` of a pool weight
+    takes that slot; otherwise it mixes the nearest weights above (>= t) and
+    below (< t), or is peeled off the smallest, which keeps its slot, when
+    nothing lies below.  A live pool is two parallel lists, weights sorted and
+    their slots, so every choice is a bisection on floats; slots count pool
+    entries first and then two per mix, so ties go to the earliest slot."""
+    tol = PLACE_TOL
+    takes, mixes, counts, made = [], [], [], sum(ks)  # made: the next mix's target row
+    for ts, weights, prow, k, verdict in zip(targets, pools, rows, ks, verdicts or [None] * len(targets)):
+        n, q, taken = len(weights), len(mixes), [0] * len(ts)
+        row = list(prow[:n])  # each slot's row: the pool's, then two per mix
+        try:
+            if ts or weights:  # with neither, only terms along the basis
+                _refuse_early(ts, weights)
+                if verdict is None or not verdict.holds:
+                    verdict = majorizes(ts, weights, tol=max(tol, PLACE_MAJORIZE_TOL))
+                if not verdict.holds:
+                    cross = verdict.failing_index
+                    raise MajorizationError("source weights do not majorize the targets" + (
+                        f" (partial sums cross at position {cross})" if cross
+                        else f" (totals differ by {verdict.sum_gap:.3e})"), failing_index=cross)
+                slots = sorted(range(n), key=weights.__getitem__)
+                live = [weights[j] for j in slots]
+                # weight that leaves the pool but counts in the majorization: entries of at
+                # most tol, what hits take beyond their target, mix remainders of at most tol
+                j = bisect_right(live, tol)
+                lost = math.fsum(live[:j])
+                del live[:j], slots[:j]
+                for idx in sorted(range(len(ts)), key=ts.__getitem__, reverse=True):
+                    t = ts[idx]
+                    if t <= tol:  # along the anchor, the first pool vector
+                        taken[idx] = row[0]
+                        continue
+                    ka = bisect_left(live, t)  # the smallest weight >= t
+                    if (ka < len(live) and live[ka] <= t + 2.0 * tol) or (ka and live[ka - 1] >= t - 2.0 * tol):
+                        # the earliest slot within tol of t: every such weight lies within 2 tol
+                        # of t, even when w - t rounds; the first of each weight arrived earliest
+                        hit, j = None, bisect_left(live, t - 2.0 * tol, 0, ka)
+                        end = bisect_right(live, t + 2.0 * tol, ka)
+                        while j < end:
+                            w = live[j]
+                            if abs(w - t) <= tol and (hit is None or slots[j] < slots[hit]):
+                                hit = j
+                            j = bisect_right(live, w, j, end)
+                        if hit is not None:
+                            lost += max(live.pop(hit) - t, 0.0)
+                            taken[idx] = row[slots.pop(hit)]
+                            continue
+                    if ka == len(live):  # a shortfall the lost weight makes up takes the
+                        # largest entry left, or the anchor once none is
+                        top = live[-1] if live else 0.0
+                        if t - top > tol + lost:
+                            raise MajorizationError(
+                                f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
+                            )
+                        j = bisect_left(live, top)
+                        taken[idx] = row[slots.pop(j)] if live else row[0]
+                        del live[j : j + 1]
+                        continue
+                    a, sa = live[ka], slots[ka]
+                    if ka == 0:  # every weight exceeds the largest target left: peel it off
+                        # the smallest along its own direction, which is still the smallest
+                        live[0] = a - t
+                        taken[idx] = row[sa]
+                        continue
+                    kb = bisect_left(live, live[ka - 1], 0, ka)  # the largest weight < t
+                    b, sb = live[kb], slots[kb]
+                    del live[ka], slots[ka], live[kb], slots[kb]  # kb < ka
+                    if a + b - t > tol:
+                        j = bisect_right(live, a + b - t)  # after every earlier slot of its weight
+                        live.insert(j, a + b - t)
+                        slots.insert(j, len(row) + 1)
+                    else:
+                        lost += a + b - t
+                    mixes += (row[sa], row[sb], a, b, t)
+                    taken[idx] = made
+                    row += (made, made + 1)
+                    made += 2
+                leftover = math.fsum(live)
+                if abs(leftover) > HORN_RESIDUAL_TOL * max(1, k):
+                    raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
+        except AdmseqError as exc:
+            del mixes[q:]
+            return takes, mixes, counts, exc
+        takes += taken
+        takes += prow[n:]
+        counts.append((len(mixes) - q) // 5)
+    return takes, mixes, counts, None
 
 
-def _place_rows(scheds, tails=()):
-    """Every 2x2 mix of a run in one call of the array core, gamma = 0: those
-    of the block stages ``scheds``, then the tail steps' (e1, e2, x1, x2).
-    Returns each block stage's C and, one column per tail step, (sigma, tau,
-    sigma', tau', residual).  All stages share one store of rows as long as
-    the largest k: a stage's k basis rows, zero beyond column k, then two rows
-    per mix.  The q-th mixes of all stages run at once: rows a and b, of norms
-    na and nb (1, or hypot(sigma', tau') of the mix that made them), are
-    gathered, and (sigma / na) a + (tau / nb) b and (sigma' / na) a + (tau' /
-    nb) b scattered to the mix's two rows.  Each mix's rows and norms come by
-    array arithmetic from its stage's first row, k and first mix."""
-    counts, ks = [len(ms) for _, _, ms in scheds], [k for k, _, _ in scheds]
-    n, K, firsts = sum(counts), max(ks, default=0), [0, *accumulate(k + 2 * c for k, c in zip(ks, counts))]
-    mixes = np.array([m for _, _, ms in scheds for m in ms], dtype=float).reshape(n, 5).T
+def _place_rows(ks, counts, mixes, tails=()):
+    """Every 2x2 mix of a run in one call of the array core, gamma = 0: the
+    block stages' ``mixes``, ``counts`` per stage, as ``_schedule`` gives them
+    for stages on bases of ``ks`` vectors, then the tail steps' (e1, e2, x1,
+    x2).  Returns the store of the block stages' rows, as long as the largest
+    k (each stage's basis rows, zero beyond its own k, then two per mix), and
+    per tail step (sigma, tau, sigma', tau', residual).  The q-th mixes of
+    all stages run at once: rows a and b, of norms na and nb (1, or
+    hypot(sigma', tau') of the mix that made them), are gathered, and (sigma
+    / na) a + (tau / nb) b and (sigma' / na) a + (tau' / nb) b scattered."""
+    ks, counts = np.asarray(ks, dtype=np.intp), np.asarray(counts, dtype=np.intp)
+    B, n = int(ks.sum()), len(mixes) // 5
+    mixes = np.array(mixes, dtype=float).reshape(n, 5).T
     a, b, t = mixes[2:]
     tails = np.array(list(zip(*tails)) or [()] * 4, dtype=float)
     coef = np.array(_mix_coefficients(*np.concatenate(((a, b, t, (a + b) - t), tails), axis=1)))
-    store = np.zeros((firsts[-1], K))
-    store.reshape(-1)[[f * K + j * (K + 1) for f, k in zip(firsts, ks) for j in range(k)]] = 1.0  # basis rows
-    first, k, q = np.array((firsts[:-1], ks, [0, *accumulate(counts)][:-1]), dtype=np.intp).reshape(3, -1).repeat(
-        counts, axis=1)  # per mix: its stage's first row, k and first mix
-    q = np.arange(n) - q  # each mix's index in its stage
-    made = first + k + 2 * q  # the rows of its target and, next, its remainder
-    R = np.array((*(first + mixes[:2].astype(np.intp)), made, made + 1))  # a, b; w, w'
-    norm = np.empty(len(store))
-    norm.fill(1.0)
+    store = np.zeros((B + 2 * n, ks.max(initial=0)))
+    store[np.arange(B), np.arange(B) - (ks.cumsum() - ks).repeat(ks)] = 1.0  # each basis row, in its stage's column
+    q = np.arange(n) - (counts.cumsum() - counts).repeat(counts)  # each mix's index in its stage
+    R = np.array((*mixes[:2].astype(np.intp), B + 2 * np.arange(n), B + 1 + 2 * np.arange(n)))  # a, b; w, w'
+    norm = np.ones(len(store))
     norm[R[3]] = list(map(math.hypot, *coef[2:4, :n].tolist()))
     order = q.argsort(kind="stable")  # lockstep: the q-th mixes of all stages
     R = R[:, order]
@@ -284,103 +369,7 @@ def _place_rows(scheds, tails=()):
     for lo, hi in zip(bounds, bounds[1:]):
         m, U = M[..., lo:hi, None], store[R[0, :, lo:hi]]
         store[R[1, :, lo:hi]] = m[:, 0] * U[0] + m[:, 1] * U[1]
-    taken = store[[f + r for (_, takes, _), f in zip(scheds, firsts) for r in takes]]
-    at = [0, *accumulate(len(takes) for _, takes, _ in scheds)]
-    return [taken[i:j, :k] for i, j, k in zip(at, at[1:], ks)], coef[[0, 1, 2, 3, 8], n:]
-
-
-def _horn_schedule(weights, targets, dim: int, verdict=None):
-    """The placement of ``targets`` against pool ``weights``, decided in the
-    weights alone: yields (target index, slot, mix) per target, largest first,
-    where the target takes the vector in ``slot``.  Slots below len(weights)
-    are the pool's; the j-th mix, (slot a, slot b, a, b, t) with a >= t > b,
-    makes slot len(weights) + 2j, the target's vector, and the next, its
-    remainder of weight a + b - t; mix is None for every other target.
-    ``dim`` scales the unconsumed-weight check.  A ``verdict`` on these
-    weights at a tolerance of at most ``max(PLACE_TOL, PLACE_MAJORIZE_TOL)``
-    that holds is not tested again.  A target within ``PLACE_TOL`` of a pool
-    weight takes that slot; otherwise it mixes the nearest weights above (>=
-    t) and below (< t), or is peeled off the smallest, which keeps its slot,
-    when nothing lies below.  The pool is a list of (weight, slot) kept
-    sorted, so every choice is a bisection and ties go to the earliest slot."""
-    _refuse_early(targets, weights)
-    if verdict is None or not verdict.holds:
-        verdict = majorizes(targets, weights, tol=max(PLACE_TOL, PLACE_MAJORIZE_TOL))
-    if not verdict.holds:
-        raise MajorizationError(
-            "source weights do not majorize the targets"
-            + (f" (partial sums cross at position {verdict.failing_index})"
-               if verdict.failing_index else f" (totals differ by {verdict.sum_gap:.3e})"),
-            failing_index=verdict.failing_index,
-        )
-
-    work = sorted((w, i) for i, w in enumerate(weights) if w > PLACE_TOL)
-    made = count(len(weights), 2)  # the slot of each mix's target vector
-    order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
-    # weight that leaves the pool but counted in the majorization: entries of
-    # at most PLACE_TOL, what hits within it take beyond their target, and mix
-    # remainders of at most PLACE_TOL
-    lost = math.fsum(w for w in weights if w <= PLACE_TOL)
-
-    for idx in order:
-        t = targets[idx]
-        if t <= PLACE_TOL:  # along the anchor, the first pool vector
-            yield idx, 0, None
-            continue
-        hit = _earliest_hit(work, t)
-        if hit is not None:
-            w, slot = work.pop(hit)
-            lost += max(w - t, 0.0)
-            yield idx, slot, None
-            continue
-        ka = bisect_left(work, (t,))  # the smallest weight >= t
-        if ka == len(work):
-            # a shortfall the lost weight makes up takes the largest entry
-            # left, or the anchor once none is
-            top = work[-1][0] if work else 0.0
-            if t - top > PLACE_TOL + lost:
-                raise MajorizationError(
-                    f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
-                )
-            yield idx, work.pop(bisect_left(work, (top,)))[1] if work else 0, None
-            continue
-        a, sa = work[ka]
-        if ka == 0:
-            # every pool weight exceeds the largest remaining target: peel
-            # the target off the smallest entry along its own direction; what
-            # is left is still the smallest, so it keeps its place
-            work[0] = (a - t, sa)
-            yield idx, sa, None
-            continue
-        kb = bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
-        b, sb = work[kb]
-        slot = next(made)
-        del work[ka], work[kb]  # kb < ka, so kb's index survives the first deletion
-        if a + b - t > PLACE_TOL:
-            insort(work, (a + b - t, slot + 1))
-        else:
-            lost += a + b - t
-        yield idx, slot, (sa, sb, a, b, t)
-
-    leftover = math.fsum(e[0] for e in work)
-    if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
-        raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
-
-
-def _earliest_hit(work, t: float) -> int | None:
-    """Index in the sorted pool of the earliest-arriving entry with
-    abs(w - t) <= PLACE_TOL, or None.  Every such w lies within 2 PLACE_TOL of
-    t, even when w - t rounds, so only that window is searched, one weight at
-    a time: the first entry of each weight arrived earliest."""
-    end = bisect_right(work, (t + 2.0 * PLACE_TOL, math.inf))
-    i = bisect_left(work, (t - 2.0 * PLACE_TOL,))
-    best = None
-    while i < end:
-        w, arrival = work[i][:2]
-        if abs(w - t) <= PLACE_TOL and (best is None or arrival < work[best][1]):
-            best = i
-        i = bisect_right(work, (w, math.inf), i, end)
-    return best
+    return store, coef[[0, 1, 2, 3, 8], n:]
 
 
 def schur_horn_matrix(eigenvalues, diagonal) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from ._np import np
 from .errors import DimensionError, SequenceError
-from .operators import _vec_from_json, _vec_to_json
+from .operators import _in_range, _vec_from_json, _vec_to_json
 
 KIND_BASIS = "orthonormal-basis"
 KIND_EXPLICIT = "explicit"
@@ -64,7 +64,7 @@ class VectorStream:
         M = np.array(vecs)
         if not np.isfinite(M).all():
             raise SequenceError("explicit stream vectors must have finite entries")
-        G = M.conj() @ M.T  # G[a, b] = <vecs[a], vecs[b]>
+        G = _in_range(lambda: M.conj() @ M.T, "explicit stream Gram matrix", M)  # G[a, b] = <vecs[a], vecs[b]>
         if float(np.max(np.abs(G - np.eye(len(vecs))))) > ORTHO_TOL:
             raise SequenceError("explicit stream vectors are not orthonormal")
         M.flags.writeable = False  # one row per vector, shared by every view

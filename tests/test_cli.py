@@ -510,6 +510,11 @@ class TestFloat64Overflow:
         dec = write_json(tmp_path / "dec.json", HUGE_TERMS)
         self.refused(capsys, ["bridge", dec], "Gram matrix overflows the float64 range")
 
+    def test_decompose_refuses_an_overflowing_stream_gram_matrix(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", {"weights": {"kind": "finite", "values": [1.0]},
+                                                "stream": {"kind": "explicit", "vectors": [[1e200, 0]]}})
+        self.refused(capsys, ["decompose", inp], "explicit stream Gram matrix overflows the float64 range")
+
 
 OPTIONS = {
     "check-kadison": ["--alpha", "--help", "-h"],

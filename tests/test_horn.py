@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 from unittest import mock
 
@@ -299,6 +301,109 @@ def test_eigh_of_constructed_matrix_feeds_back():
     assert [abs(t.vector @ t.vector.conj()) for t in again.terms] == pytest.approx([1, 1, 1])
 
 
+# -- the schedule oracle ----------------------------------------------------
+
+def stage_schedule(targets, sources, positions, colinear=(), verdict=None):
+    """One block stage's placement, as the stage driver scheduled it stage by
+    stage before ``horn._schedule`` took the whole run in one pass, kept as
+    its oracle: (k, takes, mixes) on the basis of R^k for the k sorted
+    ``positions``; of (position, weight) pairs, ``sources`` are the pool and
+    ``colinear`` terms lie along their position.  Term j takes row takes[j]
+    (that basis, then a mix's target's and remainder's), and each mix is
+    (row a, row b, a, b, t)."""
+    col = {pos: j for j, pos in enumerate(positions)}
+    k, takes, mixes = len(positions), [0] * len(targets), []
+    if targets or sources:  # with neither, only colinear terms
+        row = [col[pos] for pos, _ in sources] + list(range(k, k + 2 * len(targets)))
+        for idx, slot, mix in horn_schedule([c for _, c in sources], targets, k, verdict):
+            takes[idx] = row[slot]
+            if mix is not None:
+                mixes.append((row[mix[0]], row[mix[1]], *mix[2:]))
+    return k, takes + [col[pos] for pos, _ in colinear], mixes
+
+
+def horn_schedule(weights, targets, dim: int, verdict=None):
+    """The placement of ``targets`` against pool ``weights``, decided in the
+    weights alone, one target at a time: yields (target index, slot, mix)
+    per target, largest first, where the target takes the vector in
+    ``slot``.  Slots below len(weights) are the pool's; the j-th mix, (slot
+    a, slot b, a, b, t) with a >= t > b, makes slot len(weights) + 2j, the
+    target's vector, and the next, its remainder of weight a + b - t; mix is
+    None for every other target.  The pool is a list of (weight, slot) kept
+    sorted, so every choice is a bisection on tuples and ties go to the
+    earliest slot.  ``PLACE_TOL`` is read from ``horn`` at the call."""
+    tol = horn.PLACE_TOL
+    horn._refuse_early(targets, weights)
+    if verdict is None or not verdict.holds:
+        verdict = majorizes(targets, weights, tol=max(tol, horn.PLACE_MAJORIZE_TOL))
+    if not verdict.holds:
+        raise MajorizationError(
+            "source weights do not majorize the targets"
+            + (f" (partial sums cross at position {verdict.failing_index})"
+               if verdict.failing_index else f" (totals differ by {verdict.sum_gap:.3e})"),
+            failing_index=verdict.failing_index,
+        )
+
+    work = sorted((w, i) for i, w in enumerate(weights) if w > tol)
+    made = itertools.count(len(weights), 2)  # the slot of each mix's target vector
+    order = sorted(range(len(targets)), key=lambda i: (-targets[i], i))
+    lost = math.fsum(w for w in weights if w <= tol)
+
+    for idx in order:
+        t = targets[idx]
+        if t <= tol:  # along the anchor, the first pool vector
+            yield idx, 0, None
+            continue
+        hit = earliest_hit(work, t, tol)
+        if hit is not None:
+            w, slot = work.pop(hit)
+            lost += max(w - t, 0.0)
+            yield idx, slot, None
+            continue
+        ka = bisect.bisect_left(work, (t,))  # the smallest weight >= t
+        if ka == len(work):
+            top = work[-1][0] if work else 0.0
+            if t - top > tol + lost:
+                raise MajorizationError(
+                    f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
+                )
+            yield idx, work.pop(bisect.bisect_left(work, (top,)))[1] if work else 0, None
+            continue
+        a, sa = work[ka]
+        if ka == 0:  # peel the target off the smallest entry, which keeps its place
+            work[0] = (a - t, sa)
+            yield idx, sa, None
+            continue
+        kb = bisect.bisect_left(work, (work[ka - 1][0],), 0, ka)  # the largest weight < t
+        b, sb = work[kb]
+        slot = next(made)
+        del work[ka], work[kb]
+        if a + b - t > tol:
+            bisect.insort(work, (a + b - t, slot + 1))
+        else:
+            lost += a + b - t
+        yield idx, slot, (sa, sb, a, b, t)
+
+    leftover = math.fsum(e[0] for e in work)
+    if abs(leftover) > HORN_RESIDUAL_TOL * max(1, dim):
+        raise MajorizationError(f"unconsumed source weight {leftover:.3e} after placement")
+
+
+def earliest_hit(work, t: float, tol: float) -> int | None:
+    """Index in the sorted pool of the earliest-arriving entry with
+    abs(w - t) <= tol, or None.  Every such w lies within 2 tol of t, so only
+    that window is searched, one weight at a time."""
+    end = bisect.bisect_right(work, (t + 2.0 * tol, math.inf))
+    i = bisect.bisect_left(work, (t - 2.0 * tol,))
+    best = None
+    while i < end:
+        w, arrival = work[i][:2]
+        if abs(w - t) <= tol and (best is None or arrival < work[best][1]):
+            best = i
+        i = bisect.bisect_right(work, (w, math.inf), i, end)
+    return best
+
+
 # -- placement against the list-scan reference ----------------------------
 
 def _scan_place(pool, target_weights, tol):
@@ -377,16 +482,19 @@ def _scan_place(pool, target_weights, tol):
     return placed
 
 
-def place_vectors(pool, target_weights):
+def place_vectors(pool, target_weights, log=None):
     """The placement on unit vectors that horn_decompose once made, kept as the
     oracle of the coefficient-row placement: the pool's own vectors, and one
     ``mix_two`` per mix as the schedule reaches it, since its overlap gamma
-    depends on the vectors earlier mixes made."""
+    depends on the vectors earlier mixes made.  Each (target index, slot,
+    mix) of the schedule is appended to ``log`` as it is made."""
     targets = [float(t) for t in target_weights]
     vectors = [p.vector for p in pool]
     placed = [None] * len(targets)
     dim = len(vectors[0]) if vectors else 0
-    for idx, slot, mix in horn._horn_schedule([p.weight for p in pool], targets, dim):
+    for idx, slot, mix in horn_schedule([p.weight for p in pool], targets, dim):
+        if log is not None:
+            log.append((idx, slot, mix))
         if mix is not None:
             sa, sb, a, b, t = mix
             res = mix_two(a, b, vectors[sa], vectors[sb], t, a + b - t)
@@ -480,6 +588,126 @@ def test_unreachable_target_is_refused():
     assert _outcome(_place_at, weights, targets, 1e-12) == want
 
 
+# -- the run scheduler against the stage-by-stage oracle ----------------------
+
+@st.composite
+def schedule_runs(draw):
+    """A run of one to four stages and the one PLACE_TOL it is placed at.
+    Each stage is a pool and targets as ``placements`` draws them, sometimes
+    with a near tie added (a pool weight and a target within 2 PLACE_TOL of
+    it) or neither pool nor targets; a basis of distinct positions, which
+    the pool takes in a shuffled order, with further terms along some of
+    them; and sometimes the verdict the stage driver would pass."""
+    tol, stages = draw(TOLS), []
+    for _ in range(draw(st.integers(1, 4))):
+        pool, targets = draw(placements())[:2] if draw(st.integers(0, 9)) else ([], [])
+        if pool and draw(st.booleans()):
+            w, d = draw(POOL_WEIGHTS), draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])) * 1e-12
+            pool, targets = pool + [w], targets + [w + d]
+        k = len(pool) + draw(st.integers(0 if pool else 1, 2))
+        where = draw(st.permutations(range(k)))
+        along = where[len(pool):] + draw(st.lists(st.sampled_from(where), max_size=2))
+        colinear = [(p, draw(POOL_WEIGHTS)) for p in along]
+        verdict = majorizes(targets, pool) if draw(st.booleans()) and min(targets, default=0.0) >= 0.0 else None
+        stages.append((targets, tuple(zip(where, pool)), range(k), tuple(colinear), verdict))
+    return stages, tol
+
+
+def oracle_run(stages):
+    """Each stage's (row of each term, mixes) as ``stage_schedule`` makes them,
+    stage by stage, up to the first refusal, and that refusal's type and text."""
+    out = []
+    for targets, sources, positions, colinear, verdict in stages:
+        try:
+            _, takes, mixes = stage_schedule(targets, sources, positions, colinear, verdict)
+        except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
+            return out, (type(exc), str(exc))
+        out.append((takes, [(ra, rb, a.hex(), b.hex(), t.hex()) for ra, rb, a, b, t in mixes]))
+    return out, None
+
+
+def run_schedule(stages):
+    """The same from one ``horn._schedule`` call on the whole run, each row
+    taken back to its stage's numbering: the run's bases come first, stage
+    by stage, then two rows per mix."""
+    rows, ks = [], [len(s[2]) for s in stages]
+    for (_, sources, _, colinear, _), basis in zip(stages, itertools.accumulate([0, *ks])):
+        rows.append([basis + p for p, _ in sources + colinear])
+    takes, mixes, counts, refusal = horn._schedule(
+        [s[0] for s in stages], [[c for _, c in s[1]] for s in stages], rows, ks, [s[4] for s in stages])
+    out, at, g, mixes = [], 0, 0, [mixes[i : i + 5] for i in range(0, len(mixes), 5)]
+    for (targets, _, _, colinear, _), k, basis, q in zip(stages, ks, itertools.accumulate([0, *ks]), counts):
+        def local(r, k=k, basis=basis, g=g):  # a basis row, or the row of a mix this stage made
+            return r - basis if r < sum(ks) else k + r - sum(ks) - 2 * g
+        n = len(targets) + len(colinear)
+        out.append(([local(r) for r in takes[at : at + n]],
+                    [(local(ra), local(rb), a.hex(), b.hex(), t.hex()) for ra, rb, a, b, t in mixes[g : g + q]]))
+        at, g = at + n, g + q
+    assert at == len(takes) and g == len(mixes)
+    return out, None if refusal is None else (type(refusal), str(refusal))
+
+
+# two stages each: an exact tie, a near tie, the peel branch, a shortfall
+# that dropped entries make up, and refusals in the second stage
+@settings(deadline=None)
+@given(schedule_runs())
+@example(([([0.5, 0.5, 1.0, 0.5], ((1, 1.0), (0, 0.5), (2, 0.5), (3, 0.5)), range(4), (), None),
+           ([0.6 + 1e-13, 0.6, 0.6, 0.3], ((0, 0.6), (1, 0.6 + 4e-13), (2, 0.6 - 4e-13), (3, 0.3)), range(4), (),
+            None)], 1e-12))
+@example(([([0.25] * 8, ((0, 1.0), (1, 1.0)), range(3), ((2, 0.5), (0, 0.25)), None),
+           ([0.0746448379485975, 0.005916510091281203, 0.011354594096218211],
+            ((1, 1e-12), (0, 0.0919159421350969)), range(2), (), None)], 1e-12))
+@example(([([1.0], ((0, 1.0),), range(1), (), None), ([1.0, 0.5], ((0, 0.9), (1, 0.5)), range(2), (), None)],
+          1e-12))
+@example(([([1.0], ((0, 1.0),), range(1), (), None), ([0.5], ((0, 0.5), (1, 0.5)), range(2), (), None)], 0.0))
+# a target just above a pool weight hits it though a larger weight is left
+@example(([([0.5 + 5e-13, 0.4, 0.5 - 5e-13], ((0, 0.9), (1, 0.5)), range(2), (), None)], 1e-12))
+# a shortfall between tied largest weights takes the earliest
+@example(([([0.5 + 1.5e-12, 0.5 - 0.5e-12], ((0, 0.5), (1, 0.5), (2, 1e-12)), range(3), (), None)], 1e-12))
+@example(([([0.5, 0.5], ((0, 0.9), (1, 0.1)), range(2), (), None), ([0.5 + 2.0**-53] + [0.5] * 16,
+           ((0, 0.5), (1, 4.0), (2, 4.0)), range(3), (), None)], 0.0))
+def test_run_schedule_is_the_oracle_stage_by_stage(case):
+    stages, tol = case
+    with mock.patch.object(horn, "PLACE_TOL", tol):
+        assert run_schedule(stages) == oracle_run(stages)
+
+
+# a verdict that holds where the weights do not majorize the targets: only
+# the placement's own bookkeeping can refuse them
+FORGED = majorizes([1.0], [1.0])
+BOOKKEEPING_REFUSALS = [
+    ([0.9], [0.5], "no source weight reaches the target 0.9; majorization bookkeeping broke"),
+    ([1.0], [1.0, 1.0], "unconsumed source weight 1.000e+00 after placement"),
+]
+
+
+@pytest.mark.parametrize("targets, weights, text", BOOKKEEPING_REFUSALS, ids=["unreached", "unconsumed"])
+def test_bookkeeping_refuses_under_a_forged_verdict(targets, weights, text):
+    assert FORGED.holds and not majorizes(targets, weights).holds
+    k = len(weights)
+    takes, mixes, counts, refusal = horn._schedule([[0.5], targets], [[0.5], weights], [[0], range(1, k + 1)],
+                                                   [1, k], [FORGED, FORGED])
+    assert (takes, mixes, counts) == ([0], [], [0])  # the stage before it is scheduled
+    assert (type(refusal), str(refusal)) == (MajorizationError, text)
+    stages = [([0.5], ((0, 0.5),), range(1), (), FORGED), (targets, tuple(enumerate(weights)), range(k), (), FORGED)]
+    assert oracle_run(stages) == ([([0], [])], (MajorizationError, text))
+
+
+@pytest.mark.parametrize("targets, weights, text", BOOKKEEPING_REFUSALS, ids=["unreached", "unconsumed"])
+def test_stage_driver_raises_the_bookkeeping_refusal(monkeypatch, targets, weights, text):
+    # the batched verdicts forged to hold: the second stage's bookkeeping
+    # refusal is raised once the first stage is placed and certified
+    monkeypatch.setattr(carpenter, "_majorizes_many", lambda xs, es: [FORGED] * len(xs))
+    certified = []
+    real = carpenter._block_stages
+    monkeypatch.setattr(carpenter, "_block_stages", lambda *args: certified.append(len(args[4])) or real(*args))
+    plans = [carpenter.BlockPlan((1.0,), ((0, 1.0),)),
+             carpenter.BlockPlan(tuple(targets), tuple(enumerate(weights, 1)))]
+    with pytest.raises(MajorizationError) as refusal:
+        carpenter.realize_block_plans(plans, VectorStream.basis())
+    assert str(refusal.value) == text and certified == [1]  # one call, on the first stage
+
+
 # pool entries of at most PLACE_TOL leave the pool but count in the
 # majorization.  Each case: pool weights, targets, and the target placed
 # last, with the pool vector horn_decompose gives it: the largest entry left
@@ -561,20 +789,14 @@ def placement_log(weights, targets, rows):
     k = len(weights)
     try:
         if rows:
-            sched = horn._stage_schedule(tuple(targets), tuple(enumerate(weights)), range(k))
-            (C,), _ = horn._place_rows([sched])
-            return sched[1:], C
+            takes, mixes, counts, refusal = horn._schedule([targets], [weights], [range(k)], [k])
+            if refusal is not None:
+                raise refusal
+            return (takes, [tuple(mixes[i : i + 5]) for i in range(0, len(mixes), 5)]), \
+                horn._place_rows([k], counts, mixes)[0][takes]
         eye = np.eye(k, dtype=complex)
-        pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
-        ops, real = [], horn._horn_schedule
-
-        def logged(*args):
-            for op in real(*args):
-                ops.append(op)
-                yield op
-
-        with mock.patch.object(horn, "_horn_schedule", logged):
-            placed = place_vectors(pool, targets)
+        ops = []
+        placed = place_vectors([RankOneTerm(w, eye[i]) for i, w in enumerate(weights)], targets, ops)
     except Exception as exc:  # noqa: BLE001 -- errors are part of the outcome
         return (type(exc), str(exc)), None
     takes = [0] * len(targets)
@@ -705,15 +927,18 @@ def test_stage_check_refuses_a_corrupted_row():
         weights, targets = awkward_case(rng, 30)
     stream = VectorStream.basis()
     out = np.zeros((len(targets), 30), dtype=complex)
-    (C,), _ = horn._place_rows([horn._stage_schedule(targets, tuple(enumerate(weights)), range(30))])
-    supports = stream._supports(np.arange(30))
-    (residual,) = carpenter._block_stages([targets], [weights], [C], *supports, out)
+    takes, mixes, counts, _ = horn._schedule([targets], [weights], [range(30)], [30])
+    store, _ = horn._place_rows([30], counts, mixes)
+    args = (np.array(targets), np.array(weights), store, np.array(takes), [len(targets)], [30],
+            *stream._supports(np.arange(30)), out)
+    (residual,) = carpenter._block_stages(*args)
     assert residual <= 1e-10
     # one mixed row turned a little off, after every mix passed its checks
+    C = store[takes]
     i = next(i for i, row in enumerate(C) if np.count_nonzero(row) > 1)
-    C[i, np.flatnonzero(C[i])[0]] += 1e-6
+    store[takes[i], np.flatnonzero(C[i])[0]] += 1e-6
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
-        carpenter._block_stages([targets], [weights], [C], *supports, out)
+        carpenter._block_stages(*args)
 
 
 def test_coefficient_rows_divide_out_a_mix_norm_drift():

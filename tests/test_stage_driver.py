@@ -362,13 +362,15 @@ def test_corrupted_placement_is_refused(monkeypatch, name):
     # refuse the stage
     real = carpenter._place_rows
 
-    def corrupt(scheds, tails=()):
-        Cs, coefs = real(scheds, tails)
-        C = Cs[0]
-        assert C.dtype == np.float64  # real coefficient rows
-        v = C[0] + 1e-6 * np.roll(C[0], 1)
-        C[0] = v / np.linalg.norm(v)
-        return Cs, coefs
+    def corrupt(ks, counts, mixes, tails=()):
+        store, coefs = real(ks, counts, mixes, tails)
+        assert store.dtype == np.float64  # real coefficient rows
+        # the row of the first stage's first mix target, which one term takes
+        r, k = sum(ks), ks[0]
+        assert counts[0] > 0
+        v = store[r, :k] + 1e-6 * np.roll(store[r, :k], 1)
+        store[r, :k] = v / np.linalg.norm(v)
+        return store, coefs
 
     monkeypatch.setattr(carpenter, "_place_rows", corrupt)
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):

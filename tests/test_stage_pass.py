@@ -63,15 +63,28 @@ def finite_rank_input(seed: int, n: int):
     return WeightSeq.finite(vals), VectorStream.explicit([q[:, j] for j in range(n)])
 
 
+def per_stage(x, shares, store, terms, ms, ks, starts, entries):
+    """The pass's run arrays split by stage: each stage's term weights, the
+    shares of its stream vectors and its m x k coefficient matrix C, then the
+    run's supports as they are."""
+    xs, consumed, Cs, at, first = [], [], [], 0, 0
+    for m, k in zip(ms, ks):
+        xs.append(x[at : at + m].tolist())
+        consumed.append(shares[first : first + k].tolist())
+        Cs.append(store[terms[at : at + m], :k].copy())
+        at, first = at + m, first + k
+    return xs, consumed, Cs, starts, entries
+
+
 def recorded_pass(monkeypatch):
-    """Patch the pass to record, per call, its inputs, the rows it wrote and
-    the residuals it returned."""
+    """Patch the pass to record, per call, its inputs split by stage, the rows
+    it wrote and the residuals it returned."""
     calls = []
     real = carpenter._block_stages
 
-    def recording(xs, consumed, Cs, starts, entries, out):
-        norms = real(xs, consumed, Cs, starts, entries, out)
-        calls.append((xs, consumed, [C.copy() for C in Cs], starts, entries, out.copy(), norms))
+    def recording(*args):
+        norms = real(*args)
+        calls.append((*per_stage(*args[:-1]), args[-1].copy(), norms))
         return norms
 
     monkeypatch.setattr(carpenter, "_block_stages", recording)
@@ -137,19 +150,22 @@ def test_earliest_corrupted_stage_is_refused(monkeypatch):
     stream, xi, real_rows, real_pass = STREAMS["block4"](), INPUTS["mu-divergent"], carpenter._place_rows, \
         carpenter._block_stages
 
-    def corrupt(scheds, tails=()):
-        Cs, coefs = real_rows(scheds, tails)
-        for i, eps in ((2, 1e-6), (5, 1e-4)):
-            v = Cs[i][0] + eps * np.roll(Cs[i][0], 1)
-            Cs[i][0] = v / np.linalg.norm(v)
-        return Cs, coefs
+    def corrupt(ks, counts, mixes, tails=()):
+        store, coefs = real_rows(ks, counts, mixes, tails)
+        for i, eps in ((2, 1e-6), (5, 1e-4)):  # the row of the stage's first mix target
+            r, k = sum(ks) + 2 * sum(counts[:i]), ks[i]
+            assert counts[i] > 0
+            v = store[r, :k] + eps * np.roll(store[r, :k], 1)
+            store[r, :k] = v / np.linalg.norm(v)
+        return store, coefs
 
     inputs = []
     monkeypatch.setattr(carpenter, "_place_rows", corrupt)
     monkeypatch.setattr(carpenter, "_block_stages", lambda *args: inputs.append(args) or real_pass(*args))
     with pytest.raises(ValueError) as refusal:
         carpenter_decompose(xi, stream, stages=10)
-    ((xs, consumed, Cs, starts, entries, out),) = inputs
+    ((*args, out),) = inputs
+    xs, consumed, Cs, starts, entries = per_stage(*args)
     supports = stage_supports(consumed, starts, entries)
     assert shape(xs[2], supports[2]) != shape(xs[5], supports[5])
     texts = []
