@@ -19,13 +19,13 @@ there once.  Every mix there has gamma = 0, so a block stage's placement is
 decided in its weights and every mix of a run is computed in one call of
 the array core; no stage depends on the ambient dimension, and an S-stage
 run is the first S stages of a longer one.  Each layer takes the whole run
-in one pass: one batched majorization of every stage, one schedule of every
-block stage, decided in flat lists of weights and rows, one placement of
-every mix, and one pass that certifies and embeds every block stage,
-stacking stages of one shape.  A block stage's terms are the rows of C E for
-its real coefficient matrix C and the matrix E of its stream vectors over
-the columns they cover, written into one matrix for the whole run, which
-becomes the decomposition's ``RankOneDecomp.rows`` as it is.
+in one pass: one batched majorization of every stage, then ``horn``'s
+passes, which schedule every block stage in flat lists of weights and rows,
+place every mix, and certify and embed every block stage, stacking stages
+of one shape (the finite-rank stage is a run of one).  A block stage's terms
+are the rows of C E for its real coefficient matrix C and the matrix E of
+its stream vectors over the columns they cover, written into one matrix for
+the whole run, which becomes the decomposition's ``RankOneDecomp.rows``.
 
 The planners share one vocabulary for what a stage is: ``_take_run`` draws
 the run of weights it places, ``_sources`` lays out the pool it places them
@@ -41,7 +41,7 @@ from itertools import accumulate, chain, count, islice
 
 from ._np import np
 from .errors import KadisonError, PlanningError, TraceMismatchError
-from .horn import PLACE_TOL, _check_residuals, _place_rows, _schedule
+from .horn import PLACE_TOL, _block_stages, _place_rows, _place_stage, _schedule
 from .operators import RankOneDecomp
 from .seqkit import (
     INT_SNAP,
@@ -132,57 +132,6 @@ class StageCertificate:
     sigma_cap: float | None = None
 
 
-def _windows(a: np.ndarray, m: int, w: int) -> np.ndarray:
-    """Every m x w window of the C-contiguous 2-D array ``a``, by its top-left
-    corner, as a view; a write to windows that do not overlap lands in ``a``."""
-    (r, c), (sr, sc) = a.shape, a.strides
-    return np.ndarray((r - m + 1, c - w + 1, m, w), a.dtype, a, 0, (sr, sc, sr, sc))
-
-
-def _block_stages(x, shares, store, terms, ms, ks, starts, entries, out):
-    """Every block stage of a run in one array pass.  Stage i has ms[i] terms
-    and ks[i] stream vectors, stage by stage: the terms' weights ``x`` and
-    rows ``terms`` of ``store``, whose first ks[i] columns are its m x k
-    coefficient matrix C, and the vectors' ``shares`` and supports,
-    ``starts`` and ``entries``, as ``VectorStream._supports`` gives them.
-    Stages of one shape, (m, k, w) for the w columns their stream vectors
-    cover, are stacked: their identities C^T diag(x) C - diag(shares) are
-    formed by one product, and the rows of C E, E the stream vectors over
-    those columns, by another, written into ``out``, zero and one row per
-    term in stage order.  Each identity is checked once, the earliest
-    failing stage raising.  Returns the identities' Frobenius norms."""
-    at, first = np.array(((0, *accumulate(ms)), (0, *accumulate(ks))), dtype=np.intp)
-    L = entries.shape[1]  # each vector's entries from its first column
-    lo = starts[first[:-1]]  # each stage's first column, and how many it covers
-    w = starts[first[1:] - 1] - lo + L
-    shape = (np.array(ms, dtype=np.intp) * (max(ks, default=0) + 1) + ks) * (int(w.max(initial=0)) + 1) + w
-    order = shape.argsort(kind="stable")  # the stages of each shape together, in stage order
-    shape = shape[order]
-    bounds = [0, *(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), len(ms)]
-    norms, devs, grid = np.empty(len(ms)), np.empty(len(ms)), out.view(np.float64)
-    for g0, g1 in zip(bounds, bounds[1:] if len(ms) else ()):
-        idx = order[g0:g1]
-        i, G = int(idx[0]), g1 - g0
-        m, k, wd = ms[i], ks[i], int(w[i])
-        if G == 1:  # a stage of its own shape: its terms and vectors by slices, C E straight into its window
-            t, p = slice(at[i], at[i] + m), slice(first[i], first[i] + k)
-        else:  # their terms and vectors, stage by stage
-            t, p = at[idx, None] + np.arange(m), first[idx, None] + np.arange(k)
-        C = store[:, :k][terms[t]]
-        R = ((C.swapaxes(-1, -2) * x[t][..., None, :]) @ C).reshape(G, -1)
-        R[:, :: k + 1] -= shares[p]  # the diagonals
-        norms[idx], devs[idx] = np.sqrt(np.vecdot(R, R)), abs(R).max(axis=1)  # np.linalg.norm's
-        E = np.zeros((G * k, wd), dtype=complex)
-        _windows(E, 1, L)[np.arange(G * k), (starts[p] - lo[idx, None]).reshape(-1)] = entries[p].reshape(-1, 1, L)
-        E = E.view(np.float64)  # both parts
-        if G == 1:
-            np.matmul(C, E, out=grid[at[i] : at[i] + m, 2 * lo[i] : 2 * (lo[i] + wd)])
-        else:
-            _windows(grid, m, 2 * wd)[at[idx], 2 * lo[idx]] = C @ E.reshape(G, k, 2 * wd)
-    _check_residuals(devs.tolist(), ks)
-    return norms.tolist()
-
-
 def _snap_int(x: float) -> int:
     n = round(x)
     if abs(x - n) > INT_SNAP:
@@ -251,13 +200,9 @@ def _finite_rank_stage(vals, stream: VectorStream, n: int, dim: int, lead=0, tra
     sources, _ = _sources(0, 0.0, n - 1, r if r > PLACE_TOL else 0.0)
     m = m if sources else 0  # no pool (n = 1, a head of at most PLACE_TOL): all along vector 0
     along = [p for p, _ in sources] + [n - 1] * (len(vals) - m)  # the pool's vectors, then the rest along n - 1
-    takes, mixes, counts, refusal = _schedule([vals[:m]], [[c for _, c in sources]], [along], [n])
-    if refusal is not None:
-        raise refusal
-    store, _ = _place_rows([n], counts, mixes)
     weights = [float(v) for v in vals]
-    (residual,) = _block_stages(np.array(weights), np.ones(n), store, np.array(takes, dtype=np.intp), [len(vals)],
-                                [n], *stream._supports(np.arange(n)), rows[lead:])
+    residual = _place_stage(weights, m, [c for _, c in sources], along, np.ones(n), *stream._supports(np.arange(n)),
+                            rows[lead:])
     consumed, verdict = tuple((stream.base_index(j), 1.0) for j in range(n)), majorizes(vals, [1.0] * n)
     return rows, weights, (StageCertificate(0, consumed, tuple(vals), verdict, residual),)
 

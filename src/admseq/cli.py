@@ -54,14 +54,17 @@ PARSE_ERRORS = (
 )
 
 
-def _load(path: str):
-    """Read a JSON document and remember a digest of the raw bytes."""
+def _load(args, name: str):
+    """Read the JSON document at the argument ``name`` and record a digest of
+    its raw bytes under that name in ``args.inputs``."""
+    path = getattr(args, name)
     if path == "-":
         raw = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    args.inputs[name] = hashlib.sha256(raw).hexdigest()
+    return json.loads(raw.decode("utf-8"))
 
 
 def _jsonable(x):
@@ -76,29 +79,27 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _report(args, command: str, digests: dict, **fields) -> dict:
-    rep = {"command": command, "seed": args.seed, "inputs": digests}
+def _report(args, **fields) -> dict:
+    """The report of ``args.command``: its seed, the digests of the inputs
+    read so far, then ``fields``."""
+    rep = {"command": args.command, "seed": args.seed, "inputs": args.inputs}
     rep.update({k: _jsonable(v) for k, v in fields.items()})
     return rep
 
 
 def _cmd_check_kadison(args) -> int:
-    obj, digest = _load(args.sequence)
-    rep = kadison_check(seq_from_json(obj), alpha=args.alpha)
-    _emit(_report(args, "check-kadison", {"sequence": digest}, **dataclasses.asdict(rep)))
+    rep = kadison_check(seq_from_json(_load(args, "sequence")), alpha=args.alpha)
+    _emit(_report(args, **dataclasses.asdict(rep)))
     return 0 if rep.satisfied else 1
 
 
 def _cmd_check_majorize(args) -> int:
-    xi_obj, xi_digest = _load(args.xi)
-    eta_obj, eta_digest = _load(args.eta)
-    xi = seq_from_json(xi_obj)
-    eta = seq_from_json(eta_obj)
+    xi_obj, eta_obj = _load(args, "xi"), _load(args, "eta")
+    xi, eta = seq_from_json(xi_obj), seq_from_json(eta_obj)
     if not (xi.is_finite and eta.is_finite):
         raise SequenceError("majorization compares finite sequences")
     verdict = majorizes(xi, eta)
-    digests = {"xi": xi_digest, "eta": eta_digest}
-    _emit(_report(args, "check-majorize", digests, **dataclasses.asdict(verdict)))
+    _emit(_report(args, **dataclasses.asdict(verdict)))
     return 0 if verdict.holds else 1
 
 
@@ -109,20 +110,12 @@ def _target_path(out: str) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    obj, digest = _load(args.input)
+    obj = _load(args, "input")
     xi = seq_from_json(obj["weights"])
     stream = (
         stream_from_json(obj["stream"]) if "stream" in obj else VectorStream.basis()
     )
-    try:
-        decomp, certs, tag = carpenter_decompose(xi, stream, stages=args.stages)
-    except REFUSALS as exc:
-        _emit(
-            _report(
-                args, "decompose", {"input": digest}, ok=False, error=str(exc)
-            )
-        )
-        return 1
+    decomp, certs, tag = carpenter_decompose(xi, stream, stages=args.stages)
     written = []
     if args.out:
         write_decomposition(args.out, decomp)
@@ -132,8 +125,6 @@ def _cmd_decompose(args) -> int:
     _emit(
         _report(
             args,
-            "decompose",
-            {"input": digest},
             ok=True,
             case=dataclasses.asdict(tag),
             dim=decomp.dim,
@@ -149,31 +140,19 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dec_obj, dec_digest = _load(args.decomposition)
-    op_obj, op_digest = _load(args.operator)
+    dec_obj, op_obj = _load(args, "decomposition"), _load(args, "operator")
     decomp = decomp_from_json(dec_obj)
     target = op_from_json(op_obj)
     del dec_obj, op_obj  # only their parsed forms are needed past here
     residual = decomp_residual(target, decomp, with_remainder=not args.no_remainder)
     ok = residual <= VERIFY_TOL
-    _emit(
-        _report(
-            args,
-            "verify",
-            {"decomposition": dec_digest, "operator": op_digest},
-            ok=ok,
-            residual=residual,
-            tol=VERIFY_TOL,
-            num_terms=decomp.n_terms,
-            num_remainder=len(decomp.row_weights) - decomp.n_terms,
-        )
-    )
+    _emit(_report(args, ok=ok, residual=residual, tol=VERIFY_TOL, num_terms=decomp.n_terms,
+                  num_remainder=len(decomp.row_weights) - decomp.n_terms))
     return 0 if ok else 1
 
 
 def _cmd_check_sums(args) -> int:
-    obj, digest = _load(args.operator)
-    a = op_from_json(obj)
+    a = op_from_json(_load(args, "operator"))
     rep, witness = sum_of_projections_check(a, witness=args.witness)
     fields = dataclasses.asdict(rep)
     if witness is not None:
@@ -181,14 +160,12 @@ def _cmd_check_sums(args) -> int:
         if args.out:
             write_decomposition(args.out, witness)
             fields["written"] = [args.out]
-    _emit(_report(args, "check-sums", {"operator": digest}, **fields))
+    _emit(_report(args, **fields))
     return 0 if rep.decomposable else 1
 
 
 def _cmd_bridge(args) -> int:
-    obj, digest = _load(args.decomposition)
-    decomp = decomp_from_json(obj)
-    del obj  # only its parsed form is needed past here
+    decomp = decomp_from_json(_load(args, "decomposition"))  # the document is dropped once parsed
     record = decomp_to_isometry(decomp)
     if args.out:
         doc = {
@@ -197,18 +174,8 @@ def _cmd_bridge(args) -> int:
         }
         doc.update(kept_indices=list(record.kept_indices), weights=list(record.weights))
         write_json(args.out, doc)
-    _emit(
-        _report(
-            args,
-            "bridge",
-            {"decomposition": digest},
-            ok=True,
-            kept_indices=list(record.kept_indices),
-            rank=record.rank,
-            diagonal_deviation=record.diagonal_deviation,
-            written=[args.out] if args.out else [],
-        )
-    )
+    _emit(_report(args, ok=True, kept_indices=list(record.kept_indices), rank=record.rank,
+                  diagonal_deviation=record.diagonal_deviation, written=[args.out] if args.out else []))
     return 0
 
 
@@ -270,10 +237,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    args.inputs = {}  # digests of the documents read, by argument name
     try:
         return args.func(args)
     except REFUSALS as exc:
-        _emit({"command": args.command, "ok": False, "error": str(exc)})
+        _emit(_report(args, ok=False, error=str(exc)))
         return 1
     except PARSE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,35 +5,35 @@ The 2x2 step rewrites eta1 u u* + eta2 u' u'* as xi1 w w* + xi2 w' w'* whenever
 weight pool realizes any majorized target list, and in particular produces
 Hermitian matrices with prescribed spectrum and diagonal.
 
-A placement is decided in the weights alone.  ``_schedule`` places every
-stage of a run in one pass: which pool slot each target hits or peels, or
-which two it mixes, as flat lists of rows in one store for the run.  Every
-mix takes its coefficients and checks from one array core,
-``_mix_coefficients``, which needs only the weights and gamma = |<u, u'>|.
-``_place_rows`` calls it once per run of placements on real coefficient rows
-over an orthonormal basis, all with gamma = 0: the stage driver's, on the
-stream vectors each block stage consumes, and ``horn_decompose``'s, a run of
-one stage on the eigenbasis of its pool's operator.  It finds each mix's
-rows, their norms and its lockstep step by array arithmetic.  ``mix_two``
-calls the core on one-element arrays, with any overlap gamma."""
+A finite placement is three passes over a run of block stages.
+``_schedule`` decides every stage in its weights alone (which pool slot each
+target hits or peels, or which two it mixes); ``_place_rows`` mixes real
+coefficient rows over each stage's basis of R^k in one call of the array
+core ``_mix_coefficients``, with gamma = 0; ``_block_stages`` certifies each
+stage once, C^T diag(x) C = diag(shares) in R^k, and writes the rows of C E.
+The stage driver's block stages take them, and so do the finite-rank stage
+and ``horn_decompose`` (against its pool's spectrum, on the eigenbasis of
+its operator), each one stage.  ``mix_two`` calls the core on one-element
+arrays, with any overlap gamma."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ._np import np
 from .bridge import gram_matrix
 from .errors import AdmseqError, DimensionError, MajorizationError
-from .operators import RankOneDecomp, RankOneTerm, _real_if_imag_zero, frame_operator, unit_vector
+from .operators import RankOneDecomp, RankOneTerm, _real_if_imag_zero, unit_vector
 from .seqkit import _validated, majorizes
 
 PLACE_TOL = 1e-12  # a weight within it of a target or of zero counts as equal
 PLACE_MAJORIZE_TOL = 1e-11  # a placement tests majorization at max(PLACE_TOL, this)
 MIX_RESIDUAL_TOL = 1e-10
 NEG_SQUARE_TOL = 1e-9  # a mixing square above -NEG_SQUARE_TOL clamps to 0
-HORN_RESIDUAL_TOL = 1e-9  # scaled by the ambient dimension
+HORN_RESIDUAL_TOL = 1e-9  # scaled by a stage's dimension k
 TRACE_TOL = 1e-9
 
 
@@ -191,10 +191,10 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
 
     ``target_weights`` must be majorized by the operator's spectrum lambda =
     s^2 (zero-padding the shorter list), which majorizes the source weights,
-    for the thin SVD B = P S W* of B, whose rows are sqrt(eta_i) u_i*.  The
-    targets are placed against lambda on real coefficient rows C, and the
-    terms are the rows of C conj(W*): they carry exactly the given weights,
-    in the given order, and sum to the same operator, which is checked here.
+    for the thin SVD B = P S W* of B, whose rows are sqrt(eta_i) u_i*.  They
+    are placed against lambda on real coefficient rows C as one block stage,
+    certified against diag(lambda) in R^k; the terms, the rows of C conj(W*),
+    carry the given weights in the given order and sum to B* B.
     """
     pool = _coerce_terms(source_terms)
     targets = [float(t) for t in target_weights]
@@ -202,20 +202,24 @@ def horn_decompose(source_terms, target_weights) -> RankOneDecomp:
     eta = np.array(_validated([p.weight for p in pool])[0])
     B = _real_if_imag_zero(np.sqrt(eta)[:, None] * np.array([p.vector for p in pool]).conj())
     _, s, Wh = np.linalg.svd(B, full_matrices=False)
-    lam = (s * s).tolist()
-    takes, mixes, counts, refusal = _schedule([targets], [lam], [range(len(lam))], [len(lam)])
+    lam, (k, dim) = s * s, Wh.shape
+    rows = np.zeros((len(targets), dim), dtype=complex)
+    _place_stage(targets, len(targets), lam.tolist(), range(k), lam, np.zeros(k, dtype=np.intp), Wh.conj(), rows)
+    return RankOneDecomp._of_rows(rows, targets, len(targets))
+
+
+def _place_stage(x, m, weights, rows, shares, starts, entries, out) -> float:
+    """One block stage through the three passes on the basis of R^k, k =
+    len(shares): the first m weights of ``x`` placed against ``weights``, on
+    ``rows`` as ``_schedule`` takes them, then certified and embedded into
+    ``out`` by ``_block_stages``.  Returns the identity's Frobenius norm."""
+    k = len(shares)
+    takes, mixes, counts, refusal = _schedule([x[:m]], [weights], [rows], [k])
     if refusal is not None:
         raise refusal
-    C = _place_rows([len(lam)], counts, mixes)[0][takes]
-    decomp = RankOneDecomp._of_rows((C @ Wh.conj()).astype(complex), targets, len(targets))
-    _checked(decomp.frame_operator(B.shape[1]) - frame_operator(pool))
-    return decomp
-
-
-def _checked(R: np.ndarray) -> np.ndarray:
-    """R, a k x k residual, once no entry exceeds HORN_RESIDUAL_TOL * max(1, k)."""
-    _check_residuals([float(np.max(np.abs(R)))], [R.shape[0]])
-    return R
+    store, _ = _place_rows([k], counts, mixes)
+    return _block_stages(np.array(x), shares, store, np.array(takes, dtype=np.intp), [len(x)], [k],
+                         starts, entries, out)[0]
 
 
 def _check_residuals(devs, ks) -> None:
@@ -273,7 +277,7 @@ def _schedule(targets, pools, rows, ks, verdicts=None):
                 slots = sorted(range(n), key=weights.__getitem__)
                 live = [weights[j] for j in slots]
                 # weight that leaves the pool but counts in the majorization: entries of at
-                # most tol, what hits take beyond their target, mix remainders of at most tol
+                # most tol and what hits take beyond their target
                 j = bisect_right(live, tol)
                 lost = math.fsum(live[:j])
                 del live[:j], slots[:j]
@@ -317,12 +321,9 @@ def _schedule(targets, pools, rows, ks, verdicts=None):
                     kb = bisect_left(live, live[ka - 1], 0, ka)  # the largest weight < t
                     b, sb = live[kb], slots[kb]
                     del live[ka], slots[ka], live[kb], slots[kb]  # kb < ka
-                    if a + b - t > tol:
-                        j = bisect_right(live, a + b - t)  # after every earlier slot of its weight
-                        live.insert(j, a + b - t)
-                        slots.insert(j, len(row) + 1)
-                    else:
-                        lost += a + b - t
+                    j = bisect_right(live, a + b - t)  # after every earlier slot of its weight
+                    live.insert(j, a + b - t)
+                    slots.insert(j, len(row) + 1)
                     mixes += (row[sa], row[sb], a, b, t)
                     taken[idx] = made
                     row += (made, made + 1)
@@ -370,6 +371,57 @@ def _place_rows(ks, counts, mixes, tails=()):
         m, U = M[..., lo:hi, None], store[R[0, :, lo:hi]]
         store[R[1, :, lo:hi]] = m[:, 0] * U[0] + m[:, 1] * U[1]
     return store, coef[[0, 1, 2, 3, 8], n:]
+
+
+def _windows(a: np.ndarray, m: int, w: int) -> np.ndarray:
+    """Every m x w window of the C-contiguous 2-D array ``a``, by its top-left
+    corner, as a view; a write to windows that do not overlap lands in ``a``."""
+    (r, c), (sr, sc) = a.shape, a.strides
+    return np.ndarray((r - m + 1, c - w + 1, m, w), a.dtype, a, 0, (sr, sc, sr, sc))
+
+
+def _block_stages(x, shares, store, terms, ms, ks, starts, entries, out):
+    """Every block stage of a run in one array pass.  Stage i has ms[i] terms
+    and ks[i] stream vectors, stage by stage: the terms' weights ``x`` and
+    rows ``terms`` of ``store``, whose first ks[i] columns are its m x k
+    coefficient matrix C, and the vectors' ``shares`` and supports,
+    ``starts`` and ``entries``, as ``VectorStream._supports`` gives them.
+    Stages of one shape, (m, k, w) for the w columns their stream vectors
+    cover, are stacked: their identities C^T diag(x) C - diag(shares) are
+    formed by one product, and the rows of C E, E the stream vectors over
+    those columns, by another, written into ``out``, zero and one row per
+    term in stage order.  Each identity is checked once, the earliest
+    failing stage raising.  Returns the identities' Frobenius norms."""
+    at, first = np.array(((0, *accumulate(ms)), (0, *accumulate(ks))), dtype=np.intp)
+    L = entries.shape[1]  # each vector's entries from its first column
+    lo = starts[first[:-1]]  # each stage's first column, and how many it covers
+    w = starts[first[1:] - 1] - lo + L
+    shape = (np.array(ms, dtype=np.intp) * (max(ks, default=0) + 1) + ks) * (int(w.max(initial=0)) + 1) + w
+    order = shape.argsort(kind="stable")  # the stages of each shape together, in stage order
+    shape = shape[order]
+    bounds = [0, *(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), len(ms)]
+    norms, devs, grid = np.empty(len(ms)), np.empty(len(ms)), out.view(np.float64)
+    for g0, g1 in zip(bounds, bounds[1:] if len(ms) else ()):
+        idx = order[g0:g1]
+        i, G = int(idx[0]), g1 - g0
+        m, k, wd = ms[i], ks[i], int(w[i])
+        if G == 1:  # a stage of its own shape: its terms and vectors by slices, C E straight into its window
+            t, p = slice(at[i], at[i] + m), slice(first[i], first[i] + k)
+        else:  # their terms and vectors, stage by stage
+            t, p = at[idx, None] + np.arange(m), first[idx, None] + np.arange(k)
+        C = store[:, :k][terms[t]]
+        R = ((C.swapaxes(-1, -2) * x[t][..., None, :]) @ C).reshape(G, -1)
+        R[:, :: k + 1] -= shares[p]  # the diagonals
+        norms[idx], devs[idx] = np.sqrt(np.vecdot(R, R)), abs(R).max(axis=1)  # np.linalg.norm's
+        E = np.zeros((G * k, wd), dtype=complex)
+        _windows(E, 1, L)[np.arange(G * k), (starts[p] - lo[idx, None]).reshape(-1)] = entries[p].reshape(-1, 1, L)
+        E = E.view(np.float64)  # both parts
+        if G == 1:
+            np.matmul(C, E, out=grid[at[i] : at[i] + m, 2 * lo[i] : 2 * (lo[i] + wd)])
+        else:
+            _windows(grid, m, 2 * wd)[at[idx], 2 * lo[idx]] = C @ E.reshape(G, k, 2 * wd)
+    _check_residuals(devs.tolist(), ks)
+    return norms.tolist()
 
 
 def schur_horn_matrix(eigenvalues, diagonal) -> np.ndarray:

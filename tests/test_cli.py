@@ -346,6 +346,17 @@ class TestCheckSums:
         assert rep["witness_residual"] == 0.0
         assert json.loads(out.read_text()) == {"terms": []}
 
+    def test_witness_refusal_reports_its_seed_and_inputs(self, tmp_path, capsys):
+        # the trace is an integer within INT_TOL, but the witness placement
+        # tests its majorization closer: a refusal, reported like any other
+        op = write_json(tmp_path / "op.json", {"diag": [1.0000000005, 1.0]})
+        digest = hashlib.sha256((tmp_path / "op.json").read_bytes()).hexdigest()
+        assert run(capsys, "check-sums", op)[1]["decomposable"] is True
+        code, rep = run(capsys, "--seed", "7", "check-sums", op, "--witness")
+        assert code == 1
+        assert rep == {"command": "check-sums", "seed": 7, "inputs": {"operator": digest}, "ok": False,
+                       "error": "source weights do not majorize the targets (totals differ by -5.000e-10)"}
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("diag", [["inf"], ["nan"], ["inf", 1.0]], ids=["inf", "nan", "inf-1"])
     def test_non_finite_entries_exit_two(self, tmp_path, capsys, diag):

@@ -891,7 +891,8 @@ def reference_decompose(sources, targets):
     pool = [make_term(w, v) for w, v in sources]
     placed = place_vectors(pool, targets)
     dim = len(pool[0].vector)
-    horn._checked(frame_operator(placed, dim) - frame_operator(pool, dim))
+    R = frame_operator(placed, dim) - frame_operator(pool, dim)
+    horn._check_residuals([float(np.max(np.abs(R)))], [dim])
     return placed
 
 
@@ -931,14 +932,14 @@ def test_stage_check_refuses_a_corrupted_row():
     store, _ = horn._place_rows([30], counts, mixes)
     args = (np.array(targets), np.array(weights), store, np.array(takes), [len(targets)], [30],
             *stream._supports(np.arange(30)), out)
-    (residual,) = carpenter._block_stages(*args)
+    (residual,) = horn._block_stages(*args)
     assert residual <= 1e-10
     # one mixed row turned a little off, after every mix passed its checks
     C = store[takes]
     i = next(i for i, row in enumerate(C) if np.count_nonzero(row) > 1)
     store[takes[i], np.flatnonzero(C[i])[0]] += 1e-6
     with pytest.raises(ValueError, match="reconstruction residual .* exceeds tolerance"):
-        carpenter._block_stages(*args)
+        horn._block_stages(*args)
 
 
 def test_coefficient_rows_divide_out_a_mix_norm_drift():

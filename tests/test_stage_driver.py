@@ -33,7 +33,7 @@ import platform
 import numpy as np
 import pytest
 
-from admseq import carpenter, horn
+from admseq import carpenter, horn, operators
 from admseq.carpenter import carpenter_decompose
 from admseq.operators import RankOneDecomp, RankOneTerm, frame_operator
 from admseq.seqkit import SUM_TOL, WeightSeq, split_mu_lambda
@@ -306,23 +306,22 @@ def test_zero_boundary_share_covers_the_touched_vectors(stages):
 def test_one_stage_identity_per_block_stage(monkeypatch):
     # the run-level pass forms each block stage's k x k identity once, from
     # its real coefficient matrix, and checks them all in one call, in stage
-    # order; horn's own re-check (two frame operators per placement) is not
-    # on the path
-    checks, horn_calls = [], []
-    real = carpenter._check_residuals
+    # order; no frame operator is formed on the path
+    checks, frame_calls = [], []
+    real = horn._check_residuals
 
     def recording(devs, ks):
         checks.append((list(devs), list(ks)))
         return real(devs, ks)
 
-    monkeypatch.setattr(carpenter, "_check_residuals", recording)
-    monkeypatch.setattr(horn, "frame_operator", lambda terms, dim=None: horn_calls.append(dim))
+    monkeypatch.setattr(horn, "_check_residuals", recording)
+    monkeypatch.setattr(operators, "frame_operator", lambda terms, dim=None: frame_calls.append(dim))
     _, certs, _ = carpenter_decompose(staged_inputs()["mu-divergent-s0"], STREAMS["block4"](), stages=40)
     ((devs, ks),) = checks
     assert ks == [len(c.consumed) for c in certs]
     # each stage's largest residual entry bounds its Frobenius norm both ways
     assert all(d <= c.residual <= k * d for d, k, c in zip(devs, ks, certs))
-    assert horn_calls == []
+    assert frame_calls == []
 
 
 @pytest.mark.parametrize("name", ["mu-divergent-s0", "lambda-divergent-s0"])

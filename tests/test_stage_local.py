@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admseq import carpenter, horn, operators
+from admseq import horn, operators
 from admseq.carpenter import carpenter_decompose, keycase_recursion
-from admseq.horn import mix_two
+from admseq.horn import horn_decompose, mix_two
 from admseq.seqkit import WeightSeq
 from admseq.streams import VectorStream
 
@@ -43,7 +43,7 @@ def test_no_ambient_frame_operator(monkeypatch, xi, stages, stream_name):
     # matrices, checked in one call per run, and no frame operator is formed
     # at all
     sizes, frame_dims = [], []
-    real_check, real_frame = carpenter._check_residuals, operators.frame_operator
+    real_check, real_frame = horn._check_residuals, operators.frame_operator
 
     def recording(devs, ks):
         sizes.extend(ks)
@@ -53,15 +53,34 @@ def test_no_ambient_frame_operator(monkeypatch, xi, stages, stream_name):
         frame_dims.append(dim)
         return real_frame(terms, dim=dim)
 
-    monkeypatch.setattr(carpenter, "_check_residuals", recording)
-    for mod in (horn, operators):
-        monkeypatch.setattr(mod, "frame_operator", frame_recording)
+    monkeypatch.setattr(horn, "_check_residuals", recording)
+    monkeypatch.setattr(operators, "frame_operator", frame_recording)
     dec, certs, _ = carpenter_decompose(xi, STREAMS[stream_name](), stages=stages)
     assert len(certs) == stages
     largest_pool = max(len(c.consumed) for c in certs)
     assert sizes, "stages are no longer certified"
     assert max(sizes) <= largest_pool < dec.dim
     assert frame_dims == []
+
+
+def test_horn_decompose_forms_no_ambient_frame_operator(monkeypatch):
+    # horn_decompose is one block stage: certified once, by a k x k residual
+    # for the k vectors of its pool's eigenbasis, with no frame operator
+    # formed in the ambient dimension
+    rng = np.random.default_rng(4)
+    vectors = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+    pool = list(zip([0.9, 0.6, 0.5], vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
+    sizes, frames = [], []
+    real_check, real_product = horn._check_residuals, operators.RankOneDecomp._frame_product
+    with monkeypatch.context() as mp:
+        mp.setattr(horn, "_check_residuals", lambda devs, ks: sizes.extend(ks) or real_check(devs, ks))
+        mp.setattr(operators.RankOneDecomp, "_frame_product",
+                   lambda self, *args: frames.append(self.n_terms) or real_product(self, *args))
+        dec = horn_decompose(pool, [0.5, 0.5, 0.5, 0.5])
+    assert sizes == [3] and frames == []
+    # the ambient identity, formed here only
+    residual = dec.frame_operator(40) - operators.frame_operator([operators.make_term(w, v) for w, v in pool])
+    assert dec.weights() == (0.5, 0.5, 0.5, 0.5) and np.max(np.abs(residual)) <= 1e-14
 
 
 @pytest.mark.parametrize("stream_name", sorted(STREAMS))

@@ -1,6 +1,6 @@
 """The run-level block-stage pass against the per-stage oracle it replaced.
 
-``carpenter._block_stages`` certifies and embeds every block stage of a run
+``horn._block_stages`` certifies and embeds every block stage of a run
 at once: stages of one shape are stacked, their identities formed by one
 stacked product and their term rows by another.  ``block_stage`` below is the
 per-stage code it replaced, kept here as the oracle.  Stacking keeps every
@@ -40,7 +40,9 @@ def block_stage(x, supports, consumed, C, out) -> float:
     ``supports``, and the rows of C E, E those vectors over the columns they
     cover, written into ``out``, m x dim and zero.  Returns the residual's
     Frobenius norm."""
-    residual = float(np.linalg.norm(horn._checked((C.T * np.array(x)) @ C - np.diag(consumed))))
+    R = (C.T * np.array(x)) @ C - np.diag(consumed)
+    horn._check_residuals([float(np.max(np.abs(R)))], [len(consumed)])
+    residual = float(np.linalg.norm(R))
     lo, hi = min(s for s, _ in supports), max(s + len(e) for s, e in supports)
     E = np.zeros((len(supports), hi - lo), dtype=complex)
     for row, (start, entries) in zip(E, supports):
@@ -77,17 +79,19 @@ def per_stage(x, shares, store, terms, ms, ks, starts, entries):
 
 
 def recorded_pass(monkeypatch):
-    """Patch the pass to record, per call, its inputs split by stage, the rows
-    it wrote and the residuals it returned."""
+    """Patch the pass, as the stage driver and the finite-rank stage reach
+    it, to record, per call, its inputs split by stage, the rows it wrote and
+    the residuals it returned."""
     calls = []
-    real = carpenter._block_stages
+    real = horn._block_stages
 
     def recording(*args):
         norms = real(*args)
         calls.append((*per_stage(*args[:-1]), args[-1].copy(), norms))
         return norms
 
-    monkeypatch.setattr(carpenter, "_block_stages", recording)
+    for mod in (carpenter, horn):
+        monkeypatch.setattr(mod, "_block_stages", recording)
     return calls
 
 
