@@ -580,7 +580,7 @@ def _decompose_core(tag: CaseTag, mu, lam, stream, stages, lead=0):
         plans = plan_lambda_diverges(mu, lam)
     elif tag.tag == CASE_BOTH_SUMMABLE:
         plans = plan_both_summable(mu, lam)
-    elif tag.tag == CASE_M_FINITE:  # a head block, then tail steps from its boundary vector
+    else:  # mu-finite: a head block, then tail steps from its boundary vector
         n, r = _advance(
             lam.tail_sum, max(tag.k + 2, 0), lambda s: s >= 1.0,
             "could not find a head boundary with a small tail",
@@ -591,6 +591,4 @@ def _decompose_core(tag: CaseTag, mu, lam, stream, stages, lead=0):
         plans = [BlockPlan(head_targets, _sources(0, 0.0, n - tag.k, r)[0])]
         plans += islice(_plan_tail(lam_it, tail, n - tag.k + 1), max(stages - 1, 0))
         carry = (n - tag.k, 1.0 - tail.total())
-    else:
-        raise PlanningError(f"no staged construction for case {tag.tag!r}")
     return _realize(islice(plans, max(stages, 1)), stream, carry, lead)

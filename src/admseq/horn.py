@@ -259,7 +259,7 @@ def _schedule(targets, pools, rows, ks, verdicts=None):
     nothing lies below.  A live pool is two parallel lists, weights sorted and
     their slots, so every choice is a bisection on floats; slots count pool
     entries first and then two per mix, so ties go to the earliest slot."""
-    tol = PLACE_TOL
+    tol, major_tol = PLACE_TOL, max(PLACE_TOL, PLACE_MAJORIZE_TOL)
     takes, mixes, counts, made = [], [], [], sum(ks)  # made: the next mix's target row
     for ts, weights, prow, k, verdict in zip(targets, pools, rows, ks, verdicts or [None] * len(targets)):
         n, q, taken = len(weights), len(mixes), [0] * len(ts)
@@ -268,7 +268,7 @@ def _schedule(targets, pools, rows, ks, verdicts=None):
             if ts or weights:  # with neither, only terms along the basis
                 _refuse_early(ts, weights)
                 if verdict is None or not verdict.holds:
-                    verdict = majorizes(ts, weights, tol=max(tol, PLACE_MAJORIZE_TOL))
+                    verdict = majorizes(ts, weights, tol=major_tol)
                 if not verdict.holds:
                     cross = verdict.failing_index
                     raise MajorizationError("source weights do not majorize the targets" + (
@@ -301,10 +301,10 @@ def _schedule(targets, pools, rows, ks, verdicts=None):
                             lost += max(live.pop(hit) - t, 0.0)
                             taken[idx] = row[slots.pop(hit)]
                             continue
-                    if ka == len(live):  # a shortfall the lost weight makes up takes the
-                        # largest entry left, or the anchor once none is
+                    if ka == len(live):  # a shortfall within the lost weight and the
+                        # majorization's slack takes the largest entry left, or the anchor
                         top = live[-1] if live else 0.0
-                        if t - top > tol + lost:
+                        if t - top > major_tol + lost:
                             raise MajorizationError(
                                 f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                             )

@@ -46,20 +46,20 @@ KIND_INTERLEAVE = "interleave"
 # Finite lists and heads of at least _ARRAY_MIN entries are validated, judged,
 # split and majorized in numpy passes; shorter ones take the per-entry loops,
 # which are faster there (majorizes breaks even at 100 to 160 entries).  Both
-# paths add left to right from 0.0 -- np.add.accumulate with the running total
-# added into each block's first entry -- so they return the same floats bit for
-# bit.  A long list of floats is converted to float64 once, by its validation:
-# the leaf built from it keeps that array as ``_head``, and majorizes sorts a
-# list's array in place (a sequence's ``_head``, a copy of it).  The gate
-# results of a long head -- (a, b) per alpha and the split -- are kept on the
-# sequence (``_gate``), so they are computed once per sequence.  Passes run
-# over blocks of _BLOCK entries to keep temporaries small.  Only this path
-# reads numpy, so a gate on short lists never loads it (``np`` is loaded on
-# first use, see ``_np``).  strip_zeros_ones runs per entry at any length:
-# its callers strip short heads, or a finite core beside infinitely many ones.
+# paths add left to right from 0.0 -- np.add.accumulate over the array -- so
+# they return the same floats bit for bit.  A long list of floats is converted
+# to float64 once, by its validation: the leaf built from it keeps that array
+# as ``_head``, and majorizes sorts a list's array in place (a sequence's
+# ``_head``, a copy of it).  The gate results of a long head -- (a, b) per
+# alpha and the split -- are kept on the sequence (``_gate``), so they are
+# computed once per sequence.  Each pass runs over the whole array at once;
+# at 10^6 entries its temporaries stay below majorizes' sorted copies and the
+# list's own float objects.  Only this path reads numpy, so a gate on short
+# lists never loads it (``np`` is loaded on first use, see ``_np``).
+# strip_zeros_ones runs per entry at any length: its callers strip short
+# heads, or a finite core beside infinitely many ones.
 _ARRAY_MIN = 128
 _HALF_MAX = sys.float_info.max / 2
-_BLOCK = 1 << 16
 
 
 def _as_value(x) -> float:
@@ -83,18 +83,13 @@ def _validated(values, floats: bool = False):
 
 
 def _float_values(values):
-    """_validated for a long list of floats: one conversion, checked block by
-    block.  The tuple keeps the caller's float objects."""
+    """_validated for a long list of floats: one conversion, checked in one
+    pass.  The tuple keeps the caller's float objects."""
     x = np.fromiter(values, np.float64, len(values))
-    neg_zeros = []
-    for i in range(0, len(x), _BLOCK):
-        block = x[i:i + _BLOCK]
-        ok = (block >= 0.0) & np.isfinite(block)
-        if np.count_nonzero(ok) < len(block):
-            _as_value(values[i + int(ok.argmin())])  # raises the loop's error
-        neg = np.signbit(block)
-        if np.count_nonzero(neg):
-            neg_zeros.extend((np.flatnonzero(neg) + i).tolist())
+    ok = (x >= 0.0) & np.isfinite(x)
+    if np.count_nonzero(ok) < len(x):
+        _as_value(values[int(ok.argmin())])  # raises the loop's error
+    neg_zeros = np.flatnonzero(np.signbit(x)).tolist()
     if not neg_zeros:
         return tuple(values), x
     x[neg_zeros] = 0.0
@@ -104,21 +99,19 @@ def _float_values(values):
     return tuple(out), x
 
 
-def _add_left_to_right(total: float, x) -> float:
-    """total + x[0] + x[1] + ..., in that order; x is overwritten."""
+def _add_left_to_right(x) -> float:
+    """0.0 + x[0] + x[1] + ..., in that order; x is overwritten with the
+    partial sums."""
     if not x.size:
-        return total
-    x[0] += total
+        return 0.0
     np.add.accumulate(x, out=x)
     return float(x[-1])
 
 
-def _first_k_leq(first: float, ratio: float, x: float) -> int | None:
-    """Smallest k >= 0 with first*ratio**k <= x, or None if no such k."""
+def _first_k_leq(first: float, ratio: float, x: float) -> int:
+    """Smallest k >= 0 with first*ratio**k <= x, for x > 0 and ratio in (0, 1)."""
     if first <= x:
         return 0
-    if x <= 0.0:
-        return None
     k = max(0, math.ceil(math.log(x / first) / math.log(ratio)))
     while first * ratio**k > x:
         k += 1
@@ -127,7 +120,7 @@ def _first_k_leq(first: float, ratio: float, x: float) -> int | None:
     return k
 
 
-def _first_k_lt(first: float, ratio: float, x: float) -> int | None:
+def _first_k_lt(first: float, ratio: float, x: float) -> int:
     """Smallest k >= 0 with first*ratio**k < x, for x above the least
     subnormal: no float lies strictly between x and the float below it."""
     return _first_k_leq(first, ratio, math.nextafter(x, 0.0))
@@ -507,16 +500,24 @@ def majorizes(xi, eta, tol: float = SUM_TOL) -> MajorizationVerdict:
         raise SequenceError(f"the entries of {side} sum beyond the float64 range") from None
     n = max(len(a), len(b))
     if n >= _ARRAY_MIN:
-        return _majorizes_arrays(_sorted_desc(a, xa, n), _sorted_desc(b, xb, n), sum_gap, tol)
-    a = sorted(a + (0.0,) * (n - len(a)), reverse=True)
-    b = sorted(b + (0.0,) * (n - len(b)), reverse=True)
-    ca = 0.0
-    cb = 0.0
-    for k in range(n):
-        ca += a[k]
-        cb += b[k]
-        if ca > cb + tol:
+        # the same partial sums as the loop below, in two arrays
+        pa, pb = _sorted_desc(a, xa, n), _sorted_desc(b, xb, n)
+        _add_left_to_right(pa)
+        _add_left_to_right(pb)
+        pb += tol
+        k = int((pa > pb).argmax())
+        if pa[k] > pb[k]:
             return MajorizationVerdict(False, k + 1, sum_gap)
+    else:
+        a = sorted(a + (0.0,) * (n - len(a)), reverse=True)
+        b = sorted(b + (0.0,) * (n - len(b)), reverse=True)
+        ca = 0.0
+        cb = 0.0
+        for k in range(n):
+            ca += a[k]
+            cb += b[k]
+            if ca > cb + tol:
+                return MajorizationVerdict(False, k + 1, sum_gap)
     if abs(sum_gap) > tol:
         return MajorizationVerdict(False, None, sum_gap)
     return MajorizationVerdict(True, None, sum_gap)
@@ -565,25 +566,6 @@ def _sorted_desc(values, x, n: int):
     if len(x) < n:
         x = np.concatenate((np.zeros(n - len(x)), x))
     return x[::-1]
-
-
-def _majorizes_arrays(sa, sb, sum_gap: float, tol: float) -> MajorizationVerdict:
-    """majorizes for n >= _ARRAY_MIN entries, on the sorted arrays: the same
-    partial sums, block by block."""
-    ca = 0.0
-    cb = 0.0
-    for i in range(0, len(sa), _BLOCK):
-        pa = sa[i:i + _BLOCK]
-        pb = sb[i:i + _BLOCK]
-        ca = _add_left_to_right(ca, pa)
-        cb = _add_left_to_right(cb, pb)
-        pb += tol
-        k = int((pa > pb).argmax())
-        if pa[k] > pb[k]:
-            return MajorizationVerdict(False, i + k + 1, sum_gap)
-    if abs(sum_gap) > tol:
-        return MajorizationVerdict(False, None, sum_gap)
-    return MajorizationVerdict(True, None, sum_gap)
 
 
 # -- the Kadison integrality test ------------------------------------
@@ -646,15 +628,9 @@ def _head_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
         small, large = [], []
         _sort_entries(seq.values, alpha, small, large)
         return reduce(add, small, 0.0), reduce(add, large, 0.0)
-    a = 0.0
-    b = 0.0
     x = seq._head
-    for i in range(0, len(x), _BLOCK):
-        block = x[i:i + _BLOCK]
-        small = block <= alpha
-        a = _add_left_to_right(a, block[small])
-        b = _add_left_to_right(b, 1.0 - block[~small])
-    return a, b
+    small = x <= alpha
+    return _add_left_to_right(x[small]), _add_left_to_right(1.0 - x[~small])
 
 
 def _kadison_ab(seq: WeightSeq, alpha: float) -> tuple[float, float]:
@@ -729,22 +705,16 @@ class SplitSeq:
 
 def _split_head(seq: WeightSeq, mu: list, lam: list) -> tuple[int, int]:
     """_sort_entries at 1/2 over the head of a leaf; a long head is sorted
-    block by block, and mu keeps the head's own float objects."""
+    in one array pass, and mu keeps the head's own float objects."""
     if len(seq.values) < _ARRAY_MIN:
         return _sort_entries(seq.values, 0.5, mu, lam)
-    zeros = ones = 0
     x = seq._head
-    for i in range(0, len(x), _BLOCK):
-        block = x[i:i + _BLOCK]
-        small = block <= 0.5
-        zero = block == 0.0
-        one = block == 1.0
-        zeros += int(np.count_nonzero(zero))
-        ones += int(np.count_nonzero(one))
-        inside = (small & ~zero).tolist()
-        mu.extend(compress(seq.values[i:i + len(block)], inside))
-        lam.extend((1.0 - block[~(small | one)]).tolist())
-    return zeros, ones
+    small = x <= 0.5
+    zero = x == 0.0
+    one = x == 1.0
+    mu.extend(compress(seq.values, (small & ~zero).tobytes()))  # a 0 or 1 byte per entry
+    lam.extend((1.0 - x[~(small | one)]).tolist())
+    return int(np.count_nonzero(zero)), int(np.count_nonzero(one))
 
 
 def _split_into(seq: WeightSeq, mu: list, lam: list, tails: tuple) -> tuple[float, float]:

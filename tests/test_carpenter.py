@@ -500,6 +500,10 @@ class TestKeycase:
         assert [t.weight for t in terms] == pytest.approx([0.75, 1.0, 1.0])
         assert carry.weight == pytest.approx(1.0)
 
+    def test_refuses_a_negative_step_count(self):
+        with pytest.raises(PlanningError, match="^step count must be nonnegative$"):
+            keycase_recursion(WeightSeq.finite([0.25]), BASIS, -1)
+
 
 def m_finite(f, q, mu=()):
     """Large entries 1 - f q^j, after finitely many small entries ``mu``
@@ -561,6 +565,17 @@ class TestMFinite:
 
 
 class TestCarpenter:
+    def test_refuses_zero_stages(self):
+        with pytest.raises(PlanningError, match="^need at least one stage$"):
+            carpenter_decompose(WeightSeq.periodic([], (0.4, 0.9)), BASIS, stages=0)
+
+    def test_refuses_a_finite_core_weight_with_infinite_support(self):
+        # infinitely many ones beside a geometric core: the trace of the core
+        # is finite, but it has infinitely many entries
+        xi = WeightSeq.interleave(WeightSeq.geometric([], 0.5, 0.5), WeightSeq.periodic([], [1.0]))
+        with pytest.raises(PlanningError, match="^finite core weight with infinite support is out of scope here$"):
+            carpenter_decompose(xi, BASIS)
+
     def test_finite_rank_end_to_end(self):
         stream = VectorStream.explicit([np.eye(4)[0], np.eye(4)[1]])
         decomp, certs, tag = carpenter_decompose(WeightSeq.finite([0.5] * 4), stream)

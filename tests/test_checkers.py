@@ -148,6 +148,12 @@ class TestProjectionDiag:
         rep = projection_diag_check(WeightSeq.periodic([], (0.5,)), 3, math.inf)
         assert not rep.ok
 
+    @pytest.mark.parametrize("corank", [math.inf, 3], ids=["infinite", "finite"])
+    def test_corank_mismatch(self, corank):
+        # trace 1 and cotrace 1: the rank matches, the corank does not
+        rep = projection_diag_check(WeightSeq.finite([0.5, 0.5]), 1, corank)
+        assert not rep.ok and rep.reason == "total defect does not match the corank"
+
     def test_bad_rank_argument(self):
         with pytest.raises(ValueError):
             projection_diag_check(WeightSeq.finite([0.5]), 1.5, math.inf)

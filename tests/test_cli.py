@@ -181,6 +181,15 @@ class TestDecompose:
         assert vrep["num_terms"] == rep["num_terms"]
         assert vrep["num_remainder"] == rep["num_remainder"]
 
+    def test_an_out_path_without_a_json_suffix(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", {"weights": PERIODIC})
+        out = tmp_path / "dec"
+        code, rep = run(capsys, "decompose", inp, "--stages", "2", "--out", str(out))
+        assert code == 0
+        assert rep["written"] == [str(out), str(tmp_path / "dec.target.json")]
+        code, _ = run(capsys, "verify", str(out), str(tmp_path / "dec.target.json"))
+        assert code == 0
+
     def test_ones_on_block_overlap_stream(self, tmp_path, capsys):
         weights = {"kind": "periodic-tail", "values": [], "tail_block": [1.0, 0.4, 0.9]}
         inp = write_json(

@@ -32,7 +32,6 @@ from admseq.seqkit import (
     SplitSeq,
     WeightSeq,
     _ARRAY_MIN,
-    _BLOCK,
     _as_value,
     kadison_check,
     majorizes,
@@ -45,7 +44,9 @@ INF = math.inf
 HALF_DOWN = math.nextafter(0.5, 0.0)
 HALF_UP = math.nextafter(0.5, 1.0)
 SPECIAL = (0.0, -0.0, 5e-324, 0.5, 1.0, HALF_DOWN, HALF_UP, 0.1, 1.0 - 2.0**-53, 2.0**-40)
-LENGTHS = (_ARRAY_MIN - 1, _ARRAY_MIN, _ARRAY_MIN + 1, 3 * _ARRAY_MIN + 7, _BLOCK + 5)
+# LONG reaches past 65,536 entries, where the passes once ran in blocks
+LONG = 65_541
+LENGTHS = (_ARRAY_MIN - 1, _ARRAY_MIN, _ARRAY_MIN + 1, 3 * _ARRAY_MIN + 7, LONG)
 
 
 # -- the per-entry loops, as the reference -------------------------------
@@ -176,7 +177,7 @@ def test_validation_keeps_the_callers_floats():
     assert got[-1].hex() == "0x0.0p+0"
 
 
-@pytest.mark.parametrize("n", [_ARRAY_MIN - 1, _ARRAY_MIN, _BLOCK + 5])
+@pytest.mark.parametrize("n", [_ARRAY_MIN - 1, _ARRAY_MIN, LONG])
 @pytest.mark.parametrize("bad, text", [
     (math.nan, "sequence entries must be finite reals, got nan"),
     (math.inf, "sequence entries must be finite reals, got inf"),
@@ -216,10 +217,10 @@ def test_a_long_list_keeps_the_array_its_validation_built():
     assert "_head" not in vars(short)
 
 
-@pytest.mark.parametrize("n", [_ARRAY_MIN - 1, _ARRAY_MIN, _BLOCK + 5])
+@pytest.mark.parametrize("n", [_ARRAY_MIN - 1, _ARRAY_MIN, LONG])
 def test_negative_zeros_read_as_zero_in_values_and_head(n):
     values = [0.25] * n
-    for i in (0, n // 2, _BLOCK if n > _BLOCK else 1, n - 1):
+    for i in (0, n // 2, 65_536 if n == LONG else 1, n - 1):
         values[i] = -0.0
     seq = WeightSeq.finite(values)
     assert bits(seq.values) == bits(ref_values(values))
@@ -409,11 +410,11 @@ def test_majorizes_names_the_side_whose_sum_overflows(n):
 
 
 def test_majorizes_finds_a_failure_in_a_later_block():
-    xi = [0.5] * (2 * _BLOCK + 18)
-    eta = [0.5] * (2 * _BLOCK + 17) + [0.25, 0.25]
+    xi = [0.5] * 131_090
+    eta = [0.5] * 131_089 + [0.25, 0.25]
     got = majorizes(xi, eta, tol=0.0)
     assert got == ref_majorizes(xi, eta, tol=0.0)
-    assert got.failing_index == 2 * _BLOCK + 18
+    assert got.failing_index == 131_090
 
 
 # -- the open exactness defect stays as the loops had it ------------------

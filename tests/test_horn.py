@@ -111,6 +111,16 @@ def test_mix_rejects_target_outside_sources():
         mix_two(1.0, 0.2, E1, E2, 1.1, 0.1)
 
 
+def test_mix_rejects_vectors_of_different_lengths():
+    with pytest.raises(DimensionError, match="^mixing vectors must share a dimension$"):
+        mix_two(0.5, 0.5, E1, [0.0, 1.0, 0.0], 0.5, 0.5)
+
+
+def test_schur_horn_matrix_rejects_an_empty_spectrum():
+    with pytest.raises(DimensionError, match="^need at least one eigenvalue and one diagonal entry$"):
+        schur_horn_matrix([], [1.0])
+
+
 def test_mix_bounds_hold_in_descending_order():
     # with e1 >= x1, x2 >= e2 every coefficient except sigma' stays in [-1, 1]
     for _ in range(300):
@@ -333,9 +343,10 @@ def horn_schedule(weights, targets, dim: int, verdict=None):
     sorted, so every choice is a bisection on tuples and ties go to the
     earliest slot.  ``PLACE_TOL`` is read from ``horn`` at the call."""
     tol = horn.PLACE_TOL
+    major_tol = max(tol, horn.PLACE_MAJORIZE_TOL)
     horn._refuse_early(targets, weights)
     if verdict is None or not verdict.holds:
-        verdict = majorizes(targets, weights, tol=max(tol, horn.PLACE_MAJORIZE_TOL))
+        verdict = majorizes(targets, weights, tol=major_tol)
     if not verdict.holds:
         raise MajorizationError(
             "source weights do not majorize the targets"
@@ -363,7 +374,7 @@ def horn_schedule(weights, targets, dim: int, verdict=None):
         ka = bisect.bisect_left(work, (t,))  # the smallest weight >= t
         if ka == len(work):
             top = work[-1][0] if work else 0.0
-            if t - top > tol + lost:
+            if t - top > major_tol + lost:
                 raise MajorizationError(
                     f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                 )
@@ -417,7 +428,8 @@ def _scan_place(pool, target_weights, tol):
     if not pool:
         raise DimensionError("need at least one source term")
     dim = len(pool[0].vector)
-    verdict = majorizes(targets, [p.weight for p in pool], tol=max(tol, 1e-11))
+    major_tol = max(tol, 1e-11)
+    verdict = majorizes(targets, [p.weight for p in pool], tol=major_tol)
     if not verdict.holds:
         raise MajorizationError(
             "source weights do not majorize the targets"
@@ -449,7 +461,7 @@ def _scan_place(pool, target_weights, tol):
         if not above:
             # the weight that left the pool uncounted may make up the shortfall
             top = max((w for w, _ in work), default=0.0)
-            if t - top > tol + lost:
+            if t - top > major_tol + lost:
                 raise MajorizationError(
                     f"no source weight reaches the target {t!r}; majorization bookkeeping broke"
                 )
@@ -581,11 +593,32 @@ def test_sorted_pool_places_as_the_scans_did(case):
     assert _outcome(_place_at, weights, targets, tol) == _outcome(_scan_place, weights, targets, tol)
 
 
-def test_unreachable_target_is_refused():
-    weights, targets = [1.0, 0.5], [1.0 + 5e-12, 0.5 - 5e-12]
-    want = (MajorizationError, f"no source weight reaches the target {targets[0]!r}; "
-            "majorization bookkeeping broke")
-    assert _outcome(_place_at, weights, targets, 1e-12) == want
+# the largest target left reaches no pool weight, short by less than the
+# slack the majorization was tested with: it takes the largest weight left
+SHORTFALLS = [([1.0, 0.5], [1.0 + 5e-12, 0.5 - 5e-12]), ([1.0, 0.5], [0.75, 0.75 + 2e-12])]
+
+
+@pytest.mark.parametrize("weights, targets", SHORTFALLS, ids=["first", "second"])
+def test_a_shortfall_within_the_majorization_slack_places(weights, targets):
+    assert majorizes(targets, weights, tol=horn.PLACE_MAJORIZE_TOL).holds
+    eye = np.eye(len(weights), dtype=complex)
+    pool = [RankOneTerm(w, eye[i]) for i, w in enumerate(weights)]
+    dec = horn_decompose(pool, targets)
+    assert [t.weight for t in dec.terms] == targets
+    residual = frame_operator(dec.terms, dim=len(weights)) - frame_operator(pool)
+    assert np.max(np.abs(residual)) <= HORN_RESIDUAL_TOL
+    assert _outcome(_place_at, weights, targets, PLACE_TOL) == _outcome(
+        _scan_place, weights, targets, PLACE_TOL)
+
+
+def test_a_shortfall_past_the_majorization_slack_is_refused():
+    weights, targets = [1.0, 0.5], [1.0 + 2e-11, 0.5 - 2e-11]
+    want = (MajorizationError, "source weights do not majorize the targets (partial sums cross at position 1)")
+    assert _outcome(_place_at, weights, targets, PLACE_TOL) == want
+    assert _outcome(_scan_place, weights, targets, PLACE_TOL) == want
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(MajorizationError, match=r"^source weights do not majorize the targets \(partial sums cross"):
+        horn_decompose([RankOneTerm(w, eye[i]) for i, w in enumerate(weights)], targets)
 
 
 # -- the run scheduler against the stage-by-stage oracle ----------------------

@@ -127,6 +127,32 @@ def test_frame_operator_dimension_mismatch():
         frame_operator([make_term(1.0, [1.0, 0.0]), make_term(1.0, [1.0, 0.0, 0.0])])
 
 
+# each refusal of the polar factor, the frame product and the readers that
+# no other test reaches, on a closed-form input
+OPERATOR_REFUSALS = [
+    (lambda: polar_partial_isometry(np.ones(3)), DimensionError, "expected a matrix, got shape (3,)"),
+    (lambda: frame_operator([make_term(1.0, [1.0, 0.0])], dim=3), DimensionError,
+     "term vector has length 2, expected 3"),
+    (lambda: decomp_from_json({"terms": [{"weight": 1.0, "vector": "ab"}]}), SequenceError,
+     "vector JSON must be a list of [re, im] pairs or a sparse object"),
+    (lambda: decomp_from_json({"terms": [{"weight": 1.0, "vector": {"size": 2, "indices": "01",
+                                                                      "values": [[1, 0]]}}]}),
+     SequenceError, "sparse array indices must be a list of integers"),
+    (lambda: op_from_json([]), SequenceError, "operator JSON must be an object, got list"),
+    (lambda: op_from_json({"dim": 2}), SequenceError, "operator JSON missing field 'entries'"),
+    (lambda: decomp_from_json([]), SequenceError, "decomposition JSON must be an object with 'terms'"),
+]
+
+
+@pytest.mark.parametrize("call, kind, text", OPERATOR_REFUSALS, ids=[
+    "polar-vector", "frame-dim", "term-vector-string", "sparse-indices-string", "op-not-object",
+    "op-no-entries", "decomp-not-object"])
+def test_refusals_name_the_fault(call, kind, text):
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == text
+
+
 def test_residual_norm_is_spectral():
     A = np.diag([2.0, 0.0])
     B = np.diag([0.0, 1.0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -169,6 +170,25 @@ def test_json_rejects_missing_field():
         seq_from_json({"kind": "geometric-tail", "values": [], "tail_first": 0.5})
 
 
+# each refusal of the constructors, tail sums, reader and majorization that
+# no other test reaches, on a closed-form input
+SEQ_REFUSALS = [
+    (lambda: WeightSeq.geometric([], 0.5, 1.0), "geometric tail ratio must lie in [0, 1), got 1.0"),
+    (lambda: WeightSeq.periodic([0.5], []), "periodic tail needs a nonempty block"),
+    (lambda: WeightSeq.finite([0.5]).tail_sum(-1), "tail start must be nonnegative"),
+    (lambda: seq_from_json([]), "sequence JSON must be an object, got list"),
+    (lambda: majorizes(WeightSeq.geometric([], 0.5, 0.5), [1.0]), "operation requires a finite sequence"),
+]
+
+
+@pytest.mark.parametrize("call, text", SEQ_REFUSALS, ids=[
+    "ratio-one", "empty-block", "negative-tail-start", "json-not-object", "infinite-majorizes"])
+def test_refusals_name_the_fault(call, text):
+    with pytest.raises(SequenceError) as exc:
+        call()
+    assert str(exc.value) == text
+
+
 # -- majorization ------------------------------------------------------
 
 def test_majorizes_basic_hold():
@@ -299,6 +319,23 @@ def test_kadison_geometric_exact_split():
     assert rep.a == pytest.approx(0.8, abs=1e-12)
     assert rep.b == pytest.approx(0.2, abs=1e-12)
     assert not rep.satisfied
+
+
+# the cut's first estimate, ceil(log(alpha / f) / log(q)), is one off here in
+# each direction, so each of its two corrections runs
+@pytest.mark.parametrize("f, q, alpha, estimate", [
+    (1.0, 0.1, 1e-3, 3),  # 0.1**3 > 1e-3 in float64: the cut steps up to 4
+    (1.0, 0.01, 1.0000000000000004e-46, 24),  # 0.01**23 <= alpha: down to 23
+], ids=["up", "down"])
+def test_kadison_cut_matches_a_brute_force_cut(f, q, alpha, estimate):
+    assert max(0, math.ceil(math.log(alpha / f) / math.log(q))) == estimate
+    k = next(j for j in itertools.count() if f * q**j <= alpha)
+    assert abs(k - estimate) == 1
+    seq = WeightSeq.geometric([], f, q)
+    assert seq._cut(alpha) == k
+    rep = kadison_check(seq, alpha=alpha)
+    assert rep.a == pytest.approx(f * q**k / (1.0 - q), rel=1e-12)
+    assert rep.b == pytest.approx(math.fsum(1.0 - f * q**j for j in range(k)), rel=1e-12)
 
 
 def test_kadison_one_minus_geometric():

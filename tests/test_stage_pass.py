@@ -17,6 +17,7 @@ from admseq import carpenter, horn
 from admseq.carpenter import carpenter_decompose
 from admseq.seqkit import WeightSeq
 from admseq.streams import VectorStream
+from test_stage_driver import finite_rank_input
 
 STREAMS = {
     "basis": VectorStream.basis,
@@ -49,20 +50,6 @@ def block_stage(x, supports, consumed, C, out) -> float:
         row[start - lo : start - lo + len(entries)] = entries
     np.matmul(C, E.view(np.float64), out=out.view(np.float64)[:, 2 * lo : 2 * hi])  # both parts
     return residual
-
-
-def finite_rank_input(seed: int, n: int):
-    """2n weights in (0, 1) summing to n and an orthonormal n-vector stream."""
-    rng = np.random.default_rng([seed, n])
-    while True:
-        w = rng.uniform(0.1, 0.9, 2 * n)
-        w *= n / w.sum()
-        vals = [float(v) for v in w]
-        vals[-1] = n - sum(vals[:-1])
-        if all(0.0 < v < 1.0 for v in vals):
-            break
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return WeightSeq.finite(vals), VectorStream.explicit([q[:, j] for j in range(n)])
 
 
 def per_stage(x, shares, store, terms, ms, ks, starts, entries):

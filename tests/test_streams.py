@@ -115,3 +115,27 @@ def test_json_rejects_views_and_unknown_kinds():
         stream_to_json(VectorStream.basis().drop(1))
     with pytest.raises(SequenceError):
         stream_from_json({"kind": "random"})
+
+
+# each refusal of the constructors, views and reader, on a closed-form input
+STREAM_REFUSALS = [
+    (lambda: VectorStream.explicit([]), SequenceError, "explicit stream needs at least one vector"),
+    (lambda: VectorStream.explicit([[1.0, 0.0], [1.0]]), DimensionError,
+     "explicit stream vectors must share a dimension"),
+    (lambda: VectorStream.basis().base_index(-1), SequenceError, "stream index must be nonnegative"),
+    (lambda: VectorStream.basis().drop(-1), SequenceError, "cannot drop a negative count"),
+    (lambda: VectorStream.basis().thin(0, 0), SequenceError, "stride must be at least 1"),
+    (lambda: stream_from_json([]), SequenceError, "stream JSON must be an object, got list"),
+    (lambda: stream_from_json({"kind": "block-overlap"}), SequenceError,
+     "block-overlap stream needs a 'block' size"),
+    (lambda: stream_from_json({"kind": "explicit"}), SequenceError, "explicit stream needs 'vectors'"),
+]
+
+
+@pytest.mark.parametrize("call, kind, text", STREAM_REFUSALS, ids=[
+    "no-vectors", "unequal-lengths", "negative-index", "negative-drop", "zero-stride",
+    "json-not-object", "json-no-block", "json-no-vectors"])
+def test_refusals_name_the_fault(call, kind, text):
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == text

@@ -1,9 +1,9 @@
 """Hand mutants of the library's checks, run against the tier-1 tests.
 
 Each mutant is one text replacement in one file of ``src/admseq``: a fixed
-tolerance raised a millionfold, or a check removed.  For each, ``src/`` and
-``tests/`` (with ``pyproject.toml``, for the test settings) are copied to a
-temporary directory, the replacement is made there, and the tests run with
+tolerance raised a millionfold, or a check removed.  For each, ``src/``,
+``tests/`` and ``tools/`` (with ``pyproject.toml``, for the test settings)
+are copied to a temporary directory, the replacement is made there, and the tests run with
 ``pytest -x``.  The line printed per mutant names the first test that failed,
 which killed it, or reads ``SURVIVED``: a check no test can trip.
 
@@ -50,7 +50,7 @@ def run(name: str, path: str, old: str, new: str) -> str:
     """The outcome of one mutant: the killing test, or SURVIVED."""
     with tempfile.TemporaryDirectory(prefix="admseq-mutant-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):
             shutil.copytree(ROOT / part, Path(tmp) / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         target = Path(tmp) / "src" / "admseq" / path
