@@ -13,12 +13,12 @@ so every truncation can be checked without ever touching infinity.
 import numpy as np
 
 from admseq import (
-    RankOneTerm,
     VectorStream,
     WeightSeq,
     carpenter_decompose,
     classify_case,
-    frame_operator,
+    op_from_json,
+    touched_projection,
 )
 
 scenarios = {
@@ -52,17 +52,23 @@ for c in certs:
 print("emitted weights:", [round(t.weight, 10) for t in dec.terms[:8]], "...")
 
 # truncation identity: terms plus the boundary remainder rebuild the
-# consumed prefix of the stream exactly
+# paper's operator, the projection P onto every stream vector a stage
+# consumed; P is built from the stream and the certificates alone (the
+# target `decompose --out` writes), never from the terms
 dim = dec.dim
-top = max(j for c in certs for j, _ in c.consumed)
-prefix = frame_operator([RankOneTerm(1.0, VectorStream.basis().vector(j, dim)) for j in range(top + 1)], dim=dim)
+touched = sorted({j for c in certs for j, _ in c.consumed})
+P = op_from_json(touched_projection(VectorStream.basis(), touched, dim))
 total = dec.frame_operator(dim=dim, with_remainder=True)
-print("consumed prefix 0..%d, identity residual: %.2e" % (top, np.max(np.abs(total - prefix))))
+print("touched %d..%d, identity residual against P: %.2e" % (touched[0], touched[-1], np.max(np.abs(total - P))))
 
 # streams need not be the standard basis; overlapping cosine blocks give
-# a stream with the same certificates
-dec2, certs2, _ = carpenter_decompose(xi, VectorStream.block_overlap(4), stages=6)
+# a stream with the same certificates and the same identity
+block4 = VectorStream.block_overlap(4)
+dec2, certs2, _ = carpenter_decompose(xi, block4, stages=6)
 print("block-overlap stream, worst stage residual:", max(c.residual for c in certs2))
+P2 = op_from_json(touched_projection(block4, (j for c in certs2 for j, _ in c.consumed), dec2.dim))
+print("block-overlap identity residual against P: %.2e"
+      % np.max(np.abs(dec2.frame_operator(with_remainder=True) - P2)))
 
 # the no-small-entries case carries a shrinking rank-one remainder
 dec3, certs3, tag3 = carpenter_decompose(

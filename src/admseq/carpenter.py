@@ -510,6 +510,14 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
     finite total weight n with finitely many ones needs a finite stream of
     exactly n vectors, and is placed in one stage.
     """
+    return _decompose(xi, stream, stages)[:3]
+
+
+def _decompose(xi, stream: VectorStream, stages: int):
+    """``carpenter_decompose``, and an iterator over the stream positions
+    the decomposition touched: every position a certificate consumed, then
+    those of the entries equal to 1.  Its terms plus remainder sum to their
+    projection (``streams.touched_projection``)."""
     seq = xi if isinstance(xi, WeightSeq) else WeightSeq.finite(xi)
     tag, sp = _classify(seq)  # raises KadisonError when the test fails
     if stages < 1:
@@ -530,7 +538,7 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
         if n == 0:
             raise TraceMismatchError("cannot decompose against an empty stream")
         rows, weights, certs = _finite_rank_stage(seq.values, stream, n, stream.min_dim(n - 1))
-        return RankOneDecomp._of_rows(rows, weights, len(rows)), certs, tag
+        return RankOneDecomp._of_rows(rows, weights, len(rows)), certs, tag, _touched(certs, ())
 
     if stream.count is not None:
         raise TraceMismatchError("infinite total weight needs an infinite stream")
@@ -566,7 +574,13 @@ def carpenter_decompose(xi, stream: VectorStream, stages: int = DEFAULT_STAGES):
     for j in range(n_ones):
         rows[ones_at + j] = ones_stream.vector(j, rows.shape[1])
     rows[:n_zero] = rows[n_zero]  # along the first vector used
-    return RankOneDecomp._of_rows(rows, [0.0] * n_zero + weights, n), certs, tag
+    ones = map(ones_stream.base_index, range(n_ones))
+    return RankOneDecomp._of_rows(rows, [0.0] * n_zero + weights, n), certs, tag, _touched(certs, ones)
+
+
+def _touched(certs, ones):
+    """The stream positions every certificate consumed, then ``ones``, lazily."""
+    return chain((p for c in certs for p, _ in c.consumed), ones)
 
 
 def _decompose_core(tag: CaseTag, mu, lam, stream, stages, lead=0):

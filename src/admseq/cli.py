@@ -18,7 +18,7 @@ import sys
 
 from ._np import np
 from .bridge import decomp_to_isometry
-from .carpenter import DEFAULT_STAGES, carpenter_decompose
+from .carpenter import DEFAULT_STAGES, _decompose
 from .checkers import sum_of_projections_check
 from .errors import (
     DimensionError,
@@ -31,13 +31,12 @@ from .errors import (
 from .jsonio import write_decomposition, write_json
 from .operators import (
     _array_doc,
-    _op_doc,
     decomp_from_json,
     decomp_residual,
     op_from_json,
 )
 from .seqkit import kadison_check, majorizes, seq_from_json
-from .streams import VectorStream, stream_from_json
+from .streams import VectorStream, stream_from_json, touched_projection
 
 VERIFY_TOL = 1e-8  # largest residual verify accepts, in the operator 2-norm
 
@@ -115,12 +114,12 @@ def _cmd_decompose(args) -> int:
     stream = (
         stream_from_json(obj["stream"]) if "stream" in obj else VectorStream.basis()
     )
-    decomp, certs, tag = carpenter_decompose(xi, stream, stages=args.stages)
+    decomp, certs, tag, touched = _decompose(xi, stream, args.stages)
     written = []
     if args.out:
         write_decomposition(args.out, decomp)
         tpath = _target_path(args.out)
-        write_json(tpath, _op_doc(decomp.frame_operator(with_remainder=True), np.asarray))
+        write_json(tpath, touched_projection(stream, touched, decomp.dim, np.asarray))
         written = [args.out, tpath]
     _emit(
         _report(

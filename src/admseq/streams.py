@@ -5,7 +5,9 @@ Three kinds exist: the standard basis, an explicit finite list, and the
 block-overlap family, where each consecutive block of ``block`` standard
 directions is replaced by its orthonormal cosine mixture, so stream vectors
 spread across several coordinates while staying exactly orthonormal.
-Views created by ``drop`` and ``thin`` reindex without copying."""
+Views created by ``drop`` and ``thin`` reindex without copying.
+``touched_projection`` writes the projection onto the vectors at given
+positions, the operator a decomposition's terms plus remainder sum to."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 from ._np import np
 from .errors import DimensionError, SequenceError
-from .operators import _in_range, _vec_from_json, _vec_to_json
+from .operators import _in_range, _op_doc, _plain, _vec_from_json, _vec_to_json
 
 KIND_BASIS = "orthonormal-basis"
 KIND_EXPLICIT = "explicit"
@@ -138,6 +140,43 @@ class VectorStream:
         return VectorStream(
             self.kind, self.vectors, self.block, self.offset + start * self.step, self.step * stride
         )
+
+
+def touched_projection(stream: VectorStream, positions, dim: int, arrays=_plain) -> dict:
+    """Operator JSON object of P = sum_p E_p E_p* in C^dim over the positions
+    ``positions`` of the unshifted stream: the projection onto every stream
+    vector a decomposition touched, which its terms plus remainder sum to.
+    On the basis P is ``{"diag": ...}``.  On a block-overlap stream its
+    sparse entries are built a block at a time with no BLAS call: exactly the
+    identity on a block whose vectors are all touched, the entrywise sum of
+    the touched cosine columns' outer products on any other.  On an explicit
+    stream P is the product of the touched rows.  ``arrays`` maps the index
+    and value arrays as in ``operators._op_doc``."""
+    at = np.fromiter(positions, dtype=np.intp)
+    if stream.kind == KIND_EXPLICIT:
+        touched = np.zeros(len(stream.vectors), dtype=bool)
+        touched[at] = True
+        V = stream.vectors[touched]
+        if V.shape[1] != dim:
+            raise DimensionError(f"explicit stream vectors have length {V.shape[1]}, expected {dim}")
+        return _op_doc(V.T @ V.conj(), arrays)
+    b = stream.block or 1  # the basis is the block-overlap family of blocks of one
+    touched = np.zeros((dim // b, b), dtype=bool)  # by block, which of its vectors
+    top = int(at.max(initial=-1))
+    if top >= touched.size:
+        raise DimensionError(f"stream vector {top} needs dimension >= {(top // b + 1) * b}, got {dim}")
+    touched.reshape(-1)[at] = True
+    if b == 1:
+        return {"diag": touched[:, 0].astype(float).tolist()}
+    M = _cosine_block(b)
+    blocks = np.where(touched[:, None, None, :], M[:, None, :] * M[None, :, :], 0.0).sum(axis=-1)
+    blocks[touched.all(axis=1)] = np.eye(b)
+    s = np.arange(b)
+    first = np.arange(len(touched)).reshape(-1, 1, 1) * b
+    index = (first + s.reshape(-1, 1)) * dim + first + s  # row-major, block after block
+    keep = blocks.view(np.uint64) != 0  # the pairs the sparse form lists
+    return {"dim": dim, "entries": {"size": dim * dim, "indices": arrays(index[keep]),
+                                    "values": arrays(blocks[keep].astype(complex))}}
 
 
 def stream_to_json(stream: VectorStream) -> dict:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from admseq import jsonio
+from admseq import carpenter, jsonio
 from admseq.bridge import decomp_to_isometry
 from admseq.carpenter import carpenter_decompose
 from admseq.checkers import sum_of_projections_check
@@ -45,7 +45,7 @@ from admseq.operators import (
     op_to_json,
 )
 from admseq.seqkit import _real_from_json, seq_from_json
-from admseq.streams import stream_from_json
+from admseq.streams import stream_from_json, touched_projection
 
 
 def reference_bytes(obj) -> bytes:
@@ -90,6 +90,14 @@ def plain(obj):
     if isinstance(obj, (list, tuple)):
         return [plain(v) for v in obj]
     return obj
+
+
+def touched_target(weights, stream, stages: int) -> dict:
+    """The operator document ``decompose --out`` writes as its target, in
+    plain lists: the projection onto the stream vectors the run touched."""
+    stream = stream_from_json(stream)
+    dec, _, _, touched = carpenter._decompose(seq_from_json(weights), stream, stages)
+    return touched_projection(stream, touched, dec.dim)
 
 
 def per_entry(entries) -> np.ndarray:
@@ -149,9 +157,14 @@ def test_decompose_files_match_json_dump(tmp_path, capsys, weights, stream, stag
                                        for t in decomp.remainder]
     assert decomp_to_json(decomp) == expected
     assert out.read_bytes() == reference_bytes(expected)
-    target = frame_operator(list(decomp.terms) + list(decomp.remainder), dim=decomp.dim)
-    assert op_to_json(target) == {"dim": decomp.dim, "entries": sparse(target)}
-    assert (tmp_path / "dec.target.json").read_bytes() == reference_bytes(op_to_json(target))
+    # the target is the touched projection, a diagonal on the basis and sparse
+    # entries otherwise; terms plus remainder sum to it
+    target = touched_target(weights, stream, stages)
+    if "entries" in target:
+        assert target == {"dim": decomp.dim, "entries": sparse(op_from_json(target))}
+    assert (tmp_path / "dec.target.json").read_bytes() == reference_bytes(target)
+    frame = frame_operator(list(decomp.terms) + list(decomp.remainder), dim=decomp.dim)
+    assert np.max(np.abs(op_from_json(target) - frame)) <= 1e-12
 
 
 def test_bridge_record_matches_json_dump(tmp_path, capsys):
@@ -600,7 +613,7 @@ def test_dense_files_still_read(tmp_path, capsys, command, weights, stream, stag
                  "--out", str(tmp_path / "dec.json")]) == 0
     decomp, _, _ = carpenter_decompose(seq_from_json(weights), stream_from_json(stream),
                                        stages=stages)
-    target = frame_operator(list(decomp.terms) + list(decomp.remainder), dim=decomp.dim)
+    target = op_from_json(touched_target(weights, stream, stages))
     with open(tmp_path / "old.json", "w") as fh:
         json.dump(dense_decomp(decomp), fh, sort_keys=True, indent=2)
     with open(tmp_path / "old.target.json", "w") as fh:

@@ -2,13 +2,15 @@
 
 A decomposition is one complex matrix of term vectors, 601 rows in C^321
 (3.1 MB) for mu-divergent weights at 160 basis stages.  ``decompose --out``
-writes the file and the target from that matrix, ``verify`` takes its frame
-product from it, and ``bridge`` forms its one placement matrix from it, so
-none of them stacks the term vectors into a second copy.  Measured with
-tracemalloc in-process (x86-64, Python 3.11, numpy 2.4.6), the peaks were
-7.3, 8.9 and 18.2 MB; with the term vectors split into separate arrays and
-stacked again at each layer they were 10.5, 10.3 and 21.3 MB.  The bounds lie
-between.  The sizes of the parsed JSON objects and of numpy's temporaries
+writes the file from that matrix and its target, a diagonal, from the stream
+positions the run touched; ``verify`` takes its frame product from the
+matrix, and ``bridge`` forms its one placement matrix from it, so none of
+them stacks the term vectors into a second copy.  Measured with tracemalloc
+in-process (x86-64, Python 3.11, numpy 2.4.6), the peaks were 7.3, 8.9 and
+18.2 MB while the target was the frame product of the terms, and are 4.9,
+8.7 and 18.2 MB with the touched projection; with the term vectors split
+into separate arrays and stacked again at each layer they were 10.5, 10.3
+and 21.3 MB.  The bounds lie between.  The sizes of the parsed JSON objects and of numpy's temporaries
 differ with the Python and numpy versions, so the test runs only on the
 build the peaks were measured on.
 """

@@ -26,6 +26,14 @@ def test_each_mutant_text_occurs_once(name, path, old, new):
     assert (ROOT / "src" / "admseq" / path).read_text().count(old) == 1
 
 
+def test_the_probe_runs_a_control_that_changes_nothing():
+    # the control must print SURVIVED: a probe that kills it can say nothing
+    mutants = load_tool("mutants")
+    assert mutants.CONTROL in mutants.MUTANTS
+    assert mutants.CONTROL[2] == mutants.CONTROL[3]
+    assert mutants.SELF_CHECK == f"tests/test_tools.py::{test_each_mutant_text_occurs_once.__name__}"
+
+
 SOURCE = '''\
 def f(x):
     """doc"""

@@ -4,8 +4,12 @@ Each mutant is one text replacement in one file of ``src/admseq``: a fixed
 tolerance raised a millionfold, or a check removed.  For each, ``src/``,
 ``tests/`` and ``tools/`` (with ``pyproject.toml``, for the test settings)
 are copied to a temporary directory, the replacement is made there, and the tests run with
-``pytest -x``.  The line printed per mutant names the first test that failed,
-which killed it, or reads ``SURVIVED``: a check no test can trip.
+``pytest -x``, all but ``SELF_CHECK``, which fails in every mutant's copy since
+the replaced text is gone there.  The line printed per mutant names the first
+test that failed, which killed it, or reads ``SURVIVED``: a check no test can
+trip.  The first mutant, ``CONTROL``, replaces its text with itself, so it
+must read ``SURVIVED``; any other outcome means the probe kills what it should
+not, and no other line can be trusted.
 
     python3 tools/mutants.py
 
@@ -26,8 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the mutant that changes nothing
+CONTROL = ("control (no change)", "cli.py", "VERIFY_TOL = 1e-8 ", "VERIFY_TOL = 1e-8 ")
+# the test that each mutant's text is in the tree, so failing in its copy
+SELF_CHECK = "tests/test_tools.py::test_each_mutant_text_occurs_once"
+
 # (name, file under src/admseq, old text, new text)
 MUTANTS = [
+    CONTROL,
     ("ORTHO_TOL", "streams.py", "ORTHO_TOL = 1e-9", "ORTHO_TOL = 1e-3"),
     ("UNIT_TOL", "operators.py", "UNIT_TOL = 1e-9 ", "UNIT_TOL = 1e-3 "),
     ("VERIFY_TOL", "cli.py", "VERIFY_TOL = 1e-8 ", "VERIFY_TOL = 1e-2 "),
@@ -59,8 +69,8 @@ def run(name: str, path: str, old: str, new: str) -> str:
             raise SystemExit(f"{name}: the text to replace occurs {text.count(old)} times in {path}")
         target.write_text(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                              cwd=tmp, env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--deselect", SELF_CHECK], cwd=tmp, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return "SURVIVED"
     killed = FAILED.search(proc.stdout)
