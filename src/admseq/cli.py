@@ -36,7 +36,7 @@ from .operators import (
     op_from_json,
 )
 from .seqkit import kadison_check, majorizes, seq_from_json
-from .streams import VectorStream, stream_from_json, touched_projection
+from .streams import VectorStream, _touched_doc, stream_from_json
 
 VERIFY_TOL = 1e-8  # largest residual verify accepts, in the operator 2-norm
 
@@ -119,7 +119,7 @@ def _cmd_decompose(args) -> int:
     if args.out:
         write_decomposition(args.out, decomp)
         tpath = _target_path(args.out)
-        write_json(tpath, touched_projection(stream, touched, decomp.dim, np.asarray))
+        write_json(tpath, _touched_doc(stream, touched, decomp.dim, np.asarray))
         written = [args.out, tpath]
     _emit(
         _report(

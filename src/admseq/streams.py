@@ -142,7 +142,7 @@ class VectorStream:
         )
 
 
-def touched_projection(stream: VectorStream, positions, dim: int, arrays=_plain) -> dict:
+def touched_projection(stream: VectorStream, positions, dim: int) -> dict:
     """Operator JSON object of P = sum_p E_p E_p* in C^dim over the positions
     ``positions`` of the unshifted stream: the projection onto every stream
     vector a decomposition touched, which its terms plus remainder sum to.
@@ -150,10 +150,19 @@ def touched_projection(stream: VectorStream, positions, dim: int, arrays=_plain)
     sparse entries are built a block at a time with no BLAS call: exactly the
     identity on a block whose vectors are all touched, the entrywise sum of
     the touched cosine columns' outer products on any other.  On an explicit
-    stream P is the product of the touched rows.  ``arrays`` maps the index
-    and value arrays as in ``operators._op_doc``."""
+    stream P is the product of the touched rows."""
+    return _touched_doc(stream, positions, dim, _plain)
+
+
+def _touched_doc(stream: VectorStream, positions, dim: int, arrays) -> dict:
+    """``touched_projection`` with its index and value arrays mapped by
+    ``arrays``, as in ``operators._op_doc``."""
     at = np.fromiter(positions, dtype=np.intp)
+    if at.min(initial=0) < 0:
+        raise SequenceError("stream index must be nonnegative")
     if stream.kind == KIND_EXPLICIT:
+        if at.max(initial=-1) >= len(stream.vectors):
+            raise SequenceError(f"explicit stream has only {len(stream.vectors)} vectors")
         touched = np.zeros(len(stream.vectors), dtype=bool)
         touched[at] = True
         V = stream.vectors[touched]

@@ -18,17 +18,21 @@ import pytest
 
 from admseq import carpenter
 from admseq.cli import main
-from admseq.errors import DimensionError
+from admseq.errors import DimensionError, SequenceError
 from admseq.operators import RankOneDecomp, op_from_json
 from admseq.streams import VectorStream, _cosine_block, stream_to_json, touched_projection
 
 from test_stage_driver import finite_rank_input, staged_inputs
 
 STREAMS = {"basis": VectorStream.basis, "block4": lambda: VectorStream.block_overlap(4)}
-# the five cases and ones beside a staged core, at stage counts the known
-# mixing defect leaves alone (both-summable reaches 13 on these streams)
+# the five cases and the ones in each layout carpenter_decompose knows
+# (finitely many before a staged core, every other vector beside one, after
+# a finite core, after zeros alone), at stage counts the known mixing defect
+# leaves alone (both-summable reaches 13 on these streams)
 STAGED = [(name, stages) for name in ("mu-divergent-s0", "lambda-divergent-s0", "mu-finite",
-                                      "ones-beside-mu-divergent") for stages in (10, 40)]
+                                      "ones-beside-mu-divergent", "finite-ones-mu-divergent",
+                                      "finite-ones-lambda-divergent", "ones-after-finite-core",
+                                      "zero-then-ones") for stages in (10, 40)]
 STAGED += [("both-summable", 10), ("both-summable", 13)]
 MATCH_TOL = 1e-12  # entrywise, P against the frame product of terms plus remainder
 
@@ -82,9 +86,16 @@ def test_basis_target_is_a_diagonal():
         "diag": [1.0, 0.0, 0.0, 1.0, 0.0]}
 
 
-def test_a_position_past_the_dimension_is_refused():
-    with pytest.raises(DimensionError, match="needs dimension >= 8, got 6"):
-        touched_projection(VectorStream.block_overlap(4), [5], 6)
+@pytest.mark.parametrize("stream, positions, dim, error, message", [
+    (VectorStream.block_overlap(4), [5], 6, DimensionError, "needs dimension >= 8, got 6"),
+    (VectorStream.block_overlap(4), [0, -1], 8, SequenceError, "must be nonnegative"),
+    (VectorStream.basis(), [-1], 3, SequenceError, "must be nonnegative"),
+    (VectorStream.explicit(np.eye(2)), [2], 2, SequenceError, "has only 2 vectors"),
+    (VectorStream.explicit(np.eye(2)), [-1], 2, SequenceError, "must be nonnegative"),
+], ids=["past-dim", "negative-block", "negative-basis", "past-explicit", "negative-explicit"])
+def test_a_position_past_the_dimension_is_refused(stream, positions, dim, error, message):
+    with pytest.raises(error, match=message):
+        touched_projection(stream, positions, dim)
 
 
 def decompose(tmp_path, capsys, weights, stream, stages):
@@ -111,6 +122,11 @@ GATE_CASES = {
                                 "block4", 6),
     "mu-finite-basis": ({"kind": "one-minus", "of": {"kind": "geometric-tail", "values": [],
                                                      "tail_first": 0.4, "tail_ratio": 0.6}}, "basis", 40),
+    # the ones' own vectors: finitely many before a staged core, and after a finite core
+    "finite-ones-mu-divergent-block4": ({"kind": "periodic-tail", "values": [1.0, 1.0, 0.0],
+                                         "tail_block": [0.4, 0.9]}, "block4", 10),
+    "ones-after-finite-core-basis": ({"kind": "periodic-tail", "values": [0.3, 0.7, 0.25, 0.75, 0.6, 0.4],
+                                      "tail_block": [1.0]}, "basis", 10),
 }
 
 
